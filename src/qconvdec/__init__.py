@@ -12,13 +12,12 @@ from .algebra import (
     LaurentPoly, Poly, RankDeficientError, RatMatrix, RationalFn,
     ZeroDenominatorError, format_poly, left_inverse,
     left_inverse_moore_penrose, minors_gcd, null_space_basis, parse_poly,
-    poly_gcd, rank, ratio, set_degree_cap,
+    poly_gcd, rank, ratio,
 )
 from .stabilizer import (
     ErrorFrame, F4LinearityError, QuaternaryTransfer, SpecError,
-    StabilizerSpec, SymplecticCheck, binary_transfer, bits_to_pauli,
-    check_symplectic, example_311, parse_stabilizer, pauli_to_bits,
-    quaternary_transfer, syndrome_of,
+    StabilizerSpec, SymplecticCheck, binary_transfer, check_symplectic,
+    example_311, parse_stabilizer, quaternary_transfer, syndrome_of,
 )
 from .circuits import (
     CandidateBuilder, CatastrophicGeneratorError, CodeBundle, DerivationError,
@@ -30,7 +29,7 @@ from .circuits import (
 from .trellis import (
     BranchMetric, DecodeResult, OracleCapError, OracleResult, Trellis,
     TrellisError, build_trellis, coset_leader_oracle, pauli_costs_for_channel,
-    pauli_costs_for_flip_probability, viterbi_decode,
+    viterbi_decode,
 )
 from .decoder import DecodedError, SyndromeDecoder, SyndromeDecoderF4
 from .simulate import (

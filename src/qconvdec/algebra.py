@@ -1,6 +1,8 @@
 """Exact arithmetic over GF(2) and GF(4): polynomials, Laurent polynomials,
-rational functions in the delay variable D, and linear algebra over the
-rational-function field (elimination, left inverses, null spaces).
+rational functions in the delay variable D, linear algebra over the
+rational-function field (elimination, left inverses, null spaces), and the
+numpy GF(q) core shared by every constant-matrix computation: one
+reduced-row-echelon elimination and one block-domain convolution.
 
 Field elements are plain ints. GF(4) uses 0, 1, 2, 3 with 2 = w (the
 primitive element), 3 = w^2 = 1 + w; addition is XOR in both fields.
@@ -10,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 from typing import Iterable, Sequence
+
+import numpy as np
 
 W = 2       # primitive element of GF(4)
 WBAR = 3    # w^2 = 1 + w
@@ -32,7 +36,7 @@ class RankDeficientError(AlgebraError):
 
 
 class DegreeCapError(AlgebraError):
-    """An intermediate polynomial exceeded the configured degree cap."""
+    """An intermediate polynomial exceeded the degree cap."""
 
 
 class GramSingularError(AlgebraError):
@@ -40,17 +44,6 @@ class GramSingularError(AlgebraError):
 
 
 _DEGREE_CAP = 512
-
-
-def set_degree_cap(cap: int) -> None:
-    global _DEGREE_CAP
-    if cap < 1:
-        raise ValueError("degree cap must be positive")
-    _DEGREE_CAP = cap
-
-
-def degree_cap() -> int:
-    return _DEGREE_CAP
 
 
 class Field:
@@ -78,6 +71,9 @@ class Field:
             for a in range(1, 4):
                 inv[a] = next(b for b in range(1, 4) if self._mul[a][b] == 1)
             self._inv = tuple(inv)
+        # numpy copies of the tables for vectorized elimination/convolution
+        self.mul_table = np.array(self._mul, dtype=np.uint8)
+        self.inv_table = np.array(self._inv, dtype=np.uint8)
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
@@ -631,6 +627,26 @@ class RatMatrix:
             raise ValueError("matrix has non-polynomial entries")
         return [[e.num for e in r] for r in self.entries]
 
+    @classmethod
+    def from_coeff_tensor(cls, taps: np.ndarray,
+                          field: Field = GF2) -> "RatMatrix":
+        """Polynomial matrix whose D^d coefficients are ``taps[d]``; the
+        inverse of :meth:`coeff_tensor`."""
+        _, rows, cols = taps.shape
+        return cls.from_polys([[Poly(taps[:, i, c].tolist(), field)
+                                for c in range(cols)] for i in range(rows)])
+
+    def coeff_tensor(self) -> np.ndarray:
+        """Polynomial entries as a (max degree + 1, rows, cols) array whose
+        slice d holds the D^d coefficients."""
+        polys = self.poly_entries()
+        deg = max((p.degree for row in polys for p in row), default=0)
+        out = np.zeros((max(deg, 0) + 1, self.rows, self.cols), dtype=np.uint8)
+        for i, row in enumerate(polys):
+            for c, p in enumerate(row):
+                out[:len(p.coeffs), i, c] = p.coeffs
+        return out
+
     def substitute_square(self) -> "RatMatrix":
         """Entry-wise D -> D^2."""
         return RatMatrix([[e.substitute_square() for e in r] for r in self.entries],
@@ -822,42 +838,24 @@ def row_reduce_poly_matrix(rows: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
     row degree (Forney), which gives minimal trellis state complexity.
     """
     field = rows[0][0].field
-    work = [list(r) for r in rows]
-    work = [r for r in work if poly_row_degree(r) >= 0]
+    work = [list(r) for r in rows if poly_row_degree(r) >= 0]
     ncols = len(work[0])
     while True:
         work.sort(key=poly_row_degree)
         degs = [poly_row_degree(r) for r in work]
-        lead = [[r[c][d] for c in range(ncols)] for r, d in zip(work, degs)]
-        # GF elimination on leading vectors, tracking combinations
-        combo = [[1 if i == j else 0 for j in range(len(work))] for i in range(len(work))]
-        mat = [list(r) for r in lead]
-        pivots: dict[int, int] = {}
-        reduced_row = None
-        for ri in range(len(work)):
-            while True:
-                nz = next((c for c in range(ncols) if mat[ri][c]), None)
-                if nz is None:
-                    reduced_row = ri
-                    break
-                if nz not in pivots:
-                    pivots[nz] = ri
-                    inv = field.inv(mat[ri][nz])
-                    mat[ri] = [field.mul(inv, x) for x in mat[ri]]
-                    combo[ri] = [field.mul(inv, x) for x in combo[ri]]
-                    break
-                pr = pivots[nz]
-                f = mat[ri][nz]
-                mat[ri] = [x ^ field.mul(f, y) for x, y in zip(mat[ri], mat[pr])]
-                combo[ri] = [x ^ field.mul(f, y) for x, y in zip(combo[ri], combo[pr])]
-            if reduced_row is not None:
-                break
-        if reduced_row is None:
+        lead = np.array([[r[c][d] for c in range(ncols)]
+                         for r, d in zip(work, degs)], dtype=np.uint8)
+        # RREF of the leading vectors as columns: the first non-pivot column
+        # is the first row depending on those before it, and its entries are
+        # the unique combination of them that equals it
+        combo, pivots = gf_rref(lead.T, field)
+        ri = next((i for i, c in enumerate(pivots) if c != i), len(pivots))
+        if ri == len(work):
             return work
-        ri = reduced_row
         newrow = list(work[ri])
-        for rj, cf in enumerate(combo[ri]):
-            if rj == ri or cf == 0:
+        for rj in range(ri):
+            cf = int(combo[rj, ri])
+            if not cf:
                 continue
             shift = degs[ri] - degs[rj]
             for c in range(ncols):
@@ -868,3 +866,117 @@ def row_reduce_poly_matrix(rows: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
             work.pop(ri)
         else:
             work[ri] = newrow
+
+
+# ---------------------------------------------------------------------------
+# numpy GF(q) core: constant matrices as uint8 arrays of field elements
+# ---------------------------------------------------------------------------
+
+def gf_rref(a: np.ndarray, field: Field,
+            ncols: int | None = None) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a GF(q) matrix and its pivot columns.
+
+    Pivots are sought in the first ``ncols`` columns only (all by default),
+    so an augmented block on the right is carried along but never pivoted.
+    """
+    a = np.array(a, dtype=np.uint8)
+    mul, inv = field.mul_table, field.inv_table
+    pivots: list[int] = []
+    for c in range(a.shape[1] if ncols is None else ncols):
+        r = len(pivots)
+        if r == a.shape[0]:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if not nz.size:
+            continue
+        sel = r + nz[0]
+        if sel != r:
+            a[[r, sel]] = a[[sel, r]]
+        a[r] = mul[inv[a[r, c]], a[r]]
+        f = a[:, c].copy()
+        f[r] = 0
+        hit = np.flatnonzero(f)
+        a[hit] ^= mul[f[hit, None], a[r]]
+        pivots.append(c)
+    return a, pivots
+
+
+def gf_rank(a: np.ndarray, field: Field) -> int:
+    return len(gf_rref(a, field)[1])
+
+
+def gf_kernel(a: np.ndarray, field: Field) -> np.ndarray:
+    """Basis of {x : a @ x = 0}, one row per free column of the RREF (the
+    free variable set to 1, the others to 0)."""
+    red, pivots = gf_rref(a, field)
+    cols = red.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    out = np.zeros((len(free), cols), dtype=np.uint8)
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = red[:len(pivots)][:, free].T  # char 2: -x = x
+    return out
+
+
+def gf_solve(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray | None:
+    """The solution of a @ x = b with every free variable zero, or None when
+    b is outside the column span of a."""
+    cols = a.shape[1]
+    red, pivots = gf_rref(np.column_stack([a, b]), field, cols)
+    if red[len(pivots):, cols].any():
+        return None
+    x = np.zeros(cols, dtype=np.uint8)
+    x[pivots] = red[:len(pivots), cols]
+    return x
+
+
+def gf_inv(a: np.ndarray, field: Field) -> np.ndarray | None:
+    """Inverse of a square GF(q) matrix, or None when it is singular."""
+    n = a.shape[0]
+    red, pivots = gf_rref(
+        np.concatenate([a, np.eye(n, dtype=np.uint8)], axis=1), field, n)
+    return red[:, n:] if len(pivots) == n else None
+
+
+def gf_convolve(taps: np.ndarray, x: np.ndarray, field: Field,
+                window: int | None = None) -> np.ndarray:
+    """Block-domain convolution out[t] = sum_d taps[d] @ x[t - d] over GF(q).
+
+    ``taps`` is (degree + 1, r, lanes) and ``x`` is (blocks, lanes). The
+    output keeps ``window`` blocks (default: the frame's), so a window of
+    blocks + degree covers the full support."""
+    x = np.asarray(x, dtype=np.uint8)
+    nb = x.shape[0]
+    if x.shape[1] != taps.shape[2]:
+        raise ValueError("frame lane count mismatch")
+    if window is None:
+        window = nb
+    # GF(q) = GF(2)^bits and a tap acts GF(2)-linearly on the bit planes of
+    # x, so each tap works through its binary image in one integer matmul
+    # (uint8 sums wrap mod 256, which keeps their parity)
+    planes = range(field.order.bit_length() - 1)
+    xb = np.concatenate([(x >> k) & 1 for k in planes], axis=1)
+    image = np.concatenate(
+        [np.concatenate([(field.mul_table[taps, 1 << k] >> j) & 1
+                         for k in planes], axis=2) for j in planes], axis=1)
+    r = taps.shape[1]
+    out = np.zeros((window, len(planes) * r), dtype=np.uint8)
+    for d, tap in enumerate(image):
+        hi = min(window, nb + d)
+        if hi > d:
+            out[d:hi] ^= (xb[:hi - d] @ tap.T) & 1
+    weights = np.arange(len(planes), dtype=np.uint8)[:, None]
+    return (out.reshape(window, len(planes), r) << weights).sum(
+        axis=1, dtype=np.uint8)
+
+
+def convolution_matrix(taps: np.ndarray, blocks: int,
+                       window: int) -> np.ndarray:
+    """The (window * r, blocks * lanes) matrix A of :func:`gf_convolve`:
+    A @ x.reshape(-1) == gf_convolve(taps, x, field, window).reshape(-1) for
+    every (blocks, lanes) frame x (block-major flattening)."""
+    _, r, lanes = taps.shape
+    a = np.zeros((window, r, blocks, lanes), dtype=np.uint8)
+    for d, tap in enumerate(taps):
+        b = np.arange(max(0, min(blocks, window - d)))
+        a[b + d, :, b, :] = tap
+    return a.reshape(window * r, blocks * lanes)

@@ -19,9 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
-    Field, Poly, RatMatrix, RationalFn,
-    is_power_of_d, left_inverse, minors_gcd, null_space_basis,
-    poly_lcm, poly_xgcd, rank, row_reduce_poly_matrix,
+    Field, Poly, RatMatrix, RationalFn, convolution_matrix, gf_convolve,
+    gf_kernel, gf_rank, gf_solve, is_power_of_d, left_inverse, minors_gcd,
+    null_space_basis, poly_lcm, poly_xgcd, rank, row_reduce_poly_matrix,
 )
 
 
@@ -368,40 +368,18 @@ def shifted_isf_matrix(bundle: CodeBundle, mix: Sequence[Poly]) -> RatMatrix:
 # block-domain view: physical syndrome map and the full coset code
 # ---------------------------------------------------------------------------
 
-def transfer_block_split(hb: RatMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Split H_b(D) = P(D^2) + D Q(D^2) back into block-domain coefficient
-    tensors (P, Q), each of shape (m+1, r, n)."""
-    polys = hb.poly_entries()
-    r, n = hb.rows, hb.cols
-    maxdeg = max((p.degree for row in polys for p in row), default=0)
-    m = max(0, maxdeg // 2)
-    P = np.zeros((m + 1, r, n), dtype=np.uint8)
-    Q = np.zeros((m + 1, r, n), dtype=np.uint8)
-    for i in range(r):
-        for c in range(n):
-            for d, cf in enumerate(polys[i][c].coeffs):
-                if not cf:
-                    continue
-                b, phase = divmod(d, 2)
-                if phase == 0:
-                    P[b, i, c] = cf
-                else:
-                    Q[b, i, c] = cf
-    return P, Q
-
-
 def block_parity_matrix(hb: RatMatrix) -> RatMatrix:
-    """The block-domain syndrome map S(D) = [Q(D) | P(D)] ((n-k) x 2n): for a
-    frame with per-block layout (a | b), sigma = (a|b) @ S^T."""
-    P, Q = transfer_block_split(hb)
-    f = hb.field
-    r, n = hb.rows, hb.cols
-    rows = []
-    for i in range(r):
-        row = [Poly(Q[:, i, c].tolist(), f) for c in range(n)]
-        row += [Poly(P[:, i, c].tolist(), f) for c in range(n)]
-        rows.append(row)
-    return RatMatrix.from_polys(rows)
+    """The block-domain syndrome map S(D) = [Q(D) | P(D)] ((n-k) x 2n) of
+    H_b(D) = P(D^2) + D Q(D^2): for a frame with per-block layout (a | b),
+    sigma = (a|b) @ S^T."""
+    coeffs = hb.coeff_tensor()
+    n = hb.cols
+    taps = np.zeros(((coeffs.shape[0] + 1) // 2, hb.rows, 2 * n),
+                    dtype=np.uint8)
+    odd = coeffs[1::2]
+    taps[:len(odd), :, :n] = odd
+    taps[:, :, n:] = coeffs[0::2]
+    return RatMatrix.from_coeff_tensor(taps, hb.field)
 
 
 def block_syndrome(S: RatMatrix, frame_blocks: np.ndarray,
@@ -412,31 +390,7 @@ def block_syndrome(S: RatMatrix, frame_blocks: np.ndarray,
     With S = block_parity_matrix(hb) this equals the odd-phase outputs of
     streaming the interleaved frame through H_b^T. ``window`` defaults to the
     frame length; pass frame + m to cover the full convolution support."""
-    polys = S.poly_entries()
-    r = S.rows
-    lanes = S.cols
-    nb = frame_blocks.shape[0]
-    if frame_blocks.shape[1] != lanes:
-        raise ValueError("frame lane count mismatch")
-    if window is None:
-        window = nb
-    mul = S.field.mul
-    out = np.zeros((window, r), dtype=np.uint8)
-    for i in range(r):
-        for c in range(lanes):
-            for d, cf in enumerate(polys[i][c].coeffs):
-                if not cf:
-                    continue
-                hi = min(window, nb + d)
-                if hi <= d:
-                    continue
-                seg = frame_blocks[0:hi - d, c]
-                if cf == 1:
-                    out[d:hi, i] ^= seg
-                else:
-                    out[d:hi, i] ^= np.array([mul(cf, int(v)) for v in seg],
-                                             dtype=np.uint8)
-    return out
+    return gf_convolve(S.coeff_tensor(), frame_blocks, S.field, window)
 
 
 def polynomial_kernel_basis(S: RatMatrix, kernel_rank: int) -> list[list[Poly]]:
@@ -450,89 +404,32 @@ def polynomial_kernel_basis(S: RatMatrix, kernel_rank: int) -> list[list[Poly]]:
     """
     field = S.field
     lanes = S.cols
-    polys = S.poly_entries()
-    m = max((p.degree for row in polys for p in row), default=0)
+    taps = S.coeff_tensor()
+    m = taps.shape[0] - 1
     chosen: list[list[Poly]] = []
-    lead_rows: list[np.ndarray] = []  # kept in echelon form, distinct pivots
-
-    def reduce_lead(vec: np.ndarray) -> np.ndarray:
-        v = vec.copy()
-        for b in lead_rows:
-            piv = next(c for c in range(lanes) if b[c])
-            if v[piv]:
-                f = field.mul(int(v[piv]), field.inv(int(b[piv])))
-                for c in range(lanes):
-                    v[c] ^= field.mul(f, int(b[c]))
-        return v
+    lead_rows: list[np.ndarray] = []
 
     max_degree = lanes * (m + 1) + 4
     for d in range(max_degree + 1):
         if len(chosen) == kernel_rank:
             break
-        for vec in _window_kernel(S, d, m):
+        # kernel of the syndrome map on rows supported on blocks [0, d]
+        for vec in gf_kernel(convolution_matrix(taps, d + 1, d + m + 1), field):
             blocks = vec.reshape(d + 1, lanes)
             if not blocks[d].any():
                 continue  # true degree below d, handled in an earlier sweep
-            reduced = reduce_lead(blocks[d])
-            if not reduced.any():
-                continue
-            row = [Poly(blocks[:, c].tolist(), field) for c in range(lanes)]
-            chosen.append(row)
-            lead_rows.append(reduced)
+            leads = np.array(lead_rows + [blocks[d]])
+            if gf_rank(leads, field) == len(lead_rows):
+                continue  # leading vector depends on those already chosen
+            chosen.append([Poly(blocks[:, c].tolist(), field)
+                           for c in range(lanes)])
+            lead_rows.append(blocks[d])
             if len(chosen) == kernel_rank:
                 break
     if len(chosen) != kernel_rank:
         raise DerivationError(
             f"kernel basis search found {len(chosen)} of {kernel_rank} rows")
     return row_reduce_poly_matrix(chosen)
-
-
-def _window_kernel(S: RatMatrix, d: int, m: int) -> list[np.ndarray]:
-    """All GF kernel vectors of the syndrome map restricted to rows supported
-    on blocks [0, d] (flattened block-major)."""
-    field = S.field
-    lanes = S.cols
-    nvar = (d + 1) * lanes
-    cols = []
-    for idx in range(nvar):
-        e = np.zeros((d + 1, lanes), dtype=np.uint8)
-        e[idx // lanes, idx % lanes] = 1
-        cols.append(block_syndrome(S, e, d + m + 1).reshape(-1))
-    A = np.stack(cols, axis=1)
-    return _gf_kernel(A, field)
-
-
-def _gf_kernel(A: np.ndarray, field: Field) -> list[np.ndarray]:
-    A = A.copy().astype(np.uint8)
-    rows, cols = A.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        sel = next((i for i in range(r, rows) if A[i, c]), None)
-        if sel is None:
-            continue
-        A[[r, sel]] = A[[sel, r]]
-        inv = field.inv(int(A[r, c]))
-        if inv != 1:
-            A[r] = np.array([field.mul(inv, int(x)) for x in A[r]], dtype=np.uint8)
-        for i in range(rows):
-            if i != r and A[i, c]:
-                f = int(A[i, c])
-                A[i] ^= np.array([field.mul(f, int(x)) for x in A[r]],
-                                 dtype=np.uint8)
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    out = []
-    for fc in free:
-        v = np.zeros(cols, dtype=np.uint8)
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = A[i, fc]  # char 2: -x = x
-        out.append(v)
-    return out
 
 
 def coset_code_rows(hb: RatMatrix) -> list[list[Poly]]:
@@ -579,13 +476,10 @@ class CandidateBuilder:
     def __init__(self, bundle: CodeBundle, interleaved: bool = True):
         self.bundle = bundle
         self.interleaved = interleaved
-        if interleaved:
-            self.S = block_parity_matrix(bundle.hb)
-        else:
-            self.S = RatMatrix.from_polys(bundle.hb.poly_entries())
-        self.lanes = self.S.cols
-        self.m = max((p.degree for row in self.S.poly_entries() for p in row),
-                     default=0)
+        S = block_parity_matrix(bundle.hb) if interleaved else bundle.hb
+        self.taps = S.coeff_tensor()
+        self.lanes = S.cols
+        self.m = self.taps.shape[0] - 1
         maxden = max((e.den.degree for row in bundle.isf.matrix.entries
                       for e in row), default=0)
         per_block = (maxden + 1) // 2 if interleaved else maxden
@@ -594,32 +488,22 @@ class CandidateBuilder:
         self._repair_window = max(4 * (self.defect_blocks + self.m + 1), 16)
         self._repair_systems: dict[int, np.ndarray] = {}
 
-    def _system_for(self, window: int) -> np.ndarray:
-        sys = self._repair_systems.get(window)
-        if sys is None:
-            lanes = self.lanes
-            cols = []
-            e = np.zeros((window, lanes), dtype=np.uint8)
-            for idx in range(window * lanes):
-                e[idx // lanes, idx % lanes] = 1
-                cols.append(block_syndrome(self.S, e, window + self.m).reshape(-1))
-                e[idx // lanes, idx % lanes] = 0
-            sys = np.stack(cols, axis=1)
-            self._repair_systems[window] = sys
-        return sys
-
     def _solve_defect(self, defect: np.ndarray, blocks: int) -> np.ndarray:
         """Frame whose full-support syndrome equals the defect pattern on the
         first defect_blocks blocks and zero after. Tries a small window first
         and escalates to the frame span."""
-        rsyn = self.S.rows
+        rsyn = self.taps.shape[1]
         windows = [min(self._repair_window, blocks)]
         if blocks not in windows:
             windows.append(blocks)
         for wN in windows:
             target = np.zeros(((wN + self.m) * rsyn,), dtype=np.uint8)
             target[: defect.size] = defect.reshape(-1)
-            x = _gf_solve(self._system_for(wN), target, self.bundle.field)
+            system = self._repair_systems.get(wN)
+            if system is None:
+                system = convolution_matrix(self.taps, wN, wN + self.m)
+                self._repair_systems[wN] = system
+            x = gf_solve(system, target, self.bundle.field)
             if x is not None:
                 return x.reshape(wN, self.lanes)
         raise DerivationError(
@@ -641,7 +525,7 @@ class CandidateBuilder:
 
     def build(self, sigma: np.ndarray, blocks: int) -> np.ndarray:
         """Candidate frame W, block layout (blocks, lanes), with
-        block_syndrome(W, blocks + m) == sigma zero-extended."""
+        its syndrome over blocks + m blocks == sigma zero-extended."""
         r = self.bundle.r
         if sigma.shape[1] != r:
             raise ValueError("syndrome stream count mismatch")
@@ -658,10 +542,12 @@ class CandidateBuilder:
             take = min(sigma.shape[0], x.shape[0])
             x[:take] = sigma[:take]
             W = self.bundle.isf.run_anticausal(x, blocks)
-        target = np.zeros((blocks + self.m, r), dtype=np.uint8)
-        take = min(sigma.shape[0], blocks + self.m)
+        window = blocks + self.m
+        target = np.zeros((window, r), dtype=np.uint8)
+        take = min(sigma.shape[0], window)
         target[:take] = sigma[:take]
-        resid = block_syndrome(self.S, W, blocks + self.m) ^ target
+        field = self.bundle.field
+        resid = gf_convolve(self.taps, W, field, window) ^ target
         db = self.defect_blocks
         if resid[db:].any():
             raise DerivationError(
@@ -669,42 +555,7 @@ class CandidateBuilder:
                 "entries need more padding lookahead than the frame carries")
         if resid[:db].any():
             W = W ^ self.repair_frame(resid[:db].copy(), blocks)
-            resid2 = block_syndrome(self.S, W, blocks + self.m) ^ target
+            resid2 = gf_convolve(self.taps, W, field, window) ^ target
             if resid2.any():
                 raise DerivationError("candidate repair failed")
         return W
-
-
-def _gf_solve(A: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray | None:
-    Am = np.concatenate([A.copy(), b.reshape(-1, 1)], axis=1).astype(np.uint8)
-    rows, cols = Am.shape
-    piv = []
-    r = 0
-    for c in range(cols - 1):
-        sel = next((i for i in range(r, rows) if Am[i, c]), None)
-        if sel is None:
-            continue
-        Am[[r, sel]] = Am[[sel, r]]
-        if Am[r, c] != 1:
-            inv = field.inv(int(Am[r, c]))
-            Am[r] = np.array([field.mul(inv, int(x)) for x in Am[r]],
-                             dtype=np.uint8)
-        for i in range(rows):
-            if i != r and Am[i, c]:
-                f = int(Am[i, c])
-                if f == 1 and field.order == 2:
-                    Am[i] ^= Am[r]
-                else:
-                    Am[i] ^= np.array([field.mul(f, int(x)) for x in Am[r]],
-                                      dtype=np.uint8)
-        piv.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if not Am[i, :-1].any() and Am[i, -1]:
-            return None
-    x = np.zeros(cols - 1, dtype=np.uint8)
-    for i, c in enumerate(piv):
-        x[c] = Am[i, -1]
-    return x

@@ -13,14 +13,11 @@ import numpy as np
 from .algebra import AlgebraError
 from .circuits import block_parity_matrix, block_syndrome, derive_bundle
 from .decoder import SyndromeDecoder, SyndromeDecoderF4
-from .simulate import (
-    SimConfig, run_sweep, syndrome_from_text,
-)
+from .simulate import SimConfig, metric_for, run_sweep, syndrome_from_text
 from .stabilizer import (
     ErrorFrame, F4LinearityError, SpecError, binary_transfer, check_symplectic,
     parse_stabilizer, quaternary_transfer, syndrome_of,
 )
-from .trellis import BranchMetric, pauli_costs_for_flip_probability
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -62,7 +59,10 @@ def cmd_decode(args) -> int:
         sigma = syndrome_from_text(fh.read(), spec.n - spec.k)
     metric = None
     if args.p is not None:
-        metric = BranchMetric("pauli", pauli_costs_for_flip_probability(args.p))
+        # at p = 0 the channel costs reach the Viterbi INF sentinel
+        if not 0 < args.p < 0.5:
+            raise ValueError(f"--p must be in (0, 0.5), got {args.p!r}")
+        metric = metric_for("pauli", args.p)
     if args.f4:
         decoder = SyndromeDecoderF4(spec)
     else:
@@ -180,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--f4", action="store_true",
                      help="use the GF(4) path when available")
     dec.add_argument("--p", type=float, default=None,
-                     help="channel p for a Pauli-likelihood metric")
+                     help="channel flip probability p in (0, 0.5): decode "
+                          "with its Pauli likelihoods instead of Hamming")
     dec.set_defaults(func=cmd_decode)
 
     sim = sub.add_parser("simulate", help="Monte Carlo error-rate sweep")

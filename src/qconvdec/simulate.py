@@ -18,7 +18,7 @@ import numpy as np
 
 from .decoder import SyndromeDecoder
 from .stabilizer import ErrorFrame, StabilizerSpec
-from .trellis import BranchMetric, pauli_costs_for_flip_probability
+from .trellis import BranchMetric, pauli_costs_for_channel
 
 CSV_SCHEMA = "qconvdec-sim-csv v1"
 CSV_HEADER = ("p,frames,qubit_errors,qubits_total,qber,"
@@ -83,6 +83,8 @@ class SimConfig:
     stable_timing: bool = False
 
     def __post_init__(self):
+        if self.frame_qubits < self.spec.n:
+            raise ValueError("frame_qubits must be at least one block (n)")
         if self.frame_qubits % self.spec.n:
             raise ValueError("frame_qubits must be divisible by n")
         if self.frames < 1:
@@ -151,10 +153,13 @@ def run_frame(decoder: SyndromeDecoder, params: ChannelParams,
 
 
 def metric_for(config_metric: str, p: float) -> BranchMetric | None:
+    """None for Hamming, or the quantized channel likelihoods at p."""
     if config_metric == "hamming":
         return None
     if config_metric == "pauli":
-        return BranchMetric("pauli", pauli_costs_for_flip_probability(p))
+        ch = ChannelParams(p)
+        return BranchMetric("pauli", pauli_costs_for_channel(
+            ch.p_identity, ch.p_x, ch.p_y, ch.p_z))
     raise ValueError(f"unknown metric mode {config_metric!r}")
 
 

@@ -21,7 +21,8 @@ from typing import Iterable
 import numpy as np
 
 from .algebra import (
-    GF2, GF4, W, WBAR, LaurentPoly, Poly, RatMatrix, RationalFn,
+    GF2, GF4, W, WBAR, LaurentPoly, Poly, RatMatrix, RationalFn, gf_convolve,
+    gf_inv, gf_rank, gf_solve,
 )
 
 
@@ -36,9 +37,6 @@ class F4LinearityError(SpecError):
 PAULIS = "IXYZ"
 PAULI_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 BITS_TO_PAULI = {v: k for k, v in PAULI_TO_BITS.items()}
-# fixed GF(4) labeling: I->0, Y->1, X->w, Z->w^2
-PAULI_TO_GF4 = {"I": 0, "Y": 1, "X": W, "Z": WBAR}
-GF4_TO_PAULI = {v: k for k, v in PAULI_TO_GF4.items()}
 
 
 class ErrorFrame:
@@ -118,14 +116,6 @@ class ErrorFrame:
         return f"ErrorFrame({self.to_pauli()})"
 
 
-def pauli_to_bits(pauli: str) -> ErrorFrame:
-    return ErrorFrame.from_pauli(pauli)
-
-
-def bits_to_pauli(frame: ErrorFrame) -> str:
-    return frame.to_pauli()
-
-
 @dataclass(frozen=True)
 class StabilizerSpec:
     """[n,k,m] quantum convolutional code given by its block-0 generators."""
@@ -164,26 +154,15 @@ class StabilizerSpec:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "p_coeffs", p)
         object.__setattr__(self, "q_coeffs", q)
-        if self._symplectic_rank() < n - k:
+        rows = self.syndrome_taps.transpose(1, 0, 2).reshape(n - k, -1)
+        if gf_rank(rows, GF2) < n - k:
             raise SpecError("generators are not independent")
 
-    def _symplectic_rank(self) -> int:
-        rows = np.concatenate(
-            [self.p_coeffs.transpose(1, 0, 2).reshape(self.n - self.k, -1),
-             self.q_coeffs.transpose(1, 0, 2).reshape(self.n - self.k, -1)],
-            axis=1).copy()
-        r = 0
-        nr, nc = rows.shape
-        for c in range(nc):
-            sel = next((i for i in range(r, nr) if rows[i, c]), None)
-            if sel is None:
-                continue
-            rows[[r, sel]] = rows[[sel, r]]
-            for i in range(nr):
-                if i != r and rows[i, c]:
-                    rows[i] ^= rows[r]
-            r += 1
-        return r
+    @property
+    def syndrome_taps(self) -> np.ndarray:
+        """(m+1, n-k, 2n) block-domain syndrome map: tap d pairs the X bits
+        of a block with Q's D^d coefficients and the Z bits with P's."""
+        return np.concatenate([self.q_coeffs, self.p_coeffs], axis=2)
 
     @property
     def block_qubits(self) -> int:
@@ -191,17 +170,10 @@ class StabilizerSpec:
 
     def p_matrix(self) -> RatMatrix:
         """P(D), (n-k) x n polynomial matrix."""
-        return self._poly_matrix(self.p_coeffs)
+        return RatMatrix.from_coeff_tensor(self.p_coeffs)
 
     def q_matrix(self) -> RatMatrix:
-        return self._poly_matrix(self.q_coeffs)
-
-    def _poly_matrix(self, coeffs: np.ndarray) -> RatMatrix:
-        rows = []
-        for i in range(self.n - self.k):
-            rows.append([Poly(coeffs[:, i, c].tolist(), GF2)
-                         for c in range(self.n)])
-        return RatMatrix.from_polys(rows)
+        return RatMatrix.from_coeff_tensor(self.q_coeffs)
 
 
 def parse_stabilizer(text: str) -> StabilizerSpec:
@@ -290,6 +262,9 @@ XZ_TO_GF4_DECODE = np.zeros((2, 2), dtype=np.uint8)
 for _pl, _v in PAULI_TO_GF4_DECODE.items():
     _x, _z = PAULI_TO_BITS[_pl]
     XZ_TO_GF4_DECODE[_x, _z] = _v
+# decode symbol -> (x, z) bits of its Pauli
+GF4_DECODE_TO_XZ = np.array(
+    [PAULI_TO_BITS[GF4_DECODE_TO_PAULI[v]] for v in range(4)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -334,114 +309,43 @@ def quaternary_transfer(spec: StabilizerSpec) -> QuaternaryTransfer:
     nk = spec.n - spec.k
     if nk % 2:
         raise F4LinearityError("odd generator count cannot be GF(4)-linear")
-    ncoef = (spec.m + 1) * spec.n
     # generator rows as GF(4) vectors: entry = p + w*q per (power, lane)
-    rows4 = np.zeros((nk, ncoef), dtype=np.uint8)
-    for i in range(nk):
-        vals = spec.p_coeffs[:, i, :] | (spec.q_coeffs[:, i, :] << 1)
-        rows4[i] = vals.reshape(-1)
+    rows4 = (spec.p_coeffs | (spec.q_coeffs << 1)).transpose(1, 0, 2) \
+        .reshape(nk, -1)
 
-    def to_bits(vec4):
-        out = np.zeros(2 * ncoef, dtype=np.uint8)
-        out[0::2] = vec4 & 1
-        out[1::2] = vec4 >> 1
-        return out
-
-    span = [to_bits(rows4[i]) for i in range(nk)]
-
-    def in_span(vec):
-        basis = np.array(span, dtype=np.uint8).copy()
-        v = vec.copy()
-        r = 0
-        for c in range(basis.shape[1]):
-            sel = next((i for i in range(r, basis.shape[0]) if basis[i, c]), None)
-            if sel is None:
-                continue
-            basis[[r, sel]] = basis[[sel, r]]
-            for i in range(basis.shape[0]):
-                if i != r and basis[i, c]:
-                    basis[i] ^= basis[r]
-            if v[c]:
-                v ^= basis[r]
-            r += 1
-        return not v.any()
-
-    wmul = np.array([GF4.mul(W, a) for a in range(4)], dtype=np.uint8)
-    for i in range(nk):
-        if not in_span(to_bits(wmul[rows4[i]])):
-            raise F4LinearityError(
-                "generator row space is not closed under w-scaling; "
-                "use the binary transfer polynomial instead")
-
-    # GF(4) row reduction with coefficient tracking: rows4 = C @ basis
-    basis = []
-    combos = []  # combos[i][j]: coefficient of basis[j] in rows4[i]
-    work = [rows4[i].copy() for i in range(nk)]
-    track = [[0] * nk for _ in range(nk)]
-    pivots = []
-    for i in range(nk):
-        vec = work[i]
-        coeff = [0] * nk
-        coeff_self = 1
-        for bj, (pv, bvec, bcoef) in enumerate(zip(pivots, basis, combos)):
-            f = vec[pv]
-            if f:
-                vec = vec ^ np.array([GF4.mul(f, x) for x in bvec], dtype=np.uint8)
-                for t in range(len(coeff)):
-                    coeff[t] ^= GF4.mul(f, bcoef[t])
-        nz = next((c for c in range(ncoef) if vec[c]), None)
-        if nz is None:
-            track[i] = coeff
-            continue
-        inv = GF4.inv(int(vec[nz]))
-        bvec = np.array([GF4.mul(inv, x) for x in vec], dtype=np.uint8)
-        pivots.append(nz)
-        basis.append(bvec)
-        bcoef = [0] * nk
-        bcoef[len(basis) - 1] = 1
-        combos.append(bcoef)
-        coeff[len(basis) - 1] = GF4.inv(inv)  # original pivot value
-        track[i] = coeff
-    r = len(basis)
-    if r != nk // 2:
+    # H_q rows in discovery order: each generator row reduced against the
+    # earlier basis rows at their pivots, scaled to a leading 1
+    mul, inv = GF4.mul_table, GF4.inv_table
+    basis, pivots = [], []
+    for vec in rows4:
+        for bvec, pv in zip(basis, pivots):
+            vec = vec ^ mul[vec[pv], bvec]
+        nz = np.flatnonzero(vec)
+        if nz.size:
+            pivots.append(nz[0])
+            basis.append(mul[inv[vec[nz[0]]], vec])
+    # the nk rows are GF(2)-independent (checked by the spec), so their span
+    # is w-closed exactly when its GF(4) dimension is nk / 2
+    if 2 * len(basis) != nk:
         raise F4LinearityError(
-            f"GF(4) rank {r} != {nk // 2}; row space is not GF(4)-linear")
+            "generator row space is not closed under w-scaling; "
+            "use the binary transfer polynomial instead")
 
-    hq_rows = []
-    for bvec in basis:
-        vals = bvec.reshape(spec.m + 1, spec.n)
-        hq_rows.append([Poly(vals[:, c].tolist(), GF4) for c in range(spec.n)])
-    hq = RatMatrix.from_polys(hq_rows)
+    hq = RatMatrix.from_coeff_tensor(
+        np.array(basis).reshape(-1, spec.m + 1, spec.n).transpose(1, 0, 2), GF4)
 
-    # binary syndrome bits from GF(4) syndrome symbols:
-    # sigma_i = Tr(sum_j c_ij sigma*_j), Tr(c*(x+yw)) = c1*x + (c0+c1)*y
+    # rows4 = C @ basis with a unique C; binary syndrome bits from GF(4)
+    # syndrome symbols: sigma_i = Tr(sum_j c_ij sigma*_j),
+    # Tr(c*(x+yw)) = c1*x + (c0+c1)*y
+    basis_t = np.array(basis).T
+    coeffs = np.array([gf_solve(basis_t, row, GF4) for row in rows4])
     smap = np.zeros((nk, nk), dtype=np.uint8)
-    for i in range(nk):
-        for j in range(r):
-            c = track[i][j]
-            c0, c1 = c & 1, c >> 1
-            smap[i, 2 * j] = c1
-            smap[i, 2 * j + 1] = c0 ^ c1
-    sinv = _gf2_inv(smap)
+    smap[:, 0::2] = coeffs >> 1
+    smap[:, 1::2] = (coeffs & 1) ^ (coeffs >> 1)
+    sinv = gf_inv(smap, GF2)
     if sinv is None:
         raise F4LinearityError("syndrome remap is singular")
     return QuaternaryTransfer(hq=hq, syndrome_map=smap, syndrome_map_inv=sinv)
-
-
-def _gf2_inv(mat: np.ndarray) -> np.ndarray | None:
-    nr = mat.shape[0]
-    aug = np.concatenate([mat.copy(), np.eye(nr, dtype=np.uint8)], axis=1)
-    r = 0
-    for c in range(nr):
-        sel = next((i for i in range(r, nr) if aug[i, c]), None)
-        if sel is None:
-            return None
-        aug[[r, sel]] = aug[[sel, r]]
-        for i in range(nr):
-            if i != r and aug[i, c]:
-                aug[i] ^= aug[r]
-        r += 1
-    return aug[:, nr:]
 
 
 def syndrome_of(spec: StabilizerSpec, frame: ErrorFrame) -> np.ndarray:
@@ -452,39 +356,7 @@ def syndrome_of(spec: StabilizerSpec, frame: ErrorFrame) -> np.ndarray:
     streaming the frame through the realized H_b^T circuit and keeping the
     odd-phase outputs (cross-checked in the test suite).
     """
-    if frame.num_qubits % spec.n:
-        raise ValueError("frame length is not a whole number of blocks")
-    eb = frame.blocks(spec.n)
-    nb = eb.shape[0]
-    n, nk = spec.n, spec.n - spec.k
-    a = eb[:, :n]
-    b = eb[:, n:]
-    out = np.zeros((nb, nk), dtype=np.uint8)
-    for d in range(spec.m + 1):
-        qa = spec.q_coeffs[d].T  # (n, n-k)
-        pb = spec.p_coeffs[d].T
-        contrib = (a[: nb - d] @ qa + b[: nb - d] @ pb) % 2
-        out[d:] ^= contrib.astype(np.uint8)
-    return out
-
-
-def syndrome_blocks_full(spec: StabilizerSpec, frame: ErrorFrame,
-                         extra_blocks: int | None = None) -> np.ndarray:
-    """Like :func:`syndrome_of` but extends the output window by
-    ``extra_blocks`` (default m) to include the full convolution support."""
-    if extra_blocks is None:
-        extra_blocks = spec.m
-    eb = frame.blocks(spec.n)
-    nb = eb.shape[0]
-    n, nk = spec.n, spec.n - spec.k
-    a, b = eb[:, :n], eb[:, n:]
-    out = np.zeros((nb + extra_blocks, nk), dtype=np.uint8)
-    for d in range(spec.m + 1):
-        qa = spec.q_coeffs[d].T
-        pb = spec.p_coeffs[d].T
-        contrib = (a @ qa + b @ pb) % 2
-        out[d:d + nb] ^= contrib.astype(np.uint8)
-    return out
+    return gf_convolve(spec.syndrome_taps, frame.blocks(spec.n), GF2)
 
 
 EXAMPLE_311_TEXT = """\

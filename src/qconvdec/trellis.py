@@ -16,9 +16,8 @@ from typing import Literal
 
 import numpy as np
 
-from .algebra import Field, RatMatrix
-from .circuits import TransferSystem, block_parity_matrix, block_syndrome, \
-    transfer_block_split
+from .algebra import Field, RatMatrix, gf_convolve
+from .circuits import TransferSystem, block_parity_matrix, block_syndrome
 from .stabilizer import BITS_TO_PAULI, GF4_DECODE_TO_PAULI, PAULI_TO_BITS
 
 INF = 1 << 60
@@ -184,16 +183,6 @@ def pauli_costs_for_channel(p_i: float, p_x: float, p_y: float, p_z: float,
             return INF // 4
         return round(scale * log(p_i / prob))
     return (0, cost(p_x), cost(p_y), cost(p_z))
-
-
-def pauli_costs_for_flip_probability(p: float,
-                                     scale: int = METRIC_SCALE
-                                     ) -> tuple[int, int, int, int]:
-    """Cost table for the channel whose X and Z bits flip independently with
-    probability p: P(X)=P(Z)=p(1-p), P(Y)=p^2. Built so that cost(Y) is
-    exactly 2 cost(X), keeping the ranking identical to per-bit Hamming."""
-    unit = max(1, round(scale * log((1 - p) / p))) if 0 < p < 0.5 else scale
-    return (0, unit, 2 * unit, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +356,7 @@ def coset_leader_oracle(hb: RatMatrix, syndrome: np.ndarray, frame_blocks: int,
 
 
 @lru_cache(maxsize=16)
-def _block_weight_table_cached(n: int, metric: BranchMetric) -> np.ndarray:
+def _block_weight_table(n: int, metric: BranchMetric) -> np.ndarray:
     size = 1 << (2 * n)
     out = np.zeros(size, dtype=np.int64)
     for v in range(size):
@@ -380,17 +369,13 @@ def _block_weight_table_cached(n: int, metric: BranchMetric) -> np.ndarray:
     return out
 
 
-def _block_weight_table(n: int, metric: BranchMetric) -> np.ndarray:
-    return _block_weight_table_cached(n, metric)
-
-
 @lru_cache(maxsize=16)
 def _emission_data(hb: RatMatrix):
     """Per-code DP tables: emit[b][e] = r-bit syndrome emitted at lag b by
     block value e, plus block values grouped by their lag-0 emission."""
     S = block_parity_matrix(hb)
-    P, _ = transfer_block_split(hb)
-    m = P.shape[0] - 1
+    taps = S.coeff_tensor()
+    m = taps.shape[0] - 1
     lanes = 2 * hb.cols
     r = hb.rows
     size = 1 << lanes
@@ -399,7 +384,7 @@ def _emission_data(hb: RatMatrix):
     for e in range(size):
         for kbit in range(lanes):
             frame[0, kbit] = (e >> kbit) & 1
-        syn = block_syndrome(S, frame, m + 1)
+        syn = gf_convolve(taps, frame, S.field, m + 1)
         for b in range(m + 1):
             v = 0
             for i in range(r):

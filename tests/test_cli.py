@@ -101,3 +101,47 @@ class TestSimulate:
         rc = main(["simulate", spec_file, "--p", "0.7", "--frames", "2",
                    "--frame-qubits", "90", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+
+def assert_one_error_line(captured):
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert captured.out == ""
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("flags", [[], ["--f4"]])
+    @pytest.mark.parametrize("text", ["1:8", "0:0", "2:0"])
+    def test_decode_needs_a_data_block(self, spec_file, tmp_path, capsys,
+                                       flags, text):
+        # [3,1,1] pads with m+1 = 2 blocks: 1:8 used to print YXI and 0:0 an
+        # empty line
+        syn = tmp_path / "short.syn"
+        syn.write_text(text + "\n")
+        assert main(["decode", spec_file, "--syndrome", str(syn)] + flags) == 2
+        assert_one_error_line(capsys.readouterr())
+
+    @pytest.mark.parametrize("p", ["-1", "0", "0.5", "0.6"])
+    def test_decode_p_outside_open_interval(self, spec_file, tmp_path, capsys,
+                                            p):
+        syn = tmp_path / "zero.syn"
+        syn.write_text("4:00\n")
+        assert main(["decode", spec_file, "--syndrome", str(syn),
+                     "--p", p]) == 2
+        assert_one_error_line(capsys.readouterr())
+
+    def test_decode_p_in_range(self, spec_file, tmp_path, capsys):
+        decoder = SyndromeDecoder(example_311())
+        sigma = decoder.measure(ErrorFrame.from_pauli("IYI" + "I" * 9))
+        syn = tmp_path / "y.syn"
+        syn.write_text(syndrome_to_text(sigma) + "\n")
+        assert main(["decode", spec_file, "--syndrome", str(syn),
+                     "--p", "0.05"]) == 0
+        assert capsys.readouterr().out.strip() == "IY" + "I" * 16
+
+    @pytest.mark.parametrize("qubits", ["0", "2", "-3"])
+    def test_simulate_frame_below_one_block(self, spec_file, capsys, qubits):
+        # --frame-qubits 0 used to die with an uncaught ZeroDivisionError
+        assert main(["simulate", spec_file, "--frames", "1",
+                     "--frame-qubits", qubits]) == 2
+        assert_one_error_line(capsys.readouterr())

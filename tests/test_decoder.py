@@ -7,8 +7,8 @@ from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
 from qconvdec.stabilizer import (
     ErrorFrame, SpecError, StabilizerSpec, example_311, syndrome_of,
 )
-from qconvdec.trellis import BranchMetric, coset_leader_oracle, \
-    pauli_costs_for_flip_probability
+from qconvdec.simulate import metric_for
+from qconvdec.trellis import BranchMetric, coset_leader_oracle
 
 
 def p(t):
@@ -131,24 +131,10 @@ class TestF4Decoder:
                     [e.bits, np.zeros(12, dtype=np.uint8)]))
                 assert out.frame == padded, (q, pauli)
 
-    def test_metric_consistency_hamming_vs_pauli(self):
-        # with independently flipped X/Z bits, the per-qubit likelihood table
-        # has cost(Y) = 2 cost(X) = 2 cost(Z): path ranking identical to
-        # per-bit Hamming, so the decoded pattern must agree
-        decoder = SyndromeDecoder(example_311())
-        table = BranchMetric("pauli", pauli_costs_for_flip_probability(0.05))
-        rng = np.random.default_rng(6)
-        for i in range(1000):
-            e = random_error(rng, 12, 0.05)
-            sigma = decoder.measure(e)
-            a = decoder.decode(sigma)
-            b = decoder.decode(sigma, metric=table)
-            assert a.frame == b.frame, i
-
     def test_agrees_with_binary_under_pauli_metric(self, decoder_f4):
         # same coset, same cost space: minimum path metrics coincide
         binary = SyndromeDecoder(example_311())
-        metric = BranchMetric("pauli", pauli_costs_for_flip_probability(0.05))
+        metric = metric_for("pauli", 0.05)
         rng = np.random.default_rng(5)
         for _ in range(20):
             e = random_error(rng, 15, 0.1)
@@ -160,7 +146,7 @@ class TestF4Decoder:
     def test_certified_against_oracle_pauli_metric(self, decoder_f4):
         # the quaternary trellis must achieve the oracle's minimum Pauli cost
         binary = SyndromeDecoder(example_311())
-        metric = BranchMetric("pauli", pauli_costs_for_flip_probability(0.05))
+        metric = metric_for("pauli", 0.05)
         rng = np.random.default_rng(7)
         for _ in range(60):
             e = random_error(rng, 15, 0.12)

@@ -86,7 +86,7 @@ def test_two_row_gf4_code():
     # minimum Pauli cost
     from qconvdec.decoder import SyndromeDecoderF4
     from qconvdec.stabilizer import ErrorFrame, quaternary_transfer, syndrome_of
-    from qconvdec.trellis import BranchMetric, pauli_costs_for_flip_probability
+    from qconvdec.simulate import metric_for
 
     spec = StabilizerSpec(n=5, k=1, m=1, generators=(
         "IIIIIYXIYZ", "IIIIIXZIXY", "YYZYXYIXIZ", "XXYXZXIZIY"))
@@ -96,7 +96,7 @@ def test_two_row_gf4_code():
 
     binary = SyndromeDecoder(spec)
     quaternary = SyndromeDecoderF4(spec)
-    metric = BranchMetric("pauli", pauli_costs_for_flip_probability(0.05))
+    metric = metric_for("pauli", 0.05)
     rng = np.random.default_rng(11)
     for _ in range(25):
         e = ErrorFrame((rng.random(2 * 5 * 6) < 0.08).astype(np.uint8))

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qconvdec.algebra import GF2, GF4, RatMatrix, parse_poly
+from qconvdec.algebra import GF2, GF4, RatMatrix, gf_convolve, parse_poly
 from reference_data import REF_TRANSFER_311, REF_TRANSFER_311_F4
 
 from qconvdec.stabilizer import (
     ErrorFrame, F4LinearityError, SpecError, StabilizerSpec,
     binary_transfer, check_symplectic, example_311, parse_stabilizer,
-    quaternary_transfer, syndrome_of, syndrome_blocks_full,
+    quaternary_transfer, syndrome_of,
 )
 
 
@@ -228,7 +228,8 @@ class TestSyndrome:
         spec = example_311()
         f = ErrorFrame.zeros(6)
         f.bits[-1] = 1  # Z on the last qubit
-        full = syndrome_blocks_full(spec, f)
+        full = gf_convolve(spec.syndrome_taps, f.blocks(3), GF2, 2 + spec.m)
         assert full.shape == (3, 2)
+        assert full[2].any()  # the Z on the last qubit reaches block 2
         trunc = syndrome_of(spec, f)
         assert np.array_equal(full[:2], trunc)

@@ -8,9 +8,10 @@ from qconvdec.stabilizer import binary_transfer, example_311
 from reference_data import REF_GENERATOR_F4
 
 from qconvdec.trellis import (
-    BranchMetric, TrellisError, build_trellis, coset_leader_oracle,
-    pauli_costs_for_channel, pauli_costs_for_flip_probability, viterbi_decode,
+    TrellisError, build_trellis, coset_leader_oracle,
+    pauli_costs_for_channel, viterbi_decode,
 )
+from qconvdec.simulate import metric_for
 
 
 def p(t, f=GF2):
@@ -155,8 +156,7 @@ class TestViterbi:
 
     def test_path_metric_matches_recount(self):
         t = _coset_trellis()
-        metric = BranchMetric("pauli",
-                              pauli_costs_for_flip_probability(0.05))
+        metric = metric_for("pauli", 0.05)
         rng = np.random.default_rng(3)
         w = rng.integers(0, 2, size=(8, 6)).astype(np.uint8)
         w[-2:] = 0
@@ -175,11 +175,6 @@ class TestViterbi:
 
 
 class TestMetrics:
-    def test_flip_probability_table_proportional(self):
-        costs = pauli_costs_for_flip_probability(0.05)
-        assert costs[0] == 0
-        assert costs[2] == 2 * costs[1] == 2 * costs[3]
-
     def test_channel_table_monotone(self):
         # likelier Paulis cost less
         costs = pauli_costs_for_channel(0.9, 0.05, 0.01, 0.04)
@@ -188,7 +183,7 @@ class TestMetrics:
 
     def test_pauli_table_on_bits_trellis_rejected(self):
         t = build_trellis(tick_gen_311())
-        metric = BranchMetric("pauli", pauli_costs_for_flip_probability(0.05))
+        metric = metric_for("pauli", 0.05)
         with pytest.raises(TrellisError):
             metric.xor_table(t)
 
@@ -232,9 +227,9 @@ class TestOracle:
         e[1, 2] = 1
         e[1, 5] = 1  # Y on qubit 5
         sigma = block_syndrome(S, e, 5)
-        metric = BranchMetric("pauli", pauli_costs_for_flip_probability(0.05))
+        metric = metric_for("pauli", 0.05)
         res = coset_leader_oracle(hb, sigma, 4, metric=metric)
-        assert res.weight <= 2 * pauli_costs_for_flip_probability(0.05)[1]
+        assert res.weight <= metric.pauli_costs[2]  # cost of the Y itself
 
     def test_unrealizable_rejected(self):
         # a syndrome claiming support after the frame ends
