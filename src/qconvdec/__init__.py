@@ -21,7 +21,8 @@ from .stabilizer import (
 )
 from .circuits import (
     CandidateBuilder, CatastrophicGeneratorError, CodeBundle, DerivationError,
-    TransferSystem, block_parity_matrix, block_syndrome, coset_code_rows,
+    TransferSystem, block_isf_matrix, block_parity_matrix, block_syndrome,
+    coset_code_rows,
     derive_bundle, derive_generator, derive_inverse_syndrome_former,
     derive_syndrome_former, polynomial_kernel_basis, shifted_isf_matrix,
     with_isf,

@@ -6,9 +6,14 @@ input streams and columns are output streams. Entries with a pole at D = 0
 (non-causal) are handled by extracting the common advance D^a into
 ``input_advance``; the realized circuit then computes the coefficient
 sequence of ``D^a * matrix @ in``, i.e. the ideal output delayed by a ticks.
-The anticausal run direction expands the same rational entries from the top
-of the frame downward, which is exact at the frame tail and leaves at most a
-small defect at the frame head (repaired by the candidate construction).
+
+The decoder works in the block domain: ``block_parity_matrix`` and
+``block_isf_matrix`` fold the tick-rate H_b^T and ISF of the binary path into
+maps on (blocks, 2n) frames and (blocks, n-k) syndromes (the GF(4) path is
+block rate already). :class:`CandidateBuilder` turns a syndrome into a frame
+with that syndrome by one linear map: the block ISF expanded anticausally
+from the frame tail in closed form, plus a precomputed repair of the small
+defect that truncation leaves at the frame head.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
-    Field, Poly, RatMatrix, RationalFn, convolution_matrix, gf_convolve,
-    gf_kernel, gf_rank, gf_solve, is_power_of_d, left_inverse, minors_gcd,
+    GF2, Field, Poly, RatMatrix, RationalFn, convolution_matrix, gf_convolve,
+    gf_kernel, gf_rank, gf_rref, is_power_of_d, left_inverse, minors_gcd,
     null_space_basis, poly_lcm, poly_xgcd, rank, row_reduce_poly_matrix,
 )
 
@@ -125,58 +130,6 @@ class TransferSystem:
                         continue
                     for t in range(d, L):
                         col[t] ^= mul(cf, w[t - d])
-        return out
-
-    def run_anticausal(self, x: np.ndarray, out_len: int) -> np.ndarray:
-        """Expand out = x @ matrix anticausally (from the frame tail down).
-
-        Each entry is split into its polynomial part (convolved causally) and
-        a strictly proper remainder (expanded from the top); the result is
-        exact wherever the true expansion fits below ``out_len``, so
-        truncation shows up only as a defect near tick 0."""
-        x = np.asarray(x, dtype=np.uint8)
-        if x.ndim != 2 or x.shape[1] != self.inputs:
-            raise ValueError(f"expected (T, {self.inputs}) input")
-        mul = self.field.mul
-        inv = self.field.inv
-        xl = x.shape[0]
-        out = np.zeros((out_len, self.outputs), dtype=np.uint8)
-        for i in range(self.inputs):
-            xi = x[:, i]
-            for j in range(self.outputs):
-                e = self.matrix.entries[i][j]
-                if e.is_zero():
-                    continue
-                col = out[:, j]
-                fir, rem = e.num.divmod(e.den)
-                for d, cf in enumerate(fir.coeffs):
-                    if not cf:
-                        continue
-                    hi = min(out_len, xl + d)
-                    for s in range(d, hi):
-                        v = int(xi[s - d])
-                        if v:
-                            col[s] ^= mul(cf, v)
-                if rem.is_zero():
-                    continue
-                num, den = rem.coeffs, e.den.coeffs
-                r = len(den) - 1
-                lead_inv = inv(den[-1])
-                y = [0] * (out_len + r + 1)
-                for s in range(out_len - 1, -1, -1):
-                    acc = 0
-                    for d in range(r):
-                        if den[d]:
-                            acc ^= mul(den[d], y[s + r - d])
-                    for d, cf in enumerate(num):
-                        if cf:
-                            idx = s + r - d
-                            if 0 <= idx < xl:
-                                acc ^= mul(cf, int(xi[idx]))
-                    y[s] = mul(lead_inv, acc)
-                for s in range(out_len):
-                    if y[s]:
-                        col[s] ^= y[s]
         return out
 
     def impulse_response(self, length: int, input_index: int = 0) -> np.ndarray:
@@ -382,6 +335,26 @@ def block_parity_matrix(hb: RatMatrix) -> RatMatrix:
     return RatMatrix.from_coeff_tensor(taps, hb.field)
 
 
+def block_isf_matrix(isf: RatMatrix) -> RatMatrix:
+    """The block-domain ISF [D L1(D) | L0(D)] ((n-k) x 2n) of a binary-path
+    ISF L(D) = L0(D^2) + D L1(D^2): the syndrome rides the odd tick phase, so
+    sigma @ block_isf_matrix(L) is the (a | b) block frame of streaming the
+    zero-stuffed syndrome through L.
+
+    Over GF(2) den(D)^2 = den(D^2), so num/den = num*den / den(D^2) splits
+    into the even and odd coefficients of num*den over den."""
+    if isf.field is not GF2:
+        raise ValueError("the tick-phase split needs a GF(2) ISF")
+    rows = []
+    for row in isf.entries:
+        coeffs = [(e.num * e.den).coeffs for e in row]
+        rows.append([RationalFn(Poly((0,) + c[1::2]), e.den)
+                     for c, e in zip(coeffs, row)]
+                    + [RationalFn(Poly(c[0::2]), e.den)
+                       for c, e in zip(coeffs, row)])
+    return RatMatrix(rows, GF2)
+
+
 def block_syndrome(S: RatMatrix, frame_blocks: np.ndarray,
                    window: int | None = None) -> np.ndarray:
     """Syndrome of a block-domain frame under the parity matrix S
@@ -450,112 +423,111 @@ def coset_code_rows(hb: RatMatrix) -> list[list[Poly]]:
     return rows
 
 
-def pack_syndrome_ticks(sigma: np.ndarray, total_ticks: int) -> np.ndarray:
-    """Zero-stuff a (blocks, r) syndrome onto the tick axis: block j lands on
-    tick 2j + 1 (the odd phase carries the physical syndrome)."""
-    blocks, r = sigma.shape
-    out = np.zeros((total_ticks, r), dtype=np.uint8)
-    for j in range(min(blocks, (total_ticks - 1) // 2 + 1)):
-        t = 2 * j + 1
-        if t < total_ticks:
-            out[t] = sigma[j]
-    return out
 
 
 class CandidateBuilder:
     """Produces a member of {frames whose measured syndrome matches sigma}
-    by streaming the ISF anticausally (it starts quiescent in the padded
-    tail) and repairing the residual head defect from a precomputed table.
+    with one block-domain linear map: the ISF expanded anticausally (from
+    the quiescent padded tail down) and a precomputed repair of the head
+    defect that the truncation at block 0 leaves.
 
-    ``interleaved`` selects the quantum-binary convention: the syndrome is
-    zero-stuffed onto the odd tick phase, the ISF runs at tick rate and the
-    output folds back into (blocks, 2n) qubit-pair layout. Without it, the
-    ISF runs at symbol/block rate on the syndrome stream directly (the GF(4)
-    path and plain classical codes)."""
+    ``parity`` is the block-domain syndrome map S and ``isf`` a block-domain
+    left inverse of it (isf @ S^T = I): ``block_parity_matrix`` and
+    ``block_isf_matrix`` on the binary path, H_q and its ISF on the GF(4)
+    path. The ISF is written once as D^-a N(D) / (1 + D^P), with a its
+    largest pole order at 0, P the period of its other poles and N
+    polynomial; 1 / (1 + D^P) expands in 1/D as sum_{i>=1} D^-iP, so the
+    expansion is a strided suffix sum of sigma convolved with N."""
 
-    def __init__(self, bundle: CodeBundle, interleaved: bool = True):
-        self.bundle = bundle
-        self.interleaved = interleaved
-        S = block_parity_matrix(bundle.hb) if interleaved else bundle.hb
-        self.taps = S.coeff_tensor()
-        self.lanes = S.cols
+    def __init__(self, parity: RatMatrix, isf: RatMatrix):
+        if not (isf @ parity.transpose()).is_identity():
+            raise DerivationError("ISF is not a left inverse of the parity map")
+        f = self.field = parity.field
+        self.taps = parity.coeff_tensor()
         self.m = self.taps.shape[0] - 1
-        maxden = max((e.den.degree for row in bundle.isf.matrix.entries
-                      for e in row), default=0)
-        per_block = (maxden + 1) // 2 if interleaved else maxden
-        self.defect_blocks = max(self.m + 1, per_block + 1)
-        self._repair: dict[tuple, np.ndarray] = {}
-        self._repair_window = max(4 * (self.defect_blocks + self.m + 1), 16)
-        self._repair_systems: dict[int, np.ndarray] = {}
-
-    def _solve_defect(self, defect: np.ndarray, blocks: int) -> np.ndarray:
-        """Frame whose full-support syndrome equals the defect pattern on the
-        first defect_blocks blocks and zero after. Tries a small window first
-        and escalates to the frame span."""
-        rsyn = self.taps.shape[1]
-        windows = [min(self._repair_window, blocks)]
-        if blocks not in windows:
-            windows.append(blocks)
-        for wN in windows:
-            target = np.zeros(((wN + self.m) * rsyn,), dtype=np.uint8)
-            target[: defect.size] = defect.reshape(-1)
-            system = self._repair_systems.get(wN)
-            if system is None:
-                system = convolution_matrix(self.taps, wN, wN + self.m)
-                self._repair_systems[wN] = system
-            x = gf_solve(system, target, self.bundle.field)
-            if x is not None:
-                return x.reshape(wN, self.lanes)
-        raise DerivationError(
-            "syndrome has no matching error pattern on this span "
-            "(unrealizable head defect)")
+        self.r, self.lanes = parity.rows, parity.cols
+        entries = [e for row in isf.entries for e in row if not e.is_zero()]
+        self.advance = max((e.pole_order_at_zero() for e in entries), default=0)
+        poles = Poly.one(f)
+        for e in entries:
+            poles = poly_lcm(poles, Poly(e.den.coeffs[e.den.valuation():], f))
+        d, one = Poly.D(f), Poly.one(f) % poles
+        self.period, power = 1, d % poles
+        while power != one:
+            self.period, power = self.period + 1, (power * d) % poles
+        scale = RationalFn(Poly.monomial(self.advance, field=f)
+                           + Poly.monomial(self.advance + self.period, field=f))
+        N = RatMatrix([[e * scale for e in row] for row in isf.entries], f)
+        self.isf_taps = N.coeff_tensor().transpose(0, 2, 1)
+        # S is causal of degree m, so the truncated expansion misses sigma
+        # only on blocks < m; a frame on m + 1 blocks repairs it. One RREF
+        # gives the particular solution (free variables zero) of every
+        # defect, and its leftover rows flag the unrealizable ones.
+        self.defect_blocks = db = self.m + 1
+        system = convolution_matrix(self.taps, db, 2 * db - 1)
+        cols = system.shape[1]
+        red, pivots = gf_rref(
+            np.concatenate([system, np.eye(system.shape[0], db * self.r,
+                                           dtype=np.uint8)], axis=1), f, cols)
+        self._repair = np.zeros((cols + len(red) - len(pivots), db * self.r),
+                                dtype=np.uint8)
+        self._repair[pivots] = red[:len(pivots), cols:]
+        self._repair[cols:] = red[len(pivots):, cols:]
 
     def repair_frame(self, defect: np.ndarray, blocks: int) -> np.ndarray:
-        key = tuple(defect.reshape(-1).tolist())
-        frame = self._repair.get(key)
-        if frame is None or frame.shape[0] > blocks:
-            frame = self._solve_defect(defect, blocks)
-            self._repair[key] = frame
-        out = np.zeros((blocks, self.lanes), dtype=np.uint8)
-        take = min(blocks, frame.shape[0])
-        out[:take] = frame[:take]
-        if take < frame.shape[0] and frame[take:].any():
+        """(blocks, lanes) frame whose syndrome is the head defect (its first
+        defect_blocks blocks) followed by zeros."""
+        # a matrix-vector product over GF(q) is a one-tap convolution
+        sol = gf_convolve(self._repair[None], defect.reshape(1, -1),
+                          self.field)[0]
+        fit = self.defect_blocks * self.lanes
+        if sol[fit:].any():
+            raise DerivationError(
+                "syndrome has no matching error pattern on this span "
+                "(unrealizable head defect)")
+        frame = sol[:fit].reshape(self.defect_blocks, self.lanes)
+        if frame[blocks:].any():
             raise DerivationError("repair frame does not fit the span")
+        out = np.zeros((blocks, self.lanes), dtype=np.uint8)
+        out[:self.defect_blocks] = frame[:blocks]
         return out
 
     def build(self, sigma: np.ndarray, blocks: int) -> np.ndarray:
-        """Candidate frame W, block layout (blocks, lanes), with
-        its syndrome over blocks + m blocks == sigma zero-extended."""
-        r = self.bundle.r
-        if sigma.shape[1] != r:
+        """Candidate frame W, block layout (blocks, lanes), with its syndrome
+        over blocks + m blocks == sigma zero-extended. Rows of sigma from
+        ``blocks`` on must be zero."""
+        sigma = np.asarray(sigma, dtype=np.uint8)
+        if sigma.ndim != 2 or sigma.shape[1] != self.r:
             raise ValueError("syndrome stream count mismatch")
-        if self.interleaved:
-            ticks = 2 * blocks
-            shat = pack_syndrome_ticks(sigma, ticks + 2 * self.m + 1)
-            v = self.bundle.isf.run_anticausal(shat, ticks)
-            n = self.bundle.n
-            W = np.zeros((blocks, 2 * n), dtype=np.uint8)
-            W[:, :n] = v[0::2]
-            W[:, n:] = v[1::2]
-        else:
-            x = np.zeros((blocks + self.m + 1, r), dtype=np.uint8)
-            take = min(sigma.shape[0], x.shape[0])
-            x[:take] = sigma[:take]
-            W = self.bundle.isf.run_anticausal(x, blocks)
+        if sigma[blocks:].any():
+            raise ValueError(f"syndrome is nonzero beyond the {blocks}-block "
+                             "frame")
+        sigma = sigma[:blocks]
+        # out[t] = sum_d u[t + a - d] N_d with u[s] = sum_{i>=1} sigma[s + iP]
+        # on s >= a - deg N; suffix sums at stride P, indexed from a - deg N
+        deg = self.isf_taps.shape[0] - 1
+        P = self.period
+        first = self.advance - deg + P
+        pad = max(-first, 0)
+        x = sigma[max(first, 0):]
+        rows = -(-max(blocks + deg, pad + x.shape[0]) // P)
+        u = np.zeros((rows * P, self.r), dtype=np.uint8)
+        u[pad:pad + x.shape[0]] = x
+        u = np.bitwise_xor.accumulate(u.reshape(rows, P, self.r)[::-1],
+                                      axis=0)[::-1].reshape(-1, self.r)
+        W = gf_convolve(self.isf_taps, u[:blocks + deg], self.field)[deg:]
         window = blocks + self.m
-        target = np.zeros((window, r), dtype=np.uint8)
-        take = min(sigma.shape[0], window)
-        target[:take] = sigma[:take]
-        field = self.bundle.field
-        resid = gf_convolve(self.taps, W, field, window) ^ target
+        resid = gf_convolve(self.taps, W, self.field, window)
+        resid[:sigma.shape[0]] ^= sigma
         db = self.defect_blocks
         if resid[db:].any():
             raise DerivationError(
                 "ISF candidate defect outside the head window: the ISF "
                 "entries need more padding lookahead than the frame carries")
-        if resid[:db].any():
-            W = W ^ self.repair_frame(resid[:db].copy(), blocks)
-            resid2 = gf_convolve(self.taps, W, field, window) ^ target
-            if resid2.any():
+        if resid.any():
+            W = W ^ self.repair_frame(resid[:db], blocks)
+            resid = gf_convolve(self.taps, W, self.field, window)
+            resid[:sigma.shape[0]] ^= sigma
+            if resid.any():
                 raise DerivationError("candidate repair failed")
         return W

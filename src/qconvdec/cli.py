@@ -16,7 +16,7 @@ from .decoder import SyndromeDecoder, SyndromeDecoderF4
 from .simulate import SimConfig, metric_for, run_sweep, syndrome_from_text
 from .stabilizer import (
     ErrorFrame, F4LinearityError, SpecError, binary_transfer, check_symplectic,
-    parse_stabilizer, quaternary_transfer, syndrome_of,
+    parse_stabilizer, quaternary_transfer,
 )
 
 EXIT_OK = 0
@@ -126,13 +126,18 @@ def cmd_verify(args) -> int:
            (bundle.gen.matrix @ hb.transpose()).is_zero())
 
     rng = np.random.default_rng(args.seed)
-    decoder = SyndromeDecoder(spec, validate=False)
+    decoder = SyndromeDecoder(spec)
     S = block_parity_matrix(hb)
     ok = True
     for _ in range(args.trials):
         e = ErrorFrame((rng.random(2 * spec.n * 10) < 0.2).astype(np.uint8))
-        if not np.array_equal(syndrome_of(spec, e),
-                              block_syndrome(S, e.blocks(spec.n))):
+        blocks = e.blocks(spec.n)
+        # X bits ride the even ticks, Z bits the odd ones; the syndrome is
+        # the odd phase of the streamed SF output
+        ticks = np.zeros((2 * blocks.shape[0], spec.n), dtype=np.uint8)
+        ticks[0::2], ticks[1::2] = blocks[:, :spec.n], blocks[:, spec.n:]
+        if not np.array_equal(bundle.sf.run(ticks)[1::2],
+                              block_syndrome(S, blocks)):
             ok = False
             break
     report("block syndrome matches streamed SF", ok)

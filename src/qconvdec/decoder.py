@@ -15,8 +15,9 @@ import numpy as np
 
 from .algebra import RatMatrix
 from .circuits import (
-    CandidateBuilder, TransferSystem, block_syndrome, coset_code_rows,
-    derive_bundle, polynomial_kernel_basis, with_isf,
+    CandidateBuilder, TransferSystem, block_isf_matrix, block_parity_matrix,
+    block_syndrome, coset_code_rows, derive_bundle, polynomial_kernel_basis,
+    with_isf,
 )
 from .stabilizer import (
     ErrorFrame, GF4_DECODE_TO_XZ, SpecError, StabilizerSpec, XZ_TO_GF4_DECODE,
@@ -41,18 +42,15 @@ class SyndromeDecoder:
     syndrome passed to :meth:`decode` covers the padded span (one (n-k)-bit
     group per block). :class:`SyndromeDecoderF4` is the same decoder on the
     GF(4) path and overrides only what differs: the transfer polynomial and
-    its coset basis, the trellis kind and candidate layout, and the symbol
-    maps on the way in and out."""
+    its coset basis, the trellis kind, the block-domain candidate maps, and
+    the symbol maps on the way in and out."""
 
     trellis_kind = "bit-paired"
-    interleaved = True   # syndrome on the odd tick phase, (a|b) block lanes
 
-    def __init__(self, spec: StabilizerSpec, isf_matrix: RatMatrix | None = None,
-                 validate: bool = True):
-        if validate:
-            res = check_symplectic(spec)
-            if not res.ok:
-                raise SpecError(f"generators do not commute: witness {res.witness}")
+    def __init__(self, spec: StabilizerSpec, isf_matrix: RatMatrix | None = None):
+        res = check_symplectic(spec)
+        if not res.ok:
+            raise SpecError(f"generators do not commute: witness {res.witness}")
         self.spec = spec
         transfer = self._transfer()
         bundle = derive_bundle(transfer)
@@ -63,7 +61,7 @@ class SyndromeDecoder:
             RatMatrix.from_polys(self._coset_rows(transfer)), role="COSET-GEN")
         self.trellis: Trellis = build_trellis(self.coset_generator,
                                               kind=self.trellis_kind)
-        self.candidates = CandidateBuilder(bundle, interleaved=self.interleaved)
+        self.candidates = CandidateBuilder(*self._block_maps(bundle))
 
     def _transfer(self) -> RatMatrix:
         self.hb = binary_transfer(self.spec)
@@ -71,6 +69,11 @@ class SyndromeDecoder:
 
     def _coset_rows(self, transfer: RatMatrix):
         return coset_code_rows(transfer)
+
+    def _block_maps(self, bundle) -> tuple[RatMatrix, RatMatrix]:
+        """Syndrome map and ISF on block-domain frames: the (a | b) lanes of
+        the binary path fold the tick-rate H_b^T and ISF."""
+        return block_parity_matrix(bundle.hb), block_isf_matrix(bundle.isf.matrix)
 
     def _syndrome_symbols(self, sigma: np.ndarray) -> np.ndarray:
         """The measured binary syndrome in the symbols the candidate takes."""
@@ -131,10 +134,9 @@ class SyndromeDecoderF4(SyndromeDecoder):
     per block into one GF(4) symbol and running the quaternary trellis."""
 
     trellis_kind = "gf4"
-    interleaved = False  # ISF at block rate on the symbol stream
 
-    def __init__(self, spec: StabilizerSpec, validate: bool = True):
-        super().__init__(spec, validate=validate)
+    def __init__(self, spec: StabilizerSpec):
+        super().__init__(spec)
 
     def _transfer(self) -> RatMatrix:
         self.qt = quaternary_transfer(self.spec)
@@ -143,6 +145,9 @@ class SyndromeDecoderF4(SyndromeDecoder):
 
     def _coset_rows(self, transfer: RatMatrix):
         return polynomial_kernel_basis(transfer, transfer.cols - transfer.rows)
+
+    def _block_maps(self, bundle) -> tuple[RatMatrix, RatMatrix]:
+        return bundle.hb, bundle.isf.matrix
 
     def _syndrome_symbols(self, sigma: np.ndarray) -> np.ndarray:
         return self.qt.binary_to_f4_syndrome(sigma)

@@ -138,12 +138,14 @@ class StabilizerSpec:
         if len(gens) != n - k:
             raise SpecError(f"expected {n - k} generators, got {len(gens)}")
         glen = n * (m + 1)
-        p = np.zeros((m + 1, n - k, n), dtype=np.uint8)
-        q = np.zeros((m + 1, n - k, n), dtype=np.uint8)
+        # the lengths bound m before the (m+1, n-k, n) tensors are allocated
         for i, g in enumerate(gens):
             if len(g) != glen:
                 raise SpecError(
                     f"generator {i + 1} has length {len(g)}, expected {glen}")
+        p = np.zeros((m + 1, n - k, n), dtype=np.uint8)
+        q = np.zeros((m + 1, n - k, n), dtype=np.uint8)
+        for i, g in enumerate(gens):
             for pos, ch in enumerate(g):
                 if ch not in PAULIS:
                     raise SpecError(f"invalid Pauli character {ch!r}")

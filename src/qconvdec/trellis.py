@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import Field, RatMatrix, gf_convolve
 from .circuits import TransferSystem, block_parity_matrix, block_syndrome
-from .stabilizer import BITS_TO_PAULI, GF4_DECODE_TO_PAULI, PAULI_TO_BITS
+from .stabilizer import BITS_TO_PAULI, GF4_DECODE_TO_XZ
 
 INF = 1 << 60
 METRIC_SCALE = 1 << 16
@@ -150,28 +150,30 @@ class BranchMetric:
 
     def xor_table(self, trellis: Trellis) -> np.ndarray:
         """Cost of every packed label difference."""
-        size = 1 << trellis.label_bits
-        out = np.zeros(size, dtype=np.int64)
+        v = np.arange(1 << trellis.label_bits)[:, None]
         if trellis.kind == "bits":
             if self.mode != "hamming":
                 raise TrellisError("pauli metric needs qubit-aligned sections")
-            for v in range(size):
-                out[v] = bin(v).count("1")
-            return out
+            return ((v >> np.arange(trellis.label_bits)) & 1).sum(axis=1)
         nq = trellis.num_qubits_per_section
-        for v in range(size):
-            total = 0
-            for c in range(nq):
-                if trellis.kind == "bit-paired":
-                    x = (v >> c) & 1
-                    z = (v >> (nq + c)) & 1
-                else:  # gf4: symbol c at bits [2c, 2c+1], decode labeling
-                    sym = (v >> (2 * c)) & 3
-                    pauli = GF4_DECODE_TO_PAULI[sym]
-                    x, z = PAULI_TO_BITS[pauli]
-                total += self.qubit_cost(x, z)
-            out[v] = total
-        return out
+        if trellis.kind == "bit-paired":
+            return self.paired_table(nq)
+        # gf4: symbol c at bits [2c, 2c+1], decode labeling
+        xz = GF4_DECODE_TO_XZ[(v >> (2 * np.arange(nq))) & 3]
+        return self._xz_costs()[xz[..., 0] + 2 * xz[..., 1]].sum(axis=1)
+
+    def paired_table(self, qubits: int) -> np.ndarray:
+        """Cost of every 2*qubits-bit label whose bits c and qubits + c are
+        the X and Z bits of qubit c (bit-paired sections, block frames)."""
+        v = np.arange(1 << (2 * qubits))[:, None]
+        c = np.arange(qubits)
+        return self._xz_costs()[((v >> c) & 1) + 2 * ((v >> (qubits + c)) & 1)
+                                ].sum(axis=1)
+
+    def _xz_costs(self) -> np.ndarray:
+        """The per-qubit cost vector, indexed by x + 2 z."""
+        return np.array([self.qubit_cost(x, z) for z in (0, 1) for x in (0, 1)],
+                        dtype=np.int64)
 
 
 def pauli_costs_for_channel(p_i: float, p_x: float, p_y: float, p_z: float,
@@ -198,25 +200,18 @@ class DecodeResult:
     end_state: int
 
 
-def pack_sections(frame: np.ndarray, trellis: Trellis) -> list[int]:
-    bps = trellis.bits_per_symbol
-    out = []
-    for row in frame:
-        v = 0
-        for c, sym in enumerate(row):
-            v |= int(sym) << (bps * c)
-        out.append(v)
-    return out
+def pack_sections(frame: np.ndarray, trellis: Trellis) -> np.ndarray:
+    """One int label per section: symbol c at bits [bps c, bps (c + 1))."""
+    weights = 1 << (trellis.bits_per_symbol * np.arange(frame.shape[1]))
+    return frame.astype(np.int64) @ weights
 
 
-def unpack_sections(vals: list[int], trellis: Trellis) -> np.ndarray:
+def unpack_sections(vals, trellis: Trellis) -> np.ndarray:
+    """(sections, out_symbols) symbols of packed section labels."""
     bps = trellis.bits_per_symbol
-    mask = (1 << bps) - 1
-    out = np.zeros((len(vals), trellis.out_symbols), dtype=np.uint8)
-    for j, v in enumerate(vals):
-        for c in range(trellis.out_symbols):
-            out[j, c] = (v >> (bps * c)) & mask
-    return out
+    shifts = bps * np.arange(trellis.out_symbols)
+    return ((np.asarray(vals, dtype=np.int64)[:, None] >> shifts)
+            & ((1 << bps) - 1)).astype(np.uint8)
 
 
 class _TrellisKernel:
@@ -347,26 +342,12 @@ def coset_leader_oracle(hb: RatMatrix, syndrome: np.ndarray, frame_blocks: int,
     if syndrome.shape[0] > window and syndrome[window:].any():
         raise ValueError("syndrome extends beyond the oracle window")
 
-    wtab = _block_weight_table(n, metric)
+    wtab = metric.paired_table(n)
     if mode == "exhaustive" or (mode == "auto" and lanes * frame_blocks <= 16):
         return _oracle_exhaustive(S, target, frame_blocks, lanes, wtab)
     if lanes * m > 20 or lanes > 14:
         raise OracleCapError("search-space cap exceeded for the DP oracle")
     return _oracle_dp(target, frame_blocks, lanes, m, r, wtab, emit, groups)
-
-
-@lru_cache(maxsize=16)
-def _block_weight_table(n: int, metric: BranchMetric) -> np.ndarray:
-    size = 1 << (2 * n)
-    out = np.zeros(size, dtype=np.int64)
-    for v in range(size):
-        total = 0
-        for c in range(n):
-            x = (v >> c) & 1
-            z = (v >> (n + c)) & 1
-            total += metric.qubit_cost(x, z)
-        out[v] = total
-    return out
 
 
 @lru_cache(maxsize=16)

@@ -6,13 +6,18 @@ from qconvdec.algebra import (
     minors_gcd, poly_row_degree, rank, ratio,
 )
 from qconvdec.circuits import (
-    CandidateBuilder, TransferSystem,
+    CandidateBuilder, DerivationError, TransferSystem, block_isf_matrix,
     block_parity_matrix, block_syndrome, coset_code_rows, derive_bundle,
     derive_generator, derive_inverse_syndrome_former, derive_syndrome_former,
-    shifted_isf_matrix, with_isf,
+    shifted_isf_matrix,
 )
-from qconvdec.stabilizer import ErrorFrame, binary_transfer, example_311, syndrome_of
+from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
+from qconvdec.simulate import ChannelParams, frame_rng, sample_error
+from qconvdec.stabilizer import (
+    ErrorFrame, StabilizerSpec, binary_transfer, example_311, syndrome_of,
+)
 
+from reference_candidate import reference_build, run_anticausal
 from reference_data import (
     REF_ALLONES_ISF_F4, REF_FIR_ISF_21, REF_GENERATOR_311, REF_GENERATOR_F4,
     REF_POLY_GP_21, REF_RATIONAL_GP_21, REF_RATIONAL_ISF_311,
@@ -153,10 +158,16 @@ class TestRealization:
 
     def test_anticausal_matches_causal_for_fir(self):
         rng = np.random.default_rng(2)
-        sys = TransferSystem(RatMatrix.from_polys([[p("1+D"), p("D")]]))
-        x = rng.integers(0, 2, size=(12, 1)).astype(np.uint8)
-        # output support fits inside 14 ticks, so both expansions agree
-        assert np.array_equal(sys.run_anticausal(x, 14), sys.run(x, extra=2))
+        isf = RatMatrix.from_polys([[p("1+D"), p("D")]])
+        sys = TransferSystem(isf)
+        # [1, 1] is the parity map this ISF inverts: (1+D) + D = 1
+        cb = CandidateBuilder(RatMatrix.from_polys([[p("1"), p("1")]]), isf)
+        for _ in range(10):
+            x = rng.integers(0, 2, size=(12, 1)).astype(np.uint8)
+            # output support fits inside 14 ticks, so both expansions agree
+            assert np.array_equal(run_anticausal(isf, x, 14),
+                                  sys.run(x, extra=2))
+            assert np.array_equal(cb.build(x, 14), sys.run(x, extra=2))
 
     def test_gf4_streaming(self):
         hq = RatMatrix.from_polys(
@@ -299,11 +310,16 @@ def _gf2_rank(M):
     return r
 
 
+def binary_candidates(hb):
+    """The binary path's candidate builder: block-domain S and ISF."""
+    return CandidateBuilder(block_parity_matrix(hb), block_isf_matrix(
+        derive_inverse_syndrome_former(hb).matrix))
+
+
 class TestCandidate:
     def test_candidate_matches_any_syndrome(self):
         hb = hb_311()
-        bundle = derive_bundle(hb)
-        cb = CandidateBuilder(bundle)
+        cb = binary_candidates(hb)
         S = block_parity_matrix(hb)
         rng = np.random.default_rng(7)
         for _ in range(40):
@@ -318,8 +334,7 @@ class TestCandidate:
     def test_candidate_from_error_syndrome(self):
         spec = example_311()
         hb = binary_transfer(spec)
-        bundle = derive_bundle(hb)
-        cb = CandidateBuilder(bundle)
+        cb = binary_candidates(hb)
         S = block_parity_matrix(hb)
         rng = np.random.default_rng(8)
         for _ in range(20):
@@ -334,8 +349,7 @@ class TestCandidate:
         # zero-syndrome frame (a valid codeword of the coset code)
         spec = example_311()
         hb = binary_transfer(spec)
-        bundle = derive_bundle(hb)
-        cb = CandidateBuilder(bundle)
+        cb = binary_candidates(hb)
         S = block_parity_matrix(hb)
         rng = np.random.default_rng(9)
         for _ in range(25):
@@ -348,12 +362,115 @@ class TestCandidate:
     def test_second_isf_also_builds_candidates(self):
         hb = hb_311()
         bundle = derive_bundle(hb)
-        alt = with_isf(bundle, shifted_isf_matrix(bundle, [p("1"), p("D")]))
-        cb = CandidateBuilder(alt)
         S = block_parity_matrix(hb)
+        cb = CandidateBuilder(S, block_isf_matrix(
+            shifted_isf_matrix(bundle, [p("1"), p("D")])))
         sigma = np.zeros((5, 2), dtype=np.uint8)
         sigma[0, 1] = 1
         W = cb.build(sigma, 7)
         want = np.zeros((8, 2), dtype=np.uint8)
         want[0, 1] = 1
         assert np.array_equal(block_syndrome(S, W, 8), want)
+
+    def test_rejects_syndrome_beyond_frame(self):
+        cb = binary_candidates(hb_311())
+        sigma = np.zeros((8, 2), dtype=np.uint8)
+        sigma[6, 0] = 1
+        with pytest.raises(ValueError, match="beyond the 6-block frame"):
+            cb.build(sigma, 6)
+
+    def test_rejects_isf_that_does_not_invert(self):
+        hb = hb_311()
+        # the tick-rate ISF is not a left inverse of the block-domain S
+        L = RatMatrix([list(row) * 2 for row in
+                       derive_inverse_syndrome_former(hb).matrix.entries])
+        with pytest.raises(DerivationError, match="not a left inverse"):
+            CandidateBuilder(block_parity_matrix(hb), L)
+
+
+# The five codes of the test suite.
+CODES = {
+    "311": example_311(),
+    "211": StabilizerSpec(n=2, k=1, m=1, generators=("IXXI",)),
+    "421": StabilizerSpec(n=4, k=2, m=1, generators=("YZIYYXYZ", "YXIIXZXZ")),
+    "312": StabilizerSpec(n=3, k=1, m=2,
+                          generators=("IIZXXIZYZ", "IIZZZXZIZ")),
+    "511": StabilizerSpec(n=5, k=1, m=1, generators=(
+        "IIIIIYXIYZ", "IIIIIXZIXY", "YYZYXYIXIZ", "XXYXZXIZIY")),
+}
+
+
+# (code, path): the GF(4) path exists where the code is GF(4)-linear
+PATHS = [("311", "bin"), ("311", "f4"), ("211", "bin"), ("421", "bin"),
+         ("312", "bin"), ("511", "bin"), ("511", "f4")]
+
+
+class TestBlockISF:
+    @pytest.mark.parametrize("name", CODES)
+    def test_block_isf_inverts_block_parity(self, name):
+        hb = binary_transfer(CODES[name])
+        L = derive_inverse_syndrome_former(hb).matrix
+        S = block_parity_matrix(hb)
+        assert (block_isf_matrix(L) @ S.transpose()).is_identity()
+
+    def test_shifted_isf_inverts_block_parity(self):
+        hb = hb_311()
+        alt = shifted_isf_matrix(derive_bundle(hb), [p("1"), p("D")])
+        S = block_parity_matrix(hb)
+        assert (block_isf_matrix(alt) @ S.transpose()).is_identity()
+
+    def test_block_isf_is_tick_stream_folded(self):
+        # sigma @ block ISF == the zero-stuffed syndrome streamed through L,
+        # folded into (a | b) lanes (causal, delayed by the input advance)
+        hb = hb_311()
+        isf = derive_inverse_syndrome_former(hb)
+        a = isf.input_advance
+        M = TransferSystem(block_isf_matrix(isf.matrix))
+        rng = np.random.default_rng(10)
+        sigma = rng.integers(0, 2, size=(12, 2)).astype(np.uint8)
+        ticks = np.zeros((24 + 2 * a, 2), dtype=np.uint8)
+        ticks[1:24:2] = sigma
+        v = isf.run(ticks)[a:]
+        blocks = M.run(sigma, extra=M.input_advance)[M.input_advance:]
+        assert np.array_equal(blocks[:, :3], v[0::2][:12])
+        assert np.array_equal(blocks[:, 3:], v[1::2][:12])
+
+
+def build_or_error(build, sigma, blocks):
+    try:
+        return build(sigma, blocks)
+    except DerivationError as exc:
+        return str(exc)
+
+
+class TestCandidateReference:
+    """The block-domain candidate map against the tick-rate reference: the
+    same frame, or the same error text, for every code and path."""
+
+    @pytest.mark.parametrize("name,path", PATHS,
+                             ids=[f"{name}-{path}" for name, path in PATHS])
+    def test_matches_reference(self, name, path):
+        spec = CODES[name]
+        f4 = path == "f4"
+        decoder = (SyndromeDecoderF4 if f4 else SyndromeDecoder)(spec)
+        rng = np.random.default_rng(11)
+        outcomes = set()
+        for blocks in list(range(spec.m + 2, 41)) + [300]:
+            data = (blocks - spec.m - 1) * spec.n
+            channel = decoder.measure(sample_error(
+                ChannelParams(0.1), data, frame_rng(12, blocks)))
+            uniform = rng.integers(0, 2, size=channel.shape).astype(np.uint8)
+            for sigma in (channel, uniform):
+                sym = decoder._syndrome_symbols(sigma)
+                want = build_or_error(
+                    lambda s, b: reference_build(decoder.bundle, s, b,
+                                                 interleaved=not f4),
+                    sym, blocks)
+                got = build_or_error(decoder.candidates.build, sym, blocks)
+                if isinstance(want, str):
+                    assert got == want, (name, blocks)
+                    outcomes.add(want)
+                else:
+                    assert np.array_equal(got, want), (name, blocks)
+                    outcomes.add("frame")
+        assert "frame" in outcomes

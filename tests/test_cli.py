@@ -1,5 +1,6 @@
 import pytest
 
+from qconvdec.circuits import TransferSystem
 from qconvdec.cli import main
 from qconvdec.decoder import SyndromeDecoder
 from qconvdec.simulate import syndrome_to_text
@@ -47,6 +48,22 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL  generator commutation" in out
         assert "witness" in out
+
+    def test_corrupted_sf_realization_fails(self, spec_file, monkeypatch,
+                                           capsys):
+        # the streamed SF is checked against the block-domain syndrome map
+        run = TransferSystem.run
+
+        def corrupted(system, x, extra=0):
+            out = run(system, x, extra)
+            if system.role == "SF":
+                out[-1] ^= 1
+            return out
+
+        monkeypatch.setattr(TransferSystem, "run", corrupted)
+        assert main(["verify", spec_file]) == 1
+        assert "FAIL  block syndrome matches streamed SF" in \
+            capsys.readouterr().out
 
     def test_malformed_spec(self, tmp_path, capsys):
         path = tmp_path / "broken.qcc"
@@ -144,4 +161,12 @@ class TestInputContract:
         # --frame-qubits 0 used to die with an uncaught ZeroDivisionError
         assert main(["simulate", spec_file, "--frames", "1",
                      "--frame-qubits", qubits]) == 2
+        assert_one_error_line(capsys.readouterr())
+
+    def test_spec_memory_beyond_generator_length(self, tmp_path, capsys):
+        # the header's m used to size the coefficient tensors before the
+        # generator lengths were checked: a numpy MemoryError traceback
+        path = tmp_path / "huge.qcc"
+        path.write_text("qcc n=2 k=1 m=100000000000\nIXXI\n")
+        assert main(["derive", str(path)]) == 2
         assert_one_error_line(capsys.readouterr())

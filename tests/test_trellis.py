@@ -4,12 +4,14 @@ import pytest
 from qconvdec.algebra import GF2, RatMatrix, parse_poly
 from qconvdec.circuits import TransferSystem, block_parity_matrix, \
     block_syndrome, coset_code_rows, derive_generator
-from qconvdec.stabilizer import binary_transfer, example_311
+from qconvdec.stabilizer import (
+    GF4_DECODE_TO_PAULI, PAULI_TO_BITS, binary_transfer, example_311,
+)
 from reference_data import REF_GENERATOR_F4
 
 from qconvdec.trellis import (
-    TrellisError, build_trellis, coset_leader_oracle,
-    pauli_costs_for_channel, viterbi_decode,
+    BranchMetric, TrellisError, build_trellis, coset_leader_oracle, pack_sections,
+    pauli_costs_for_channel, unpack_sections, viterbi_decode,
 )
 from qconvdec.simulate import metric_for
 
@@ -180,6 +182,41 @@ class TestMetrics:
         costs = pauli_costs_for_channel(0.9, 0.05, 0.01, 0.04)
         assert costs[0] == 0 < costs[1] < costs[2]
         assert costs[1] < costs[3] < costs[2]
+
+    @pytest.mark.parametrize("metric", [BranchMetric(),
+                                        metric_for("pauli", 0.05)])
+    def test_tables_match_per_label_loop(self, metric):
+        # per-label, per-qubit loops: the reference for the numpy tables
+        def loop_table(size, qubit_bits):
+            return [sum(metric.qubit_cost(*qubit_bits(v, c)) for c in range(nq))
+                    for v in range(size)]
+
+        nq = 3
+        paired = loop_table(1 << 6, lambda v, c: ((v >> c) & 1,
+                                                  (v >> (nq + c)) & 1))
+        assert metric.xor_table(_coset_trellis()).tolist() == paired
+        assert metric.paired_table(nq).tolist() == paired
+        gf4 = build_trellis(TransferSystem(REF_GENERATOR_F4), kind="gf4")
+        assert metric.xor_table(gf4).tolist() == loop_table(
+            1 << 6, lambda v, c: PAULI_TO_BITS[
+                GF4_DECODE_TO_PAULI[(v >> (2 * c)) & 3]])
+        if metric.mode == "hamming":
+            bits = build_trellis(tick_gen_311())
+            assert metric.xor_table(bits).tolist() == [bin(v).count("1")
+                                                       for v in range(8)]
+
+    @pytest.mark.parametrize("kind", ["bit-paired", "gf4"])
+    def test_pack_unpack_match_per_symbol_loop(self, kind):
+        t = (_coset_trellis() if kind == "bit-paired" else
+             build_trellis(TransferSystem(REF_GENERATOR_F4), kind="gf4"))
+        bps = t.bits_per_symbol
+        rng = np.random.default_rng(12)
+        frame = rng.integers(0, 1 << bps, size=(9, t.out_symbols)).astype(
+            np.uint8)
+        packed = [sum(int(sym) << (bps * c) for c, sym in enumerate(row))
+                  for row in frame]
+        assert pack_sections(frame, t).tolist() == packed
+        assert np.array_equal(unpack_sections(packed, t), frame)
 
     def test_pauli_table_on_bits_trellis_rejected(self):
         t = build_trellis(tick_gen_311())
