@@ -10,6 +10,7 @@ rate denominator).
 from __future__ import annotations
 
 import os
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -221,12 +222,20 @@ def syndrome_to_text(sigma: np.ndarray) -> str:
     return f"{blocks}:{val:0{ndigits}x}"
 
 
+_SYNDROME_LINE = re.compile(r"([0-9]+):([0-9a-fA-F]+)")
+
+
 def syndrome_from_text(text: str, streams: int) -> np.ndarray:
+    """Inverse of :func:`syndrome_to_text`: one ``<blocks>:<hex>`` line of
+    decimal digits and hex digits only (no sign, ``0x`` or ``_``); ``#``
+    lines are comments."""
     body = [ln.strip() for ln in text.splitlines()
             if ln.strip() and not ln.lstrip().startswith("#")]
-    if len(body) != 1 or ":" not in body[0]:
-        raise ValueError("syndrome file needs one '<blocks>:<hex>' line")
-    blocks_s, hex_s = body[0].split(":", 1)
+    line = _SYNDROME_LINE.fullmatch(body[0]) if len(body) == 1 else None
+    if line is None:
+        raise ValueError("syndrome file needs one '<blocks>:<hex>' line of "
+                         "decimal blocks and hex digits")
+    blocks_s, hex_s = line.groups()
     blocks = int(blocks_s)
     nbits = blocks * streams
     val = int(hex_s, 16)

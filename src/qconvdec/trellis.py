@@ -4,7 +4,10 @@ coset-leader oracle for verification.
 
 Labels are packed into ints (one field symbol per bit pair on GF(4), one bit
 on GF(2)); all metrics depend only on the XOR difference of packed labels, so
-each Viterbi section works from one precomputed difference-cost table.
+the branch costs of a chunk of Viterbi sections are one gather from a
+precomputed difference-cost table. The per-section loop runs only the
+add-compare-select recursion on the state metrics; survivors and ties are read
+off each chunk in one vectorised pass, and the traceback walks plain lists.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from .stabilizer import BITS_TO_PAULI, GF4_DECODE_TO_XZ
 
 INF = 1 << 60
 METRIC_SCALE = 1 << 16
+# branch costs gathered at once by viterbi_decode: sets its sections per chunk
+_CHUNK_BRANCHES = 1 << 14
 
 
 class TrellisError(ValueError):
@@ -229,8 +234,12 @@ class _TrellisKernel:
         self.next_state = ns[order]
         self.label = trellis.label.reshape(-1)[order]
         self.per_state = ninputs  # deterministic trellis: q^k into each state
-        assert np.array_equal(self.next_state,
-                              np.repeat(np.arange(nstates), ninputs))
+        # viterbi_decode reads from_state as (next state, per_state) rows
+        if not np.array_equal(self.next_state,
+                              np.repeat(np.arange(nstates), ninputs)):
+            raise TrellisError(
+                f"trellis must enter every state on exactly {ninputs} "
+                "branches")
 
 
 def _kernel_for(trellis: Trellis) -> _TrellisKernel:
@@ -239,6 +248,26 @@ def _kernel_for(trellis: Trellis) -> _TrellisKernel:
         k = _TrellisKernel(trellis)
         object.__setattr__(trellis, "_kernel", k)
     return k
+
+
+def _traceback(kern: _TrellisKernel, choice: np.ndarray,
+               end_state: int) -> list[int]:
+    """Packed section labels of the survivor path that ends in
+    ``end_state``; ``choice[j, t]`` is the survivor's offset among the
+    kernel branches into state t at section j. The flat survivor list, one
+    Python int per state and section, is freed on return, before the labels
+    are unpacked."""
+    nstates, per = choice.shape[1], kern.per_state
+    flat = choice.ravel().tolist()
+    labels = kern.label.tolist()
+    froms = kern.from_state.tolist()
+    code_vals = [0] * choice.shape[0]
+    s = end_state
+    for j in range(choice.shape[0] - 1, -1, -1):
+        idx = s * per + flat[j * nstates + s]
+        code_vals[j] = labels[idx]
+        s = froms[idx]
+    return code_vals
 
 
 def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
@@ -252,6 +281,13 @@ def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
     Ties prefer the smaller most recent input symbol at each merge, then the
     smaller predecessor state; ``tie_count`` totals the co-optimal branches
     dropped at merges along the way.
+
+    The frame is walked in chunks of sections holding about
+    ``_CHUNK_BRANCHES`` branches. A chunk gathers its branch costs once; its
+    per-section loop runs only the add-compare-select recursion and records
+    each section's state metrics. The survivors (first arg-minimum in kernel
+    order, which is the tie-break above) and the tie count are then read off
+    the whole chunk in one vectorised pass over those recorded metrics.
     """
     if metric is None:
         metric = BranchMetric()
@@ -263,19 +299,30 @@ def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
     kern = _kernel_for(trellis)
     nstates = trellis.num_states
     per = kern.per_state
+    from_state = kern.from_state.reshape(nstates, per)
+    sections = len(w)
+    chunk = max(1, _CHUNK_BRANCHES // (nstates * per))
     metric_now = np.full(nstates, INF, dtype=np.int64)
     metric_now[0] = 0
-    choice = np.zeros((len(w), nstates), dtype=np.int64)
+    # hist[0] holds the metrics entering the chunk, hist[j + 1] those after
+    # its section j
+    hist = np.empty((min(chunk, sections) + 1, nstates), dtype=np.int64)
+    choice = np.empty((sections, nstates), dtype=np.min_scalar_type(per - 1))
     ties = 0
-    for j, wj in enumerate(w):
-        cand = metric_now[kern.from_state] + cost_of[kern.label ^ wj]
-        by_state = cand.reshape(nstates, per)
-        arg = by_state.argmin(axis=1)
-        metric_now = by_state[np.arange(nstates), arg]
-        reached = metric_now < INF
-        ties += int(((by_state == metric_now[:, None])
-                     & reached[:, None]).sum()) - int(reached.sum())
-        choice[j] = arg
+    for c0 in range(0, sections, chunk):
+        size = min(chunk, sections - c0)
+        costs = cost_of[kern.label ^ w[c0:c0 + size, None]].reshape(
+            size, nstates, per)
+        hist[0] = metric_now
+        for j in range(size):
+            metric_now = np.minimum.reduce(metric_now[from_state] + costs[j], 1)
+            hist[j + 1] = metric_now
+        before, after = hist[:size], hist[1:size + 1]
+        cand = before[:, from_state] + costs
+        choice[c0:c0 + size] = cand.argmin(axis=2)
+        reached = after < INF
+        ties += (int(((cand == after[:, :, None]) & reached[:, :, None]).sum())
+                 - int(reached.sum()))
 
     if terminate:
         end_state = 0
@@ -284,14 +331,7 @@ def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
     else:
         end_state = int(metric_now.argmin())
     path_metric = int(metric_now[end_state])
-    sections = len(w)
-    code_vals = [0] * sections
-    s = end_state
-    for j in range(sections - 1, -1, -1):
-        idx = s * per + int(choice[j, s])
-        code_vals[j] = int(kern.label[idx])
-        s = int(kern.from_state[idx])
-    codeword = unpack_sections(code_vals, trellis)
+    codeword = unpack_sections(_traceback(kern, choice, end_state), trellis)
     error = codeword ^ candidate.astype(np.uint8)
     return DecodeResult(codeword=codeword, error=error,
                         path_metric=path_metric, tie_count=ties,

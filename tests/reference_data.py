@@ -6,6 +6,7 @@ the defining identities (left inverse, kernel) symbolically.
 """
 
 from qconvdec.algebra import GF2, GF4, RatMatrix, RationalFn, parse_poly, ratio
+from qconvdec.stabilizer import StabilizerSpec, example_311
 
 
 def _p(text, field=GF2):
@@ -54,3 +55,21 @@ REF_FIR_ISF_21 = RatMatrix.from_polys([[_p("1+D"), _p("D")]])
 REF_RATIONAL_GP_21 = RatMatrix([
     [RationalFn.one(GF2), ratio(_p("1+D^2"), _p("1+D+D^2"))]])
 REF_POLY_GP_21 = RatMatrix.from_polys([[_p("1+D+D^2"), _p("1+D^2")]])
+
+
+# --- the five codes of the test suite ----------------------------------------
+
+CODES = {
+    "311": example_311(),
+    "211": StabilizerSpec(n=2, k=1, m=1, generators=("IXXI",)),
+    "421": StabilizerSpec(n=4, k=2, m=1, generators=("YZIYYXYZ", "YXIIXZXZ")),
+    "312": StabilizerSpec(n=3, k=1, m=2,
+                          generators=("IIZXXIZYZ", "IIZZZXZIZ")),
+    "511": StabilizerSpec(n=5, k=1, m=1, generators=(
+        "IIIIIYXIYZ", "IIIIIXZIXY", "YYZYXYIXIZ", "XXYXZXIZIY")),
+}
+
+# (code, path): the GF(4) path exists where the code is GF(4)-linear
+PATHS = [("311", "bin"), ("311", "f4"), ("211", "bin"), ("421", "bin"),
+         ("312", "bin"), ("511", "bin"), ("511", "f4")]
+PATH_IDS = [f"{name}-{path}" for name, path in PATHS]

@@ -14,14 +14,14 @@ from qconvdec.circuits import (
 from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
 from qconvdec.simulate import ChannelParams, frame_rng, sample_error
 from qconvdec.stabilizer import (
-    ErrorFrame, StabilizerSpec, binary_transfer, example_311, syndrome_of,
+    ErrorFrame, binary_transfer, example_311, syndrome_of,
 )
 
 from reference_candidate import reference_build, run_anticausal
 from reference_data import (
-    REF_ALLONES_ISF_F4, REF_FIR_ISF_21, REF_GENERATOR_311, REF_GENERATOR_F4,
-    REF_POLY_GP_21, REF_RATIONAL_GP_21, REF_RATIONAL_ISF_311,
-    REF_TRANSFER_21, REF_TRANSFER_311_F4,
+    CODES, PATH_IDS, PATHS, REF_ALLONES_ISF_F4, REF_FIR_ISF_21,
+    REF_GENERATOR_311, REF_GENERATOR_F4, REF_POLY_GP_21, REF_RATIONAL_GP_21,
+    REF_RATIONAL_ISF_311, REF_TRANSFER_21, REF_TRANSFER_311_F4,
 )
 
 
@@ -388,23 +388,6 @@ class TestCandidate:
             CandidateBuilder(block_parity_matrix(hb), L)
 
 
-# The five codes of the test suite.
-CODES = {
-    "311": example_311(),
-    "211": StabilizerSpec(n=2, k=1, m=1, generators=("IXXI",)),
-    "421": StabilizerSpec(n=4, k=2, m=1, generators=("YZIYYXYZ", "YXIIXZXZ")),
-    "312": StabilizerSpec(n=3, k=1, m=2,
-                          generators=("IIZXXIZYZ", "IIZZZXZIZ")),
-    "511": StabilizerSpec(n=5, k=1, m=1, generators=(
-        "IIIIIYXIYZ", "IIIIIXZIXY", "YYZYXYIXIZ", "XXYXZXIZIY")),
-}
-
-
-# (code, path): the GF(4) path exists where the code is GF(4)-linear
-PATHS = [("311", "bin"), ("311", "f4"), ("211", "bin"), ("421", "bin"),
-         ("312", "bin"), ("511", "bin"), ("511", "f4")]
-
-
 class TestBlockISF:
     @pytest.mark.parametrize("name", CODES)
     def test_block_isf_inverts_block_parity(self, name):
@@ -447,8 +430,7 @@ class TestCandidateReference:
     """The block-domain candidate map against the tick-rate reference: the
     same frame, or the same error text, for every code and path."""
 
-    @pytest.mark.parametrize("name,path", PATHS,
-                             ids=[f"{name}-{path}" for name, path in PATHS])
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
     def test_matches_reference(self, name, path):
         spec = CODES[name]
         f4 = path == "f4"

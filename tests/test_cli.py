@@ -138,6 +138,20 @@ class TestInputContract:
         assert main(["decode", spec_file, "--syndrome", str(syn)] + flags) == 2
         assert_one_error_line(capsys.readouterr())
 
+    @pytest.mark.parametrize("text", ["4:-1", "4:0x3f", "4:3_f", "4:+3f",
+                                      "-1:0"])
+    def test_decode_malformed_syndrome_text(self, spec_file, tmp_path, capsys,
+                                            text):
+        # int(..., 16) used to take a sign, a 0x prefix and "_": 4:-1 decoded
+        # as 4:ff, the next three as an all-zero syndrome, and -1:0 failed
+        # with numpy's "negative dimensions" text
+        syn = tmp_path / "bad.syn"
+        syn.write_text(text + "\n")
+        assert main(["decode", spec_file, "--syndrome", str(syn)]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "'<blocks>:<hex>'" in captured.err
+
     @pytest.mark.parametrize("p", ["-1", "0", "0.5", "0.6"])
     def test_decode_p_outside_open_interval(self, spec_file, tmp_path, capsys,
                                             p):

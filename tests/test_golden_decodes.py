@@ -22,25 +22,16 @@ import pytest
 from qconvdec.cli import main
 from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
 from qconvdec.simulate import ChannelParams, frame_rng, sample_error
-from qconvdec.stabilizer import F4LinearityError, StabilizerSpec, example_311
+from qconvdec.stabilizer import F4LinearityError, StabilizerSpec
 from qconvdec.trellis import BranchMetric, pauli_costs_for_channel
+
+from reference_data import CODES
 
 FIXTURE = Path(__file__).with_name("golden_decodes.json")
 FRAMES = 20
 DATA_BLOCKS = 12
 P_VALUES = (0.02, 0.05, 0.1)
 SEED = 2010
-
-CODES = {
-    "311": example_311(),
-    "211": StabilizerSpec(n=2, k=1, m=1, generators=("IXXI",)),
-    "421": StabilizerSpec(n=4, k=2, m=1, generators=("YZIYYXYZ", "YXIIXZXZ")),
-    "312": StabilizerSpec(n=3, k=1, m=2,
-                          generators=("IIZXXIZYZ", "IIZZZXZIZ")),
-    "511": StabilizerSpec(n=5, k=1, m=1, generators=(
-        "IIIIIYXIYZ", "IIIIIXZIXY", "YYZYXYIXIZ", "XXYXZXIZIY")),
-}
-
 
 def derive_dump(spec: StabilizerSpec) -> str:
     text = f"qcc n={spec.n} k={spec.k} m={spec.m}\n" + \

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qconvdec.decoder import SyndromeDecoder
 from qconvdec.simulate import (
@@ -141,6 +142,17 @@ class TestSyndromeText:
             text = syndrome_to_text(sigma)
             back = syndrome_from_text(text, 2)
             assert np.array_equal(back, sigma)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda r: st.tuples(
+        st.just(r), st.lists(st.lists(st.integers(0, 1), min_size=r,
+                                      max_size=r), max_size=40))))
+    def test_roundtrip_property(self, case):
+        streams, rows = case
+        sigma = np.array(rows, dtype=np.uint8).reshape(-1, streams)
+        back = syndrome_from_text(syndrome_to_text(sigma), streams)
+        assert back.shape == sigma.shape
+        assert np.array_equal(back, sigma)
 
     def test_comments_and_errors(self):
         sigma = syndrome_from_text("# c\n2:f0\n", 2)

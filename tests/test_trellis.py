@@ -1,19 +1,25 @@
+import tracemalloc
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from qconvdec.algebra import GF2, RatMatrix, parse_poly
 from qconvdec.circuits import TransferSystem, block_parity_matrix, \
     block_syndrome, coset_code_rows, derive_generator
+from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
 from qconvdec.stabilizer import (
     GF4_DECODE_TO_PAULI, PAULI_TO_BITS, binary_transfer, example_311,
 )
-from reference_data import REF_GENERATOR_F4
-
+from qconvdec.simulate import ChannelParams, frame_rng, metric_for, sample_error
 from qconvdec.trellis import (
-    BranchMetric, TrellisError, build_trellis, coset_leader_oracle, pack_sections,
-    pauli_costs_for_channel, unpack_sections, viterbi_decode,
+    _CHUNK_BRANCHES, BranchMetric, Trellis, TrellisError, build_trellis,
+    coset_leader_oracle, pack_sections, pauli_costs_for_channel,
+    unpack_sections, viterbi_decode,
 )
-from qconvdec.simulate import metric_for
+
+from reference_data import CODES, PATH_IDS, PATHS, REF_GENERATOR_F4
+import reference_viterbi
 
 
 def p(t, f=GF2):
@@ -174,6 +180,102 @@ class TestViterbi:
         t = _coset_trellis()
         with pytest.raises(TrellisError):
             viterbi_decode(t, np.zeros((4, 5), dtype=np.uint8))
+
+    def test_kernel_order_checked(self):
+        # every branch enters state 0: state 1 has no survivor row
+        t = Trellis(field=GF2, num_inputs=2, num_states=2, out_symbols=1,
+                    bits_per_symbol=1, next_state=np.zeros((2, 2), np.int64),
+                    label=np.array([[0, 1], [1, 0]]), row_degrees=(1,))
+        with pytest.raises(TrellisError, match="exactly 2 branches"):
+            viterbi_decode(t, np.zeros((3, 1), dtype=np.uint8))
+
+    def test_memory_per_section(self):
+        # the traced peak may grow by at most 128 B per section of frame
+        t = _coset_trellis()
+        rng = np.random.default_rng(13)
+
+        def peak(sections):
+            w = (rng.random((sections, 6)) < 0.01).astype(np.uint8)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                viterbi_decode(t, w)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        viterbi_decode(t, np.zeros((3, 6), dtype=np.uint8))  # builds the kernel
+        assert peak(30002) - peak(3002) <= 128 * 27000
+
+
+@lru_cache(maxsize=None)
+def _decoder(name, path):
+    return (SyndromeDecoderF4 if path == "f4" else SyndromeDecoder)(CODES[name])
+
+
+def _reference_candidates(decoder, sections, rng):
+    """Channel candidates at p = 0.01 and 0.2, a uniformly random one and
+    the all-zero one (every branch of a merge ties)."""
+    t = decoder.trellis
+    n = decoder.spec.n
+    for p in (0.01, 0.2):
+        error = sample_error(ChannelParams(p), n * sections,
+                             frame_rng(sections, int(100 * p)))
+        sigma = decoder.measure_raw(error)[:sections]
+        yield decoder.candidates.build(decoder._syndrome_symbols(sigma),
+                                       sections)
+    yield rng.integers(0, 1 << t.bits_per_symbol,
+                       size=(sections, t.out_symbols)).astype(np.uint8)
+    yield np.zeros((sections, t.out_symbols), dtype=np.uint8)
+
+
+class TestViterbiReference:
+    """The chunked recursion against the per-section reference: equal
+    codeword, error, path metric, tie count and end state on every code and
+    path, across every chunk boundary."""
+
+    @pytest.mark.parametrize("terminate", [True, False])
+    @pytest.mark.parametrize("metric", ["hamming", "pauli"])
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_matches_reference(self, name, path, metric, terminate):
+        decoder = _decoder(name, path)
+        t = decoder.trellis
+        metric = (BranchMetric() if metric == "hamming"
+                  else metric_for("pauli", 0.05))
+        rng = np.random.default_rng(14)
+        ties = 0
+        for sections in _chunk_boundaries(t):
+            for w in _reference_candidates(decoder, sections, rng):
+                ties += _assert_matches_reference(t, w, metric, terminate)
+        assert ties > 0
+
+    @pytest.mark.parametrize("terminate", [True, False])
+    def test_matches_reference_with_unreached_states(self, terminate):
+        # the tick-rate generator trellis reaches all 4 states only from the
+        # second section on: ties between unreached branches are not counted
+        t = build_trellis(tick_gen_311())
+        rng = np.random.default_rng(15)
+        for sections in _chunk_boundaries(t):
+            for p in (0, 0.01, 0.2, 0.5):
+                w = (rng.random((sections, 3)) < p).astype(np.uint8)
+                _assert_matches_reference(t, w, BranchMetric(), terminate)
+
+
+def _chunk_boundaries(trellis):
+    """Section counts that end one section short of, on and one past each
+    of the first two chunk boundaries of viterbi_decode."""
+    chunk = max(1, _CHUNK_BRANCHES // (trellis.num_states * trellis.num_inputs))
+    return (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1)
+
+
+def _assert_matches_reference(t, w, metric, terminate):
+    got = viterbi_decode(t, w, metric, terminate)
+    want = reference_viterbi.viterbi_decode(t, w, metric, terminate)
+    assert np.array_equal(got.codeword, want.codeword)
+    assert np.array_equal(got.error, want.error)
+    assert (got.path_metric, got.tie_count, got.end_state) == (
+        want.path_metric, want.tie_count, want.end_state)
+    return got.tie_count
 
 
 class TestMetrics:
