@@ -8,10 +8,9 @@ error patterns with a single Viterbi pass.
 
 from .algebra import (
     GF2, GF4, W, WBAR,
-    AlgebraError, DegreeCapError, FieldMismatchError, GramSingularError,
-    LaurentPoly, Poly, RankDeficientError, RatMatrix, RationalFn,
-    ZeroDenominatorError, format_poly, left_inverse,
-    left_inverse_moore_penrose, minors_gcd, null_space_basis, parse_poly,
+    AlgebraError, DegreeCapError, FieldMismatchError, Poly,
+    RankDeficientError, RatMatrix, RationalFn, ZeroDenominatorError,
+    format_poly, left_inverse, minors_gcd, null_space_basis, parse_poly,
     poly_gcd, rank, ratio,
 )
 from .stabilizer import (

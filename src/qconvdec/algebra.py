@@ -1,8 +1,8 @@
-"""Exact arithmetic over GF(2) and GF(4): polynomials, Laurent polynomials,
-rational functions in the delay variable D, linear algebra over the
-rational-function field (elimination, left inverses, null spaces), and the
-numpy GF(q) core shared by every constant-matrix computation: one
-reduced-row-echelon elimination and one block-domain convolution.
+"""Exact arithmetic over GF(2) and GF(4): polynomials and rational functions
+in the delay variable D, linear algebra over the rational-function field
+(elimination, left inverses, null spaces), and the numpy GF(q) core shared
+by every constant-matrix computation: one reduced-row-echelon elimination and
+one block-domain convolution.
 
 Field elements are plain ints. GF(4) uses 0, 1, 2, 3 with 2 = w (the
 primitive element), 3 = w^2 = 1 + w; addition is XOR in both fields.
@@ -37,10 +37,6 @@ class RankDeficientError(AlgebraError):
 
 class DegreeCapError(AlgebraError):
     """An intermediate polynomial exceeded the degree cap."""
-
-
-class GramSingularError(AlgebraError):
-    """Moore-Penrose left inverse is unavailable: m^T m is singular."""
 
 
 _DEGREE_CAP = 512
@@ -354,73 +350,6 @@ def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     return r0.monic(), s0 * scale, t0 * scale
 
 
-class LaurentPoly:
-    """Laurent polynomial: finite map power -> coefficient, powers may be negative."""
-
-    __slots__ = ("coeffs", "field")
-
-    def __init__(self, coeffs: dict[int, int], field: Field = GF2):
-        c = {k: v for k, v in coeffs.items() if v}
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "field", field)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentPoly is immutable")
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "LaurentPoly":
-        return cls({i: c for i, c in enumerate(p.coeffs)}, p.field)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        _check_same_field(self, other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) ^ v
-        return LaurentPoly(out, self.field)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        _check_same_field(self, other)
-        mul = self.field.mul
-        out: dict[int, int] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = i + j
-                out[k] = out.get(k, 0) ^ mul(a, b)
-        return LaurentPoly(out, self.field)
-
-    def invert_variable(self) -> "LaurentPoly":
-        """Substitution D -> 1/D (an involution)."""
-        return LaurentPoly({-k: v for k, v in self.coeffs.items()}, self.field)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentPoly)
-            and self.field is other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), tuple(sorted(self.coeffs.items()))))
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
-            cs = "" if c == 1 else _F4_COEFF_STR[c]
-            if k == 0:
-                parts.append("1" if c == 1 else cs.rstrip("*"))
-            else:
-                parts.append(f"{cs}D^{k}" if k != 1 else f"{cs}D")
-        return "+".join(parts)
-
-    __repr__ = __str__
-
-
 class RationalFn:
     """Quotient of polynomials, kept coprime with a monic denominator."""
 
@@ -461,10 +390,6 @@ class RationalFn:
     @classmethod
     def one(cls, field: Field = GF2) -> "RationalFn":
         return cls(Poly.one(field))
-
-    @classmethod
-    def from_const(cls, c: int, field: Field = GF2) -> "RationalFn":
-        return cls(Poly((c,), field))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -652,13 +577,6 @@ class RatMatrix:
         return RatMatrix([[e.substitute_square() for e in r] for r in self.entries],
                          self.field)
 
-    def substitute_inverse(self) -> list[list[LaurentPoly]]:
-        """Entry-wise D -> 1/D on a polynomial matrix (Laurent-valued)."""
-        out = []
-        for r in self.poly_entries():
-            out.append([LaurentPoly.from_poly(p).invert_variable() for p in r])
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RatMatrix)
@@ -725,21 +643,6 @@ def left_inverse(m: RatMatrix) -> RatMatrix:
     L = RatMatrix(trans.entries[:r], m.field)
     if not (L @ m).is_identity():  # internal guard
         raise AlgebraError("left inverse verification failed")
-    return L
-
-
-def left_inverse_moore_penrose(m: RatMatrix) -> RatMatrix:
-    """(m^T m)^-1 m^T. Raises GramSingularError when m^T m is singular,
-    which can happen in characteristic 2 even for full-rank m."""
-    mt = m.transpose()
-    gram = mt @ m
-    r = gram.rows
-    _, trans, pivots = _rref_with_transform(gram)
-    if len(pivots) < r:
-        raise GramSingularError("m^T m is singular")
-    L = trans @ mt
-    if not (L @ m).is_identity():
-        raise AlgebraError("Moore-Penrose verification failed")
     return L
 
 

@@ -113,8 +113,7 @@ def cmd_verify(args) -> int:
 
     res = check_symplectic(spec)
     report("generator commutation", res.ok,
-           "" if res.ok else f"witness entry {res.witness[0]},{res.witness[1]}"
-                             f" = {res.witness[2]}")
+           "" if res.ok else res.witness_text())
     if not res.ok:
         return EXIT_VERIFY
 

@@ -50,7 +50,7 @@ class SyndromeDecoder:
     def __init__(self, spec: StabilizerSpec, isf_matrix: RatMatrix | None = None):
         res = check_symplectic(spec)
         if not res.ok:
-            raise SpecError(f"generators do not commute: witness {res.witness}")
+            raise SpecError(f"generators do not commute: {res.witness_text()}")
         self.spec = spec
         transfer = self._transfer()
         bundle = derive_bundle(transfer)

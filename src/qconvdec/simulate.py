@@ -53,10 +53,6 @@ class ChannelParams:
     def p_y(self) -> float:
         return self.p ** 2
 
-    def raw_qubit_error_rate(self) -> float:
-        """Probability that a qubit is hit at all: 1 - (1-p)^2."""
-        return 1.0 - self.p_identity
-
 
 def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     """Counter-based per-frame stream: identical regardless of scheduling."""
@@ -242,6 +238,8 @@ def syndrome_from_text(text: str, streams: int) -> np.ndarray:
     total = 4 * len(hex_s)
     if total < nbits:
         raise ValueError("hex payload shorter than blocks*(n-k) bits")
+    if val & ((1 << (total - nbits)) - 1):
+        raise ValueError("hex payload has nonzero bits beyond blocks*(n-k)")
     val >>= (total - nbits)
     out = np.zeros((blocks, streams), dtype=np.uint8)
     for i in range(nbits - 1, -1, -1):

@@ -21,8 +21,8 @@ from typing import Iterable
 import numpy as np
 
 from .algebra import (
-    GF2, GF4, W, WBAR, LaurentPoly, Poly, RatMatrix, RationalFn, gf_convolve,
-    gf_inv, gf_rank, gf_solve,
+    GF2, GF4, W, WBAR, Poly, RatMatrix, RationalFn, gf_convolve, gf_inv,
+    gf_rank, gf_solve,
 )
 
 
@@ -86,10 +86,6 @@ class ErrorFrame:
 
     def bit_weight(self) -> int:
         return int(self.bits.sum())
-
-    def qubit_weight(self) -> int:
-        """Number of non-identity Paulis."""
-        return int((self.x_part() | self.z_part()).sum())
 
     def blocks(self, n: int) -> np.ndarray:
         """(blocks, 2n) view: per block [a_0..a_{n-1}, b_0..b_{n-1}]."""
@@ -166,10 +162,6 @@ class StabilizerSpec:
         of a block with Q's D^d coefficients and the Z bits with P's."""
         return np.concatenate([self.q_coeffs, self.p_coeffs], axis=2)
 
-    @property
-    def block_qubits(self) -> int:
-        return self.n
-
     def p_matrix(self) -> RatMatrix:
         """P(D), (n-k) x n polynomial matrix."""
         return RatMatrix.from_coeff_tensor(self.p_coeffs)
@@ -210,36 +202,38 @@ def parse_stabilizer(text: str) -> StabilizerSpec:
 @dataclass(frozen=True)
 class SymplecticCheck:
     ok: bool
-    witness: tuple[int, int, LaurentPoly] | None = None
+    witness: tuple[int, int, tuple[int, ...]] | None = None
+
+    def witness_text(self) -> str:
+        i, j, shifts = self.witness
+        return (f"witness entry {i},{j} at block shifts "
+                f"{', '.join(map(str, shifts))}")
 
 
 def check_symplectic(spec: StabilizerSpec) -> SymplecticCheck:
-    """Check commutation of all generator shifts and report the first nonzero
-    Laurent entry as a witness on failure.
+    """Check commutation of all generator shifts; on failure the witness
+    (i, j, shifts) names the first anticommuting generator pair (i, j) in
+    row-major order and every block shift d at which generator i
+    anticommutes with generator j moved d blocks later.
 
-    Entry (i, j) is sum_c [P_ic(D) Q_jc(1/D) + Q_ic(D) P_jc(1/D)]; its D^d
-    coefficient is the symplectic product of generator i with generator j
-    shifted by d blocks. Note the second term carries 1/D on the *transposed*
-    factor; with both 1/D factors on the same side the diagonal would vanish
-    identically in characteristic 2 and self-overlap anticommutation would go
-    undetected.
+    Generator j with its blocks reversed is an error frame (X bits from P,
+    Z bits from Q) whose syndrome under the code's own syndrome map, which
+    pairs X with Q and Z with P, holds at bit (m + d, i) the symplectic
+    product of generator i with generator j shifted by d blocks, for every
+    d in [-m, m]. A generator's own shifts are read off the same way, so
+    self-overlap anticommutation is caught on the diagonal.
     """
-    P = spec.p_matrix()
-    Q = spec.q_matrix()
-    Pl = [[LaurentPoly.from_poly(e.num) for e in row] for row in P.entries]
-    Ql = [[LaurentPoly.from_poly(e.num) for e in row] for row in Q.entries]
-    Pl_inv = [[e.invert_variable() for e in row] for row in Pl]
-    Ql_inv = Q.substitute_inverse()
-    r = spec.n - spec.k
-    for i in range(r):
-        for j in range(r):
-            acc = LaurentPoly({}, GF2)
-            for c in range(spec.n):
-                acc = acc + Pl[i][c] * Ql_inv[j][c]
-                acc = acc + Ql[i][c] * Pl_inv[j][c]
-            if not acc.is_zero():
-                return SymplecticCheck(False, (i, j, acc))
-    return SymplecticCheck(True)
+    m = spec.m
+    frames = np.concatenate([spec.p_coeffs, spec.q_coeffs], axis=2)[::-1]
+    comm = np.stack([gf_convolve(spec.syndrome_taps, frames[:, j], GF2,
+                                 2 * m + 1)
+                     for j in range(spec.n - spec.k)], axis=2)
+    hits = np.argwhere(comm.any(axis=0))
+    if not hits.size:
+        return SymplecticCheck(True)
+    i, j = hits[0]
+    shifts = tuple(int(d) - m for d in np.flatnonzero(comm[:, i, j]))
+    return SymplecticCheck(False, (int(i), int(j), shifts))
 
 
 def binary_transfer(spec: StabilizerSpec) -> RatMatrix:

@@ -19,14 +19,18 @@ from typing import Literal
 
 import numpy as np
 
-from .algebra import Field, RatMatrix, gf_convolve
-from .circuits import TransferSystem, block_parity_matrix, block_syndrome
+from .algebra import Field, RatMatrix, convolution_matrix
+from .circuits import TransferSystem, block_parity_matrix
 from .stabilizer import BITS_TO_PAULI, GF4_DECODE_TO_XZ
 
 INF = 1 << 60
 METRIC_SCALE = 1 << 16
 # branch costs gathered at once by viterbi_decode: sets its sections per chunk
 _CHUNK_BRANCHES = 1 << 14
+# trellis state budget, checked before any transition table is allocated
+_MAX_STATES = 1 << 20
+# frame bits the exhaustive oracle enumerates at most (one row per frame)
+_EXHAUSTIVE_BITS = 20
 
 
 class TrellisError(ValueError):
@@ -67,8 +71,7 @@ class Trellis:
         raise TrellisError("trellis sections have no qubit structure")
 
 
-def build_trellis(gen: TransferSystem, kind: str = "bits",
-                  max_states: int = 1 << 20) -> Trellis:
+def build_trellis(gen: TransferSystem, kind: str = "bits") -> Trellis:
     """Controller-form trellis of a polynomial generator system: the state
     holds the last deg_i input symbols of each generator row."""
     if not gen.matrix.is_polynomial():
@@ -83,8 +86,9 @@ def build_trellis(gen: TransferSystem, kind: str = "bits",
                  any(not p.is_zero() for p in row) else 0 for row in rows)
     state_symbols = sum(degs)
     num_states = q ** state_symbols
-    if num_states > max_states:
-        raise TrellisError(f"state count {num_states} exceeds cap {max_states}")
+    if num_states > _MAX_STATES:
+        raise TrellisError(
+            f"state count {num_states} exceeds cap {_MAX_STATES}")
     num_inputs = q ** nrows
     next_state = np.zeros((num_states, num_inputs), dtype=np.int64)
     label = np.zeros((num_states, num_inputs), dtype=np.int64)
@@ -367,11 +371,13 @@ def coset_leader_oracle(hb: RatMatrix, syndrome: np.ndarray, frame_blocks: int,
 
     ``dp`` sweeps blocks with the raw previous-m-blocks state (a weight
     branch-and-bound over the syndrome constraints); ``exhaustive`` enumerates
-    every frame and is only for tiny spans.
+    every frame and is only for tiny spans. Both caps are checked before
+    any table is built.
     """
     if metric is None:
         metric = BranchMetric()
-    S, m, emit, groups = _emission_data(hb)
+    taps = _oracle_taps(hb)
+    m = taps.shape[0] - 1
     n = hb.cols
     lanes = 2 * n
     r = hb.rows
@@ -382,40 +388,49 @@ def coset_leader_oracle(hb: RatMatrix, syndrome: np.ndarray, frame_blocks: int,
     if syndrome.shape[0] > window and syndrome[window:].any():
         raise ValueError("syndrome extends beyond the oracle window")
 
-    wtab = metric.paired_table(n)
-    if mode == "exhaustive" or (mode == "auto" and lanes * frame_blocks <= 16):
-        return _oracle_exhaustive(S, target, frame_blocks, lanes, wtab)
-    if lanes * m > 20 or lanes > 14:
+    exhaustive = mode == "exhaustive" or (
+        mode == "auto" and lanes * frame_blocks <= 16)
+    if exhaustive and lanes * frame_blocks > _EXHAUSTIVE_BITS:
+        raise OracleCapError(
+            f"exhaustive oracle limited to {_EXHAUSTIVE_BITS} frame bits")
+    if not exhaustive and (lanes * m > 20 or lanes > 14):
         raise OracleCapError("search-space cap exceeded for the DP oracle")
+    wtab = metric.paired_table(n)
+    if exhaustive:
+        return _oracle_exhaustive(taps, target, frame_blocks, lanes, wtab)
+    emit, groups = _emission_data(hb)
     return _oracle_dp(target, frame_blocks, lanes, m, r, wtab, emit, groups)
+
+
+@lru_cache(maxsize=16)
+def _oracle_taps(hb: RatMatrix) -> np.ndarray:
+    """The block-domain syndrome map of ``hb`` as a (m+1, r, 2n) tensor."""
+    return block_parity_matrix(hb).coeff_tensor()
+
+
+def _frame_bits(count: int, bits: int) -> np.ndarray:
+    """Row v holds the ``bits`` low bits of v, least significant first."""
+    v = np.arange(count, dtype=np.int64)
+    out = np.empty((count, bits), dtype=np.uint8)
+    for k in range(bits):
+        out[:, k] = (v >> k) & 1
+    return out
 
 
 @lru_cache(maxsize=16)
 def _emission_data(hb: RatMatrix):
     """Per-code DP tables: emit[b][e] = r-bit syndrome emitted at lag b by
     block value e, plus block values grouped by their lag-0 emission."""
-    S = block_parity_matrix(hb)
-    taps = S.coeff_tensor()
-    m = taps.shape[0] - 1
-    lanes = 2 * hb.cols
-    r = hb.rows
-    size = 1 << lanes
-    frame = np.zeros((1, lanes), dtype=np.uint8)
-    tables = [np.zeros(size, dtype=np.int64) for _ in range(m + 1)]
-    for e in range(size):
-        for kbit in range(lanes):
-            frame[0, kbit] = (e >> kbit) & 1
-        syn = gf_convolve(taps, frame, S.field, m + 1)
-        for b in range(m + 1):
-            v = 0
-            for i in range(r):
-                v |= int(syn[b, i]) << i
-            tables[b][e] = v
-    groups: dict[int, tuple[int, ...]] = {}
-    for e in range(size):
-        groups.setdefault(int(tables[0][e]), []).append(e)  # type: ignore
-    groups = {k: tuple(v) for k, v in groups.items()}
-    return S, m, tables, groups
+    taps = _oracle_taps(hb)
+    lags, r, lanes = taps.shape
+    syn = (_frame_bits(1 << lanes, lanes)
+           @ convolution_matrix(taps, 1, lags).T) & 1
+    emit = syn.reshape(-1, lags, r).astype(np.int64) @ (1 << np.arange(r))
+    tables = emit.T.tolist()
+    groups: dict[int, list[int]] = {}
+    for e, v in enumerate(tables[0]):
+        groups.setdefault(v, []).append(e)
+    return tables, {k: tuple(v) for k, v in groups.items()}
 
 
 def _oracle_dp(target, frame_blocks, lanes, m, r, wtab, emit,
@@ -484,26 +499,24 @@ def _oracle_dp(target, frame_blocks, lanes, m, r, wtab, emit,
     return OracleResult(weight=best_w, leader=leader, count=best_count)
 
 
-def _oracle_exhaustive(S, target, frame_blocks, lanes, wtab) -> OracleResult:
+def _oracle_exhaustive(taps, target, frame_blocks, lanes,
+                       wtab) -> OracleResult:
+    """Every frame's syndrome as one product of all 2^(lanes * blocks) frame
+    bit rows with the unrolled syndrome map; the leader is the first
+    minimum-weight match in enumeration order."""
     nbits = lanes * frame_blocks
-    best_w, best, count = INF, None, 0
-    frame = np.zeros((frame_blocks, lanes), dtype=np.uint8)
+    frames = _frame_bits(1 << nbits, nbits)
     window = target.shape[0]
-    for v in range(1 << nbits):
-        for idx in range(nbits):
-            frame[idx // lanes, idx % lanes] = (v >> idx) & 1
-        if not np.array_equal(block_syndrome(S, frame, window), target):
-            continue
-        wgt = 0
-        for j in range(frame_blocks):
-            e = 0
-            for kbit in range(lanes):
-                e |= int(frame[j, kbit]) << kbit
-            wgt += int(wtab[e])
-        if wgt < best_w:
-            best_w, best, count = wgt, frame.copy(), 1
-        elif wgt == best_w:
-            count += 1
-    if best is None:
+    syn = (frames @ convolution_matrix(taps, frame_blocks, window).T) & 1
+    match = np.flatnonzero((syn == target.reshape(-1)).all(axis=1))
+    if not match.size:
         raise ValueError("syndrome is not realizable on this span")
-    return OracleResult(weight=best_w, leader=best, count=count)
+    block_values = (match[:, None] >> (lanes * np.arange(frame_blocks))) \
+        & ((1 << lanes) - 1)
+    wgt = wtab[block_values].sum(axis=1)
+    best = wgt.min()
+    first = match[np.argmax(wgt == best)]
+    return OracleResult(weight=int(best),
+                        leader=frames[first].reshape(frame_blocks,
+                                                     lanes).copy(),
+                        count=int((wgt == best).sum()))

@@ -152,6 +152,16 @@ class TestInputContract:
         assert_one_error_line(captured)
         assert "'<blocks>:<hex>'" in captured.err
 
+    @pytest.mark.parametrize("text", ["4:ffff", "4:ff1"])
+    def test_decode_nonzero_bits_beyond_blocks(self, spec_file, tmp_path,
+                                               capsys, text):
+        # 4 blocks of [3,1,1] need 8 bits: the extra digits used to be
+        # dropped, so both decoded like 4:ff and exited 0
+        syn = tmp_path / "long.syn"
+        syn.write_text(text + "\n")
+        assert main(["decode", spec_file, "--syndrome", str(syn)]) == 2
+        assert_one_error_line(capsys.readouterr())
+
     @pytest.mark.parametrize("p", ["-1", "0", "0.5", "0.6"])
     def test_decode_p_outside_open_interval(self, spec_file, tmp_path, capsys,
                                             p):

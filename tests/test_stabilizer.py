@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qconvdec.algebra import GF2, GF4, RatMatrix, gf_convolve, parse_poly
-from reference_data import REF_TRANSFER_311, REF_TRANSFER_311_F4
+from reference_data import CODES, REF_TRANSFER_311, REF_TRANSFER_311_F4
 
 from qconvdec.stabilizer import (
     ErrorFrame, F4LinearityError, SpecError, StabilizerSpec,
@@ -76,8 +76,8 @@ class TestSymplectic:
         spec = StabilizerSpec(n=3, k=1, m=1, generators=("XXXXZX", "ZZZZYX"))
         res = check_symplectic(spec)
         assert not res.ok
-        i, j, val = res.witness
-        assert not val.is_zero()
+        assert res.witness == (0, 0, (-1, 1))
+        assert res.witness_text() == "witness entry 0,0 at block shifts -1, 1"
 
     def test_single_generator_diagonal(self):
         spec = StabilizerSpec(n=2, k=1, m=0, generators=("XZ",))
@@ -88,6 +88,39 @@ class TestSymplectic:
         # entry of the commutation matrix must not collapse to zero
         spec = StabilizerSpec(n=3, k=1, m=1, generators=("YXXXZY", "ZZZZYX"))
         assert not check_symplectic(spec).ok
+
+    @pytest.mark.parametrize("name", list(CODES))
+    def test_matches_pauli_string_reference(self, name):
+        # the code itself and 250 seeded mutations of 1-3 symbols each
+        spec = CODES[name]
+        rng = np.random.default_rng([2026, spec.n, spec.m])
+        cases = [spec.generators]
+        for _ in range(250):
+            gens = [list(g) for g in spec.generators]
+            for _ in range(int(rng.integers(1, 4))):
+                gi = int(rng.integers(0, len(gens)))
+                pos = int(rng.integers(0, len(gens[gi])))
+                gens[gi][pos] = str(rng.choice(
+                    [c for c in "IXYZ" if c != gens[gi][pos]]))
+            cases.append(tuple("".join(g) for g in gens))
+        failed = 0
+        for gens in cases:
+            try:
+                mutated = StabilizerSpec(n=spec.n, k=spec.k, m=spec.m,
+                                         generators=gens)
+            except SpecError:
+                continue  # dependent rows
+            res = check_symplectic(mutated)
+            assert (res.ok, res.witness) == _reference_symplectic(mutated)
+            failed += not res.ok
+        assert check_symplectic(spec).ok
+        assert 100 <= failed < len(cases)
+
+    def test_self_shift_matches_pauli_string_reference(self):
+        spec = StabilizerSpec(n=3, k=1, m=1, generators=("YXXXZY", "ZZZZYX"))
+        res = check_symplectic(spec)
+        assert (res.ok, res.witness) == _reference_symplectic(spec)
+        assert res.witness[:2] == (0, 0)
 
     def test_row_sum_preserves(self):
         spec = example_311()
@@ -117,6 +150,27 @@ class TestSymplectic:
             if not check_symplectic(mutated).ok:
                 fails += 1
         assert fails >= 90
+
+
+def _reference_symplectic(spec: StabilizerSpec):
+    """(ok, witness) straight from the Pauli strings: generator i and
+    generator j moved d blocks later anticommute when an odd number of
+    positions hold two different non-identity Paulis."""
+    n, m, gens = spec.n, spec.m, spec.generators
+    for i, gi in enumerate(gens):
+        for j, gj in enumerate(gens):
+            shifts = []
+            for d in range(-m, m + 1):
+                clashes = 0
+                for b in range(max(0, d), min(m, m + d) + 1):
+                    for c in range(n):
+                        a, o = gi[b * n + c], gj[(b - d) * n + c]
+                        clashes += "I" not in (a, o) and a != o
+                if clashes % 2:
+                    shifts.append(d)
+            if shifts:
+                return False, (i, j, tuple(shifts))
+    return True, None
 
 
 def _pauli_product(a: str, b: str) -> str:

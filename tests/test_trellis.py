@@ -13,8 +13,8 @@ from qconvdec.stabilizer import (
 )
 from qconvdec.simulate import ChannelParams, frame_rng, metric_for, sample_error
 from qconvdec.trellis import (
-    _CHUNK_BRANCHES, BranchMetric, Trellis, TrellisError, build_trellis,
-    coset_leader_oracle, pack_sections, pauli_costs_for_channel,
+    _CHUNK_BRANCHES, BranchMetric, OracleCapError, Trellis, TrellisError,
+    build_trellis, coset_leader_oracle, pack_sections, pauli_costs_for_channel,
     unpack_sections, viterbi_decode,
 )
 
@@ -85,8 +85,9 @@ class TestBuildTrellis:
             s = int(t.next_state[s, int(u[j, 0])])
 
     def test_state_cap(self):
-        with pytest.raises(TrellisError):
-            build_trellis(tick_gen_311(), max_states=2)
+        # one row 1+D^21 needs 2^21 states, above the 2^20 budget
+        gen = TransferSystem(RatMatrix.from_polys([[p("1+D^21")]]))
+        assert _raises_before_allocating(TrellisError, build_trellis, gen)
 
     def test_rational_rejected(self):
         from qconvdec.algebra import ratio
@@ -206,6 +207,17 @@ class TestViterbi:
 
         viterbi_decode(t, np.zeros((3, 6), dtype=np.uint8))  # builds the kernel
         assert peak(30002) - peak(3002) <= 128 * 27000
+
+
+def _raises_before_allocating(error, fn, *args, **kwargs) -> bool:
+    """True when fn raises ``error`` with a traced peak below 64 KiB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] < 1 << 16
+    finally:
+        tracemalloc.stop()
 
 
 @lru_cache(maxsize=None)
@@ -346,18 +358,71 @@ class TestOracle:
         assert np.array_equal(res.leader, e)
 
     def test_dp_matches_exhaustive(self):
-        hb = hb_311()
-        rng = np.random.default_rng(4)
+        # 25 syndromes of random two-block frames per code, Hamming and the
+        # channel Pauli metric
+        for name in ("311", "211", "312", "421"):
+            hb = binary_transfer(CODES[name])
+            S = block_parity_matrix(hb)
+            window = 2 + S.coeff_tensor().shape[0] - 1
+            rng = np.random.default_rng(4)
+            for _ in range(25):
+                e = rng.integers(0, 2, size=(2, S.cols)).astype(np.uint8)
+                sigma = block_syndrome(S, e, window)
+                for metric in (BranchMetric(), metric_for("pauli", 0.05)):
+                    a = coset_leader_oracle(hb, sigma, 2, metric, mode="dp")
+                    b = coset_leader_oracle(hb, sigma, 2, metric,
+                                            mode="exhaustive")
+                    assert a.weight == b.weight
+                    assert a.count == b.count
+                    if a.unique:
+                        assert np.array_equal(a.leader, b.leader)
+                    assert np.array_equal(
+                        block_syndrome(S, b.leader, window), sigma)
+
+    @pytest.mark.parametrize("name,blocks", [("211", 2), ("311", 1)])
+    def test_exhaustive_matches_enumeration(self, name, blocks):
+        # per-frame loop in enumeration order (bit i of v is lane i % lanes
+        # of block i // lanes): ties keep the first minimum
+        hb = binary_transfer(CODES[name])
         S = block_parity_matrix(hb)
-        for _ in range(25):
-            e = rng.integers(0, 2, size=(2, 6)).astype(np.uint8)
-            sigma = block_syndrome(S, e, 3)
-            a = coset_leader_oracle(hb, sigma, 2, mode="dp")
-            b = coset_leader_oracle(hb, sigma, 2, mode="exhaustive")
-            assert a.weight == b.weight
-            assert a.count == b.count
-            if a.unique:
-                assert np.array_equal(a.leader, b.leader)
+        lanes = S.cols
+        window = blocks + S.coeff_tensor().shape[0] - 1
+        metric = metric_for("pauli", 0.05)
+        wtab = metric.paired_table(hb.cols)
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            e = rng.integers(0, 2, size=(blocks, lanes)).astype(np.uint8)
+            sigma = block_syndrome(S, e, window)
+            best = None
+            for v in range(1 << (lanes * blocks)):
+                f = np.array([(v >> i) & 1 for i in range(lanes * blocks)],
+                             dtype=np.uint8).reshape(blocks, lanes)
+                if not np.array_equal(block_syndrome(S, f, window), sigma):
+                    continue
+                w = sum(int(wtab[(v >> (lanes * j)) & ((1 << lanes) - 1)])
+                        for j in range(blocks))
+                if best is None or w < best[0]:
+                    best = [w, 1, f]
+                elif w == best[0]:
+                    best[1] += 1
+            res = coset_leader_oracle(hb, sigma, blocks, metric,
+                                      mode="exhaustive")
+            assert (res.weight, res.count) == tuple(best[:2])
+            assert np.array_equal(res.leader, best[2])
+
+    def test_exhaustive_cap(self):
+        # 4 blocks of [3,1,1] are 24 frame bits: 2^24 rows
+        sigma = np.zeros((5, 2), dtype=np.uint8)
+        assert _raises_before_allocating(
+            OracleCapError, coset_leader_oracle, hb_311(), sigma, 4,
+            mode="exhaustive")
+
+    def test_dp_cap(self):
+        # 8 qubits per block are 16 lanes: 2^16 block values per table
+        hb = RatMatrix.from_polys([[p("1+D^2")] * 8])
+        sigma = np.zeros((3, 1), dtype=np.uint8)
+        assert _raises_before_allocating(
+            OracleCapError, coset_leader_oracle, hb, sigma, 2, mode="dp")
 
     def test_pauli_metric_mode(self):
         hb = hb_311()
