@@ -1,32 +1,35 @@
 """Syndrome former, inverse syndrome former and generator circuits derived
-from a transfer polynomial, realized as streaming linear sequential circuits.
+from a transfer polynomial, with one closed-form evaluator for them all.
 
-A :class:`TransferSystem` streams ``out = in @ matrix`` where matrix rows are
-input streams and columns are output streams. Entries with a pole at D = 0
-(non-causal) are handled by extracting the common advance D^a into
-``input_advance``; the realized circuit then computes the coefficient
-sequence of ``D^a * matrix @ in``, i.e. the ideal output delayed by a ticks.
+A :class:`TransferSystem` computes ``out = in @ matrix``, where matrix rows
+are input streams and columns output streams. Entries with a pole at D = 0
+(non-causal) set its ``input_advance`` a: the causal ``run`` returns the
+coefficient sequence of ``D^a * (in @ matrix)``, i.e. the ideal output
+delayed by a ticks, and ``run_anticausal`` expands the map from the frame
+tail down.
 
 The decoder works in the block domain: ``block_parity_matrix`` and
 ``block_isf_matrix`` fold the tick-rate H_b^T and ISF of the binary path into
 maps on (blocks, 2n) frames and (blocks, n-k) syndromes (the GF(4) path is
 block rate already). :class:`CandidateBuilder` turns a syndrome into a frame
-with that syndrome by one linear map: the block ISF expanded anticausally
-from the frame tail in closed form, plus a precomputed repair of the small
-defect that truncation leaves at the frame head.
+with that syndrome by one linear map: the block ISF expanded anticausally,
+plus a precomputed repair of the small defect that truncation leaves at the
+frame head.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .algebra import (
-    GF2, Field, Poly, RatMatrix, RationalFn, convolution_matrix, gf_convolve,
-    gf_kernel, gf_rank, gf_rref, is_power_of_d, left_inverse, minors_gcd,
-    null_space_basis, poly_lcm, poly_xgcd, rank, row_reduce_poly_matrix,
+    _DEGREE_CAP, GF2, DegreeCapError, Field, Poly, RatMatrix, RationalFn,
+    convolution_matrix, gf_convolve, gf_kernel, gf_rank, gf_rref,
+    is_power_of_d, left_inverse, minors_gcd, null_space_basis, poly_lcm,
+    poly_xgcd, rank, row_reduce_poly_matrix,
 )
 
 
@@ -39,57 +42,22 @@ class CatastrophicGeneratorError(DerivationError):
     remove."""
 
 
-@dataclass(frozen=True)
-class _RowRealization:
-    """Controller-form data for one input row: shared monic-at-0 denominator
-    ``den`` and per-output numerators ``nums`` (coefficient lists)."""
-
-    den: tuple[int, ...]
-    nums: tuple[tuple[int, ...], ...]
-
-    @property
-    def memory(self) -> int:
-        return max(len(self.den) - 1, max((len(p) - 1 for p in self.nums), default=0))
-
-
 class TransferSystem:
-    """A rational transfer matrix together with its streaming realization."""
+    """A rational transfer matrix M, rows input streams and columns output
+    streams, with its closed-form evaluation.
+
+    M is written once as D^-a N(D) / (1 + D^P): a (``input_advance``) is the
+    largest pole order of an entry at D = 0, P (``period``) the least period
+    of its other poles, so that their lcm divides 1 + D^P, and N (``taps``)
+    the polynomial D^a (1 + D^P) M. :meth:`run` expands 1 / (1 + D^P) in
+    powers of D, :meth:`run_anticausal` in powers of 1/D; each is one
+    ``gf_convolve`` with N and an XOR at stride P. a, P and N are worked out
+    on first use."""
 
     def __init__(self, matrix: RatMatrix, role: str = ""):
         self.matrix = matrix
         self.role = role
         self.field: Field = matrix.field
-        self.input_advance = max(
-            (e.pole_order_at_zero() for row in matrix.entries for e in row),
-            default=0)
-        self._rows = self._realize()
-
-    def _realize(self) -> list[_RowRealization]:
-        f = self.field
-        d_a = Poly.monomial(self.input_advance, field=f) if self.input_advance \
-            else Poly.one(f)
-        rows = []
-        for row in self.matrix.entries:
-            scaled = [RationalFn(e.num * d_a, e.den) for e in row]
-            den = Poly.one(f)
-            for e in scaled:
-                if not e.is_zero():
-                    den = poly_lcm(den, e.den)
-            if den.constant_term() == 0:
-                raise DerivationError("entry remained non-causal after advance "
-                                      "extraction")
-            # normalize the recursion to den[0] = 1
-            c0inv = f.inv(den.constant_term())
-            nums = []
-            for e in scaled:
-                if e.is_zero():
-                    nums.append((0,))
-                    continue
-                p = e.num * den.divmod(e.den)[0]
-                nums.append(p.scale(c0inv).coeffs or (0,))
-            rows.append(_RowRealization(den=den.scale(c0inv).coeffs,
-                                        nums=tuple(nums)))
-        return rows
 
     @property
     def inputs(self) -> int:
@@ -99,104 +67,81 @@ class TransferSystem:
     def outputs(self) -> int:
         return self.matrix.cols
 
-    @property
-    def state_dim(self) -> int:
-        return sum(r.memory for r in self._rows)
+    @cached_property
+    def input_advance(self) -> int:
+        return max((e.pole_order_at_zero()
+                    for row in self.matrix.entries for e in row), default=0)
+
+    @cached_property
+    def period(self) -> int:
+        f, a = self.field, self.input_advance
+        poles = Poly.one(f)
+        for row in self.matrix.entries:
+            for e in row:
+                poles = poly_lcm(poles,
+                                 Poly(e.den.coeffs[e.den.valuation():], f))
+        # the period can reach 2^deg - 1; the search stops as soon as the
+        # scale D^a (1 + D^P) of N would pass the degree cap
+        d, one = Poly.D(f), Poly.one(f) % poles
+        period, power = 1, d % poles
+        while a + period <= _DEGREE_CAP and power != one:
+            period, power = period + 1, (power * d) % poles
+        if a + period > _DEGREE_CAP:
+            raise DegreeCapError(
+                f"pole period of {poles} exceeds {_DEGREE_CAP - a}: "
+                f"N = D^{a} (1 + D^P) M would pass the degree cap "
+                f"{_DEGREE_CAP}")
+        return period
+
+    @cached_property
+    def taps(self) -> np.ndarray:
+        """(deg N + 1, outputs, inputs) coefficients of N, the layout
+        ``gf_convolve`` takes."""
+        f, a = self.field, self.input_advance
+        scale = RationalFn(Poly.monomial(a, field=f)
+                           + Poly.monomial(a + self.period, field=f))
+        N = RatMatrix([[e * scale for e in row] for row in self.matrix.entries],
+                      f)
+        return N.coeff_tensor().transpose(0, 2, 1)
+
+    def _frame(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.uint8)
+        if x.ndim != 2 or x.shape[1] != self.inputs:
+            raise ValueError(f"expected (T, {self.inputs}) input")
+        return x
 
     def run(self, x: np.ndarray, extra: int = 0) -> np.ndarray:
         """Stream a (T, inputs) frame; returns (T + extra, outputs) holding
         the coefficients of D^input_advance * (x @ matrix)."""
-        x = np.asarray(x, dtype=np.uint8)
-        if x.ndim != 2 or x.shape[1] != self.inputs:
-            raise ValueError(f"expected (T, {self.inputs}) input")
-        T = x.shape[0]
-        L = T + extra
-        mul = self.field.mul
-        out = np.zeros((L, self.outputs), dtype=np.uint8)
-        for i, row in enumerate(self._rows):
-            den = row.den
-            w = [0] * L
-            xi = x[:, i]
-            for t in range(L):
-                acc = int(xi[t]) if t < T else 0
-                for d in range(1, len(den)):
-                    if den[d] and t - d >= 0:
-                        acc ^= mul(den[d], w[t - d])
-                w[t] = acc
-            for j, num in enumerate(row.nums):
-                col = out[:, j]
-                for d, cf in enumerate(num):
-                    if not cf:
-                        continue
-                    for t in range(d, L):
-                        col[t] ^= mul(cf, w[t - d])
-        return out
+        x = self._frame(x)
+        L = x.shape[0] + extra
+        # D^a x M = x N sum_{i>=0} D^iP: a prefix XOR at stride P
+        P = self.period
+        rows = -(-L // P)
+        v = np.zeros((rows * P, self.outputs), dtype=np.uint8)
+        v[:L] = gf_convolve(self.taps, x, self.field, L)
+        v = np.bitwise_xor.accumulate(v.reshape(rows, P, self.outputs), axis=0)
+        return v.reshape(-1, self.outputs)[:L]
 
-    def impulse_response(self, length: int, input_index: int = 0) -> np.ndarray:
-        x = np.zeros((length, self.inputs), dtype=np.uint8)
-        x[0, input_index] = 1
-        return self.run(x)
-
-    def state_space(self):
-        """(A, B, C, E) with state' = state @ A + in @ B and
-        out = state @ C + in @ E, block-diagonal by input row."""
-        f = self.field
-        s = self.state_dim
-        A = np.zeros((s, s), dtype=np.uint8)
-        B = np.zeros((self.inputs, s), dtype=np.uint8)
-        C = np.zeros((s, self.outputs), dtype=np.uint8)
-        E = np.zeros((self.inputs, self.outputs), dtype=np.uint8)
-        off = 0
-        for i, row in enumerate(self._rows):
-            mem = row.memory
-            den = row.den
-            for d in range(1, mem):
-                A[off + d - 1, off + d] = 1          # shift register
-            for d in range(1, len(den)):
-                if den[d]:
-                    A[off + d - 1, off] = den[d]     # feedback into w_t
-            if mem:
-                B[i, off] = 1
-            for j, num in enumerate(row.nums):
-                p0 = num[0] if num else 0
-                E[i, j] = p0
-                for d in range(1, mem + 1):
-                    coef = num[d] if d < len(num) else 0
-                    qd = den[d] if d < len(den) else 0
-                    val = coef ^ f.mul(p0, qd)
-                    if val:
-                        C[off + d - 1, j] = val
-            off += mem
-        return A, B, C, E
-
-    def run_state_space(self, x: np.ndarray, extra: int = 0) -> np.ndarray:
-        """Reference streaming through the explicit state-space matrices."""
-        f = self.field
-        A, B, C, E = self.state_space()
-        T = x.shape[0]
-        L = T + extra
-        out = np.zeros((L, self.outputs), dtype=np.uint8)
-        state = np.zeros(A.shape[0], dtype=np.uint8)
-
-        def vecmat(v, M):
-            r = np.zeros(M.shape[1], dtype=np.uint8)
-            for i, vi in enumerate(v):
-                if vi:
-                    for j in range(M.shape[1]):
-                        if M[i, j]:
-                            r[j] ^= f.mul(int(vi), int(M[i, j]))
-            return r
-
-        for t in range(L):
-            xt = x[t] if t < T else np.zeros(self.inputs, dtype=np.uint8)
-            out[t] = vecmat(state, C) ^ vecmat(xt, E)
-            state = vecmat(state, A) ^ vecmat(xt, B)
-        return out
-
-    def __repr__(self) -> str:
-        tag = f" {self.role}" if self.role else ""
-        return (f"TransferSystem{tag} {self.inputs}->{self.outputs} "
-                f"advance={self.input_advance} state={self.state_dim}")
+    def run_anticausal(self, x: np.ndarray, length: int) -> np.ndarray:
+        """The first ``length`` coefficients, (length, outputs), of x @ matrix
+        with every entry expanded in powers of 1/D, i.e. from the frame tail
+        down. The expansion is exact; only its terms below D^0 are cut."""
+        x = self._frame(x)
+        # out[t] = sum_d N_d u[t + a - d] with u[s] = sum_{i>=1} x[s + iP]
+        # (1 / (1 + D^P) = sum_{i>=1} D^-iP) on s >= a - deg N; suffix XORs
+        # at stride P, indexed from a - deg N
+        deg = self.taps.shape[0] - 1
+        P = self.period
+        first = self.input_advance - deg + P
+        pad = max(-first, 0)
+        x = x[max(first, 0):]
+        rows = -(-max(length + deg, pad + x.shape[0]) // P)
+        u = np.zeros((rows * P, self.inputs), dtype=np.uint8)
+        u[pad:pad + x.shape[0]] = x
+        u = np.bitwise_xor.accumulate(u.reshape(rows, P, self.inputs)[::-1],
+                                      axis=0)[::-1].reshape(-1, self.inputs)
+        return gf_convolve(self.taps, u[:length + deg], self.field)[deg:]
 
 
 def derive_syndrome_former(hb: RatMatrix) -> TransferSystem:
@@ -434,10 +379,8 @@ class CandidateBuilder:
     ``parity`` is the block-domain syndrome map S and ``isf`` a block-domain
     left inverse of it (isf @ S^T = I): ``block_parity_matrix`` and
     ``block_isf_matrix`` on the binary path, H_q and its ISF on the GF(4)
-    path. The ISF is written once as D^-a N(D) / (1 + D^P), with a its
-    largest pole order at 0, P the period of its other poles and N
-    polynomial; 1 / (1 + D^P) expands in 1/D as sum_{i>=1} D^-iP, so the
-    expansion is a strided suffix sum of sigma convolved with N."""
+    path. The expansion is :meth:`TransferSystem.run_anticausal` of the ISF.
+    """
 
     def __init__(self, parity: RatMatrix, isf: RatMatrix):
         if not (isf @ parity.transpose()).is_identity():
@@ -446,19 +389,10 @@ class CandidateBuilder:
         self.taps = parity.coeff_tensor()
         self.m = self.taps.shape[0] - 1
         self.r, self.lanes = parity.rows, parity.cols
-        entries = [e for row in isf.entries for e in row if not e.is_zero()]
-        self.advance = max((e.pole_order_at_zero() for e in entries), default=0)
-        poles = Poly.one(f)
-        for e in entries:
-            poles = poly_lcm(poles, Poly(e.den.coeffs[e.den.valuation():], f))
-        d, one = Poly.D(f), Poly.one(f) % poles
-        self.period, power = 1, d % poles
-        while power != one:
-            self.period, power = self.period + 1, (power * d) % poles
-        scale = RationalFn(Poly.monomial(self.advance, field=f)
-                           + Poly.monomial(self.advance + self.period, field=f))
-        N = RatMatrix([[e * scale for e in row] for row in isf.entries], f)
-        self.isf_taps = N.coeff_tensor().transpose(0, 2, 1)
+        self.isf = TransferSystem(isf, role="ISF")
+        # work out the closed form now, so that an ISF past the degree cap
+        # fails at construction rather than at the first build
+        self.isf.taps
         # S is causal of degree m, so the truncated expansion misses sigma
         # only on blocks < m; a frame on m + 1 blocks repairs it. One RREF
         # gives the particular solution (free variables zero) of every
@@ -503,19 +437,7 @@ class CandidateBuilder:
             raise ValueError(f"syndrome is nonzero beyond the {blocks}-block "
                              "frame")
         sigma = sigma[:blocks]
-        # out[t] = sum_d u[t + a - d] N_d with u[s] = sum_{i>=1} sigma[s + iP]
-        # on s >= a - deg N; suffix sums at stride P, indexed from a - deg N
-        deg = self.isf_taps.shape[0] - 1
-        P = self.period
-        first = self.advance - deg + P
-        pad = max(-first, 0)
-        x = sigma[max(first, 0):]
-        rows = -(-max(blocks + deg, pad + x.shape[0]) // P)
-        u = np.zeros((rows * P, self.r), dtype=np.uint8)
-        u[pad:pad + x.shape[0]] = x
-        u = np.bitwise_xor.accumulate(u.reshape(rows, P, self.r)[::-1],
-                                      axis=0)[::-1].reshape(-1, self.r)
-        W = gf_convolve(self.isf_taps, u[:blocks + deg], self.field)[deg:]
+        W = self.isf.run_anticausal(sigma, blocks)
         window = blocks + self.m
         resid = gf_convolve(self.taps, W, self.field, window)
         resid[:sigma.shape[0]] ^= sigma

@@ -15,9 +15,8 @@ import numpy as np
 
 from .algebra import RatMatrix
 from .circuits import (
-    CandidateBuilder, TransferSystem, block_isf_matrix, block_parity_matrix,
-    block_syndrome, coset_code_rows, derive_bundle, polynomial_kernel_basis,
-    with_isf,
+    CandidateBuilder, block_isf_matrix, block_parity_matrix, block_syndrome,
+    coset_code_rows, derive_bundle, polynomial_kernel_basis, with_isf,
 )
 from .stabilizer import (
     ErrorFrame, GF4_DECODE_TO_XZ, SpecError, StabilizerSpec, XZ_TO_GF4_DECODE,
@@ -57,10 +56,9 @@ class SyndromeDecoder:
         if isf_matrix is not None:
             bundle = with_isf(bundle, isf_matrix)
         self.bundle = bundle
-        self.coset_generator = TransferSystem(
-            RatMatrix.from_polys(self._coset_rows(transfer)), role="COSET-GEN")
-        self.trellis: Trellis = build_trellis(self.coset_generator,
-                                              kind=self.trellis_kind)
+        self.trellis: Trellis = build_trellis(
+            RatMatrix.from_polys(self._coset_rows(transfer)),
+            kind=self.trellis_kind)
         self.candidates = CandidateBuilder(*self._block_maps(bundle))
 
     def _transfer(self) -> RatMatrix:

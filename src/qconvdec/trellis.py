@@ -1,4 +1,4 @@
-"""Trellis construction from a polynomial generator realization, Viterbi
+"""Trellis construction from a polynomial generator matrix, Viterbi
 maximum-likelihood decoding of a candidate frame, and an independent
 coset-leader oracle for verification.
 
@@ -20,7 +20,7 @@ from typing import Literal
 import numpy as np
 
 from .algebra import Field, RatMatrix, convolution_matrix
-from .circuits import TransferSystem, block_parity_matrix
+from .circuits import block_parity_matrix
 from .stabilizer import BITS_TO_PAULI, GF4_DECODE_TO_XZ
 
 INF = 1 << 60
@@ -71,17 +71,17 @@ class Trellis:
         raise TrellisError("trellis sections have no qubit structure")
 
 
-def build_trellis(gen: TransferSystem, kind: str = "bits") -> Trellis:
-    """Controller-form trellis of a polynomial generator system: the state
+def build_trellis(gen: RatMatrix, kind: str = "bits") -> Trellis:
+    """Controller-form trellis of a polynomial generator matrix: the state
     holds the last deg_i input symbols of each generator row."""
-    if not gen.matrix.is_polynomial():
+    if not gen.is_polynomial():
         raise TrellisError("trellis generator must be polynomial (feed-forward)")
     field = gen.field
     q = field.order
     bps = 1 if q == 2 else 2
-    rows = gen.matrix.poly_entries()
-    nrows = gen.inputs
-    ncols = gen.outputs
+    rows = gen.poly_entries()
+    nrows = gen.rows
+    ncols = gen.cols
     degs = tuple(max((p.degree for p in row), default=0) if
                  any(not p.is_zero() for p in row) else 0 for row in rows)
     state_symbols = sum(degs)

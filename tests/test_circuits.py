@@ -1,23 +1,27 @@
+import time
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from qconvdec.algebra import (
-    GF2, GF4, W, WBAR, Poly, RatMatrix, RationalFn, parse_poly,
-    minors_gcd, poly_row_degree, rank, ratio,
+    GF2, GF4, W, WBAR, DegreeCapError, Poly, RatMatrix, RationalFn,
+    parse_poly, minors_gcd, poly_row_degree, rank, ratio,
 )
 from qconvdec.circuits import (
     CandidateBuilder, DerivationError, TransferSystem, block_isf_matrix,
     block_parity_matrix, block_syndrome, coset_code_rows, derive_bundle,
     derive_generator, derive_inverse_syndrome_former, derive_syndrome_former,
-    shifted_isf_matrix,
+    polynomial_kernel_basis, shifted_isf_matrix,
 )
 from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
 from qconvdec.simulate import ChannelParams, frame_rng, sample_error
 from qconvdec.stabilizer import (
-    ErrorFrame, binary_transfer, example_311, syndrome_of,
+    ErrorFrame, binary_transfer, example_311, quaternary_transfer, syndrome_of,
 )
 
 from reference_candidate import reference_build, run_anticausal
+import reference_transfer
 from reference_data import (
     CODES, PATH_IDS, PATHS, REF_ALLONES_ISF_F4, REF_FIR_ISF_21,
     REF_GENERATOR_311, REF_GENERATOR_F4, REF_POLY_GP_21, REF_RATIONAL_GP_21,
@@ -41,7 +45,7 @@ class TestSyndromeFormer:
     def test_rate_half_column(self):
         sf = derive_syndrome_former(hb_rate_half())
         assert sf.matrix == RatMatrix.from_polys([[p("1+D^2")], [p("1+D+D^2")]])
-        assert sf.state_dim <= 4
+        assert reference_transfer.state_dim(sf.matrix) <= 4
 
     def test_three_in_two_out(self):
         sf = derive_syndrome_former(hb_311())
@@ -112,37 +116,48 @@ class TestGenerator:
         assert rank(ours.matrix) == 2
 
 
+def impulse_response(matrix, length):
+    """Response to a unit impulse on input 0, from the per-tick reference;
+    the closed form must give the same."""
+    y = reference_transfer.impulse_response(matrix, length)
+    x = np.zeros((length, matrix.rows), dtype=np.uint8)
+    x[0, 0] = 1
+    assert np.array_equal(TransferSystem(matrix).run(x), y)
+    return y
+
+
 class TestRealization:
     def test_isf_impulse_interleaved(self):
-        sys = TransferSystem(RatMatrix.from_polys([[p("1+D"), p("D")]]))
-        y = sys.impulse_response(3)
+        isf = RatMatrix.from_polys([[p("1+D"), p("D")]])
+        y = impulse_response(isf, 3)
         assert [tuple(r) for r in y.tolist()] == [(1, 0), (1, 1), (0, 0)]
-        assert sys.state_dim <= 1
+        assert reference_transfer.state_dim(isf) <= 1
 
     def test_recursive_all_ones(self):
-        sys = TransferSystem(RatMatrix([[ratio(p("1"), p("1+D"))]]))
-        y = sys.impulse_response(8)
+        y = impulse_response(RatMatrix([[ratio(p("1"), p("1+D"))]]), 8)
         assert y[:, 0].tolist() == [1] * 8
 
     def test_generator_impulse(self):
-        sys = TransferSystem(RatMatrix.from_polys(
-            [[p("D^2"), p("1+D^2"), p("1+D^2")]]))
-        y = sys.impulse_response(3)
+        y = impulse_response(RatMatrix.from_polys(
+            [[p("D^2"), p("1+D^2"), p("1+D^2")]]), 3)
         assert [tuple(r) for r in y.tolist()] == [(0, 1, 1), (0, 0, 0), (1, 1, 1)]
         assert int(y.sum()) == 5
 
     def test_streaming_equals_state_space(self):
+        # the per-tick recursion, the explicit state-space matrices and the
+        # closed form give the same stream
         rng = np.random.default_rng(0)
-        systems = [
-            TransferSystem(hb_rate_half().transpose()),
-            TransferSystem(RatMatrix([[ratio(p("1"), p("1+D")),
-                                       RationalFn(p("1+D^2"))]])),
-            derive_inverse_syndrome_former(hb_311()),
+        matrices = [
+            hb_rate_half().transpose(),
+            RatMatrix([[ratio(p("1"), p("1+D")), RationalFn(p("1+D^2"))]]),
+            derive_inverse_syndrome_former(hb_311()).matrix,
         ]
-        for sys in systems:
-            x = rng.integers(0, 2, size=(17, sys.inputs)).astype(np.uint8)
-            assert np.array_equal(sys.run(x, extra=4),
-                                  sys.run_state_space(x, extra=4))
+        for M in matrices:
+            x = rng.integers(0, 2, size=(17, M.rows)).astype(np.uint8)
+            want = reference_transfer.run(M, x, extra=4)
+            assert np.array_equal(
+                reference_transfer.run_state_space(M, x, extra=4), want)
+            assert np.array_equal(TransferSystem(M).run(x, extra=4), want)
 
     def test_streaming_equals_polynomial_product(self):
         # FIR system: streamed output must equal the coefficient sequence
@@ -178,6 +193,88 @@ class TestRealization:
         y = sf.run(x)
         # w * (1 + wD) = w + w^2 D
         assert y[0, 0] == W and y[1, 0] == WBAR and not y[2:].any()
+
+
+@lru_cache(maxsize=None)
+def closed_form_matrices():
+    """Every rational map the decoder evaluates, by id: SF, ISF and GEN of
+    the test codes on both fields, their block ISFs and coset generators,
+    plus 1/(1+D) and a mixed matrix with a pole at 0 and period 21."""
+    out = {}
+    for name, path in PATHS:
+        spec = CODES[name]
+        if path == "f4":
+            hb = quaternary_transfer(spec).hq
+            coset = polynomial_kernel_basis(hb, hb.cols - hb.rows)
+        else:
+            hb = binary_transfer(spec)
+            coset = coset_code_rows(hb)
+        bundle = derive_bundle(hb)
+        for system in (bundle.sf, bundle.isf, bundle.gen):
+            out[f"{name}-{path}-{system.role}"] = system.matrix
+        out[f"{name}-{path}-COSET"] = RatMatrix.from_polys(coset)
+        if path == "bin":
+            out[f"{name}-bin-BLOCK-ISF"] = block_isf_matrix(bundle.isf.matrix)
+    out["1/(1+D)"] = RatMatrix([[ratio(p("1"), p("1+D"))]])
+    out["mixed"] = RatMatrix([
+        [ratio(p("1"), p("1+D")), RationalFn(p("1+D^2")), ratio(p("1"), p("D"))],
+        [ratio(p("1+D"), p("1+D+D^3")), RationalFn.zero(),
+         ratio(p("1"), p("D^2+D^3+D^4"))]])
+    return out
+
+
+CLOSED_FORM_IDS = list(closed_form_matrices())
+
+
+def closed_form_cases(name):
+    """The system and random (T, inputs) frames with T in 1, P-1, P+1, 200,
+    each with extra 0 and 7."""
+    M = closed_form_matrices()[name]
+    system = TransferSystem(M)
+    P = system.period
+    rng = np.random.default_rng(13)
+    for T in sorted({1, P - 1, P + 1, 200}):
+        x = rng.integers(0, M.field.order, size=(T, M.rows)).astype(np.uint8)
+        for extra in (0, 7):
+            yield system, x, extra
+
+
+class TestClosedForm:
+    """TransferSystem against the per-tick references, causal and
+    anticausal, on every map the decoder evaluates."""
+
+    def test_periods_cover_the_strides(self):
+        periods = {TransferSystem(M).period
+                   for M in closed_form_matrices().values()}
+        assert {1, 3, 21} <= periods
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_IDS)
+    def test_run_matches_per_tick_reference(self, name):
+        for system, x, extra in closed_form_cases(name):
+            assert np.array_equal(
+                system.run(x, extra),
+                reference_transfer.run(system.matrix, x, extra)), (
+                    x.shape[0], extra)
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_IDS)
+    def test_run_anticausal_matches_reference(self, name):
+        for system, x, extra in closed_form_cases(name):
+            length = x.shape[0] + extra
+            assert np.array_equal(
+                system.run_anticausal(x, length),
+                run_anticausal(system.matrix, x, length)), (
+                    x.shape[0], extra)
+
+    def test_pole_period_past_degree_cap_fails_fast(self):
+        # 1+D^3+D^20 is primitive, so its period is 2^20 - 1
+        pole = p("1+D^3+D^20")
+        isf = RatMatrix([[ratio(p("1"), pole)]])
+        t0 = time.perf_counter()
+        with pytest.raises(DegreeCapError, match="pole period"):
+            TransferSystem(isf).run(np.zeros((4, 1), dtype=np.uint8))
+        with pytest.raises(DegreeCapError, match="pole period"):
+            CandidateBuilder(RatMatrix.from_polys([[pole]]), isf)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestRoundTrips:

@@ -31,7 +31,7 @@ def hb_311():
 
 
 def tick_gen_311():
-    return derive_generator(hb_311())
+    return derive_generator(hb_311()).matrix
 
 
 class TestBuildTrellis:
@@ -43,20 +43,18 @@ class TestBuildTrellis:
         assert t.next_state[0, 0] == 0 and t.label[0, 0] == 0
 
     def test_identity_generator(self):
-        g = TransferSystem(RatMatrix.from_polys([[p("1")]]))
-        t = build_trellis(g)
+        t = build_trellis(RatMatrix.from_polys([[p("1")]]))
         assert t.num_states == 1
         assert t.label[0, 1] == 1
 
     def test_gf4_sixteen_branches(self):
-        t = build_trellis(TransferSystem(REF_GENERATOR_F4), kind="gf4")
+        t = build_trellis(REF_GENERATOR_F4, kind="gf4")
         assert t.num_inputs == 16
         assert t.num_states == 16
 
     def test_coset_trellis_shape(self):
         rows = coset_code_rows(hb_311())
-        t = build_trellis(TransferSystem(RatMatrix.from_polys(rows)),
-                          kind="bit-paired")
+        t = build_trellis(RatMatrix.from_polys(rows), kind="bit-paired")
         assert t.num_states == 4
         assert t.num_inputs == 16
         assert t.out_symbols == 6
@@ -76,7 +74,7 @@ class TestBuildTrellis:
         t = build_trellis(gen)
         rng = np.random.default_rng(0)
         u = rng.integers(0, 2, size=(12, 1)).astype(np.uint8)
-        streamed = gen.run(u)
+        streamed = TransferSystem(gen).run(u)
         s = 0
         for j in range(12):
             lbl = int(t.label[s, int(u[j, 0])])
@@ -86,20 +84,18 @@ class TestBuildTrellis:
 
     def test_state_cap(self):
         # one row 1+D^21 needs 2^21 states, above the 2^20 budget
-        gen = TransferSystem(RatMatrix.from_polys([[p("1+D^21")]]))
+        gen = RatMatrix.from_polys([[p("1+D^21")]])
         assert _raises_before_allocating(TrellisError, build_trellis, gen)
 
     def test_rational_rejected(self):
         from qconvdec.algebra import ratio
-        sys = TransferSystem(RatMatrix([[ratio(p("1"), p("1+D"))]]))
         with pytest.raises(TrellisError):
-            build_trellis(sys)
+            build_trellis(RatMatrix([[ratio(p("1"), p("1+D"))]]))
 
 
 def _coset_trellis():
     rows = coset_code_rows(hb_311())
-    return build_trellis(TransferSystem(RatMatrix.from_polys(rows)),
-                         kind="bit-paired")
+    return build_trellis(RatMatrix.from_polys(rows), kind="bit-paired")
 
 
 def _random_coset_codeword(trellis, sections, rng):
@@ -310,7 +306,7 @@ class TestMetrics:
                                                   (v >> (nq + c)) & 1))
         assert metric.xor_table(_coset_trellis()).tolist() == paired
         assert metric.paired_table(nq).tolist() == paired
-        gf4 = build_trellis(TransferSystem(REF_GENERATOR_F4), kind="gf4")
+        gf4 = build_trellis(REF_GENERATOR_F4, kind="gf4")
         assert metric.xor_table(gf4).tolist() == loop_table(
             1 << 6, lambda v, c: PAULI_TO_BITS[
                 GF4_DECODE_TO_PAULI[(v >> (2 * c)) & 3]])
@@ -322,7 +318,7 @@ class TestMetrics:
     @pytest.mark.parametrize("kind", ["bit-paired", "gf4"])
     def test_pack_unpack_match_per_symbol_loop(self, kind):
         t = (_coset_trellis() if kind == "bit-paired" else
-             build_trellis(TransferSystem(REF_GENERATOR_F4), kind="gf4"))
+             build_trellis(REF_GENERATOR_F4, kind="gf4"))
         bps = t.bits_per_symbol
         rng = np.random.default_rng(12)
         frame = rng.integers(0, 1 << bps, size=(9, t.out_symbols)).astype(
