@@ -397,10 +397,6 @@ class RationalFn:
     def is_polynomial(self) -> bool:
         return self.den.is_one()
 
-    def is_causal(self) -> bool:
-        """True iff realizable without lookahead: no D factor in the denominator."""
-        return self.den.constant_term() != 0
-
     def pole_order_at_zero(self) -> int:
         """Order of the pole at D = 0 (0 if causal)."""
         if self.is_zero():
@@ -500,9 +496,6 @@ class RatMatrix:
 
     def __getitem__(self, rc: tuple[int, int]) -> RationalFn:
         return self.entries[rc[0]][rc[1]]
-
-    def row(self, i: int) -> tuple[RationalFn, ...]:
-        return self.entries[i]
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix([[self.entries[r][c] for r in range(self.rows)]

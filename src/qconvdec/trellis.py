@@ -4,17 +4,25 @@ coset-leader oracle for verification.
 
 Labels are packed into ints (one field symbol per bit pair on GF(4), one bit
 on GF(2)); all metrics depend only on the XOR difference of packed labels, so
-the branch costs of a chunk of Viterbi sections are one gather from a
-precomputed difference-cost table. The per-section loop runs only the
-add-compare-select recursion on the state metrics; survivors and ties are read
-off each chunk in one vectorised pass, and the traceback walks plain lists.
+branch costs are gathers from per-metric tables, built once per trellis: the
+cost of every label difference and, for each packed candidate label, the
+least cost among the parallel branches between two states.
+
+Viterbi walks the frame in chunks. Add-compare-select is a min-plus product,
+so it is associative: a chunk is cut into about 2 sqrt(size) segments that
+run side by side (every segment after the first from each start state),
+their min-plus maps are stitched by a log-depth scan, and one min over start
+states gives the state metrics after every section. Survivors and ties are
+read off each chunk's metrics in one vectorised pass, and the traceback walks
+plain lists. A trellis whose segments would cost too much work (many states)
+runs each chunk as one lane, section by section.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import log
+from functools import cached_property, lru_cache
+from math import isqrt, log
 from typing import Literal
 
 import numpy as np
@@ -27,6 +35,10 @@ INF = 1 << 60
 METRIC_SCALE = 1 << 16
 # branch costs gathered at once by viterbi_decode: sets its sections per chunk
 _CHUNK_BRANCHES = 1 << 14
+# lane additions per section above which a chunk runs as one lane
+_SEGMENT_WORK = 1 << 10
+# entries of the per-metric best-branch table (labels x states x slots)
+_BEST_ENTRIES = 1 << 18
 # trellis state budget, checked before any transition table is allocated
 _MAX_STATES = 1 << 20
 # frame bits the exhaustive oracle enumerates at most (one row per frame)
@@ -169,15 +181,15 @@ class BranchMetric:
             return self.paired_table(nq)
         # gf4: symbol c at bits [2c, 2c+1], decode labeling
         xz = GF4_DECODE_TO_XZ[(v >> (2 * np.arange(nq))) & 3]
-        return self._xz_costs()[xz[..., 0] + 2 * xz[..., 1]].sum(axis=1)
+        return _saturated_sum(self._xz_costs()[xz[..., 0] + 2 * xz[..., 1]])
 
     def paired_table(self, qubits: int) -> np.ndarray:
         """Cost of every 2*qubits-bit label whose bits c and qubits + c are
         the X and Z bits of qubit c (bit-paired sections, block frames)."""
         v = np.arange(1 << (2 * qubits))[:, None]
         c = np.arange(qubits)
-        return self._xz_costs()[((v >> c) & 1) + 2 * ((v >> (qubits + c)) & 1)
-                                ].sum(axis=1)
+        return _saturated_sum(self._xz_costs()[((v >> c) & 1)
+                                               + 2 * ((v >> (qubits + c)) & 1)])
 
     def _xz_costs(self) -> np.ndarray:
         """The per-qubit cost vector, indexed by x + 2 z."""
@@ -185,13 +197,21 @@ class BranchMetric:
                         dtype=np.int64)
 
 
+def _saturated_sum(qubit_costs: np.ndarray) -> np.ndarray:
+    """Row sums of per-qubit costs; a row holding a forbidden (``INF``) cost
+    sums to ``INF``."""
+    return np.where((qubit_costs >= INF).any(axis=1), INF,
+                    qubit_costs.sum(axis=1))
+
+
 def pauli_costs_for_channel(p_i: float, p_x: float, p_y: float, p_z: float,
                             scale: int = METRIC_SCALE) -> tuple[int, int, int, int]:
     """Quantized -log likelihood ratios against the identity, on a fixed
-    integer grid so path metrics compare exactly."""
+    integer grid so path metrics compare exactly; a Pauli of probability 0
+    costs ``INF`` (forbidden)."""
     def cost(prob):
         if prob <= 0:
-            return INF // 4
+            return INF
         return round(scale * log(p_i / prob))
     return (0, cost(p_x), cost(p_y), cost(p_z))
 
@@ -225,7 +245,8 @@ def unpack_sections(vals, trellis: Trellis) -> np.ndarray:
 
 class _TrellisKernel:
     """Flattened transition arrays sorted by (next state, input, state) for
-    vectorized add-compare-select with the documented tie-break."""
+    vectorized add-compare-select with the documented tie-break, plus the
+    cost tables of every metric decoded on the trellis."""
 
     def __init__(self, trellis: Trellis):
         ns = trellis.next_state.reshape(-1)
@@ -237,6 +258,8 @@ class _TrellisKernel:
         self.input_sym = ui[order]
         self.next_state = ns[order]
         self.label = trellis.label.reshape(-1)[order]
+        self.num_states = nstates
+        self.label_count = 1 << trellis.label_bits
         self.per_state = ninputs  # deterministic trellis: q^k into each state
         # viterbi_decode reads from_state as (next state, per_state) rows
         if not np.array_equal(self.next_state,
@@ -244,6 +267,55 @@ class _TrellisKernel:
             raise TrellisError(
                 f"trellis must enter every state on exactly {ninputs} "
                 "branches")
+        self._costs: dict[BranchMetric, np.ndarray] = {}
+        self._best: dict[BranchMetric, np.ndarray] = {}
+
+    @cached_property
+    def pred(self) -> np.ndarray:
+        """(states, slots): the distinct predecessors of each state,
+        ascending; a state with fewer than ``slots`` of them is padded with
+        state 0, which its best-branch table marks unreachable. Built from a
+        states x states incidence table, so only for trellises small enough
+        to segment."""
+        nstates = self.num_states
+        enters = np.zeros((nstates, nstates), dtype=bool)
+        enters[self.next_state, self.from_state] = True
+        rows, cols = np.nonzero(enters)  # row-major: ascending per state
+        rank = np.cumsum(enters, axis=1)[rows, cols] - 1
+        pred = np.zeros((nstates, rank.max() + 1), dtype=np.int64)
+        pred[rows, rank] = cols
+        return pred
+
+    def costs(self, trellis: Trellis, metric: BranchMetric) -> np.ndarray:
+        """``metric.xor_table(trellis)``, built once per metric."""
+        return _cached(self._costs, metric,
+                       lambda: metric.xor_table(trellis))
+
+    def best(self, trellis: Trellis, metric: BranchMetric) -> np.ndarray:
+        """(states * slots, labels) table: the least cost among the parallel
+        branches from ``pred[s, slot]`` into state s, for every packed
+        candidate label (``INF`` for a padding slot)."""
+        def build():
+            cost_of = self.costs(trellis, metric)
+            nstates, slots = self.pred.shape
+            froms = self.from_state.reshape(nstates, -1)
+            slot = (froms[:, :, None] == self.pred[:, None, :]).argmax(axis=2)
+            branch = cost_of[self.label.reshape(nstates, -1)
+                             ^ np.arange(len(cost_of))[:, None, None]]
+            best = np.stack([np.where(slot == k, branch, INF).min(axis=2)
+                             for k in range(slots)], axis=2)
+            return np.ascontiguousarray(best.reshape(len(cost_of), -1).T)
+        return _cached(self._best, metric, build)
+
+
+def _cached(table: dict, key, build):
+    """table[key], built on first use; the oldest entry goes past 16."""
+    value = table.get(key)
+    if value is None:
+        if len(table) >= 16:
+            del table[next(iter(table))]
+        value = table[key] = build()
+    return value
 
 
 def _kernel_for(trellis: Trellis) -> _TrellisKernel:
@@ -252,6 +324,90 @@ def _kernel_for(trellis: Trellis) -> _TrellisKernel:
         k = _TrellisKernel(trellis)
         object.__setattr__(trellis, "_kernel", k)
     return k
+
+
+def _segment_count(kern: _TrellisKernel, size: int) -> int:
+    """Segments K a chunk of ``size`` sections is cut into: about
+    sqrt(size) / 2 sections each, which balances the segment steps against
+    the log-depth stitch. A segment after the first runs one lane per start
+    state over S * slots best-branch costs, so a section costs S * S * slots
+    additions and int64 lane entries instead of the single lane's
+    S * per_state. Above ``_SEGMENT_WORK`` of them per section, or a
+    best-branch table above ``_BEST_ENTRIES``, the chunk runs as one lane
+    (K = 1)."""
+    nstates = kern.num_states
+    if (nstates * nstates > _SEGMENT_WORK
+            or nstates * kern.pred.size > _SEGMENT_WORK
+            or kern.label_count * kern.pred.size > _BEST_ENTRIES):
+        return 1
+    return -(-size // max(1, isqrt(size) // 2))
+
+
+@lru_cache(maxsize=64)
+def _lane_layout(size: int, segments: int, nstates: int):
+    """(L, K, sections, starts) of a chunk of ``size`` sections cut into K
+    segments of L (the last one may be short). Lane 0 runs segment 0; lane
+    1 + start * (K - 1) + k - 1 runs segment k from ``start``.
+    ``sections[i, lane]`` is the chunk section a lane takes at step i, and
+    ``starts`` the entry metrics of lanes 1.. (0 in their start state)."""
+    seg_len = -(-size // segments)
+    segments = -(-size // seg_len)
+    lane_segment = np.concatenate([[0], np.tile(np.arange(1, segments),
+                                                nstates)])
+    sections = lane_segment * seg_len + np.arange(seg_len)[:, None]
+    starts = np.repeat(np.where(np.eye(nstates, dtype=bool), 0, INF),
+                       segments - 1, axis=1)
+    return seg_len, segments, sections, starts
+
+
+def _segmented_pass(kern: _TrellisKernel, best: np.ndarray, w: np.ndarray,
+                    hist: np.ndarray, segments: int) -> None:
+    """Fill ``hist[1:]`` with the state metrics after each section of the
+    packed labels ``w``, entering with ``hist[0]``.
+
+    The sections are cut into K segments of L. Segment 0 runs one lane from
+    ``hist[0]``; every later segment runs one lane per start state, and one
+    add-compare-select step advances all lanes at once over the metrics
+    (states, lanes). Add-compare-select is a min-plus product, so segment
+    k's lanes end in the (state, start) matrix of its min-plus map; a
+    log-depth prefix scan of those matrices gives the metrics entering
+    every segment, and one min over start states then gives every
+    section's metrics. Every sum saturates at ``INF``."""
+    nstates, slots = kern.pred.shape
+    size = len(w)
+    seg_len, segments, sections, starts = _lane_layout(size, segments,
+                                                       nstates)
+    lanes = sections.shape[1]
+    # the last segment's steps past the chunk repeat its last label and
+    # are never read
+    step_costs = best.take(w.take(sections, mode="clip"), axis=1).reshape(
+        nstates, slots, seg_len, lanes)
+    full = slots == nstates  # every state is entered from every state
+    met = np.empty((seg_len + 1, nstates, lanes), dtype=np.int64)
+    met[0, :, 0] = hist[0]
+    met[0, :, 1:] = starts
+    acc = np.empty((nstates, slots, lanes), dtype=np.int64)
+    for i in range(seg_len):
+        np.add(met[i][None] if full else met[i][kern.pred],
+               step_costs[:, :, i], out=acc)
+        np.minimum.reduce(acc, axis=1, out=met[i + 1], initial=INF)
+    # scan[:, :, k]: (state, start) map of segments 0..k (segment 0's exit
+    # metrics in every start column); its column 0 enters segment k + 1
+    ends = met[seg_len, :, 1:].reshape(nstates, nstates, segments - 1)
+    scan = np.empty_like(ends)
+    scan[:, :, 0] = met[seg_len, :, :1]
+    scan[:, :, 1:] = ends[:, :, :-1]
+    d = 1
+    while d < segments - 1:
+        np.minimum.reduce(scan[:, :, None, d:] + scan[None, :, :, :-d], axis=1,
+                          initial=INF, out=scan[:, :, d:])
+        d *= 2
+    hist[1:seg_len + 1] = met[1:, :, 0]
+    later = np.minimum.reduce(
+        met[1:, :, 1:].reshape(seg_len, nstates, nstates, segments - 1)
+        + scan[:, 0], axis=2, initial=INF)
+    hist[seg_len + 1:] = later.transpose(2, 0, 1).reshape(-1, nstates)[
+        :size - seg_len]
 
 
 def _traceback(kern: _TrellisKernel, choice: np.ndarray,
@@ -284,23 +440,27 @@ def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
     the zero state (the padded tail gives the trellis room to merge back).
     Ties prefer the smaller most recent input symbol at each merge, then the
     smaller predecessor state; ``tie_count`` totals the co-optimal branches
-    dropped at merges along the way.
+    dropped at merges along the way. A path through a branch of cost
+    ``INF`` is unreachable; a frame with no reachable path raises
+    ``TrellisError``.
 
     The frame is walked in chunks of sections holding about
-    ``_CHUNK_BRANCHES`` branches. A chunk gathers its branch costs once; its
-    per-section loop runs only the add-compare-select recursion and records
-    each section's state metrics. The survivors (first arg-minimum in kernel
-    order, which is the tie-break above) and the tie count are then read off
-    the whole chunk in one vectorised pass over those recorded metrics.
+    ``_CHUNK_BRANCHES`` branches, and a chunk gathers its branch costs once.
+    Its state metrics after each section come from the segmented
+    add-compare-select pass (``_segmented_pass``) or, when
+    ``_segment_count`` gives one segment, from the per-section recursion on
+    those costs. The survivors (first arg-minimum in kernel order, which is
+    the tie-break above) and the tie count are then read off the chunk's
+    recorded metrics in one vectorised pass.
     """
     if metric is None:
         metric = BranchMetric()
     if candidate.ndim != 2 or candidate.shape[1] != trellis.out_symbols:
         raise TrellisError(
             f"candidate must be (sections, {trellis.out_symbols})")
-    cost_of = metric.xor_table(trellis)
-    w = pack_sections(candidate, trellis)
     kern = _kernel_for(trellis)
+    cost_of = kern.costs(trellis, metric)
+    w = pack_sections(candidate, trellis)
     nstates = trellis.num_states
     per = kern.per_state
     from_state = kern.from_state.reshape(nstates, per)
@@ -318,9 +478,16 @@ def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
         costs = cost_of[kern.label ^ w[c0:c0 + size, None]].reshape(
             size, nstates, per)
         hist[0] = metric_now
-        for j in range(size):
-            metric_now = np.minimum.reduce(metric_now[from_state] + costs[j], 1)
-            hist[j + 1] = metric_now
+        segments = min(_segment_count(kern, size), size)
+        if segments > 1:
+            _segmented_pass(kern, kern.best(trellis, metric), w[c0:c0 + size],
+                            hist[:size + 1], segments)
+        else:
+            for j in range(size):
+                metric_now = np.minimum.reduce(
+                    metric_now[from_state] + costs[j], 1, initial=INF)
+                hist[j + 1] = metric_now
+        metric_now = hist[size].copy()
         before, after = hist[:size], hist[1:size + 1]
         cand = before[:, from_state] + costs
         choice[c0:c0 + size] = cand.argmin(axis=2)
@@ -328,12 +495,10 @@ def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
         ties += (int(((cand == after[:, :, None]) & reached[:, :, None]).sum())
                  - int(reached.sum()))
 
-    if terminate:
-        end_state = 0
-        if metric_now[0] >= INF:
-            raise TrellisError("no zero-terminated path fits the frame")
-    else:
-        end_state = int(metric_now.argmin())
+    end_state = 0 if terminate else int(metric_now.argmin())
+    if metric_now[end_state] >= INF:
+        raise TrellisError("no zero-terminated path fits the frame" if terminate
+                           else "no path fits the frame")
     path_metric = int(metric_now[end_state])
     codeword = unpack_sections(_traceback(kern, choice, end_state), trellis)
     error = codeword ^ candidate.astype(np.uint8)

@@ -87,10 +87,9 @@ class TestRational:
         assert ratio(p2(0, 1, 0, 1), p2(0, 1)) == RationalFn(p2(1, 0, 1))
 
     def test_noncausal_entry(self):
-        # 1/(D+D^3) keeps its denominator and is not causal
+        # 1/(D+D^3) keeps its denominator and has a pole at D = 0
         r = ratio(p2(1), p2(0, 1, 0, 1))
         assert r.den == p2(0, 1, 0, 1)
-        assert not r.is_causal()
         assert r.pole_order_at_zero() == 1
 
     def test_zero_denominator(self):

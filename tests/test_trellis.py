@@ -1,8 +1,11 @@
 import tracemalloc
+from contextlib import contextmanager
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qconvdec.algebra import GF2, RatMatrix, parse_poly
 from qconvdec.circuits import TransferSystem, block_parity_matrix, \
@@ -12,10 +15,11 @@ from qconvdec.stabilizer import (
     GF4_DECODE_TO_PAULI, PAULI_TO_BITS, binary_transfer, example_311,
 )
 from qconvdec.simulate import ChannelParams, frame_rng, metric_for, sample_error
+from qconvdec import trellis as trellis_module
 from qconvdec.trellis import (
-    _CHUNK_BRANCHES, BranchMetric, OracleCapError, Trellis, TrellisError,
-    build_trellis, coset_leader_oracle, pack_sections, pauli_costs_for_channel,
-    unpack_sections, viterbi_decode,
+    _CHUNK_BRANCHES, INF, BranchMetric, OracleCapError, Trellis, TrellisError,
+    _kernel_for, _segment_count, build_trellis, coset_leader_oracle,
+    pack_sections, pauli_costs_for_channel, unpack_sections, viterbi_decode,
 )
 
 from reference_data import CODES, PATH_IDS, PATHS, REF_GENERATOR_F4
@@ -237,10 +241,27 @@ def _reference_candidates(decoder, sections, rng):
     yield np.zeros((sections, t.out_symbols), dtype=np.uint8)
 
 
+# segment counts forced on every chunk: None keeps the budget's choice, and
+# 10**6 is clamped to the chunk size (one section per segment)
+SEGMENTS = [None, 1, 3, 10 ** 6]
+
+
+@contextmanager
+def _segments(count):
+    """viterbi_decode with every chunk cut into ``count`` segments."""
+    if count is None:
+        yield
+        return
+    with mock.patch.object(trellis_module, "_segment_count",
+                           lambda kern, size: count):
+        yield
+
+
 class TestViterbiReference:
-    """The chunked recursion against the per-section reference: equal
-    codeword, error, path metric, tie count and end state on every code and
-    path, across every chunk boundary."""
+    """The chunked, segmented recursion against the per-section reference:
+    equal codeword, error, path metric, tie count and end state on every
+    code and path, across every chunk boundary, each under every count of
+    ``SEGMENTS``: K = 1, K not dividing the chunk and K >= the chunk."""
 
     @pytest.mark.parametrize("terminate", [True, False])
     @pytest.mark.parametrize("metric", ["hamming", "pauli"])
@@ -268,22 +289,134 @@ class TestViterbiReference:
                 w = (rng.random((sections, 3)) < p).astype(np.uint8)
                 _assert_matches_reference(t, w, BranchMetric(), terminate)
 
+    @settings(max_examples=60, deadline=None)
+    @given(degrees=st.lists(st.integers(0, 3), min_size=1, max_size=2),
+           data=st.data())
+    def test_random_generators_match_reference(self, degrees, data):
+        # random feed-forward "bits" trellises of up to 2^6 states, under
+        # the budget's segment count and forced ones; a single row of degree
+        # d >= 2 enters each of its 2^d states from only 2, and a degree-0
+        # row adds parallel branches
+        cols = data.draw(st.integers(1, 3), label="cols")
+        rows = [[data.draw(st.integers(0, (1 << (d + 1)) - 1), label="taps")
+                 for _ in range(cols)] for d in degrees]
+        for row, d in zip(rows, degrees):
+            row[0] |= 1 << d  # the row has degree d
+        t = build_trellis(RatMatrix.from_polys(
+            [[_bits_poly(v) for v in row] for row in rows]))
+        sections = data.draw(st.integers(1, 40), label="sections")
+        flips = data.draw(st.floats(0, 1), label="flip rate")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                              label="seed"))
+        w = (rng.random((sections, cols)) < flips).astype(np.uint8)
+        for terminate in (True, False):
+            _assert_matches_reference(t, w, BranchMetric(), terminate,
+                                      SEGMENTS + [2, 7])
+
+    def test_many_states_run_one_lane(self):
+        # 2^10 states entered from 2 each: S * S exceeds the segment budget,
+        # so every chunk runs the single-lane recursion and no best-branch
+        # table is built
+        t = build_trellis(RatMatrix.from_polys([[p("1+D^10"), p("1+D+D^10")]]))
+        kern = _kernel_for(t)
+        chunk = _CHUNK_BRANCHES // (t.num_states * t.num_inputs)
+        assert all(_segment_count(kern, size) == 1
+                   for size in (1, 2, chunk - 1, chunk))
+        rng = np.random.default_rng(16)
+        w = (rng.random((2 * chunk + 3, 2)) < 0.05).astype(np.uint8)
+        w[-10:] = 0
+        for terminate in (True, False):
+            _assert_matches_reference(t, w, BranchMetric(), terminate, [None])
+        assert not kern._best
+        assert "pred" not in vars(kern)
+
+    def test_small_trellises_segment(self):
+        # the five codes' trellises cut a chunk into segments of about
+        # sqrt(size) / 2 sections
+        for name, path in PATHS:
+            kern = _kernel_for(_decoder(name, path).trellis)
+            assert _segment_count(kern, 4) == 4
+            assert _segment_count(kern, 256) == 32
+
+
+def _bits_poly(taps: int):
+    """The GF(2) polynomial whose coefficient of D^i is bit i of ``taps``."""
+    terms = [f"D^{i}" if i else "1" for i in range(taps.bit_length())
+             if taps >> i & 1]
+    return p("+".join(terms) or "0")
+
 
 def _chunk_boundaries(trellis):
     """Section counts that end one section short of, on and one past each
-    of the first two chunk boundaries of viterbi_decode."""
+    of the first two chunk boundaries of viterbi_decode. Under the budget's
+    segment count the last segment of a chunk is full for some of them and
+    short for others (a full [3,1,1] chunk is 32 x 8 sections, one short of
+    it 37 x 7 less 4), and a one-section tail runs K = 1."""
     chunk = max(1, _CHUNK_BRANCHES // (trellis.num_states * trellis.num_inputs))
     return (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1)
 
 
-def _assert_matches_reference(t, w, metric, terminate):
-    got = viterbi_decode(t, w, metric, terminate)
+def _assert_matches_reference(t, w, metric, terminate, segments=SEGMENTS):
     want = reference_viterbi.viterbi_decode(t, w, metric, terminate)
-    assert np.array_equal(got.codeword, want.codeword)
-    assert np.array_equal(got.error, want.error)
-    assert (got.path_metric, got.tie_count, got.end_state) == (
-        want.path_metric, want.tie_count, want.end_state)
-    return got.tie_count
+    for count in segments:
+        with _segments(count):
+            got = viterbi_decode(t, w, metric, terminate)
+        assert np.array_equal(got.codeword, want.codeword)
+        assert np.array_equal(got.error, want.error)
+        assert (got.path_metric, got.tie_count, got.end_state) == (
+            want.path_metric, want.tie_count, want.end_state)
+    return want.tie_count
+
+
+class TestForbiddenPaulis:
+    """A Pauli of probability 0 costs INF: paths through it are unreachable
+    and the sums saturate instead of wrapping int64."""
+
+    def test_zero_probability_cost_is_inf(self):
+        assert pauli_costs_for_channel(1.0, 0.0, 0.0, 0.0) == (0, INF, INF,
+                                                               INF)
+        assert metric_for("pauli", 0.0).pauli_costs == (0, INF, INF, INF)
+        metric = BranchMetric("pauli", (0, INF, INF, INF))
+        assert metric.xor_table(_coset_trellis()).tolist() == [0] + [INF] * 63
+
+    @pytest.mark.parametrize("path", ["bin", "f4"])
+    def test_no_allowed_path_raises(self, path):
+        # [3,1,1] 900-qubit frames drawn at p = 0.05 and decoded under the
+        # p = 0 metric: no error is allowed, so no path reaches the end (with
+        # a forbidden cost of INF // 4, frame 3 wrapped int64 to a path
+        # metric of -7205759403792793600)
+        decoder = _decoder("311", path)
+        metric = metric_for("pauli", 0.0)
+        for frame in range(5):
+            e = sample_error(ChannelParams(0.05), 900, frame_rng(1, frame))
+            with pytest.raises(TrellisError, match="no zero-terminated path"):
+                decoder.decode(decoder.measure(e), metric)
+        sections = 300 + decoder.pad_blocks
+        w = np.ones((sections, decoder.trellis.out_symbols), dtype=np.uint8)
+        with pytest.raises(TrellisError, match="no path fits"):
+            viterbi_decode(decoder.trellis, w, metric, terminate=False)
+
+    def test_clean_frame_decodes(self):
+        decoder = _decoder("311", "bin")
+        out = decoder.decode(decoder.measure(sample_error(
+            ChannelParams(0.0), 900, frame_rng(7, 0))), metric_for("pauli", 0))
+        assert out.path_metric == 0 and not out.frame.bits.any()
+
+    @pytest.mark.parametrize("segments", [1, None])
+    def test_forbidden_y_never_decoded(self, segments):
+        # Y forbidden, X and Z allowed: every frame decodes without a Y, at
+        # the recounted path metric
+        decoder = _decoder("311", "bin")
+        metric = BranchMetric("pauli", pauli_costs_for_channel(
+            0.9, 0.05, 0.0, 0.05))
+        with _segments(segments):
+            for frame in range(5):
+                e = sample_error(ChannelParams(0.05), 900, frame_rng(8, frame))
+                out = decoder.decode(decoder.measure(e), metric)
+                x, z = out.frame.bits[0::2], out.frame.bits[1::2]
+                assert not (x & z).any()
+                assert out.path_metric == metric.pauli_costs[1] * int(
+                    (x | z).sum())
 
 
 class TestMetrics:
