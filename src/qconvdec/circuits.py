@@ -189,6 +189,8 @@ def derive_generator(hb: RatMatrix) -> TransferSystem:
     Elimination-canonical null-space basis first (deterministic golden
     outputs); if its minors share a non-D factor, fall back to the minimal
     polynomial kernel basis, which is basic by construction."""
+    if hb.rows == hb.cols:
+        raise DerivationError("k = 0: no logical qubit to decode")
     G = null_space_basis(hb.transpose())
     gcd = minors_gcd(G)
     if not is_power_of_d(gcd):

@@ -3,10 +3,12 @@ maximum-likelihood decoding of a candidate frame, and an independent
 coset-leader oracle for verification.
 
 Labels are packed into ints (one field symbol per bit pair on GF(4), one bit
-on GF(2)); all metrics depend only on the XOR difference of packed labels, so
-branch costs are gathers from per-metric tables, built once per trellis: the
-cost of every label difference and, for each packed candidate label, the
-least cost among the parallel branches between two states.
+on GF(2)); all metrics depend only on the XOR difference of packed labels.
+The inputs of degree-0 generator rows enter no state, so the branches from
+one state into another are a fixed set of labels apart: each metric keeps,
+for every packed label, the least cost over that set, its first minimising
+member and the number of minimisers, and Viterbi runs on one (predecessor,
+state) cost per section.
 
 Viterbi walks the frame in chunks. Add-compare-select is a min-plus product,
 so it is associative: a chunk is cut into about 2 sqrt(size) segments that
@@ -21,7 +23,7 @@ runs each chunk as one lane, section by section.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import isqrt, log
 from typing import Literal
 
@@ -33,12 +35,10 @@ from .stabilizer import BITS_TO_PAULI, GF4_DECODE_TO_XZ
 
 INF = 1 << 60
 METRIC_SCALE = 1 << 16
-# branch costs gathered at once by viterbi_decode: sets its sections per chunk
+# trellis branches per chunk of viterbi_decode: sets its sections per chunk
 _CHUNK_BRANCHES = 1 << 14
 # lane additions per section above which a chunk runs as one lane
 _SEGMENT_WORK = 1 << 10
-# entries of the per-metric best-branch table (labels x states x slots)
-_BEST_ENTRIES = 1 << 18
 # trellis state budget, checked before any transition table is allocated
 _MAX_STATES = 1 << 20
 # frame bits the exhaustive oracle enumerates at most (one row per frame)
@@ -245,8 +245,17 @@ def unpack_sections(vals, trellis: Trellis) -> np.ndarray:
 
 class _TrellisKernel:
     """Flattened transition arrays sorted by (next state, input, state) for
-    vectorized add-compare-select with the documented tie-break, plus the
-    cost tables of every metric decoded on the trellis."""
+    the documented tie-break, folded into one (predecessor, state) layout.
+
+    Into each state the branches form M member blocks of P predecessors, M
+    = q^(degree-0 rows): a degree-0 row's input enters no state. Every block
+    has the same predecessors, and the labels of block m differ from block
+    0's by ``parallel[m]``, so the M branches from predecessor
+    ``pred_state[p, t]`` into state t carry the labels
+    ``pred_label[p, t] ^ parallel``. A metric's least cost over such a
+    set, its first minimising member and the number of minimisers are
+    tables over packed labels (``tables``), and add-compare-select runs on
+    the (P, S) layout of ``pred_state`` and ``pred_label``."""
 
     def __init__(self, trellis: Trellis):
         ns = trellis.next_state.reshape(-1)
@@ -255,11 +264,9 @@ class _TrellisKernel:
         ui = np.tile(np.arange(ninputs, dtype=np.int64), nstates)
         order = np.lexsort((st, ui, ns))
         self.from_state = st[order]
-        self.input_sym = ui[order]
         self.next_state = ns[order]
         self.label = trellis.label.reshape(-1)[order]
         self.num_states = nstates
-        self.label_count = 1 << trellis.label_bits
         self.per_state = ninputs  # deterministic trellis: q^k into each state
         # viterbi_decode reads from_state as (next state, per_state) rows
         if not np.array_equal(self.next_state,
@@ -267,45 +274,35 @@ class _TrellisKernel:
             raise TrellisError(
                 f"trellis must enter every state on exactly {ninputs} "
                 "branches")
-        self._costs: dict[BranchMetric, np.ndarray] = {}
-        self._best: dict[BranchMetric, np.ndarray] = {}
+        members = trellis.field.order ** trellis.row_degrees.count(0)
+        if ninputs % members:
+            raise TrellisError(
+                f"{members} parallel branches do not divide {ninputs} inputs")
+        self.preds = ninputs // members
+        froms = self.from_state.reshape(nstates, members, self.preds)
+        labels = self.label.reshape(nstates, members, self.preds)
+        self.parallel = labels[0, :, 0] ^ labels[0, 0, 0]
+        if ((froms != froms[:, :1]).any()
+                or ((labels ^ labels[:, :1])
+                    != self.parallel[:, None]).any()):
+            raise TrellisError("parallel branches must share their "
+                               "predecessors and differ by one label set")
+        self.pred_state = np.ascontiguousarray(froms[:, 0].T)
+        self.pred_label = np.ascontiguousarray(labels[:, 0].T)
+        self._tables: dict[BranchMetric, tuple[np.ndarray, ...]] = {}
 
-    @cached_property
-    def pred(self) -> np.ndarray:
-        """(states, slots): the distinct predecessors of each state,
-        ascending; a state with fewer than ``slots`` of them is padded with
-        state 0, which its best-branch table marks unreachable. Built from a
-        states x states incidence table, so only for trellises small enough
-        to segment."""
-        nstates = self.num_states
-        enters = np.zeros((nstates, nstates), dtype=bool)
-        enters[self.next_state, self.from_state] = True
-        rows, cols = np.nonzero(enters)  # row-major: ascending per state
-        rank = np.cumsum(enters, axis=1)[rows, cols] - 1
-        pred = np.zeros((nstates, rank.max() + 1), dtype=np.int64)
-        pred[rows, rank] = cols
-        return pred
-
-    def costs(self, trellis: Trellis, metric: BranchMetric) -> np.ndarray:
-        """``metric.xor_table(trellis)``, built once per metric."""
-        return _cached(self._costs, metric,
-                       lambda: metric.xor_table(trellis))
-
-    def best(self, trellis: Trellis, metric: BranchMetric) -> np.ndarray:
-        """(states * slots, labels) table: the least cost among the parallel
-        branches from ``pred[s, slot]`` into state s, for every packed
-        candidate label (``INF`` for a padding slot)."""
+    def tables(self, trellis: Trellis, metric: BranchMetric
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(low, first, count) over packed labels x, built once per metric:
+        the least of ``cost[x ^ parallel[m]]`` over members m, the first m
+        attaining it and the number that do."""
         def build():
-            cost_of = self.costs(trellis, metric)
-            nstates, slots = self.pred.shape
-            froms = self.from_state.reshape(nstates, -1)
-            slot = (froms[:, :, None] == self.pred[:, None, :]).argmax(axis=2)
-            branch = cost_of[self.label.reshape(nstates, -1)
-                             ^ np.arange(len(cost_of))[:, None, None]]
-            best = np.stack([np.where(slot == k, branch, INF).min(axis=2)
-                             for k in range(slots)], axis=2)
-            return np.ascontiguousarray(best.reshape(len(cost_of), -1).T)
-        return _cached(self._best, metric, build)
+            cost_of = metric.xor_table(trellis)
+            member = cost_of[np.arange(len(cost_of))[:, None] ^ self.parallel]
+            low = member.min(axis=1)
+            hit = member == low[:, None]
+            return low, hit.argmax(axis=1), hit.sum(axis=1)
+        return _cached(self._tables, metric, build)
 
 
 def _cached(table: dict, key, build):
@@ -330,15 +327,10 @@ def _segment_count(kern: _TrellisKernel, size: int) -> int:
     """Segments K a chunk of ``size`` sections is cut into: about
     sqrt(size) / 2 sections each, which balances the segment steps against
     the log-depth stitch. A segment after the first runs one lane per start
-    state over S * slots best-branch costs, so a section costs S * S * slots
-    additions and int64 lane entries instead of the single lane's
-    S * per_state. Above ``_SEGMENT_WORK`` of them per section, or a
-    best-branch table above ``_BEST_ENTRIES``, the chunk runs as one lane
-    (K = 1)."""
-    nstates = kern.num_states
-    if (nstates * nstates > _SEGMENT_WORK
-            or nstates * kern.pred.size > _SEGMENT_WORK
-            or kern.label_count * kern.pred.size > _BEST_ENTRIES):
+    state, so a section costs S * S * P additions and int64 lane entries
+    instead of the single lane's S * P. Above ``_SEGMENT_WORK`` of them the
+    chunk runs as one lane (K = 1)."""
+    if kern.num_states ** 2 * kern.preds > _SEGMENT_WORK:
         return 1
     return -(-size // max(1, isqrt(size) // 2))
 
@@ -360,10 +352,11 @@ def _lane_layout(size: int, segments: int, nstates: int):
     return seg_len, segments, sections, starts
 
 
-def _segmented_pass(kern: _TrellisKernel, best: np.ndarray, w: np.ndarray,
+def _segmented_pass(kern: _TrellisKernel, costs: np.ndarray,
                     hist: np.ndarray, segments: int) -> None:
-    """Fill ``hist[1:]`` with the state metrics after each section of the
-    packed labels ``w``, entering with ``hist[0]``.
+    """Fill ``hist[1:]`` with the state metrics after each section, entering
+    with ``hist[0]``; ``costs[p, t, j]`` is the folded cost of the branches
+    from ``pred_state[p, t]`` into state t at section j.
 
     The sections are cut into K segments of L. Segment 0 runs one lane from
     ``hist[0]``; every later segment runs one lane per start state, and one
@@ -373,24 +366,25 @@ def _segmented_pass(kern: _TrellisKernel, best: np.ndarray, w: np.ndarray,
     log-depth prefix scan of those matrices gives the metrics entering
     every segment, and one min over start states then gives every
     section's metrics. Every sum saturates at ``INF``."""
-    nstates, slots = kern.pred.shape
-    size = len(w)
+    nstates = kern.num_states
+    size = costs.shape[2]
     seg_len, segments, sections, starts = _lane_layout(size, segments,
                                                        nstates)
-    lanes = sections.shape[1]
-    # the last segment's steps past the chunk repeat its last label and
+    # the last segment's steps past the chunk repeat its last section and
     # are never read
-    step_costs = best.take(w.take(sections, mode="clip"), axis=1).reshape(
-        nstates, slots, seg_len, lanes)
-    full = slots == nstates  # every state is entered from every state
-    met = np.empty((seg_len + 1, nstates, lanes), dtype=np.int64)
+    step_costs = costs.take(sections, axis=2, mode="clip")
+    full = kern.preds == nstates  # every state is entered from every state
+    met = np.empty((seg_len + 1, nstates, sections.shape[1]), dtype=np.int64)
     met[0, :, 0] = hist[0]
     met[0, :, 1:] = starts
-    acc = np.empty((nstates, slots, lanes), dtype=np.int64)
+    acc = np.empty((kern.preds,) + met.shape[1:], dtype=np.int64)
     for i in range(seg_len):
-        np.add(met[i][None] if full else met[i][kern.pred],
+        np.add(met[i][:, None] if full else met[i][kern.pred_state],
                step_costs[:, :, i], out=acc)
-        np.minimum.reduce(acc, axis=1, out=met[i + 1], initial=INF)
+        np.minimum.reduce(acc, axis=0, out=met[i + 1], initial=INF)
+    hist[1:seg_len + 1] = met[1:, :, 0]
+    if segments == 1:
+        return
     # scan[:, :, k]: (state, start) map of segments 0..k (segment 0's exit
     # metrics in every start column); its column 0 enters segment k + 1
     ends = met[seg_len, :, 1:].reshape(nstates, nstates, segments - 1)
@@ -402,7 +396,6 @@ def _segmented_pass(kern: _TrellisKernel, best: np.ndarray, w: np.ndarray,
         np.minimum.reduce(scan[:, :, None, d:] + scan[None, :, :, :-d], axis=1,
                           initial=INF, out=scan[:, :, d:])
         d *= 2
-    hist[1:seg_len + 1] = met[1:, :, 0]
     later = np.minimum.reduce(
         met[1:, :, 1:].reshape(seg_len, nstates, nstates, segments - 1)
         + scan[:, 0], axis=2, initial=INF)
@@ -445,13 +438,16 @@ def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
     ``TrellisError``.
 
     The frame is walked in chunks of sections holding about
-    ``_CHUNK_BRANCHES`` branches, and a chunk gathers its branch costs once.
-    Its state metrics after each section come from the segmented
-    add-compare-select pass (``_segmented_pass``) or, when
-    ``_segment_count`` gives one segment, from the per-section recursion on
-    those costs. The survivors (first arg-minimum in kernel order, which is
-    the tie-break above) and the tie count are then read off the chunk's
-    recorded metrics in one vectorised pass.
+    ``_CHUNK_BRANCHES`` branches. A chunk gathers one folded cost per
+    (predecessor, state) and section from the metric's least-cost table,
+    and the segmented add-compare-select pass (``_segmented_pass``) gives
+    its state metrics after every section. The survivors and the tie count
+    are then read off the chunk's recorded metrics in one vectorised pass:
+    a survivor is the least ``first * P + slot`` among its co-optimal
+    predecessor slots, which is its offset among the kernel branches into
+    its state, so the first arg-minimum in kernel order (the tie-break
+    above), and every co-optimal slot adds its ``count`` of co-optimal
+    branches.
     """
     if metric is None:
         metric = BranchMetric()
@@ -459,11 +455,12 @@ def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
         raise TrellisError(
             f"candidate must be (sections, {trellis.out_symbols})")
     kern = _kernel_for(trellis)
-    cost_of = kern.costs(trellis, metric)
+    low, first, count = kern.tables(trellis, metric)
     w = pack_sections(candidate, trellis)
     nstates = trellis.num_states
-    per = kern.per_state
-    from_state = kern.from_state.reshape(nstates, per)
+    per, preds = kern.per_state, kern.preds
+    # member m of slot p is kernel branch m * P + p into its state
+    slot = np.arange(preds)[:, None, None]
     sections = len(w)
     chunk = max(1, _CHUNK_BRANCHES // (nstates * per))
     metric_now = np.full(nstates, INF, dtype=np.int64)
@@ -475,25 +472,19 @@ def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
     ties = 0
     for c0 in range(0, sections, chunk):
         size = min(chunk, sections - c0)
-        costs = cost_of[kern.label ^ w[c0:c0 + size, None]].reshape(
-            size, nstates, per)
+        label = kern.pred_label[:, :, None] ^ w[c0:c0 + size]
+        costs = low[label]
         hist[0] = metric_now
-        segments = min(_segment_count(kern, size), size)
-        if segments > 1:
-            _segmented_pass(kern, kern.best(trellis, metric), w[c0:c0 + size],
-                            hist[:size + 1], segments)
-        else:
-            for j in range(size):
-                metric_now = np.minimum.reduce(
-                    metric_now[from_state] + costs[j], 1, initial=INF)
-                hist[j + 1] = metric_now
+        _segmented_pass(kern, costs, hist[:size + 1],
+                        min(_segment_count(kern, size), size))
         metric_now = hist[size].copy()
-        before, after = hist[:size], hist[1:size + 1]
-        cand = before[:, from_state] + costs
-        choice[c0:c0 + size] = cand.argmin(axis=2)
+        before, after = hist[:size].T, hist[1:size + 1].T
         reached = after < INF
-        ties += (int(((cand == after[:, :, None]) & reached[:, :, None]).sum())
-                 - int(reached.sum()))
+        hit = (before[kern.pred_state] + costs == after) & reached
+        # a state no path reaches keeps offset per - 1, never traced back
+        choice[c0:c0 + size] = np.where(hit, first[label] * preds + slot,
+                                        per - 1).min(axis=0).T
+        ties += int(count[label[hit]].sum()) - int(reached.sum())
 
     end_state = 0 if terminate else int(metric_now.argmin())
     if metric_now[end_state] >= INF:

@@ -1,4 +1,8 @@
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qconvdec.circuits import TransferSystem
 from qconvdec.cli import main
@@ -194,3 +198,42 @@ class TestInputContract:
         path.write_text("qcc n=2 k=1 m=100000000000\nIXXI\n")
         assert main(["derive", str(path)]) == 2
         assert_one_error_line(capsys.readouterr())
+
+    @pytest.mark.parametrize("command", ["derive", "verify", "decode",
+                                         "simulate"])
+    def test_spec_without_logical_qubit(self, tmp_path, capsys, command):
+        # k = 0 leaves the generator empty: every subcommand used to die
+        # with an IndexError traceback from its determinant
+        path = tmp_path / "k0.qcc"
+        path.write_text("qcc n=1 k=0 m=0\nX\n")
+        syn = tmp_path / "k0.syn"
+        syn.write_text("4:0\n")
+        extra = {"decode": ["--syndrome", str(syn)],
+                 "simulate": ["--frames", "1", "--frame-qubits", "3"]}
+        assert main([command, str(path)] + extra.get(command, [])) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: k = 0: no logical qubit to decode"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_specs(self, tmp_path_factory, data):
+        # n <= 3, k < n, m <= 1 and random Pauli strings: derive and verify
+        # exit 0, 1 or 2, and stderr is empty or one error line
+        n = data.draw(st.integers(1, 3), label="n")
+        k = data.draw(st.integers(0, n - 1), label="k")
+        m = data.draw(st.integers(0, 1), label="m")
+        gens = data.draw(st.lists(st.text("IXYZ", min_size=n * (m + 1),
+                                          max_size=n * (m + 1)),
+                                  min_size=n - k, max_size=n - k),
+                         label="generators")
+        path = tmp_path_factory.mktemp("spec") / "code.qcc"
+        path.write_text(f"qcc n={n} k={k} m={m}\n" + "\n".join(gens) + "\n")
+        for argv in (["derive", str(path)],
+                     ["verify", str(path), "--trials", "3"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) in (0, 1, 2)
+            lines = err.getvalue().splitlines()
+            assert lines == [] or (len(lines) == 1
+                                   and lines[0].startswith("error: ")), lines

@@ -314,11 +314,11 @@ class TestViterbiReference:
                                       SEGMENTS + [2, 7])
 
     def test_many_states_run_one_lane(self):
-        # 2^10 states entered from 2 each: S * S exceeds the segment budget,
-        # so every chunk runs the single-lane recursion and no best-branch
-        # table is built
+        # 2^10 states entered from 2 each: S * S * P exceeds the segment
+        # budget, so every chunk runs as one lane
         t = build_trellis(RatMatrix.from_polys([[p("1+D^10"), p("1+D+D^10")]]))
         kern = _kernel_for(t)
+        assert kern.preds == 2
         chunk = _CHUNK_BRANCHES // (t.num_states * t.num_inputs)
         assert all(_segment_count(kern, size) == 1
                    for size in (1, 2, chunk - 1, chunk))
@@ -327,8 +327,6 @@ class TestViterbiReference:
         w[-10:] = 0
         for terminate in (True, False):
             _assert_matches_reference(t, w, BranchMetric(), terminate, [None])
-        assert not kern._best
-        assert "pred" not in vars(kern)
 
     def test_small_trellises_segment(self):
         # the five codes' trellises cut a chunk into segments of about
@@ -337,6 +335,50 @@ class TestViterbiReference:
             kern = _kernel_for(_decoder(name, path).trellis)
             assert _segment_count(kern, 4) == 4
             assert _segment_count(kern, 256) == 32
+
+
+class TestFold:
+    """The parallel branches folded into the branch metric, against every
+    state's branches read straight from the trellis."""
+
+    @pytest.mark.parametrize("metric", [
+        BranchMetric(), metric_for("pauli", 0.05),
+        BranchMetric("pauli", pauli_costs_for_channel(0.9, 0.05, 0.0, 0.05))],
+        ids=["hamming", "pauli", "forbidden-y"])
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_tables_match_brute_force(self, name, path, metric):
+        t = _decoder(name, path).trellis
+        kern = _kernel_for(t)
+        low, first, count = kern.tables(t, metric)
+        cost_of = metric.xor_table(t)
+        x = np.arange(len(cost_of))
+        for state in range(t.num_states):
+            froms = np.flatnonzero((t.next_state == state).any(axis=1))
+            assert kern.pred_state[:, state].tolist() == froms.tolist()
+            for slot, s in enumerate(froms):
+                # the parallel branches from s into state, in input order
+                branch = t.label[s, t.next_state[s] == state]
+                costs = cost_of[branch[:, None] ^ x]
+                folded = kern.pred_label[slot, state] ^ x
+                assert np.array_equal(low[folded], costs.min(axis=0))
+                assert np.array_equal(first[folded], costs.argmin(axis=0))
+                assert np.array_equal(count[folded],
+                                      (costs == costs.min(axis=0)).sum(axis=0))
+
+    @pytest.mark.parametrize("next_state,label", [
+        # the parallel branches into state 0 differ by label 2 from state 0
+        # and by label 1 from state 1
+        ([[0, 1, 0, 1], [0, 1, 0, 1]], [[0, 1, 2, 3], [0, 1, 1, 0]]),
+        # inputs 0 and 3 enter state 0 from state 0, inputs 1 and 2 from
+        # state 1: the two member blocks order their predecessors apart
+        ([[0, 1, 1, 0], [1, 0, 0, 1]], [[0, 1, 2, 3], [0, 1, 2, 3]]),
+    ], ids=["labels", "predecessors"])
+    def test_parallel_branches_checked(self, next_state, label):
+        t = Trellis(field=GF2, num_inputs=4, num_states=2, out_symbols=2,
+                    bits_per_symbol=1, next_state=np.array(next_state),
+                    label=np.array(label), row_degrees=(1, 0))
+        with pytest.raises(TrellisError, match="parallel branches"):
+            viterbi_decode(t, np.zeros((3, 2), dtype=np.uint8))
 
 
 def _bits_poly(taps: int):
