@@ -725,45 +725,6 @@ def poly_row_degree(row: Sequence[Poly]) -> int:
     return max((p.degree for p in row), default=-1)
 
 
-def row_reduce_poly_matrix(rows: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
-    """Reduce polynomial rows to a row-reduced basis of the same module.
-
-    Repeatedly cancels dependencies among the leading (highest-degree)
-    coefficient vectors, lowering row degrees until the leading coefficient
-    matrix has full rank. Zero rows are dropped. The result has minimal total
-    row degree (Forney), which gives minimal trellis state complexity.
-    """
-    field = rows[0][0].field
-    work = [list(r) for r in rows if poly_row_degree(r) >= 0]
-    ncols = len(work[0])
-    while True:
-        work.sort(key=poly_row_degree)
-        degs = [poly_row_degree(r) for r in work]
-        lead = np.array([[r[c][d] for c in range(ncols)]
-                         for r, d in zip(work, degs)], dtype=np.uint8)
-        # RREF of the leading vectors as columns: the first non-pivot column
-        # is the first row depending on those before it, and its entries are
-        # the unique combination of them that equals it
-        combo, pivots = gf_rref(lead.T, field)
-        ri = next((i for i, c in enumerate(pivots) if c != i), len(pivots))
-        if ri == len(work):
-            return work
-        newrow = list(work[ri])
-        for rj in range(ri):
-            cf = int(combo[rj, ri])
-            if not cf:
-                continue
-            shift = degs[ri] - degs[rj]
-            for c in range(ncols):
-                newrow[c] = newrow[c] + work[rj][c].scale(cf).shift(shift)
-        if poly_row_degree(newrow) >= degs[ri]:
-            raise AlgebraError("row reduction failed to lower degree")
-        if poly_row_degree(newrow) < 0:
-            work.pop(ri)
-        else:
-            work[ri] = newrow
-
-
 # ---------------------------------------------------------------------------
 # numpy GF(q) core: constant matrices as uint8 arrays of field elements
 # ---------------------------------------------------------------------------

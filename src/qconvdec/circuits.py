@@ -29,7 +29,7 @@ from .algebra import (
     _DEGREE_CAP, GF2, DegreeCapError, Field, Poly, RatMatrix, RationalFn,
     convolution_matrix, gf_convolve, gf_kernel, gf_rank, gf_rref,
     is_power_of_d, left_inverse, minors_gcd, null_space_basis, poly_lcm,
-    poly_xgcd, rank, row_reduce_poly_matrix,
+    poly_xgcd, rank,
 )
 
 
@@ -321,6 +321,10 @@ def polynomial_kernel_basis(S: RatMatrix, kernel_rank: int) -> list[list[Poly]]:
     vector is independent of those already chosen. The chosen rows and their
     shifts then span every polynomial kernel element up to the swept degree,
     which makes zero-terminated trellis paths cover the whole window kernel.
+
+    The rows come out in nondecreasing degree with a full-rank leading
+    coefficient matrix, so they are row-reduced as chosen (Forney, "Minimal
+    bases of rational vector spaces", 1975) and are returned as they are.
     """
     field = S.field
     lanes = S.cols
@@ -349,7 +353,7 @@ def polynomial_kernel_basis(S: RatMatrix, kernel_rank: int) -> list[list[Poly]]:
     if len(chosen) != kernel_rank:
         raise DerivationError(
             f"kernel basis search found {len(chosen)} of {kernel_rank} rows")
-    return row_reduce_poly_matrix(chosen)
+    return chosen
 
 
 def coset_code_rows(hb: RatMatrix) -> list[list[Poly]]:
@@ -393,8 +397,11 @@ class CandidateBuilder:
         self.r, self.lanes = parity.rows, parity.cols
         self.isf = TransferSystem(isf, role="ISF")
         # work out the closed form now, so that an ISF past the degree cap
-        # fails at construction rather than at the first build
-        self.isf.taps
+        # fails at construction rather than at the first build; the
+        # expansion D^-a N(D) sum_{i>=1} D^-iP reaches deg N - a - P blocks
+        # past the last nonzero syndrome block
+        self.reach = (self.isf.taps.shape[0] - 1 - self.isf.input_advance
+                      - self.isf.period)
         # S is causal of degree m, so the truncated expansion misses sigma
         # only on blocks < m; a frame on m + 1 blocks repairs it. One RREF
         # gives the particular solution (free variables zero) of every

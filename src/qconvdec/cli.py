@@ -155,7 +155,7 @@ def cmd_verify(args) -> int:
     W = None
     for _ in range(args.trials):
         sigma = (rng.random((8, spec.n - spec.k)) < 0.3).astype(np.uint8)
-        sigma[-spec.m - 1:] = 0
+        sigma[-decoder.pad_blocks:] = 0
         W = decoder.candidates.build(sigma, 10)
         got = block_syndrome(S, W, 10 + spec.m)
         want = np.zeros_like(got)

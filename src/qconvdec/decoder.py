@@ -37,12 +37,12 @@ class DecodedError:
 class SyndromeDecoder:
     """Decoder for an [n,k,m] stabilizer convolutional code, binary path.
 
-    Frames are padded with n(m+1) known-clean qubits before measurement; the
-    syndrome passed to :meth:`decode` covers the padded span (one (n-k)-bit
-    group per block). :class:`SyndromeDecoderF4` is the same decoder on the
-    GF(4) path and overrides only what differs: the transfer polynomial and
-    its coset basis, the trellis kind, the block-domain candidate maps, and
-    the symbol maps on the way in and out."""
+    Frames are padded with ``pad_blocks`` known-clean blocks before
+    measurement; the syndrome passed to :meth:`decode` covers the padded span
+    (one (n-k)-bit group per block). :class:`SyndromeDecoderF4` is the same
+    decoder on the GF(4) path and overrides only what differs: the transfer
+    polynomial and its coset basis, the trellis kind, the block-domain
+    candidate maps, and the symbol maps on the way in and out."""
 
     trellis_kind = "bit-paired"
 
@@ -87,7 +87,9 @@ class SyndromeDecoder:
 
     @property
     def pad_blocks(self) -> int:
-        return self.spec.m + 1
+        """Clean blocks after the data: m for the syndrome to settle, and at
+        least one more, or as many as the candidate reaches past it."""
+        return self.spec.m + max(1, self.candidates.reach)
 
     def pad_qubits(self) -> int:
         return self.spec.n * self.pad_blocks
@@ -108,8 +110,8 @@ class SyndromeDecoder:
     def decode(self, sigma: np.ndarray, metric: BranchMetric | None = None,
                ) -> DecodedError:
         """ML error pattern for a measured binary syndrome over the padded
-        span: (blocks, n-k) with at least one data block before the m+1
-        padding blocks."""
+        span: (blocks, n-k) with at least one data block before the
+        ``pad_blocks`` padding blocks."""
         streams = self.spec.n - self.spec.k
         if sigma.ndim != 2 or sigma.shape[1] != streams:
             raise ValueError(f"syndrome must have shape (blocks, {streams})")

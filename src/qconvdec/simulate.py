@@ -9,7 +9,6 @@ rate denominator).
 
 from __future__ import annotations
 
-import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +23,6 @@ from .trellis import BranchMetric, pauli_costs_for_channel
 CSV_SCHEMA = "qconvdec-sim-csv v1"
 CSV_HEADER = ("p,frames,qubit_errors,qubits_total,qber,"
               "frame_errors,fer,seed,elapsed_ms")
-THREADS_ENV = "QCONVDEC_THREADS"
 
 
 @dataclass(frozen=True)
@@ -86,12 +84,6 @@ class SimConfig:
             raise ValueError("frame_qubits must be divisible by n")
         if self.frames < 1:
             raise ValueError("need at least one frame")
-
-    def resolved_threads(self) -> int:
-        env = os.environ.get(THREADS_ENV)
-        if env:
-            return max(1, int(env))
-        return max(1, self.threads)
 
 
 @dataclass(frozen=True)
@@ -168,7 +160,7 @@ def run_sweep(config: SimConfig,
     if decoder is None:
         decoder = SyndromeDecoder(config.spec)
     data_qubits = config.frame_qubits
-    threads = config.resolved_threads()
+    threads = max(1, config.threads)
     rows = []
     for p in config.p_values:
         params = ChannelParams(p)

@@ -29,7 +29,7 @@ from typing import Literal
 
 import numpy as np
 
-from .algebra import Field, RatMatrix, convolution_matrix
+from .algebra import Field, RatMatrix, convolution_matrix, gf_convolve
 from .circuits import block_parity_matrix
 from .stabilizer import BITS_TO_PAULI, GF4_DECODE_TO_XZ
 
@@ -85,63 +85,57 @@ class Trellis:
 
 def build_trellis(gen: RatMatrix, kind: str = "bits") -> Trellis:
     """Controller-form trellis of a polynomial generator matrix: the state
-    holds the last deg_i input symbols of each generator row."""
+    holds the last deg_i input symbols of each generator row, symbol d of
+    row i (its input d + 1 sections back) at packed position
+    offset_i + d.
+
+    Labels and next states are GF(q)-linear in (state, input), so each is
+    one part from the state XOR (or OR) one part from the input: the input
+    part of the label is tap 0 times every input-symbol vector, the state
+    part the delayed taps times every state-symbol vector, each one GF(q)
+    matrix product."""
     if not gen.is_polynomial():
         raise TrellisError("trellis generator must be polynomial (feed-forward)")
     field = gen.field
     q = field.order
     bps = 1 if q == 2 else 2
-    rows = gen.poly_entries()
-    nrows = gen.rows
-    ncols = gen.cols
-    degs = tuple(max((p.degree for p in row), default=0) if
-                 any(not p.is_zero() for p in row) else 0 for row in rows)
+    taps = gen.coeff_tensor()
+    # a row's degree is its last nonzero tap (0 for a zero row)
+    degs = tuple(int(d) for d in (np.arange(len(taps))[:, None]
+                                  * taps.any(axis=2)).max(axis=0))
     state_symbols = sum(degs)
     num_states = q ** state_symbols
     if num_states > _MAX_STATES:
         raise TrellisError(
             f"state count {num_states} exceeds cap {_MAX_STATES}")
-    num_inputs = q ** nrows
-    next_state = np.zeros((num_states, num_inputs), dtype=np.int64)
-    label = np.zeros((num_states, num_inputs), dtype=np.int64)
-    mul = field.mul
-
-    # per-row symbol offsets within the packed state
-    offsets = []
-    off = 0
-    for d in degs:
-        offsets.append(off)
-        off += d
-
-    smask = q - 1
-    for s in range(num_states):
-        regs = []
-        for i in range(nrows):
-            regs.append([(s >> (bps * (offsets[i] + d))) & smask
-                         for d in range(degs[i])])
-        for u in range(num_inputs):
-            ins = [(u >> (bps * i)) & smask for i in range(nrows)]
-            out = 0
-            for i in range(nrows):
-                taps = [ins[i]] + regs[i]
-                for d, sym in enumerate(taps):
-                    if not sym:
-                        continue
-                    for c in range(ncols):
-                        cf = rows[i][c][d]
-                        if cf:
-                            out ^= mul(cf, sym) << (bps * c)
-            ns = 0
-            for i in range(nrows):
-                newreg = ([ins[i]] + regs[i])[: degs[i]]
-                for d, sym in enumerate(newreg):
-                    ns |= sym << (bps * (offsets[i] + d))
-            next_state[s, u] = ns
-            label[s, u] = out
+    num_inputs = q ** gen.rows
+    inputs = _symbol_vectors(q, gen.rows)
+    weights = 1 << (bps * np.arange(gen.cols))
+    from_input = gf_convolve(taps[:1].transpose(0, 2, 1), inputs,
+                             field) @ weights
+    delayed = np.concatenate([taps[1:d + 1, i] for i, d in enumerate(degs)])
+    from_state = gf_convolve(delayed.T[None],
+                             _symbol_vectors(q, state_symbols), field) @ weights
+    # each row's register moves up one symbol: its oldest symbol lands on
+    # the next row's newest slot (or past the top), which the mask clears
+    # with every other newest slot before the inputs are fed in
+    offsets = np.cumsum((0,) + degs[:-1])
+    newest = np.bitwise_or.reduce((q - 1) << (bps * offsets))
+    shifted = (np.arange(num_states) << bps) & (num_states - 1) & ~newest
+    held = np.array(degs) > 0
+    fed = inputs[:, held].astype(np.int64) @ (1 << (bps * offsets[held]))
     return Trellis(field=field, num_inputs=num_inputs, num_states=num_states,
-                   out_symbols=ncols, bits_per_symbol=bps,
-                   next_state=next_state, label=label, row_degrees=degs,
-                   kind=kind)
+                   out_symbols=gen.cols, bits_per_symbol=bps,
+                   next_state=shifted[:, None] | fed,
+                   label=from_state[:, None] ^ from_input,
+                   row_degrees=degs, kind=kind)
+
+
+def _symbol_vectors(q: int, symbols: int) -> np.ndarray:
+    """(q^symbols, symbols) GF(q) digits of every packed index: column j
+    holds the symbol at bits [bps j, bps (j + 1))."""
+    return np.indices((q,) * symbols, dtype=np.uint8).reshape(
+        symbols, q ** symbols)[::-1].T
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +198,15 @@ def _saturated_sum(qubit_costs: np.ndarray) -> np.ndarray:
                     qubit_costs.sum(axis=1))
 
 
-def pauli_costs_for_channel(p_i: float, p_x: float, p_y: float, p_z: float,
-                            scale: int = METRIC_SCALE) -> tuple[int, int, int, int]:
+def pauli_costs_for_channel(p_i: float, p_x: float, p_y: float,
+                            p_z: float) -> tuple[int, int, int, int]:
     """Quantized -log likelihood ratios against the identity, on a fixed
     integer grid so path metrics compare exactly; a Pauli of probability 0
     costs ``INF`` (forbidden)."""
     def cost(prob):
         if prob <= 0:
             return INF
-        return round(scale * log(p_i / prob))
+        return round(METRIC_SCALE * log(p_i / prob))
     return (0, cost(p_x), cost(p_y), cost(p_z))
 
 

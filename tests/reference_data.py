@@ -69,6 +69,10 @@ CODES = {
         "IIIIIYXIYZ", "IIIIIXZIXY", "YYZYXYIXIZ", "XXYXZXIZIY")),
 }
 
+# a [4,3,2] code whose anticausal block ISF reaches 4 blocks past the last
+# nonzero syndrome block: it needs m + 4 = 6 padding blocks, not m + 1
+LONG_REACH_TEXT = "qcc n=4 k=3 m=2\nZZZXIXXYYIZY\n"
+
 # (code, path): the GF(4) path exists where the code is GF(4)-linear
 PATHS = [("311", "bin"), ("311", "f4"), ("211", "bin"), ("421", "bin"),
          ("312", "bin"), ("511", "bin"), ("511", "f4")]

@@ -6,8 +6,8 @@ from qconvdec.algebra import (
     DegreeCapError, FieldMismatchError, RankDeficientError,
     ZeroDenominatorError,
     Poly, RatMatrix, RationalFn,
-    format_poly, is_power_of_d, left_inverse, minors_gcd, null_space_basis, parse_poly, poly_gcd, poly_row_degree, rank,
-    ratio, row_reduce_poly_matrix,
+    format_poly, is_power_of_d, left_inverse, minors_gcd, null_space_basis, parse_poly, poly_gcd, rank,
+    ratio,
 )
 
 
@@ -184,18 +184,6 @@ class TestMinorsGcd:
 
     def test_identity(self):
         assert minors_gcd(RatMatrix.identity(3)) == p2(1)
-
-
-class TestRowReduce:
-    def test_lowers_degrees(self):
-        rows = [
-            [p2(0, 1), p2(1, 1)],
-            [p2(0, 0, 1), p2(1, 0, 1)],  # = D * row0 + (low-degree rest)
-        ]
-        red = row_reduce_poly_matrix(rows)
-        assert sum(poly_row_degree(r) for r in red) <= sum(
-            poly_row_degree(r) for r in rows)
-        assert len(red) == 2
 
 
 # ---- property tests ---------------------------------------------------------

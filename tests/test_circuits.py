@@ -3,10 +3,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qconvdec.algebra import (
     GF2, GF4, W, WBAR, DegreeCapError, Poly, RatMatrix, RationalFn,
-    parse_poly, minors_gcd, poly_row_degree, rank, ratio,
+    gf_rank, parse_poly, minors_gcd, poly_row_degree, rank, ratio,
 )
 from qconvdec.circuits import (
     CandidateBuilder, DerivationError, TransferSystem, block_isf_matrix,
@@ -389,6 +390,43 @@ class TestCosetCode:
                 blocks[m - b, :3] = spec.p_coeffs[b, i]
                 blocks[m - b, 3:] = spec.q_coeffs[b, i]
             assert not block_syndrome(S, blocks, 7).any()
+
+
+def _assert_row_reduced_kernel(S, rows):
+    """rows is a row-reduced basis of the polynomial kernel of S: full-rank
+    leading coefficient matrix, nondecreasing degrees, and rows @ S^T = 0."""
+    degs = [poly_row_degree(r) for r in rows]
+    assert len(rows) == S.cols - rank(S)
+    assert degs == sorted(degs)
+    lead = np.array([[poly[d] for poly in r] for r, d in zip(rows, degs)],
+                    dtype=np.uint8)
+    assert gf_rank(lead, S.field) == len(rows)
+    assert (RatMatrix.from_polys(rows) @ S.transpose()).is_zero()
+
+
+class TestKernelBasis:
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_code_bases_are_row_reduced(self, name, path):
+        spec = CODES[name]
+        S = (quaternary_transfer(spec).hq if path == "f4"
+             else block_parity_matrix(binary_transfer(spec)))
+        _assert_row_reduced_kernel(
+            S, polynomial_kernel_basis(S, S.cols - S.rows))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_parity_maps(self, data):
+        field = data.draw(st.sampled_from([GF2, GF4]), label="field")
+        r = data.draw(st.integers(1, 2), label="rows")
+        lanes = data.draw(st.integers(r + 1, 4), label="lanes")
+        m = data.draw(st.integers(0, 2), label="m")
+        taps = np.array(data.draw(st.lists(
+            st.integers(0, field.order - 1), min_size=(m + 1) * r * lanes,
+            max_size=(m + 1) * r * lanes), label="taps"),
+            dtype=np.uint8).reshape(m + 1, r, lanes)
+        S = RatMatrix.from_coeff_tensor(taps, field)
+        _assert_row_reduced_kernel(
+            S, polynomial_kernel_basis(S, S.cols - rank(S)))
 
 
 def _gf2_rank(M):

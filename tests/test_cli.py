@@ -10,6 +10,8 @@ from qconvdec.decoder import SyndromeDecoder
 from qconvdec.simulate import syndrome_to_text
 from qconvdec.stabilizer import EXAMPLE_311_TEXT, ErrorFrame, example_311
 
+from reference_data import LONG_REACH_TEXT
+
 
 @pytest.fixture
 def spec_file(tmp_path):
@@ -46,6 +48,14 @@ class TestVerify:
         assert main(["verify", spec_file]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+    def test_long_reach_isf_passes(self, tmp_path, capsys):
+        # its candidate reaches 4 blocks past the syndrome: the decode and
+        # round-trip checks run on the decoder's padding
+        path = tmp_path / "long_reach.qcc"
+        path.write_text(LONG_REACH_TEXT)
+        assert main(["verify", str(path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_mutated_spec_fails_with_witness(self, mutated_spec_file, capsys):
         assert main(["verify", mutated_spec_file]) == 1

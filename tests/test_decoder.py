@@ -5,10 +5,13 @@ from qconvdec.algebra import GF2, parse_poly
 from qconvdec.circuits import shifted_isf_matrix
 from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
 from qconvdec.stabilizer import (
-    ErrorFrame, SpecError, StabilizerSpec, example_311, syndrome_of,
+    ErrorFrame, SpecError, StabilizerSpec, example_311, parse_stabilizer,
+    syndrome_of,
 )
-from qconvdec.simulate import metric_for
+from qconvdec.simulate import ChannelParams, metric_for, sample_error
 from qconvdec.trellis import BranchMetric, coset_leader_oracle
+
+from reference_data import LONG_REACH_TEXT
 
 
 def p(t):
@@ -91,6 +94,24 @@ class TestBinaryDecoder:
         assert decoder.pad_qubits() == 6
         f = decoder.padded_frame(ErrorFrame.zeros(900))
         assert f.num_qubits == 906
+
+
+class TestPaddingCoversCandidateReach:
+    @pytest.fixture(scope="class")
+    def long_reach(self):
+        return SyndromeDecoder(parse_stabilizer(LONG_REACH_TEXT))
+
+    def test_pad_blocks_cover_reach(self, long_reach):
+        assert long_reach.candidates.reach == 4
+        assert long_reach.pad_blocks == long_reach.spec.m + 4
+
+    def test_channel_frames_remeasure(self, long_reach):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            e = sample_error(ChannelParams(0.1), 4 * 20, rng)
+            sigma = long_reach.measure(e)
+            out = long_reach.decode(sigma)
+            assert np.array_equal(long_reach.measure_raw(out.frame), sigma)
 
 
 class TestF4Decoder:

@@ -124,14 +124,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             SimConfig(spec=example_311(), frame_qubits=90, frames=0)
 
-    def test_thread_env_override(self, decoder, monkeypatch):
-        cfg = SimConfig(spec=example_311(), frame_qubits=90, frames=8,
-                        p_values=(0.02,), seed=13, stable_timing=True)
-        base = run_sweep(cfg, decoder).csv_text()
-        monkeypatch.setenv("QCONVDEC_THREADS", "3")
-        assert cfg.resolved_threads() == 3
-        assert run_sweep(cfg, decoder).csv_text() == base
-
 
 class TestSyndromeText:
     def test_roundtrip(self):

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qconvdec.algebra import GF2, RatMatrix, parse_poly
+from qconvdec.algebra import GF2, GF4, Poly, RatMatrix, parse_poly
 from qconvdec.circuits import TransferSystem, block_parity_matrix, \
-    block_syndrome, coset_code_rows, derive_generator
+    block_syndrome, coset_code_rows, derive_generator, polynomial_kernel_basis
 from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
 from qconvdec.stabilizer import (
     GF4_DECODE_TO_PAULI, PAULI_TO_BITS, binary_transfer, example_311,
+    quaternary_transfer,
 )
 from qconvdec.simulate import ChannelParams, frame_rng, metric_for, sample_error
 from qconvdec import trellis as trellis_module
@@ -23,6 +24,7 @@ from qconvdec.trellis import (
 )
 
 from reference_data import CODES, PATH_IDS, PATHS, REF_GENERATOR_F4
+import reference_trellis
 import reference_viterbi
 
 
@@ -95,6 +97,55 @@ class TestBuildTrellis:
         from qconvdec.algebra import ratio
         with pytest.raises(TrellisError):
             build_trellis(RatMatrix([[ratio(p("1"), p("1+D"))]]))
+
+
+def _assert_matches_reference_build(gen, kind="bits"):
+    got = build_trellis(gen, kind)
+    want = reference_trellis.build_trellis(gen, kind)
+    assert (got.num_states, got.num_inputs, got.row_degrees) == (
+        want.num_states, want.num_inputs, want.row_degrees)
+    for table in ("next_state", "label"):
+        a, b = getattr(got, table), getattr(want, table)
+        assert a.dtype == b.dtype and np.array_equal(a, b), table
+
+
+def _coset_generator(name, path):
+    """The coset-code generator and trellis kind a decoder path builds."""
+    spec = CODES[name]
+    if path == "f4":
+        hq = quaternary_transfer(spec).hq
+        rows = polynomial_kernel_basis(hq, hq.cols - hq.rows)
+        return RatMatrix.from_polys(rows), "gf4"
+    return (RatMatrix.from_polys(coset_code_rows(binary_transfer(spec))),
+            "bit-paired")
+
+
+class TestBuildMatchesReference:
+    """The closed-form build against the per-branch loop it replaced."""
+
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_coset_generators(self, name, path):
+        _assert_matches_reference_build(*_coset_generator(name, path))
+
+    def test_tick_generator(self):
+        _assert_matches_reference_build(tick_gen_311())
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_random_generators(self, data):
+        # GF(2) up to degree 3 or GF(4) up to degree 2, degree-0 rows and
+        # zero rows included
+        field, top = data.draw(st.sampled_from([(GF2, 3), (GF4, 2)]),
+                               label="field")
+        rows = data.draw(st.integers(1, 3), label="rows")
+        cols = data.draw(st.integers(1, 4), label="cols")
+        gen = RatMatrix.from_polys([
+            [Poly(data.draw(st.lists(st.integers(0, field.order - 1),
+                                     max_size=d + 1), label="coeffs"), field)
+             for _ in range(cols)]
+            for d in data.draw(st.lists(st.integers(0, top), min_size=rows,
+                                        max_size=rows), label="degrees")])
+        _assert_matches_reference_build(gen)
 
 
 def _coset_trellis():
