@@ -84,6 +84,8 @@ class SimConfig:
             raise ValueError("frame_qubits must be divisible by n")
         if self.frames < 1:
             raise ValueError("need at least one frame")
+        for p in self.p_values:
+            ChannelParams(p)
 
 
 @dataclass(frozen=True)

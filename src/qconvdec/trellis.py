@@ -10,21 +10,20 @@ for every packed label, the least cost over that set, its first minimising
 member and the number of minimisers, and Viterbi runs on one (predecessor,
 state) cost per section.
 
-Viterbi walks the frame in chunks. Add-compare-select is a min-plus product,
-so it is associative: a chunk is cut into about 2 sqrt(size) segments that
-run side by side (every segment after the first from each start state),
-their min-plus maps are stitched by a log-depth scan, and one min over start
-states gives the state metrics after every section. Survivors and ties are
-read off each chunk's metrics in one vectorised pass, and the traceback walks
-plain lists. A trellis whose segments would cost too much work (many states)
-runs each chunk as one lane, section by section.
+Viterbi walks the frame in chunks. The state metrics after a section depend
+on those before it only through their differences, so with integer costs a
+trellis reaches finitely many metric vectors normalised to a least entry of
+0, and each metric's automaton over them makes a section one table lookup.
+A trellis whose automaton would pass a work budget (many states) runs
+add-compare-select section by section. Survivors and ties are read off each
+chunk's metrics in one vectorised pass; the traceback walks plain lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, log
+from math import log
 from typing import Literal
 
 import numpy as np
@@ -37,8 +36,9 @@ INF = 1 << 60
 METRIC_SCALE = 1 << 16
 # trellis branches per chunk of viterbi_decode: sets its sections per chunk
 _CHUNK_BRANCHES = 1 << 14
-# lane additions per section above which a chunk runs as one lane
-_SEGMENT_WORK = 1 << 10
+# normalised metric vectors x packed labels x states above which a metric
+# gets no automaton and Viterbi runs section by section
+_AUTOMATON_WORK = 1 << 20
 # trellis state budget, checked before any transition table is allocated
 _MAX_STATES = 1 << 20
 # frame bits the exhaustive oracle enumerates at most (one row per frame)
@@ -283,19 +283,21 @@ class _TrellisKernel:
                                "predecessors and differ by one label set")
         self.pred_state = np.ascontiguousarray(froms[:, 0].T)
         self.pred_label = np.ascontiguousarray(labels[:, 0].T)
-        self._tables: dict[BranchMetric, tuple[np.ndarray, ...]] = {}
+        self._tables: dict[BranchMetric, tuple] = {}
 
-    def tables(self, trellis: Trellis, metric: BranchMetric
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(low, first, count) over packed labels x, built once per metric:
-        the least of ``cost[x ^ parallel[m]]`` over members m, the first m
-        attaining it and the number that do."""
+    def tables(self, trellis: Trellis, metric: BranchMetric) -> tuple[
+            np.ndarray, np.ndarray, np.ndarray, _MetricAutomaton | None]:
+        """(low, first, count, automaton), built once per metric: over packed
+        labels x, the least of ``cost[x ^ parallel[m]]`` over members m, the
+        first m attaining it and the number that do; and the metric's
+        automaton (None when it would pass ``_AUTOMATON_WORK``)."""
         def build():
             cost_of = metric.xor_table(trellis)
             member = cost_of[np.arange(len(cost_of))[:, None] ^ self.parallel]
             low = member.min(axis=1)
             hit = member == low[:, None]
-            return low, hit.argmax(axis=1), hit.sum(axis=1)
+            return (low, hit.argmax(axis=1), hit.sum(axis=1),
+                    _build_automaton(self, low))
         return _cached(self._tables, metric, build)
 
 
@@ -309,92 +311,80 @@ def _cached(table: dict, key, build):
     return value
 
 
+@dataclass(frozen=True)
+class _MetricAutomaton:
+    """Add-compare-select over state metrics normalised to a least entry of
+    0 (``INF`` entries stay ``INF``; an all-``INF`` vector gives up 0): the
+    section with packed label x takes vector v to ``vectors[step[v][x]]``
+    plus ``gain[v, x]``. Vector 0 is the start, 0 in the zero state."""
+
+    vectors: np.ndarray      # (vectors, states)
+    step: list[list[int]]    # next vector per (vector, packed label)
+    gain: np.ndarray         # (vectors, packed labels): the minimum taken out
+
+    def walk(self, w: np.ndarray, hist: np.ndarray, at: int,
+             offset: int) -> tuple[int, int]:
+        """Fill ``hist[1:]`` with the state metrics after each section of
+        packed labels ``w``, entering with vector ``at`` plus ``offset``;
+        returns the vector and offset after the last section."""
+        path = [at]
+        for x in w.tolist():
+            path.append(self.step[path[-1]][x])
+        offsets = offset + np.cumsum(self.gain[path[:-1], w])
+        hist[1:] = np.minimum(self.vectors[path[1:]] + offsets[:, None], INF)
+        return path[-1], int(offsets[-1])
+
+
+def _build_automaton(kern: _TrellisKernel,
+                     low: np.ndarray) -> _MetricAutomaton | None:
+    """Breadth-first expansion of the normalised metric vectors reached from
+    the start: one add-compare-select advances the whole frontier on every
+    packed label, and a vector is new when its bytes are. None as soon as
+    the vectors found times the labels and states pass ``_AUTOMATON_WORK``
+    (checked before each expansion)."""
+    nstates, labels = kern.num_states, len(low)
+    # costs[x, p, t]: the folded cost of slot p into state t on label x
+    costs = low[kern.pred_label ^ np.arange(labels)[:, None, None]]
+    frontier = np.where(np.arange(nstates), INF, 0)[None]
+    # the vectors' bytes, in order of their ids
+    index = {frontier.tobytes(): 0}
+    step, gains = [], []
+
+    def vectors(first):
+        return np.frombuffer(b"".join(list(index)[first:]),
+                             dtype=np.int64).reshape(-1, nstates)
+
+    while len(frontier):
+        if len(index) * labels * nstates > _AUTOMATON_WORK:
+            return None
+        # one predecessor slot at a time keeps the frontier's sums at
+        # (frontier, labels, states) entries, within the budget
+        nxt = np.full((len(frontier), labels, nstates), INF, dtype=np.int64)
+        for p in range(kern.preds):
+            np.minimum(nxt, frontier[:, None, kern.pred_state[p]]
+                       + costs[:, p], out=nxt)
+        gain = nxt.min(axis=2, keepdims=True)
+        gain[gain >= INF] = 0
+        keys = np.where(nxt >= INF, INF, nxt - gain).view(
+            f"V{8 * nstates}").ravel().tolist()
+        found = len(index)
+        for key in dict.fromkeys(keys):
+            index.setdefault(key, len(index))
+        step += map(index.__getitem__, keys)
+        frontier = vectors(found)
+        gains.append(gain.reshape(-1, labels))
+    return _MetricAutomaton(
+        vectors=vectors(0),
+        step=[step[v:v + labels] for v in range(0, len(step), labels)],
+        gain=np.concatenate(gains))
+
+
 def _kernel_for(trellis: Trellis) -> _TrellisKernel:
     k = getattr(trellis, "_kernel", None)
     if k is None:
         k = _TrellisKernel(trellis)
         object.__setattr__(trellis, "_kernel", k)
     return k
-
-
-def _segment_count(kern: _TrellisKernel, size: int) -> int:
-    """Segments K a chunk of ``size`` sections is cut into: about
-    sqrt(size) / 2 sections each, which balances the segment steps against
-    the log-depth stitch. A segment after the first runs one lane per start
-    state, so a section costs S * S * P additions and int64 lane entries
-    instead of the single lane's S * P. Above ``_SEGMENT_WORK`` of them the
-    chunk runs as one lane (K = 1)."""
-    if kern.num_states ** 2 * kern.preds > _SEGMENT_WORK:
-        return 1
-    return -(-size // max(1, isqrt(size) // 2))
-
-
-@lru_cache(maxsize=64)
-def _lane_layout(size: int, segments: int, nstates: int):
-    """(L, K, sections, starts) of a chunk of ``size`` sections cut into K
-    segments of L (the last one may be short). Lane 0 runs segment 0; lane
-    1 + start * (K - 1) + k - 1 runs segment k from ``start``.
-    ``sections[i, lane]`` is the chunk section a lane takes at step i, and
-    ``starts`` the entry metrics of lanes 1.. (0 in their start state)."""
-    seg_len = -(-size // segments)
-    segments = -(-size // seg_len)
-    lane_segment = np.concatenate([[0], np.tile(np.arange(1, segments),
-                                                nstates)])
-    sections = lane_segment * seg_len + np.arange(seg_len)[:, None]
-    starts = np.repeat(np.where(np.eye(nstates, dtype=bool), 0, INF),
-                       segments - 1, axis=1)
-    return seg_len, segments, sections, starts
-
-
-def _segmented_pass(kern: _TrellisKernel, costs: np.ndarray,
-                    hist: np.ndarray, segments: int) -> None:
-    """Fill ``hist[1:]`` with the state metrics after each section, entering
-    with ``hist[0]``; ``costs[p, t, j]`` is the folded cost of the branches
-    from ``pred_state[p, t]`` into state t at section j.
-
-    The sections are cut into K segments of L. Segment 0 runs one lane from
-    ``hist[0]``; every later segment runs one lane per start state, and one
-    add-compare-select step advances all lanes at once over the metrics
-    (states, lanes). Add-compare-select is a min-plus product, so segment
-    k's lanes end in the (state, start) matrix of its min-plus map; a
-    log-depth prefix scan of those matrices gives the metrics entering
-    every segment, and one min over start states then gives every
-    section's metrics. Every sum saturates at ``INF``."""
-    nstates = kern.num_states
-    size = costs.shape[2]
-    seg_len, segments, sections, starts = _lane_layout(size, segments,
-                                                       nstates)
-    # the last segment's steps past the chunk repeat its last section and
-    # are never read
-    step_costs = costs.take(sections, axis=2, mode="clip")
-    full = kern.preds == nstates  # every state is entered from every state
-    met = np.empty((seg_len + 1, nstates, sections.shape[1]), dtype=np.int64)
-    met[0, :, 0] = hist[0]
-    met[0, :, 1:] = starts
-    acc = np.empty((kern.preds,) + met.shape[1:], dtype=np.int64)
-    for i in range(seg_len):
-        np.add(met[i][:, None] if full else met[i][kern.pred_state],
-               step_costs[:, :, i], out=acc)
-        np.minimum.reduce(acc, axis=0, out=met[i + 1], initial=INF)
-    hist[1:seg_len + 1] = met[1:, :, 0]
-    if segments == 1:
-        return
-    # scan[:, :, k]: (state, start) map of segments 0..k (segment 0's exit
-    # metrics in every start column); its column 0 enters segment k + 1
-    ends = met[seg_len, :, 1:].reshape(nstates, nstates, segments - 1)
-    scan = np.empty_like(ends)
-    scan[:, :, 0] = met[seg_len, :, :1]
-    scan[:, :, 1:] = ends[:, :, :-1]
-    d = 1
-    while d < segments - 1:
-        np.minimum.reduce(scan[:, :, None, d:] + scan[None, :, :, :-d], axis=1,
-                          initial=INF, out=scan[:, :, d:])
-        d *= 2
-    later = np.minimum.reduce(
-        met[1:, :, 1:].reshape(seg_len, nstates, nstates, segments - 1)
-        + scan[:, 0], axis=2, initial=INF)
-    hist[seg_len + 1:] = later.transpose(2, 0, 1).reshape(-1, nstates)[
-        :size - seg_len]
 
 
 def _traceback(kern: _TrellisKernel, choice: np.ndarray,
@@ -433,15 +423,15 @@ def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
 
     The frame is walked in chunks of sections holding about
     ``_CHUNK_BRANCHES`` branches. A chunk gathers one folded cost per
-    (predecessor, state) and section from the metric's least-cost table,
-    and the segmented add-compare-select pass (``_segmented_pass``) gives
-    its state metrics after every section. The survivors and the tie count
-    are then read off the chunk's recorded metrics in one vectorised pass:
-    a survivor is the least ``first * P + slot`` among its co-optimal
-    predecessor slots, which is its offset among the kernel branches into
-    its state, so the first arg-minimum in kernel order (the tie-break
-    above), and every co-optimal slot adds its ``count`` of co-optimal
-    branches.
+    (predecessor, state) and section from the metric's least-cost table.
+    Its state metrics after every section come from a walk of the metric's
+    automaton (``_MetricAutomaton``), or section by section when it has
+    none. The survivors and the tie count are then read off the chunk's
+    recorded metrics in one vectorised pass: a survivor is the least
+    ``first * P + slot`` among its co-optimal predecessor slots, which is
+    its offset among the kernel branches into its state, so the first
+    arg-minimum in kernel order (the tie-break above), and every co-optimal
+    slot adds its ``count`` of co-optimal branches.
     """
     if metric is None:
         metric = BranchMetric()
@@ -449,7 +439,7 @@ def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
         raise TrellisError(
             f"candidate must be (sections, {trellis.out_symbols})")
     kern = _kernel_for(trellis)
-    low, first, count = kern.tables(trellis, metric)
+    low, first, count, automaton = kern.tables(trellis, metric)
     w = pack_sections(candidate, trellis)
     nstates = trellis.num_states
     per, preds = kern.per_state, kern.preds
@@ -463,14 +453,19 @@ def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
     # its section j
     hist = np.empty((min(chunk, sections) + 1, nstates), dtype=np.int64)
     choice = np.empty((sections, nstates), dtype=np.min_scalar_type(per - 1))
-    ties = 0
+    ties = at = offset = 0
     for c0 in range(0, sections, chunk):
         size = min(chunk, sections - c0)
         label = kern.pred_label[:, :, None] ^ w[c0:c0 + size]
         costs = low[label]
         hist[0] = metric_now
-        _segmented_pass(kern, costs, hist[:size + 1],
-                        min(_segment_count(kern, size), size))
+        if automaton is not None:
+            at, offset = automaton.walk(w[c0:c0 + size], hist[:size + 1], at,
+                                        offset)
+        else:
+            for i in range(size):
+                np.minimum.reduce(hist[i][kern.pred_state] + costs[:, :, i],
+                                  axis=0, initial=INF, out=hist[i + 1])
         metric_now = hist[size].copy()
         before, after = hist[:size].T, hist[1:size + 1].T
         reached = after < INF

@@ -1,5 +1,6 @@
 import contextlib
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,6 +133,15 @@ class TestSimulate:
         rc = main(["simulate", spec_file, "--p", "0.7", "--frames", "2",
                    "--frame-qubits", "90", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    def test_every_p_checked_before_decoding(self, spec_file, capsys):
+        # p = 0.7 fails before any frame at p = 0.01 is decoded
+        with mock.patch("qconvdec.cli.run_sweep",
+                        side_effect=AssertionError("decoded")):
+            rc = main(["simulate", spec_file, "--p", "0.01,0.7",
+                       "--frames", "1500"])
+        assert rc == 2
+        assert_one_error_line(capsys.readouterr())
 
 
 def assert_one_error_line(captured):

@@ -123,6 +123,8 @@ class TestSweep:
             SimConfig(spec=example_311(), frame_qubits=91, frames=10)
         with pytest.raises(ValueError):
             SimConfig(spec=example_311(), frame_qubits=90, frames=0)
+        with pytest.raises(ValueError, match="flip probability"):
+            SimConfig(spec=example_311(), p_values=(0.01, 0.7))
 
 
 class TestSyndromeText:

@@ -18,8 +18,8 @@ from qconvdec.stabilizer import (
 from qconvdec.simulate import ChannelParams, frame_rng, metric_for, sample_error
 from qconvdec import trellis as trellis_module
 from qconvdec.trellis import (
-    _CHUNK_BRANCHES, INF, BranchMetric, OracleCapError, Trellis, TrellisError,
-    _kernel_for, _segment_count, build_trellis, coset_leader_oracle,
+    _AUTOMATON_WORK, _CHUNK_BRANCHES, INF, BranchMetric, OracleCapError,
+    Trellis, TrellisError, _kernel_for, build_trellis, coset_leader_oracle,
     pack_sections, pauli_costs_for_channel, unpack_sections, viterbi_decode,
 )
 
@@ -292,27 +292,34 @@ def _reference_candidates(decoder, sections, rng):
     yield np.zeros((sections, t.out_symbols), dtype=np.uint8)
 
 
-# segment counts forced on every chunk: None keeps the budget's choice, and
-# 10**6 is clamped to the chunk size (one section per segment)
-SEGMENTS = [None, 1, 3, 10 ** 6]
+# the forward passes of viterbi_decode: the metric's automaton where the
+# budget allows one, and section by section under a zero budget
+PASSES = ["automaton", "fallback"]
 
 
 @contextmanager
-def _segments(count):
-    """viterbi_decode with every chunk cut into ``count`` segments."""
-    if count is None:
+def _forward_pass(name, trellis):
+    """viterbi_decode on ``trellis`` with the named forward pass. The
+    fallback sets the kernel's cached tables aside, so that they are rebuilt
+    with no automaton, and puts them back on exit."""
+    if name == "automaton":
         yield
         return
-    with mock.patch.object(trellis_module, "_segment_count",
-                           lambda kern, size: count):
-        yield
+    tables = _kernel_for(trellis)._tables
+    saved = dict(tables)
+    tables.clear()
+    try:
+        with mock.patch.object(trellis_module, "_AUTOMATON_WORK", 0):
+            yield
+    finally:
+        tables.clear()
+        tables.update(saved)
 
 
 class TestViterbiReference:
-    """The chunked, segmented recursion against the per-section reference:
-    equal codeword, error, path metric, tie count and end state on every
-    code and path, across every chunk boundary, each under every count of
-    ``SEGMENTS``: K = 1, K not dividing the chunk and K >= the chunk."""
+    """The chunked recursion against the per-section reference: equal
+    codeword, error, path metric, tie count and end state on every code and
+    path, across every chunk boundary, on each of the ``PASSES``."""
 
     @pytest.mark.parametrize("terminate", [True, False])
     @pytest.mark.parametrize("metric", ["hamming", "pauli"])
@@ -344,10 +351,9 @@ class TestViterbiReference:
     @given(degrees=st.lists(st.integers(0, 3), min_size=1, max_size=2),
            data=st.data())
     def test_random_generators_match_reference(self, degrees, data):
-        # random feed-forward "bits" trellises of up to 2^6 states, under
-        # the budget's segment count and forced ones; a single row of degree
-        # d >= 2 enters each of its 2^d states from only 2, and a degree-0
-        # row adds parallel branches
+        # random feed-forward "bits" trellises of up to 2^6 states, on both
+        # passes; a single row of degree d >= 2 enters each of its 2^d
+        # states from only 2, and a degree-0 row adds parallel branches
         cols = data.draw(st.integers(1, 3), label="cols")
         rows = [[data.draw(st.integers(0, (1 << (d + 1)) - 1), label="taps")
                  for _ in range(cols)] for d in degrees]
@@ -361,31 +367,82 @@ class TestViterbiReference:
                                               label="seed"))
         w = (rng.random((sections, cols)) < flips).astype(np.uint8)
         for terminate in (True, False):
-            _assert_matches_reference(t, w, BranchMetric(), terminate,
-                                      SEGMENTS + [2, 7])
+            _assert_matches_reference(t, w, BranchMetric(), terminate)
 
     def test_many_states_run_one_lane(self):
-        # 2^10 states entered from 2 each: S * S * P exceeds the segment
-        # budget, so every chunk runs as one lane
+        # 2^10 states entered from 2 each: the automaton would pass its
+        # budget, so every chunk runs section by section
         t = build_trellis(RatMatrix.from_polys([[p("1+D^10"), p("1+D+D^10")]]))
         kern = _kernel_for(t)
         assert kern.preds == 2
+        assert kern.tables(t, BranchMetric())[3] is None
         chunk = _CHUNK_BRANCHES // (t.num_states * t.num_inputs)
-        assert all(_segment_count(kern, size) == 1
-                   for size in (1, 2, chunk - 1, chunk))
         rng = np.random.default_rng(16)
         w = (rng.random((2 * chunk + 3, 2)) < 0.05).astype(np.uint8)
         w[-10:] = 0
         for terminate in (True, False):
-            _assert_matches_reference(t, w, BranchMetric(), terminate, [None])
+            _assert_matches_reference(t, w, BranchMetric(), terminate,
+                                      ["automaton"])
 
-    def test_small_trellises_segment(self):
-        # the five codes' trellises cut a chunk into segments of about
-        # sqrt(size) / 2 sections
-        for name, path in PATHS:
-            kern = _kernel_for(_decoder(name, path).trellis)
-            assert _segment_count(kern, 4) == 4
-            assert _segment_count(kern, 256) == 32
+
+class TestAutomaton:
+    """The metric automaton: its size on the five codes, its steps against
+    add-compare-select on each vector, and its budget."""
+
+    # normalised metric vectors reached, the same on both paths
+    VECTORS = {"311": 18, "211": 3, "421": 18, "312": 172, "511": 66}
+
+    @pytest.mark.parametrize("metric", [BranchMetric(),
+                                        metric_for("pauli", 0.05)],
+                             ids=["hamming", "pauli"])
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_vector_counts(self, name, path, metric):
+        t = _decoder(name, path).trellis
+        automaton = _kernel_for(t).tables(t, metric)[3]
+        assert len(automaton.vectors) == self.VECTORS[name]
+
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_steps_match_add_compare_select(self, name, path):
+        # every (vector, label) step, against the metrics one section of
+        # the trellis's own branches gives, less their least finite entry
+        t = _decoder(name, path).trellis
+        metric = metric_for("pauli", 0.05)
+        kern = _kernel_for(t)
+        automaton = kern.tables(t, metric)[3]
+        cost_of = metric.xor_table(t)
+        x = np.arange(len(cost_of))
+        start = np.full(t.num_states, INF)
+        start[0] = 0
+        assert automaton.vectors[0].tolist() == start.tolist()
+        for v, vec in enumerate(automaton.vectors):
+            assert vec.min() == 0
+            cand = (vec[kern.from_state][:, None]
+                    + cost_of[kern.label[:, None] ^ x])
+            after = np.minimum(cand.reshape(t.num_states, -1, len(x)).min(
+                axis=1), INF)
+            got = (automaton.vectors[automaton.step[v]].T + automaton.gain[v])
+            assert np.array_equal(np.minimum(got, INF), after)
+
+    def test_over_budget_has_no_automaton(self):
+        # 16 states entered from 2 each reach 191,335 normalised vectors
+        # under Hamming: the build stops at the budget, and with a smaller
+        # budget its traced peak shrinks to match (an unbounded build peaks
+        # near 133 MB)
+        t = build_trellis(RatMatrix.from_polys([[p("1+D+D^4"),
+                                                 p("1+D^2+D^3+D^4")]]))
+        kern = _kernel_for(t)
+        assert (t.num_states, kern.preds) == (16, 2)
+        assert kern.tables(t, BranchMetric())[3] is None
+        budget = _AUTOMATON_WORK >> 4
+        kern._tables.clear()
+        with mock.patch.object(trellis_module, "_AUTOMATON_WORK", budget):
+            tracemalloc.start()
+            try:
+                assert kern.tables(t, BranchMetric())[3] is None
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 32 * budget
 
 
 class TestFold:
@@ -400,7 +457,7 @@ class TestFold:
     def test_tables_match_brute_force(self, name, path, metric):
         t = _decoder(name, path).trellis
         kern = _kernel_for(t)
-        low, first, count = kern.tables(t, metric)
+        low, first, count, _ = kern.tables(t, metric)
         cost_of = metric.xor_table(t)
         x = np.arange(len(cost_of))
         for state in range(t.num_states):
@@ -441,18 +498,17 @@ def _bits_poly(taps: int):
 
 def _chunk_boundaries(trellis):
     """Section counts that end one section short of, on and one past each
-    of the first two chunk boundaries of viterbi_decode. Under the budget's
-    segment count the last segment of a chunk is full for some of them and
-    short for others (a full [3,1,1] chunk is 32 x 8 sections, one short of
-    it 37 x 7 less 4), and a one-section tail runs K = 1."""
+    of the first two chunk boundaries of viterbi_decode: the forward pass
+    carries its metrics across each boundary, and a one-section tail is a
+    chunk of its own."""
     chunk = max(1, _CHUNK_BRANCHES // (trellis.num_states * trellis.num_inputs))
     return (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1)
 
 
-def _assert_matches_reference(t, w, metric, terminate, segments=SEGMENTS):
+def _assert_matches_reference(t, w, metric, terminate, passes=PASSES):
     want = reference_viterbi.viterbi_decode(t, w, metric, terminate)
-    for count in segments:
-        with _segments(count):
+    for name in passes:
+        with _forward_pass(name, t):
             got = viterbi_decode(t, w, metric, terminate)
         assert np.array_equal(got.codeword, want.codeword)
         assert np.array_equal(got.error, want.error)
@@ -495,14 +551,14 @@ class TestForbiddenPaulis:
             ChannelParams(0.0), 900, frame_rng(7, 0))), metric_for("pauli", 0))
         assert out.path_metric == 0 and not out.frame.bits.any()
 
-    @pytest.mark.parametrize("segments", [1, None])
-    def test_forbidden_y_never_decoded(self, segments):
+    @pytest.mark.parametrize("forward", PASSES)
+    def test_forbidden_y_never_decoded(self, forward):
         # Y forbidden, X and Z allowed: every frame decodes without a Y, at
         # the recounted path metric
         decoder = _decoder("311", "bin")
         metric = BranchMetric("pauli", pauli_costs_for_channel(
             0.9, 0.05, 0.0, 0.05))
-        with _segments(segments):
+        with _forward_pass(forward, decoder.trellis):
             for frame in range(5):
                 e = sample_error(ChannelParams(0.05), 900, frame_rng(8, frame))
                 out = decoder.decode(decoder.measure(e), metric)
