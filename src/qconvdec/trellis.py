@@ -343,8 +343,7 @@ def _build_automaton(kern: _TrellisKernel,
     the vectors found times the labels and states pass ``_AUTOMATON_WORK``
     (checked before each expansion)."""
     nstates, labels = kern.num_states, len(low)
-    # costs[x, p, t]: the folded cost of slot p into state t on label x
-    costs = low[kern.pred_label ^ np.arange(labels)[:, None, None]]
+    x = np.arange(labels)[:, None]
     frontier = np.where(np.arange(nstates), INF, 0)[None]
     # the vectors' bytes, in order of their ids
     index = {frontier.tobytes(): 0}
@@ -357,12 +356,12 @@ def _build_automaton(kern: _TrellisKernel,
     while len(frontier):
         if len(index) * labels * nstates > _AUTOMATON_WORK:
             return None
-        # one predecessor slot at a time keeps the frontier's sums at
-        # (frontier, labels, states) entries, within the budget
+        # one predecessor slot at a time, its folded costs gathered per
+        # (label, state), keeps every array within the budget
         nxt = np.full((len(frontier), labels, nstates), INF, dtype=np.int64)
         for p in range(kern.preds):
             np.minimum(nxt, frontier[:, None, kern.pred_state[p]]
-                       + costs[:, p], out=nxt)
+                       + low[kern.pred_label[p] ^ x], out=nxt)
         gain = nxt.min(axis=2, keepdims=True)
         gain[gain >= INF] = 0
         keys = np.where(nxt >= INF, INF, nxt - gain).view(

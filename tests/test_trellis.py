@@ -444,6 +444,22 @@ class TestAutomaton:
                 tracemalloc.stop()
         assert peak < 32 * budget
 
+    def test_many_labels_bail_before_allocating(self):
+        # 2^13 states x 256 labels pass the budget with the start vector
+        # alone: the build returns at once, allocating no costs per
+        # (label, predecessor, state), which would take 32 MB here
+        polys = ["1+D^13"] + [f"1+D^{i}" for i in range(1, 8)]
+        t = build_trellis(RatMatrix.from_polys([[p(x) for x in polys]]))
+        kern = _kernel_for(t)
+        assert (t.num_states, 1 << t.label_bits, kern.preds) == (8192, 256, 2)
+        tracemalloc.start()
+        try:
+            assert kern.tables(t, BranchMetric())[3] is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestFold:
     """The parallel branches folded into the branch metric, against every
