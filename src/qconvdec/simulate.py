@@ -23,6 +23,8 @@ from .trellis import BranchMetric, pauli_costs_for_channel
 CSV_SCHEMA = "qconvdec-sim-csv v1"
 CSV_HEADER = ("p,frames,qubit_errors,qubits_total,qber,"
               "frame_errors,fer,seed,elapsed_ms")
+# worker threads a sweep may ask for; checked before any pool exists
+MAX_THREADS = 64
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,9 @@ class SimConfig:
             raise ValueError("frame_qubits must be divisible by n")
         if self.frames < 1:
             raise ValueError("need at least one frame")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ValueError(f"threads must be in [1, {MAX_THREADS}], "
+                             f"got {self.threads}")
         for p in self.p_values:
             ChannelParams(p)
 
@@ -162,7 +167,6 @@ def run_sweep(config: SimConfig,
     if decoder is None:
         decoder = SyndromeDecoder(config.spec)
     data_qubits = config.frame_qubits
-    threads = max(1, config.threads)
     rows = []
     for p in config.p_values:
         params = ChannelParams(p)
@@ -173,8 +177,8 @@ def run_sweep(config: SimConfig,
             return run_frame(decoder, params, data_qubits,
                              frame_rng(config.seed, idx), metric)
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+        if config.threads > 1:
+            with ThreadPoolExecutor(max_workers=config.threads) as pool:
                 results = list(pool.map(one, range(config.frames),
                                         chunksize=16))
         else:

@@ -10,17 +10,20 @@ for every packed label, the least cost over that set, its first minimising
 member and the number of minimisers, and Viterbi runs on one (predecessor,
 state) cost per section.
 
-Viterbi walks the frame in chunks. The state metrics after a section depend
-on those before it only through their differences, so with integer costs a
-trellis reaches finitely many metric vectors normalised to a least entry of
-0, and each metric's automaton over them makes a section one table lookup.
-A trellis whose automaton would pass a work budget (many states) runs
-add-compare-select section by section. Survivors and ties are read off each
-chunk's metrics in one vectorised pass; the traceback walks plain lists.
+The state metrics after a Viterbi section depend on those before it only
+through their differences, so with integer costs a trellis reaches finitely
+many metric vectors normalised to a least entry of 0. Each metric's
+automaton over them holds, per (vector, packed label), the next vector, the
+minimum taken out, every state's survivor and the section's tie count, so a
+frame is one walk of its step table plus lookups. A trellis whose automaton
+would pass a work budget (many states) runs add-compare-select section by
+section in chunks, and only there are survivors and ties read off the
+recorded metrics, by the same rule. The traceback walks plain lists.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import log
@@ -283,6 +286,8 @@ class _TrellisKernel:
                                "predecessors and differ by one label set")
         self.pred_state = np.ascontiguousarray(froms[:, 0].T)
         self.pred_label = np.ascontiguousarray(labels[:, 0].T)
+        # the traceback's codeword is one gather of its branches' symbols
+        self.symbols = unpack_sections(self.label, trellis)
         self._tables: dict[BranchMetric, tuple] = {}
 
     def tables(self, trellis: Trellis, metric: BranchMetric) -> tuple[
@@ -296,8 +301,8 @@ class _TrellisKernel:
             member = cost_of[np.arange(len(cost_of))[:, None] ^ self.parallel]
             low = member.min(axis=1)
             hit = member == low[:, None]
-            return (low, hit.argmax(axis=1), hit.sum(axis=1),
-                    _build_automaton(self, low))
+            folded = low, hit.argmax(axis=1), hit.sum(axis=1)
+            return *folded, _build_automaton(self, folded)
         return _cached(self._tables, metric, build)
 
 
@@ -316,34 +321,58 @@ class _MetricAutomaton:
     """Add-compare-select over state metrics normalised to a least entry of
     0 (``INF`` entries stay ``INF``; an all-``INF`` vector gives up 0): the
     section with packed label x takes vector v to ``vectors[step[v][x]]``
-    plus ``gain[v, x]``. Vector 0 is the start, 0 in the zero state."""
+    plus ``gain[v, x]``, with survivor offsets ``survivor[v, x]`` into each
+    state and ``ties[v, x]`` co-optimal branches dropped (``_select``).
+    Vector 0 is the start, 0 in the zero state."""
 
     vectors: np.ndarray      # (vectors, states)
     step: list[list[int]]    # next vector per (vector, packed label)
     gain: np.ndarray         # (vectors, packed labels): the minimum taken out
-
-    def walk(self, w: np.ndarray, hist: np.ndarray, at: int,
-             offset: int) -> tuple[int, int]:
-        """Fill ``hist[1:]`` with the state metrics after each section of
-        packed labels ``w``, entering with vector ``at`` plus ``offset``;
-        returns the vector and offset after the last section."""
-        path = [at]
-        for x in w.tolist():
-            path.append(self.step[path[-1]][x])
-        offsets = offset + np.cumsum(self.gain[path[:-1], w])
-        hist[1:] = np.minimum(self.vectors[path[1:]] + offsets[:, None], INF)
-        return path[-1], int(offsets[-1])
+    survivor: np.ndarray     # (vectors, packed labels, states)
+    ties: np.ndarray         # (vectors, packed labels)
 
 
-def _build_automaton(kern: _TrellisKernel,
-                     low: np.ndarray) -> _MetricAutomaton | None:
+def _select(kern: _TrellisKernel, tables: Sequence[np.ndarray],
+            before: np.ndarray, x: np.ndarray,
+            after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(survivor offsets, ties) of sections with packed labels ``x`` (...)
+    taking state metrics ``before`` to ``after`` (..., S), given the
+    metric's ``(low, first, count)``. A survivor is the least
+    ``first * P + slot`` among its co-optimal predecessor slots, which is
+    its offset among the kernel branches into its state, so the first
+    arg-minimum in kernel order; a state no path reaches keeps ``per - 1``
+    and is never traced back. Ties total ``count`` over the co-optimal
+    slots, less one per reached state."""
+    low, first, count = tables
+    per, preds = kern.per_state, kern.preds
+    reached = after < INF
+    # no sum of metrics meets an unreached state's -1
+    target = np.where(reached, after, -1)
+    # offsets are below per and a state's co-optimal branches at most per,
+    # so both fit narrow arrays
+    best = np.full(after.shape, per - 1, dtype=np.min_scalar_type(per - 1))
+    hits = np.zeros(after.shape, dtype=np.min_scalar_type(per))
+    x = x[..., None]
+    for p in range(preds):
+        label = kern.pred_label[p] ^ x
+        hit = before[..., kern.pred_state[p]] + low[label] == target
+        offset = (first[label] * preds + p).astype(best.dtype)
+        np.minimum(best, np.where(hit, offset, per - 1), out=best)
+        hits += hit * count[label].astype(hits.dtype)
+    return best, hits.sum(axis=-1, dtype=np.int64) - reached.sum(axis=-1)
+
+
+def _build_automaton(kern: _TrellisKernel, tables: Sequence[np.ndarray],
+                     ) -> _MetricAutomaton | None:
     """Breadth-first expansion of the normalised metric vectors reached from
     the start: one add-compare-select advances the whole frontier on every
     packed label, and a vector is new when its bytes are. None as soon as
     the vectors found times the labels and states pass ``_AUTOMATON_WORK``
-    (checked before each expansion)."""
+    (checked before each expansion); survivors and ties are tabulated only
+    once the expansion has finished within it."""
+    low = tables[0]
     nstates, labels = kern.num_states, len(low)
-    x = np.arange(labels)[:, None]
+    x = np.arange(labels)
     frontier = np.where(np.arange(nstates), INF, 0)[None]
     # the vectors' bytes, in order of their ids
     index = {frontier.tobytes(): 0}
@@ -361,7 +390,7 @@ def _build_automaton(kern: _TrellisKernel,
         nxt = np.full((len(frontier), labels, nstates), INF, dtype=np.int64)
         for p in range(kern.preds):
             np.minimum(nxt, frontier[:, None, kern.pred_state[p]]
-                       + low[kern.pred_label[p] ^ x], out=nxt)
+                       + low[kern.pred_label[p] ^ x[:, None]], out=nxt)
         gain = nxt.min(axis=2, keepdims=True)
         gain[gain >= INF] = 0
         keys = np.where(nxt >= INF, INF, nxt - gain).view(
@@ -372,10 +401,14 @@ def _build_automaton(kern: _TrellisKernel,
         step += map(index.__getitem__, keys)
         frontier = vectors(found)
         gains.append(gain.reshape(-1, labels))
+    every, gain = vectors(0), np.concatenate(gains)
+    after = np.minimum(every[np.fromiter(step, np.intp, len(step)).reshape(
+        -1, labels)] + gain[..., None], INF)
+    survivor, ties = _select(kern, tables, every[:, None], x, after)
     return _MetricAutomaton(
-        vectors=vectors(0),
+        vectors=every,
         step=[step[v:v + labels] for v in range(0, len(step), labels)],
-        gain=np.concatenate(gains))
+        gain=gain, survivor=survivor, ties=ties)
 
 
 def _kernel_for(trellis: Trellis) -> _TrellisKernel:
@@ -388,22 +421,51 @@ def _kernel_for(trellis: Trellis) -> _TrellisKernel:
 
 def _traceback(kern: _TrellisKernel, choice: np.ndarray,
                end_state: int) -> list[int]:
-    """Packed section labels of the survivor path that ends in
+    """Kernel branch indices of the survivor path that ends in
     ``end_state``; ``choice[j, t]`` is the survivor's offset among the
     kernel branches into state t at section j. The flat survivor list, one
-    Python int per state and section, is freed on return, before the labels
-    are unpacked."""
+    Python int per state and section, is freed on return."""
     nstates, per = choice.shape[1], kern.per_state
     flat = choice.ravel().tolist()
-    labels = kern.label.tolist()
     froms = kern.from_state.tolist()
-    code_vals = [0] * choice.shape[0]
+    branches = []
     s = end_state
-    for j in range(choice.shape[0] - 1, -1, -1):
-        idx = s * per + flat[j * nstates + s]
-        code_vals[j] = labels[idx]
+    for row in range(len(flat) - nstates, -1, -nstates):
+        idx = s * per + flat[row + s]
+        branches.append(idx)
         s = froms[idx]
-    return code_vals
+    branches.reverse()
+    return branches
+
+
+def _chunked_pass(kern: _TrellisKernel, folded: Sequence[np.ndarray],
+                  w: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """(survivor offsets, ties, end metrics) of packed labels ``w`` from
+    add-compare-select section by section, in chunks of sections."""
+    low = folded[0]
+    nstates, sections = kern.num_states, len(w)
+    chunk = max(1, _CHUNK_BRANCHES // (nstates * kern.per_state))
+    metric_now = np.full(nstates, INF, dtype=np.int64)
+    metric_now[0] = 0
+    # hist[0] holds the metrics entering the chunk, hist[j + 1] those after
+    # its section j
+    hist = np.empty((min(chunk, sections) + 1, nstates), dtype=np.int64)
+    choice = np.empty((sections, nstates),
+                      dtype=np.min_scalar_type(kern.per_state - 1))
+    ties = 0
+    for c0 in range(0, sections, chunk):
+        size = min(chunk, sections - c0)
+        x = w[c0:c0 + size]
+        costs = low[kern.pred_label[:, :, None] ^ x]
+        hist[0] = metric_now
+        for i in range(size):
+            np.minimum.reduce(hist[i][kern.pred_state] + costs[:, :, i],
+                              axis=0, initial=INF, out=hist[i + 1])
+        metric_now = hist[size].copy()
+        choice[c0:c0 + size], chunk_ties = _select(
+            kern, folded, hist[:size], x, hist[1:size + 1])
+        ties += int(chunk_ties.sum())
+    return choice, ties, metric_now
 
 
 def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
@@ -420,17 +482,16 @@ def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
     ``INF`` is unreachable; a frame with no reachable path raises
     ``TrellisError``.
 
-    The frame is walked in chunks of sections holding about
-    ``_CHUNK_BRANCHES`` branches. A chunk gathers one folded cost per
-    (predecessor, state) and section from the metric's least-cost table.
-    Its state metrics after every section come from a walk of the metric's
-    automaton (``_MetricAutomaton``), or section by section when it has
-    none. The survivors and the tie count are then read off the chunk's
-    recorded metrics in one vectorised pass: a survivor is the least
-    ``first * P + slot`` among its co-optimal predecessor slots, which is
-    its offset among the kernel branches into its state, so the first
-    arg-minimum in kernel order (the tie-break above), and every co-optimal
-    slot adds its ``count`` of co-optimal branches.
+    With the metric's automaton (``_MetricAutomaton``), one walk of its
+    step table gives the vector before every section, and the survivors,
+    the tie count and the end metrics are lookups by (vector, packed
+    label). A trellis with no automaton walks the frame in chunks of
+    sections holding about ``_CHUNK_BRANCHES`` branches: a chunk gathers
+    one folded cost per (predecessor, state) and section from the metric's
+    least-cost table, runs add-compare-select section by section, and reads
+    its survivors and ties off the recorded metrics by the same rule
+    (``_select``). The traceback gives kernel branch indices, and the
+    codeword is one gather of their symbols.
     """
     if metric is None:
         metric = BranchMetric()
@@ -438,48 +499,29 @@ def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
         raise TrellisError(
             f"candidate must be (sections, {trellis.out_symbols})")
     kern = _kernel_for(trellis)
-    low, first, count, automaton = kern.tables(trellis, metric)
+    *folded, automaton = kern.tables(trellis, metric)
     w = pack_sections(candidate, trellis)
-    nstates = trellis.num_states
-    per, preds = kern.per_state, kern.preds
-    # member m of slot p is kernel branch m * P + p into its state
-    slot = np.arange(preds)[:, None, None]
-    sections = len(w)
-    chunk = max(1, _CHUNK_BRANCHES // (nstates * per))
-    metric_now = np.full(nstates, INF, dtype=np.int64)
-    metric_now[0] = 0
-    # hist[0] holds the metrics entering the chunk, hist[j + 1] those after
-    # its section j
-    hist = np.empty((min(chunk, sections) + 1, nstates), dtype=np.int64)
-    choice = np.empty((sections, nstates), dtype=np.min_scalar_type(per - 1))
-    ties = at = offset = 0
-    for c0 in range(0, sections, chunk):
-        size = min(chunk, sections - c0)
-        label = kern.pred_label[:, :, None] ^ w[c0:c0 + size]
-        costs = low[label]
-        hist[0] = metric_now
-        if automaton is not None:
-            at, offset = automaton.walk(w[c0:c0 + size], hist[:size + 1], at,
-                                        offset)
-        else:
-            for i in range(size):
-                np.minimum.reduce(hist[i][kern.pred_state] + costs[:, :, i],
-                                  axis=0, initial=INF, out=hist[i + 1])
-        metric_now = hist[size].copy()
-        before, after = hist[:size].T, hist[1:size + 1].T
-        reached = after < INF
-        hit = (before[kern.pred_state] + costs == after) & reached
-        # a state no path reaches keeps offset per - 1, never traced back
-        choice[c0:c0 + size] = np.where(hit, first[label] * preds + slot,
-                                        per - 1).min(axis=0).T
-        ties += int(count[label[hit]].sum()) - int(reached.sum())
+    if automaton is not None:
+        ids, v = [], 0
+        step = automaton.step
+        for x in w.tolist():
+            ids.append(v)
+            v = step[v][x]
+        ids = np.fromiter(ids, np.intp, len(ids))
+        choice = automaton.survivor[ids, w]
+        ties = int(automaton.ties[ids, w].sum())
+        metric_now = np.minimum(
+            automaton.vectors[v] + automaton.gain[ids, w].sum(), INF)
+    else:
+        choice, ties, metric_now = _chunked_pass(kern, folded, w)
 
     end_state = 0 if terminate else int(metric_now.argmin())
     if metric_now[end_state] >= INF:
         raise TrellisError("no zero-terminated path fits the frame" if terminate
                            else "no path fits the frame")
     path_metric = int(metric_now[end_state])
-    codeword = unpack_sections(_traceback(kern, choice, end_state), trellis)
+    branches = _traceback(kern, choice, end_state)
+    codeword = kern.symbols[np.fromiter(branches, np.intp, len(branches))]
     error = codeword ^ candidate.astype(np.uint8)
     return DecodeResult(codeword=codeword, error=error,
                         path_metric=path_metric, tie_count=ties,

@@ -143,6 +143,15 @@ class TestSimulate:
         assert rc == 2
         assert_one_error_line(capsys.readouterr())
 
+    def test_thread_count_checked(self, spec_file, capsys):
+        # --threads 0 used to run silently on one thread
+        with mock.patch("qconvdec.cli.run_sweep",
+                        side_effect=AssertionError("decoded")):
+            rc = main(["simulate", spec_file, "--threads", "0",
+                       "--frames", "10"])
+        assert rc == 2
+        assert_one_error_line(capsys.readouterr())
+
 
 def assert_one_error_line(captured):
     lines = captured.err.strip().splitlines()

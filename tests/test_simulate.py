@@ -1,11 +1,13 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qconvdec.decoder import SyndromeDecoder
 from qconvdec.simulate import (
-    ChannelParams, SimConfig, frame_rng, run_frame, run_sweep, sample_error,
-    syndrome_from_text, syndrome_to_text,
+    MAX_THREADS, ChannelParams, SimConfig, frame_rng, run_frame, run_sweep,
+    sample_error, syndrome_from_text, syndrome_to_text,
 )
 from qconvdec.stabilizer import example_311
 
@@ -125,6 +127,16 @@ class TestSweep:
             SimConfig(spec=example_311(), frame_qubits=90, frames=0)
         with pytest.raises(ValueError, match="flip probability"):
             SimConfig(spec=example_311(), p_values=(0.01, 0.7))
+
+    @pytest.mark.parametrize("threads", [0, -3, MAX_THREADS + 1, 10 ** 6])
+    def test_thread_count_checked(self, threads):
+        # refused by the config itself, before a sweep could start a pool of
+        # that many workers (or silently run one)
+        running = threading.active_count()
+        with pytest.raises(ValueError, match="threads"):
+            SimConfig(spec=example_311(), frames=1, threads=threads)
+        assert threading.active_count() == running
+        SimConfig(spec=example_311(), threads=MAX_THREADS)
 
 
 class TestSyndromeText:

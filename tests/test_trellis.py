@@ -423,6 +423,33 @@ class TestAutomaton:
             got = (automaton.vectors[automaton.step[v]].T + automaton.gain[v])
             assert np.array_equal(np.minimum(got, INF), after)
 
+    @pytest.mark.parametrize("metric", [BranchMetric(),
+                                        metric_for("pauli", 0.05)],
+                             ids=["hamming", "pauli"])
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_survivors_and_ties_match_one_section(self, name, path, metric):
+        # every (vector, label) survivor, against the first arg-minimum in
+        # kernel branch order into each reached state (an unreached state
+        # keeps the last offset), and every tie count, against the
+        # co-optimal branches less one per reached state
+        t = _decoder(name, path).trellis
+        kern = _kernel_for(t)
+        automaton = kern.tables(t, metric)[3]
+        cost_of = metric.xor_table(t)
+        x = np.arange(len(cost_of))
+        per = kern.per_state
+        for v, vec in enumerate(automaton.vectors):
+            cand = (vec[kern.from_state][:, None]
+                    + cost_of[kern.label[:, None] ^ x]).reshape(
+                        t.num_states, per, len(x))
+            after = cand.min(axis=1)
+            reached = after < INF
+            survivor = np.where(reached, cand.argmin(axis=1), per - 1)
+            ties = (((cand == after[:, None]) & reached[:, None]).sum(
+                axis=(0, 1)) - reached.sum(axis=0))
+            assert np.array_equal(automaton.survivor[v].T, survivor)
+            assert np.array_equal(automaton.ties[v], ties)
+
     def test_over_budget_has_no_automaton(self):
         # 16 states entered from 2 each reach 191,335 normalised vectors
         # under Hamming: the build stops at the budget, and with a smaller
