@@ -4,9 +4,10 @@ coset-leader oracle for verification.
 
 Labels are packed into ints (one field symbol per bit pair on GF(4), one bit
 on GF(2)); all metrics depend only on the XOR difference of packed labels.
-The inputs of degree-0 generator rows enter no state, so the branches from
-one state into another are a fixed set of labels apart: each metric keeps,
-for every packed label, the least cost over that set, its first minimising
+A trellis is stored as the branches into each state, in closed form: the
+inputs of degree-0 generator rows enter no state, so the branches from one
+state into another are a fixed set of labels apart. Each metric keeps, for
+every packed label, the least cost over that set, its first minimising
 member and the number of minimisers, and Viterbi runs on one (predecessor,
 state) cost per section.
 
@@ -14,15 +15,17 @@ The state metrics after a Viterbi section depend on those before it only
 through their differences, so with integer costs a trellis reaches finitely
 many metric vectors normalised to a least entry of 0. Each metric's
 automaton over them holds, per (vector, packed label), the next vector, the
-minimum taken out, every state's survivor and the section's tie count, so a
-frame is one walk of its step table plus lookups. A trellis whose automaton
-would pass a work budget (many states) runs add-compare-select section by
-section in chunks, and only there are survivors and ties read off the
-recorded metrics, by the same rule. The traceback walks plain lists.
+minimum taken out, every state's survivor (its predecessor and label) and
+the section's tie count, so a frame is one walk of its step table plus
+lookups. A trellis whose automaton would pass a work budget (many states)
+runs add-compare-select section by section in chunks, and only there are
+survivors and ties read off the recorded metrics, by the same rule. The
+traceback walks the survivors' predecessors back, one read per section.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,7 +45,7 @@ _CHUNK_BRANCHES = 1 << 14
 # normalised metric vectors x packed labels x states above which a metric
 # gets no automaton and Viterbi runs section by section
 _AUTOMATON_WORK = 1 << 20
-# trellis state budget, checked before any transition table is allocated
+# trellis state budget, checked before any branch table is allocated
 _MAX_STATES = 1 << 20
 # frame bits the exhaustive oracle enumerates at most (one row per frame)
 _EXHAUSTIVE_BITS = 20
@@ -54,10 +57,18 @@ class TrellisError(ValueError):
 
 @dataclass(frozen=True)
 class Trellis:
-    """Deterministic state graph of a feed-forward generator.
+    """Deterministic state graph of a feed-forward generator, stored as the
+    branches into each state.
 
-    ``next_state[s, u]`` and ``label[s, u]`` describe the branch taken from
-    state s on input index u; labels pack the n output symbols bitwise.
+    Into every state t enter ``num_inputs`` = P M branches: M = q^(degree-0
+    rows) member blocks of the same P = q^(other rows) predecessors, since
+    a degree-0 row's input enters no state. ``pred_state[p, t]`` is t's
+    p-th predecessor in ascending order and ``pred_label[p, t]`` the label
+    of its branch with every degree-0 input zero; member block m, in
+    ascending input order, adds ``parallel[m]`` to each label. So the o-th
+    branch into t in (input, state) order, o < P M, comes from
+    ``pred_state[o % P, t]`` with label ``pred_label[o % P, t] ^
+    parallel[o // P]``. Labels pack the n output symbols bitwise.
     ``kind`` records how label bits group into qubits: "bit-paired" output
     j/j+n carry the X/Z bits of qubit j, "gf4" each symbol is one qubit,
     "bits" no qubit structure (plain classical streams).
@@ -68,10 +79,14 @@ class Trellis:
     num_states: int
     out_symbols: int
     bits_per_symbol: int
-    next_state: np.ndarray
-    label: np.ndarray
     row_degrees: tuple[int, ...]
+    pred_state: np.ndarray   # (P, S)
+    pred_label: np.ndarray   # (P, S)
+    parallel: np.ndarray     # (M,)
     kind: str = "bits"
+    # each metric's (low, first, count, automaton), built on first use
+    _tables: dict = dataclasses.field(default_factory=dict, init=False,
+                                      repr=False, compare=False)
 
     @property
     def label_bits(self) -> int:
@@ -92,11 +107,14 @@ def build_trellis(gen: RatMatrix, kind: str = "bits") -> Trellis:
     row i (its input d + 1 sections back) at packed position
     offset_i + d.
 
-    Labels and next states are GF(q)-linear in (state, input), so each is
-    one part from the state XOR (or OR) one part from the input: the input
-    part of the label is tap 0 times every input-symbol vector, the state
-    part the delayed taps times every state-symbol vector, each one GF(q)
-    matrix product."""
+    Into state t, the rows of positive degree take t's newest symbols as
+    their inputs, and a predecessor holds t's other symbols one position
+    down plus any oldest symbol of each such row, enumerated in ascending
+    order. Labels are GF(q)-linear in (state, input), so each is one part
+    from the state XOR one part from the input: the input part is tap 0
+    times every input-symbol vector, the state part the delayed taps times
+    every state-symbol vector, each one GF(q) matrix product. Both tables
+    are stored in the narrowest dtype that holds them."""
     if not gen.is_polynomial():
         raise TrellisError("trellis generator must be polynomial (feed-forward)")
     field = gen.field
@@ -111,27 +129,42 @@ def build_trellis(gen: RatMatrix, kind: str = "bits") -> Trellis:
     if num_states > _MAX_STATES:
         raise TrellisError(
             f"state count {num_states} exceeds cap {_MAX_STATES}")
-    num_inputs = q ** gen.rows
-    inputs = _symbol_vectors(q, gen.rows)
     weights = 1 << (bps * np.arange(gen.cols))
-    from_input = gf_convolve(taps[:1].transpose(0, 2, 1), inputs,
-                             field) @ weights
+    label_type = np.min_scalar_type((1 << (bps * gen.cols)) - 1)
+    state_type = np.min_scalar_type(num_states - 1)
+    from_input = (gf_convolve(taps[:1].transpose(0, 2, 1),
+                              _symbol_vectors(q, gen.rows), field)
+                  @ weights).astype(label_type)
     delayed = np.concatenate([taps[1:d + 1, i] for i, d in enumerate(degs)])
-    from_state = gf_convolve(delayed.T[None],
-                             _symbol_vectors(q, state_symbols), field) @ weights
-    # each row's register moves up one symbol: its oldest symbol lands on
-    # the next row's newest slot (or past the top), which the mask clears
-    # with every other newest slot before the inputs are fed in
+    from_state = (gf_convolve(delayed.T[None],
+                              _symbol_vectors(q, state_symbols), field)
+                  @ weights).astype(label_type)
     offsets = np.cumsum((0,) + degs[:-1])
-    newest = np.bitwise_or.reduce((q - 1) << (bps * offsets))
-    shifted = (np.arange(num_states) << bps) & (num_states - 1) & ~newest
-    held = np.array(degs) > 0
-    fed = inputs[:, held].astype(np.int64) @ (1 << (bps * offsets[held]))
-    return Trellis(field=field, num_inputs=num_inputs, num_states=num_states,
-                   out_symbols=gen.cols, bits_per_symbol=bps,
-                   next_state=shifted[:, None] | fed,
-                   label=from_state[:, None] ^ from_input,
-                   row_degrees=degs, kind=kind)
+    held = np.array(degs) > 0  # rows whose inputs enter the state
+    nheld = int(held.sum())
+    states = np.arange(num_states)
+    # into state t, held row i's input is t's newest symbol of that row, at
+    # offset_i; this is every branch's input with the degree-0 rows' zero
+    fed = np.zeros(num_states, dtype=np.int64)
+    for i in np.flatnonzero(held):
+        fed |= ((states >> (bps * offsets[i])) & (q - 1)) << (bps * i)
+    # a predecessor holds t's other symbols one position down, plus any
+    # oldest symbol of each held row; _symbol_vectors counts up, so both
+    # the predecessors and the degree-0 inputs come in ascending order
+    newest = np.bitwise_or.reduce((q - 1) << (bps * offsets[held]),
+                                  initial=0)
+    shifted = ((states & ~newest) >> bps).astype(state_type)
+    oldest = _symbol_vectors(q, nheld) @ (
+        1 << (bps * (offsets + degs - 1)[held]))
+    pred_state = oldest.astype(state_type)[:, None] | shifted
+    members = _symbol_vectors(q, len(degs) - nheld) @ (
+        1 << (bps * np.flatnonzero(~held)))
+    return Trellis(field=field, num_inputs=q ** gen.rows,
+                   num_states=num_states, out_symbols=gen.cols,
+                   bits_per_symbol=bps, row_degrees=degs,
+                   pred_state=pred_state,
+                   pred_label=from_state[pred_state] ^ from_input[fed],
+                   parallel=from_input[members], kind=kind)
 
 
 def _symbol_vectors(q: int, symbols: int) -> np.ndarray:
@@ -223,7 +256,6 @@ class DecodeResult:
     error: np.ndarray         # candidate - codeword, same shape
     path_metric: int
     tie_count: int
-    end_state: int
 
 
 def pack_sections(frame: np.ndarray, trellis: Trellis) -> np.ndarray:
@@ -233,77 +265,28 @@ def pack_sections(frame: np.ndarray, trellis: Trellis) -> np.ndarray:
 
 
 def unpack_sections(vals, trellis: Trellis) -> np.ndarray:
-    """(sections, out_symbols) symbols of packed section labels."""
+    """(sections, out_symbols) symbols of packed section labels, shifted
+    in the labels' own integer dtype."""
+    vals = np.asarray(vals)
     bps = trellis.bits_per_symbol
-    shifts = bps * np.arange(trellis.out_symbols)
-    return ((np.asarray(vals, dtype=np.int64)[:, None] >> shifts)
-            & ((1 << bps) - 1)).astype(np.uint8)
+    shifts = np.arange(0, bps * trellis.out_symbols, bps, dtype=vals.dtype)
+    return ((vals[:, None] >> shifts) & ((1 << bps) - 1)).astype(np.uint8)
 
 
-class _TrellisKernel:
-    """Flattened transition arrays sorted by (next state, input, state) for
-    the documented tie-break, folded into one (predecessor, state) layout.
-
-    Into each state the branches form M member blocks of P predecessors, M
-    = q^(degree-0 rows): a degree-0 row's input enters no state. Every block
-    has the same predecessors, and the labels of block m differ from block
-    0's by ``parallel[m]``, so the M branches from predecessor
-    ``pred_state[p, t]`` into state t carry the labels
-    ``pred_label[p, t] ^ parallel``. A metric's least cost over such a
-    set, its first minimising member and the number of minimisers are
-    tables over packed labels (``tables``), and add-compare-select runs on
-    the (P, S) layout of ``pred_state`` and ``pred_label``."""
-
-    def __init__(self, trellis: Trellis):
-        ns = trellis.next_state.reshape(-1)
-        nstates, ninputs = trellis.num_states, trellis.num_inputs
-        st = np.repeat(np.arange(nstates, dtype=np.int64), ninputs)
-        ui = np.tile(np.arange(ninputs, dtype=np.int64), nstates)
-        order = np.lexsort((st, ui, ns))
-        self.from_state = st[order]
-        self.next_state = ns[order]
-        self.label = trellis.label.reshape(-1)[order]
-        self.num_states = nstates
-        self.per_state = ninputs  # deterministic trellis: q^k into each state
-        # viterbi_decode reads from_state as (next state, per_state) rows
-        if not np.array_equal(self.next_state,
-                              np.repeat(np.arange(nstates), ninputs)):
-            raise TrellisError(
-                f"trellis must enter every state on exactly {ninputs} "
-                "branches")
-        members = trellis.field.order ** trellis.row_degrees.count(0)
-        if ninputs % members:
-            raise TrellisError(
-                f"{members} parallel branches do not divide {ninputs} inputs")
-        self.preds = ninputs // members
-        froms = self.from_state.reshape(nstates, members, self.preds)
-        labels = self.label.reshape(nstates, members, self.preds)
-        self.parallel = labels[0, :, 0] ^ labels[0, 0, 0]
-        if ((froms != froms[:, :1]).any()
-                or ((labels ^ labels[:, :1])
-                    != self.parallel[:, None]).any()):
-            raise TrellisError("parallel branches must share their "
-                               "predecessors and differ by one label set")
-        self.pred_state = np.ascontiguousarray(froms[:, 0].T)
-        self.pred_label = np.ascontiguousarray(labels[:, 0].T)
-        # the traceback's codeword is one gather of its branches' symbols
-        self.symbols = unpack_sections(self.label, trellis)
-        self._tables: dict[BranchMetric, tuple] = {}
-
-    def tables(self, trellis: Trellis, metric: BranchMetric) -> tuple[
-            np.ndarray, np.ndarray, np.ndarray, _MetricAutomaton | None]:
-        """(low, first, count, automaton), built once per metric: over packed
-        labels x, the least of ``cost[x ^ parallel[m]]`` over members m, the
-        first m attaining it and the number that do; and the metric's
-        automaton (None when it would pass ``_AUTOMATON_WORK``)."""
-        def build():
-            cost_of = metric.xor_table(trellis)
-            member = cost_of[np.arange(len(cost_of))[:, None] ^ self.parallel]
-            low = member.min(axis=1)
-            hit = member == low[:, None]
-            folded = low, hit.argmax(axis=1), hit.sum(axis=1)
-            return *folded, _build_automaton(self, folded)
-        return _cached(self._tables, metric, build)
+def _metric_tables(trellis: Trellis, metric: BranchMetric) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, _MetricAutomaton | None]:
+    """(low, first, count, automaton), built once per metric: over packed
+    labels x, the least of ``cost[x ^ parallel[m]]`` over members m, the
+    first m attaining it and the number that do; and the metric's
+    automaton (None when it would pass ``_AUTOMATON_WORK``)."""
+    def build():
+        cost_of = metric.xor_table(trellis)
+        member = cost_of[np.arange(len(cost_of))[:, None] ^ trellis.parallel]
+        low = member.min(axis=1)
+        hit = member == low[:, None]
+        folded = low, hit.argmax(axis=1), hit.sum(axis=1)
+        return *folded, _build_automaton(trellis, folded)
+    return _cached(trellis._tables, metric, build)
 
 
 def _cached(table: dict, key, build):
@@ -321,30 +304,32 @@ class _MetricAutomaton:
     """Add-compare-select over state metrics normalised to a least entry of
     0 (``INF`` entries stay ``INF``; an all-``INF`` vector gives up 0): the
     section with packed label x takes vector v to ``vectors[step[v][x]]``
-    plus ``gain[v, x]``, with survivor offsets ``survivor[v, x]`` into each
-    state and ``ties[v, x]`` co-optimal branches dropped (``_select``).
-    Vector 0 is the start, 0 in the zero state."""
+    plus ``gain[v, x]``, each state t's survivor comes from ``came[v, x,
+    t]`` with label ``label[v, x, t]`` (``_survivor_branches``), and
+    ``ties[v, x]`` co-optimal branches are dropped (``_select``). Vector 0
+    is the start, 0 in the zero state."""
 
     vectors: np.ndarray      # (vectors, states)
     step: list[list[int]]    # next vector per (vector, packed label)
     gain: np.ndarray         # (vectors, packed labels): the minimum taken out
-    survivor: np.ndarray     # (vectors, packed labels, states)
+    came: np.ndarray         # (vectors, packed labels, states)
+    label: np.ndarray        # (vectors, packed labels, states)
     ties: np.ndarray         # (vectors, packed labels)
 
 
-def _select(kern: _TrellisKernel, tables: Sequence[np.ndarray],
+def _select(trellis: Trellis, tables: Sequence[np.ndarray],
             before: np.ndarray, x: np.ndarray,
             after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(survivor offsets, ties) of sections with packed labels ``x`` (...)
     taking state metrics ``before`` to ``after`` (..., S), given the
     metric's ``(low, first, count)``. A survivor is the least
     ``first * P + slot`` among its co-optimal predecessor slots, which is
-    its offset among the kernel branches into its state, so the first
-    arg-minimum in kernel order; a state no path reaches keeps ``per - 1``
-    and is never traced back. Ties total ``count`` over the co-optimal
-    slots, less one per reached state."""
+    its offset among the branches into its state in (input, state) order,
+    so the first arg-minimum in that order; a state no path reaches keeps
+    ``P M - 1`` and is never traced back. Ties total ``count`` over the
+    co-optimal slots, less one per reached state."""
     low, first, count = tables
-    per, preds = kern.per_state, kern.preds
+    per, preds = trellis.num_inputs, len(trellis.pred_state)
     reached = after < INF
     # no sum of metrics meets an unreached state's -1
     target = np.where(reached, after, -1)
@@ -354,15 +339,15 @@ def _select(kern: _TrellisKernel, tables: Sequence[np.ndarray],
     hits = np.zeros(after.shape, dtype=np.min_scalar_type(per))
     x = x[..., None]
     for p in range(preds):
-        label = kern.pred_label[p] ^ x
-        hit = before[..., kern.pred_state[p]] + low[label] == target
+        label = trellis.pred_label[p] ^ x
+        hit = before[..., trellis.pred_state[p]] + low[label] == target
         offset = (first[label] * preds + p).astype(best.dtype)
         np.minimum(best, np.where(hit, offset, per - 1), out=best)
         hits += hit * count[label].astype(hits.dtype)
     return best, hits.sum(axis=-1, dtype=np.int64) - reached.sum(axis=-1)
 
 
-def _build_automaton(kern: _TrellisKernel, tables: Sequence[np.ndarray],
+def _build_automaton(trellis: Trellis, tables: Sequence[np.ndarray],
                      ) -> _MetricAutomaton | None:
     """Breadth-first expansion of the normalised metric vectors reached from
     the start: one add-compare-select advances the whole frontier on every
@@ -371,7 +356,7 @@ def _build_automaton(kern: _TrellisKernel, tables: Sequence[np.ndarray],
     (checked before each expansion); survivors and ties are tabulated only
     once the expansion has finished within it."""
     low = tables[0]
-    nstates, labels = kern.num_states, len(low)
+    nstates, labels = trellis.num_states, len(low)
     x = np.arange(labels)
     frontier = np.where(np.arange(nstates), INF, 0)[None]
     # the vectors' bytes, in order of their ids
@@ -388,9 +373,9 @@ def _build_automaton(kern: _TrellisKernel, tables: Sequence[np.ndarray],
         # one predecessor slot at a time, its folded costs gathered per
         # (label, state), keeps every array within the budget
         nxt = np.full((len(frontier), labels, nstates), INF, dtype=np.int64)
-        for p in range(kern.preds):
-            np.minimum(nxt, frontier[:, None, kern.pred_state[p]]
-                       + low[kern.pred_label[p] ^ x[:, None]], out=nxt)
+        for p in range(len(trellis.pred_state)):
+            np.minimum(nxt, frontier[:, None, trellis.pred_state[p]]
+                       + low[trellis.pred_label[p] ^ x[:, None]], out=nxt)
         gain = nxt.min(axis=2, keepdims=True)
         gain[gain >= INF] = 0
         keys = np.where(nxt >= INF, INF, nxt - gain).view(
@@ -404,83 +389,86 @@ def _build_automaton(kern: _TrellisKernel, tables: Sequence[np.ndarray],
     every, gain = vectors(0), np.concatenate(gains)
     after = np.minimum(every[np.fromiter(step, np.intp, len(step)).reshape(
         -1, labels)] + gain[..., None], INF)
-    survivor, ties = _select(kern, tables, every[:, None], x, after)
+    survivor, ties = _select(trellis, tables, every[:, None], x, after)
+    came, label = _survivor_branches(trellis, survivor)
     return _MetricAutomaton(
         vectors=every,
         step=[step[v:v + labels] for v in range(0, len(step), labels)],
-        gain=gain, survivor=survivor, ties=ties)
+        gain=gain, came=came, label=label, ties=ties)
 
 
-def _kernel_for(trellis: Trellis) -> _TrellisKernel:
-    k = getattr(trellis, "_kernel", None)
-    if k is None:
-        k = _TrellisKernel(trellis)
-        object.__setattr__(trellis, "_kernel", k)
-    return k
+def _survivor_branches(trellis: Trellis, offsets: np.ndarray,
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(predecessors, packed labels) (..., S) of the branches at survivor
+    offsets o into each state t: from ``pred_state[o % P, t]`` with label
+    ``pred_label[o % P, t] ^ parallel[o // P]``."""
+    preds, nstates = trellis.pred_state.shape
+    # flat indices into the (P, S) layout
+    at = np.multiply(offsets % preds, nstates, dtype=np.intp)
+    at += np.arange(nstates)
+    return (trellis.pred_state.take(at),
+            trellis.pred_label.take(at) ^ trellis.parallel[offsets // preds])
 
 
-def _traceback(kern: _TrellisKernel, choice: np.ndarray,
-               end_state: int) -> list[int]:
-    """Kernel branch indices of the survivor path that ends in
-    ``end_state``; ``choice[j, t]`` is the survivor's offset among the
-    kernel branches into state t at section j. The flat survivor list, one
-    Python int per state and section, is freed on return."""
-    nstates, per = choice.shape[1], kern.per_state
-    flat = choice.ravel().tolist()
-    froms = kern.from_state.tolist()
-    branches = []
-    s = end_state
+def _traceback(came: np.ndarray) -> np.ndarray:
+    """The state each section of the survivor path enters, for the path
+    that ends in the zero state; ``came[j, t]`` is the predecessor of state
+    t's survivor at section j. The walk back reads one entry per section,
+    through a memoryview that makes no Python int per entry."""
+    sections, nstates = came.shape
+    flat = memoryview(came.ravel())
+    path, s = [], 0
     for row in range(len(flat) - nstates, -1, -nstates):
-        idx = s * per + flat[row + s]
-        branches.append(idx)
-        s = froms[idx]
-    branches.reverse()
-    return branches
+        path.append(s)
+        s = flat[row + s]
+    return np.fromiter(reversed(path), np.intp, sections)
 
 
-def _chunked_pass(kern: _TrellisKernel, folded: Sequence[np.ndarray],
-                  w: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    """(survivor offsets, ties, end metrics) of packed labels ``w`` from
-    add-compare-select section by section, in chunks of sections."""
+def _chunked_pass(trellis: Trellis, folded: Sequence[np.ndarray],
+                  w: np.ndarray,
+                  ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """(survivor predecessors, survivor labels, ties, end metrics) of
+    packed labels ``w`` from add-compare-select section by section, in
+    chunks of sections; the survivors are (section, state) arrays."""
     low = folded[0]
-    nstates, sections = kern.num_states, len(w)
-    chunk = max(1, _CHUNK_BRANCHES // (nstates * kern.per_state))
+    nstates, sections = trellis.num_states, len(w)
+    chunk = max(1, _CHUNK_BRANCHES // (nstates * trellis.num_inputs))
     metric_now = np.full(nstates, INF, dtype=np.int64)
     metric_now[0] = 0
     # hist[0] holds the metrics entering the chunk, hist[j + 1] those after
     # its section j
     hist = np.empty((min(chunk, sections) + 1, nstates), dtype=np.int64)
-    choice = np.empty((sections, nstates),
-                      dtype=np.min_scalar_type(kern.per_state - 1))
+    came = np.empty((sections, nstates), dtype=trellis.pred_state.dtype)
+    label = np.empty((sections, nstates), dtype=trellis.pred_label.dtype)
     ties = 0
     for c0 in range(0, sections, chunk):
         size = min(chunk, sections - c0)
         x = w[c0:c0 + size]
-        costs = low[kern.pred_label[:, :, None] ^ x]
+        costs = low[trellis.pred_label[:, :, None] ^ x]
         hist[0] = metric_now
         for i in range(size):
-            np.minimum.reduce(hist[i][kern.pred_state] + costs[:, :, i],
+            np.minimum.reduce(hist[i][trellis.pred_state] + costs[:, :, i],
                               axis=0, initial=INF, out=hist[i + 1])
         metric_now = hist[size].copy()
-        choice[c0:c0 + size], chunk_ties = _select(
-            kern, folded, hist[:size], x, hist[1:size + 1])
+        offsets, chunk_ties = _select(
+            trellis, folded, hist[:size], x, hist[1:size + 1])
+        came[c0:c0 + size], label[c0:c0 + size] = _survivor_branches(
+            trellis, offsets)
         ties += int(chunk_ties.sum())
-    return choice, ties, metric_now
+    return came, label, ties, metric_now
 
 
 def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
-                   metric: BranchMetric | None = None,
-                   terminate: bool = True) -> DecodeResult:
+                   metric: BranchMetric | None = None) -> DecodeResult:
     """Minimum-metric valid codeword for a candidate frame; the error pattern
     is their symbol-wise difference (XOR in characteristic 2).
 
-    The path starts in the zero state and, with ``terminate``, must end in
-    the zero state (the padded tail gives the trellis room to merge back).
-    Ties prefer the smaller most recent input symbol at each merge, then the
-    smaller predecessor state; ``tie_count`` totals the co-optimal branches
-    dropped at merges along the way. A path through a branch of cost
-    ``INF`` is unreachable; a frame with no reachable path raises
-    ``TrellisError``.
+    The path starts and ends in the zero state (the padded tail gives the
+    trellis room to merge back). Ties prefer the smaller most recent input
+    symbol at each merge, then the smaller predecessor state; ``tie_count``
+    totals the co-optimal branches dropped at merges along the way. A path
+    through a branch of cost ``INF`` is unreachable; a frame with no
+    reachable path raises ``TrellisError``.
 
     With the metric's automaton (``_MetricAutomaton``), one walk of its
     step table gives the vector before every section, and the survivors,
@@ -490,16 +478,15 @@ def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
     one folded cost per (predecessor, state) and section from the metric's
     least-cost table, runs add-compare-select section by section, and reads
     its survivors and ties off the recorded metrics by the same rule
-    (``_select``). The traceback gives kernel branch indices, and the
-    codeword is one gather of their symbols.
+    (``_select``). The traceback gives the states of the path, whose
+    survivor labels are the codeword's packed sections.
     """
     if metric is None:
         metric = BranchMetric()
     if candidate.ndim != 2 or candidate.shape[1] != trellis.out_symbols:
         raise TrellisError(
             f"candidate must be (sections, {trellis.out_symbols})")
-    kern = _kernel_for(trellis)
-    *folded, automaton = kern.tables(trellis, metric)
+    *folded, automaton = _metric_tables(trellis, metric)
     w = pack_sections(candidate, trellis)
     if automaton is not None:
         ids, v = [], 0
@@ -508,24 +495,22 @@ def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
             ids.append(v)
             v = step[v][x]
         ids = np.fromiter(ids, np.intp, len(ids))
-        choice = automaton.survivor[ids, w]
+        came = automaton.came[ids, w]
         ties = int(automaton.ties[ids, w].sum())
         metric_now = np.minimum(
             automaton.vectors[v] + automaton.gain[ids, w].sum(), INF)
     else:
-        choice, ties, metric_now = _chunked_pass(kern, folded, w)
+        came, label, ties, metric_now = _chunked_pass(trellis, folded, w)
 
-    end_state = 0 if terminate else int(metric_now.argmin())
-    if metric_now[end_state] >= INF:
-        raise TrellisError("no zero-terminated path fits the frame" if terminate
-                           else "no path fits the frame")
-    path_metric = int(metric_now[end_state])
-    branches = _traceback(kern, choice, end_state)
-    codeword = kern.symbols[np.fromiter(branches, np.intp, len(branches))]
+    if metric_now[0] >= INF:
+        raise TrellisError("no zero-terminated path fits the frame")
+    states = _traceback(came)
+    labels = (automaton.label[ids, w, states] if automaton is not None
+              else label[np.arange(len(w)), states])
+    codeword = unpack_sections(labels, trellis)
     error = codeword ^ candidate.astype(np.uint8)
     return DecodeResult(codeword=codeword, error=error,
-                        path_metric=path_metric, tie_count=ties,
-                        end_state=end_state)
+                        path_metric=int(metric_now[0]), tie_count=ties)
 
 
 # ---------------------------------------------------------------------------

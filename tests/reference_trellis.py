@@ -3,10 +3,13 @@
 
 Every (state, input) branch unpacks the state's shift registers, multiplies
 each register symbol by its generator tap with scalar field products and
-packs the output and the shifted registers back into ints.
+packs the output and the shifted registers back into ints. The result is a
+plain (state, input) table, not the library's ``Trellis``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,7 +17,27 @@ from qconvdec.algebra import RatMatrix
 from qconvdec.trellis import _MAX_STATES, Trellis, TrellisError
 
 
-def build_trellis(gen: RatMatrix, kind: str = "bits") -> Trellis:
+@dataclass(frozen=True)
+class ReferenceTrellis:
+    """``next_state[s, u]`` and ``label[s, u]`` of the branch taken from
+    state s on input index u (input symbol i at bits [bps i, bps (i + 1)));
+    labels pack the n output symbols bitwise, as in ``Trellis``."""
+
+    num_inputs: int
+    num_states: int
+    out_symbols: int
+    bits_per_symbol: int
+    next_state: np.ndarray
+    label: np.ndarray
+    row_degrees: tuple[int, ...]
+    kind: str = "bits"
+
+    # the library's metric tables and section packing read only these
+    label_bits = Trellis.label_bits
+    num_qubits_per_section = Trellis.num_qubits_per_section
+
+
+def build_trellis(gen: RatMatrix, kind: str = "bits") -> ReferenceTrellis:
     """Controller-form trellis of a polynomial generator matrix: the state
     holds the last deg_i input symbols of each generator row."""
     if not gen.is_polynomial():
@@ -69,7 +92,7 @@ def build_trellis(gen: RatMatrix, kind: str = "bits") -> Trellis:
                     ns |= sym << (bps * (offsets[i] + d))
             next_state[s, u] = ns
             label[s, u] = out
-    return Trellis(field=field, num_inputs=num_inputs, num_states=num_states,
-                   out_symbols=ncols, bits_per_symbol=bps,
-                   next_state=next_state, label=label, row_degrees=degs,
-                   kind=kind)
+    return ReferenceTrellis(
+        num_inputs=num_inputs, num_states=num_states, out_symbols=ncols,
+        bits_per_symbol=bps, next_state=next_state, label=label,
+        row_degrees=degs, kind=kind)
