@@ -11,6 +11,7 @@ primitive element), 3 = w^2 = 1 + w; addition is XOR in both fields.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -794,36 +795,145 @@ def gf_inv(a: np.ndarray, field: Field) -> np.ndarray | None:
     return red[:, n:] if len(pivots) == n else None
 
 
+# a packed word holds at most this many bits of field symbols, so that it
+# stays a nonnegative int64
+WORD_BITS = 63
+
+
+def symbol_bits(field: Field) -> int:
+    """Bits per packed field symbol: 1 on GF(2), 2 on GF(4)."""
+    return field.order.bit_length() - 1
+
+
+# symbol c of every byte value v, (256, 8 / bps) per symbol width bps
+_BYTE_SYMBOLS = {bps: ((np.arange(256)[:, None] >> (bps * np.arange(8 // bps)))
+                       & ((1 << bps) - 1)).astype(np.uint8) for bps in (1, 2)}
+
+
+@lru_cache(maxsize=64)
+def _slice_weights(lanes: int, bps: int) -> np.ndarray:
+    """(lanes, slices) float32 weights that pack symbols into bytes: lane
+    c adds 2^(bps (c mod per)) to byte c // per, per = 8 / bps."""
+    per = 8 // bps
+    c = np.arange(lanes)
+    weights = np.zeros((lanes, -(-lanes // per)), dtype=np.float32)
+    weights[c, c // per] = 1 << (bps * (c % per))
+    return weights
+
+
+def pack_slices(x: np.ndarray, bps: int) -> np.ndarray:
+    """(rows, slices) bytes of a (rows, lanes) symbol array packed at bps
+    bits per symbol: byte g holds symbols [8 g / bps, 8 (g + 1) / bps)."""
+    x = np.asarray(x)
+    # byte sums of distinct powers of two are exact in float32, and the
+    # product runs as one BLAS call
+    return (x.astype(np.float32) @ _slice_weights(x.shape[1], bps)).astype(
+        np.uint8)
+
+
+def pack_symbols(x: np.ndarray, bps: int) -> np.ndarray:
+    """One int64 word per row of a (rows, count) symbol array: symbol c at
+    bits [bps c, bps (c + 1)). The row must fit ``WORD_BITS``."""
+    x = np.asarray(x)
+    if bps * x.shape[1] > WORD_BITS:
+        raise ValueError(f"{x.shape[1]} symbols do not fit a packed word")
+    slices = pack_slices(x, bps)
+    out = np.zeros((len(x), 8), dtype=np.uint8)
+    out[:, :slices.shape[1]] = slices
+    return out.view("<i8")[:, 0]
+
+
+def unpack_symbols(words, count: int, bps: int) -> np.ndarray:
+    """(rows, count) symbols of packed words: one row gather per word byte
+    from the symbols of every byte value."""
+    slices = word_slices(words, -(-count * bps // 8))
+    symbols = _BYTE_SYMBOLS[bps].take(slices, axis=0)
+    return symbols.reshape(len(slices), slices.shape[1] * (8 // bps))[
+        :, :count]
+
+
+def word_slices(words, slices: int) -> np.ndarray:
+    """(rows, slices) low bytes of packed words: the input slices of a
+    :class:`ConvolutionKernel` whose inputs are those words."""
+    return np.ascontiguousarray(words, dtype="<i8").view(np.uint8).reshape(
+        -1, 8)[:, :slices]
+
+
+class ConvolutionKernel:
+    """Block-domain convolution out[t] = sum_d taps[d] @ x[t - d] over GF(q)
+    on packed blocks, as table gathers.
+
+    ``taps`` is (degree + 1, r, lanes). An input block is read as slices of
+    8 bits (8 / bps symbols each; ``slices`` of them), held as the columns
+    of a (blocks, slices) uint8 array, and an output block is one int64 word
+    (symbol i at bits [bps i, bps (i + 1)), at most ``WORD_BITS``). For
+    each tap d and slice g, ``tables[g][d]`` maps every slice value to the
+    packed output of taps[d] on it, so that out[t] is the XOR over d and g
+    of ``tables[g][d][x[t - d, g]]``. Each table is built once."""
+
+    def __init__(self, taps: np.ndarray, field: Field):
+        taps = np.asarray(taps, dtype=np.uint8)
+        ntaps, r, lanes = taps.shape
+        bps = symbol_bits(field)
+        if bps * r > WORD_BITS:
+            raise ValueError(f"{r} output symbols do not fit a packed word")
+        per = 8 // bps
+        self.taps, self.field, self.slices = taps, field, -(-lanes // per)
+        weights = 1 << (bps * np.arange(r, dtype=np.int64))
+        self.tables = []
+        for lo in range(0, lanes, per):
+            count = min(per, lanes - lo)
+            # digits[v, c]: symbol c of slice value v
+            digits = _BYTE_SYMBOLS[bps][:1 << (bps * count), :count]
+            prod = np.bitwise_xor.reduce(
+                field.mul_table[taps[:, None, :, lo:lo + count],
+                                digits[None, :, None, :]], axis=3)
+            self.tables.append(prod.astype(np.int64) @ weights)
+
+    def __call__(self, x: np.ndarray, window: int) -> np.ndarray:
+        """(window,) packed output words of (blocks, slices) input slices."""
+        out = np.zeros(window, dtype=np.int64)
+        nb = len(x)
+        for g, tables in enumerate(self.tables):
+            xg = x[:, g]
+            for d, table in enumerate(tables):
+                hi = min(window, nb + d)
+                if hi > d:
+                    out[d:hi] ^= table.take(xg[:hi - d])
+        return out
+
+
+@lru_cache(maxsize=64)
+def _kernel(taps: bytes, shape: tuple[int, ...], order: int,
+            ) -> ConvolutionKernel:
+    return ConvolutionKernel(np.frombuffer(taps, np.uint8).reshape(shape),
+                             GF2 if order == 2 else GF4)
+
+
 def gf_convolve(taps: np.ndarray, x: np.ndarray, field: Field,
                 window: int | None = None) -> np.ndarray:
     """Block-domain convolution out[t] = sum_d taps[d] @ x[t - d] over GF(q).
 
     ``taps`` is (degree + 1, r, lanes) and ``x`` is (blocks, lanes). The
     output keeps ``window`` blocks (default: the frame's), so a window of
-    blocks + degree covers the full support."""
+    blocks + degree covers the full support. The frame is packed into
+    slices and run through the :class:`ConvolutionKernel` of each column
+    slice of ``taps`` (as many outputs as fit a packed word), and the
+    outputs are unpacked."""
+    taps = np.ascontiguousarray(taps, dtype=np.uint8)
     x = np.asarray(x, dtype=np.uint8)
-    nb = x.shape[0]
     if x.shape[1] != taps.shape[2]:
         raise ValueError("frame lane count mismatch")
-    if window is None:
-        window = nb
-    # GF(q) = GF(2)^bits and a tap acts GF(2)-linearly on the bit planes of
-    # x, so each tap works through its binary image in one integer matmul
-    # (uint8 sums wrap mod 256, which keeps their parity)
-    planes = range(field.order.bit_length() - 1)
-    xb = np.concatenate([(x >> k) & 1 for k in planes], axis=1)
-    image = np.concatenate(
-        [np.concatenate([(field.mul_table[taps, 1 << k] >> j) & 1
-                         for k in planes], axis=2) for j in planes], axis=1)
-    r = taps.shape[1]
-    out = np.zeros((window, len(planes) * r), dtype=np.uint8)
-    for d, tap in enumerate(image):
-        hi = min(window, nb + d)
-        if hi > d:
-            out[d:hi] ^= (xb[:hi - d] @ tap.T) & 1
-    weights = np.arange(len(planes), dtype=np.uint8)[:, None]
-    return (out.reshape(window, len(planes), r) << weights).sum(
-        axis=1, dtype=np.uint8)
+    window = x.shape[0] if window is None else window
+    bps = symbol_bits(field)
+    xs = pack_slices(x, bps)
+    rows = WORD_BITS // bps
+    out = []
+    for lo in range(0, taps.shape[1], rows):
+        part = np.ascontiguousarray(taps[:, lo:lo + rows])
+        kernel = _kernel(part.tobytes(), part.shape, field.order)
+        out.append(unpack_symbols(kernel(xs, window), part.shape[1], bps))
+    return np.concatenate(out, axis=1)
 
 
 def convolution_matrix(taps: np.ndarray, blocks: int,

@@ -26,10 +26,11 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
-    _DEGREE_CAP, GF2, DegreeCapError, Field, Poly, RatMatrix, RationalFn,
-    convolution_matrix, gf_convolve, gf_kernel, gf_rank, gf_rref,
-    is_power_of_d, left_inverse, minors_gcd, null_space_basis, poly_lcm,
-    poly_xgcd, rank,
+    _DEGREE_CAP, GF2, ConvolutionKernel, DegreeCapError, Field, Poly,
+    RatMatrix, RationalFn, convolution_matrix, gf_convolve, gf_kernel, gf_rank,
+    gf_rref, is_power_of_d, left_inverse, minors_gcd, null_space_basis,
+    pack_slices, pack_symbols, poly_lcm, poly_xgcd, rank, symbol_bits,
+    unpack_symbols, word_slices,
 )
 
 
@@ -50,9 +51,10 @@ class TransferSystem:
     largest pole order of an entry at D = 0, P (``period``) the least period
     of its other poles, so that their lcm divides 1 + D^P, and N (``taps``)
     the polynomial D^a (1 + D^P) M. :meth:`run` expands 1 / (1 + D^P) in
-    powers of D, :meth:`run_anticausal` in powers of 1/D; each is one
-    ``gf_convolve`` with N and an XOR at stride P. a, P and N are worked out
-    on first use."""
+    powers of D, :meth:`run_anticausal` in powers of 1/D; each is one pass
+    of N's :class:`ConvolutionKernel` and an XOR at stride P, on packed
+    blocks (the ``*_words`` methods) or on symbol arrays. a, P, N and the
+    kernel are worked out on first use."""
 
     def __init__(self, matrix: RatMatrix, role: str = ""):
         self.matrix = matrix
@@ -104,30 +106,46 @@ class TransferSystem:
                       f)
         return N.coeff_tensor().transpose(0, 2, 1)
 
-    def _frame(self, x: np.ndarray) -> np.ndarray:
+    @cached_property
+    def kernel(self) -> ConvolutionKernel:
+        return ConvolutionKernel(self.taps, self.field)
+
+    def _packed(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.uint8)
         if x.ndim != 2 or x.shape[1] != self.inputs:
             raise ValueError(f"expected (T, {self.inputs}) input")
-        return x
+        return pack_slices(x, symbol_bits(self.field))
+
+    def _unpacked(self, words: np.ndarray) -> np.ndarray:
+        return unpack_symbols(words, self.outputs, symbol_bits(self.field))
 
     def run(self, x: np.ndarray, extra: int = 0) -> np.ndarray:
         """Stream a (T, inputs) frame; returns (T + extra, outputs) holding
         the coefficients of D^input_advance * (x @ matrix)."""
-        x = self._frame(x)
-        L = x.shape[0] + extra
+        return self._unpacked(self.run_words(self._packed(x),
+                                             len(x) + extra))
+
+    def run_words(self, x: np.ndarray, length: int) -> np.ndarray:
+        """:meth:`run` on packed blocks: (T, slices) input slices in, the
+        first ``length`` output words out."""
         # D^a x M = x N sum_{i>=0} D^iP: a prefix XOR at stride P
         P = self.period
-        rows = -(-L // P)
-        v = np.zeros((rows * P, self.outputs), dtype=np.uint8)
-        v[:L] = gf_convolve(self.taps, x, self.field, L)
-        v = np.bitwise_xor.accumulate(v.reshape(rows, P, self.outputs), axis=0)
-        return v.reshape(-1, self.outputs)[:L]
+        rows = -(-length // P)
+        v = np.zeros(rows * P, dtype=np.int64)
+        v[:length] = self.kernel(x, length)
+        return np.bitwise_xor.accumulate(v.reshape(rows, P), axis=0).reshape(
+            -1)[:length]
 
     def run_anticausal(self, x: np.ndarray, length: int) -> np.ndarray:
         """The first ``length`` coefficients, (length, outputs), of x @ matrix
         with every entry expanded in powers of 1/D, i.e. from the frame tail
         down. The expansion is exact; only its terms below D^0 are cut."""
-        x = self._frame(x)
+        return self._unpacked(self.run_anticausal_words(self._packed(x),
+                                                        length))
+
+    def run_anticausal_words(self, x: np.ndarray, length: int) -> np.ndarray:
+        """:meth:`run_anticausal` on packed blocks: (T, slices) input slices
+        in, ``length`` output words out."""
         # out[t] = sum_d N_d u[t + a - d] with u[s] = sum_{i>=1} x[s + iP]
         # (1 / (1 + D^P) = sum_{i>=1} D^-iP) on s >= a - deg N; suffix XORs
         # at stride P, indexed from a - deg N
@@ -136,12 +154,13 @@ class TransferSystem:
         first = self.input_advance - deg + P
         pad = max(-first, 0)
         x = x[max(first, 0):]
-        rows = -(-max(length + deg, pad + x.shape[0]) // P)
-        u = np.zeros((rows * P, self.inputs), dtype=np.uint8)
-        u[pad:pad + x.shape[0]] = x
-        u = np.bitwise_xor.accumulate(u.reshape(rows, P, self.inputs)[::-1],
-                                      axis=0)[::-1].reshape(-1, self.inputs)
-        return gf_convolve(self.taps, u[:length + deg], self.field)[deg:]
+        rows = -(-max(length + deg, pad + len(x)) // P)
+        width = x.shape[1]
+        u = np.zeros((rows * P, width), dtype=np.uint8)
+        u[pad:pad + len(x)] = x
+        u = np.bitwise_xor.accumulate(u.reshape(rows, P, width)[::-1],
+                                      axis=0)[::-1].reshape(rows * P, width)
+        return self.kernel(u[:length + deg], length + deg)[deg:]
 
 
 def derive_syndrome_former(hb: RatMatrix) -> TransferSystem:
@@ -386,54 +405,101 @@ class CandidateBuilder:
     left inverse of it (isf @ S^T = I): ``block_parity_matrix`` and
     ``block_isf_matrix`` on the binary path, H_q and its ISF on the GF(4)
     path. The expansion is :meth:`TransferSystem.run_anticausal` of the ISF.
+
+    :meth:`build_words` works on packed blocks, one int64 word per block
+    with symbol c at bits [bps c, bps (c + 1)) (the label layout of
+    ``trellis.pack_sections``): sigma in, the candidate out, and the
+    residual check and the repair as :class:`ConvolutionKernel` gathers.
+    :meth:`build` is the same map on symbol arrays.
     """
 
     def __init__(self, parity: RatMatrix, isf: RatMatrix):
         if not (isf @ parity.transpose()).is_identity():
             raise DerivationError("ISF is not a left inverse of the parity map")
         f = self.field = parity.field
-        self.taps = parity.coeff_tensor()
-        self.m = self.taps.shape[0] - 1
+        self.bps = symbol_bits(f)
+        taps = parity.coeff_tensor()
+        self.m = taps.shape[0] - 1
         self.r, self.lanes = parity.rows, parity.cols
+        self.syndrome = ConvolutionKernel(taps, f)
         self.isf = TransferSystem(isf, role="ISF")
         # work out the closed form now, so that an ISF past the degree cap
         # fails at construction rather than at the first build; the
         # expansion D^-a N(D) sum_{i>=1} D^-iP reaches deg N - a - P blocks
         # past the last nonzero syndrome block
-        self.reach = (self.isf.taps.shape[0] - 1 - self.isf.input_advance
-                      - self.isf.period)
+        self.reach = (self.isf.kernel.taps.shape[0] - 1
+                      - self.isf.input_advance - self.isf.period)
         # S is causal of degree m, so the truncated expansion misses sigma
         # only on blocks < m; a frame on m + 1 blocks repairs it. One RREF
         # gives the particular solution (free variables zero) of every
         # defect, and its leftover rows flag the unrealizable ones.
         self.defect_blocks = db = self.m + 1
-        system = convolution_matrix(self.taps, db, 2 * db - 1)
+        system = convolution_matrix(taps, db, 2 * db - 1)
         cols = system.shape[1]
         red, pivots = gf_rref(
             np.concatenate([system, np.eye(system.shape[0], db * self.r,
                                            dtype=np.uint8)], axis=1), f, cols)
-        self._repair = np.zeros((cols + len(red) - len(pivots), db * self.r),
-                                dtype=np.uint8)
-        self._repair[pivots] = red[:len(pivots), cols:]
-        self._repair[cols:] = red[len(pivots):, cols:]
+        # the repair of the flattened defect, one block of db r symbols, as
+        # a convolution whose output block j is repair block j for j < db
+        # and a block of flags after them
+        out_blocks = db + -(-(len(red) - len(pivots)) // self.lanes)
+        repair = np.zeros((out_blocks * self.lanes, db * self.r),
+                          dtype=np.uint8)
+        repair[pivots] = red[:len(pivots), cols:]
+        repair[cols:len(red) + cols - len(pivots)] = red[len(pivots):, cols:]
+        self._repair = ConvolutionKernel(
+            repair.reshape(out_blocks, self.lanes, -1), f)
 
     def repair_frame(self, defect: np.ndarray, blocks: int) -> np.ndarray:
-        """(blocks, lanes) frame whose syndrome is the head defect (its first
-        defect_blocks blocks) followed by zeros."""
-        # a matrix-vector product over GF(q) is a one-tap convolution
-        sol = gf_convolve(self._repair[None], defect.reshape(1, -1),
-                          self.field)[0]
-        fit = self.defect_blocks * self.lanes
-        if sol[fit:].any():
+        """The first min(defect_blocks, blocks) packed blocks of a frame on
+        ``blocks`` blocks whose syndrome is the head defect (packed, its
+        first defect_blocks blocks) followed by zeros; the frame is zero
+        beyond them."""
+        flat = 0
+        for j, word in enumerate(defect.tolist()):
+            flat |= word << (j * self.r * self.bps)
+        x = np.frombuffer(flat.to_bytes(self._repair.slices, "little"),
+                          dtype=np.uint8)[None]
+        sol = self._repair(x, self._repair.taps.shape[0])
+        db = self.defect_blocks
+        if sol[db:].any():
             raise DerivationError(
                 "syndrome has no matching error pattern on this span "
                 "(unrealizable head defect)")
-        frame = sol[:fit].reshape(self.defect_blocks, self.lanes)
-        if frame[blocks:].any():
+        if sol[blocks:db].any():
             raise DerivationError("repair frame does not fit the span")
-        out = np.zeros((blocks, self.lanes), dtype=np.uint8)
-        out[:self.defect_blocks] = frame[:blocks]
+        return sol[:min(db, blocks)]
+
+    def _residual(self, W: np.ndarray, s: np.ndarray,
+                  window: int) -> np.ndarray:
+        """Syndrome of the packed frame W on its first ``window`` blocks,
+        XOR the packed syndrome s there."""
+        out = self.syndrome(word_slices(W[:window], self.syndrome.slices),
+                            window)
+        s = s[:window]
+        out[:len(s)] ^= s
         return out
+
+    def build_words(self, s: np.ndarray, blocks: int) -> np.ndarray:
+        """Candidate frame W as ``blocks`` packed blocks, with its syndrome
+        over blocks + m blocks == the packed syndrome s (at most ``blocks``
+        words) zero-extended."""
+        W = self.isf.run_anticausal_words(
+            word_slices(s, self.isf.kernel.slices), blocks)
+        resid = self._residual(W, s, blocks + self.m)
+        db = self.defect_blocks
+        if resid[db:].any():
+            raise DerivationError(
+                "ISF candidate defect outside the head window: the ISF "
+                "entries need more padding lookahead than the frame carries")
+        if resid.any():
+            head = self.repair_frame(resid[:db], blocks)
+            W[:len(head)] ^= head
+            # the repair is supported on the first db blocks, so the
+            # residual can only have changed on blocks [0, db + m)
+            if self._residual(W, s, len(head) + self.m).any():
+                raise DerivationError("candidate repair failed")
+        return W
 
     def build(self, sigma: np.ndarray, blocks: int) -> np.ndarray:
         """Candidate frame W, block layout (blocks, lanes), with its syndrome
@@ -445,20 +511,5 @@ class CandidateBuilder:
         if sigma[blocks:].any():
             raise ValueError(f"syndrome is nonzero beyond the {blocks}-block "
                              "frame")
-        sigma = sigma[:blocks]
-        W = self.isf.run_anticausal(sigma, blocks)
-        window = blocks + self.m
-        resid = gf_convolve(self.taps, W, self.field, window)
-        resid[:sigma.shape[0]] ^= sigma
-        db = self.defect_blocks
-        if resid[db:].any():
-            raise DerivationError(
-                "ISF candidate defect outside the head window: the ISF "
-                "entries need more padding lookahead than the frame carries")
-        if resid.any():
-            W = W ^ self.repair_frame(resid[:db], blocks)
-            resid = gf_convolve(self.taps, W, self.field, window)
-            resid[:sigma.shape[0]] ^= sigma
-            if resid.any():
-                raise DerivationError("candidate repair failed")
-        return W
+        W = self.build_words(pack_symbols(sigma[:blocks], self.bps), blocks)
+        return unpack_symbols(W, self.lanes, self.bps)

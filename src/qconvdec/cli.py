@@ -99,6 +99,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials <= 0:
+        raise ValueError(f"--trials must be positive, got {args.trials}")
     spec = _load_spec(args.spec)
     failures = 0
 

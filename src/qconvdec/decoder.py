@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import RatMatrix
+from .algebra import RatMatrix, pack_symbols, unpack_symbols
 from .circuits import (
     CandidateBuilder, block_isf_matrix, block_parity_matrix, block_syndrome,
     coset_code_rows, derive_bundle, polynomial_kernel_basis, with_isf,
@@ -22,7 +22,9 @@ from .stabilizer import (
     ErrorFrame, GF4_DECODE_TO_XZ, SpecError, StabilizerSpec, XZ_TO_GF4_DECODE,
     binary_transfer, check_symplectic, quaternary_transfer, syndrome_of,
 )
-from .trellis import BranchMetric, Trellis, build_trellis, viterbi_decode
+from .trellis import (
+    BranchMetric, Trellis, build_trellis, unpack_sections, viterbi_path,
+)
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,12 @@ class SyndromeDecoder:
     (one (n-k)-bit group per block). :class:`SyndromeDecoderF4` is the same
     decoder on the GF(4) path and overrides only what differs: the transfer
     polynomial and its coset basis, the trellis kind, the block-domain
-    candidate maps, and the symbol maps on the way in and out."""
+    candidate maps, and the symbol maps on the way in and out.
+
+    :meth:`decode` carries one packed int per block from the syndrome to
+    the error labels, and each map between is a table gather: the syndrome
+    into candidate symbols, the candidate (``CandidateBuilder.build_words``)
+    and the error labels into frame bits."""
 
     trellis_kind = "bit-paired"
 
@@ -60,6 +67,11 @@ class SyndromeDecoder:
             RatMatrix.from_polys(self._coset_rows(transfer)),
             kind=self.trellis_kind)
         self.candidates = CandidateBuilder(*self._block_maps(bundle))
+        # frame bits of every packed section label, one row per label
+        every = unpack_sections(np.arange(1 << self.trellis.label_bits),
+                                self.trellis)
+        self._label_bits = self.symbols_to_frame(every).bits.reshape(
+            len(every), -1)
 
     def _transfer(self) -> RatMatrix:
         self.hb = binary_transfer(self.spec)
@@ -73,9 +85,15 @@ class SyndromeDecoder:
         the binary path fold the tick-rate H_b^T and ISF."""
         return block_parity_matrix(bundle.hb), block_isf_matrix(bundle.isf.matrix)
 
+    def _syndrome_words(self, sigma: np.ndarray) -> np.ndarray:
+        """The measured binary syndrome in the symbols the candidate takes,
+        packed one word per block."""
+        return pack_symbols(sigma, 1)
+
     def _syndrome_symbols(self, sigma: np.ndarray) -> np.ndarray:
-        """The measured binary syndrome in the symbols the candidate takes."""
-        return sigma
+        """:meth:`_syndrome_words` as a (blocks, symbols) array."""
+        c = self.candidates
+        return unpack_symbols(self._syndrome_words(sigma), c.r, c.bps)
 
     def symbols_to_frame(self, symbols: np.ndarray) -> ErrorFrame:
         """Error frame of a decoded (blocks, lanes) symbol array."""
@@ -119,12 +137,12 @@ class SyndromeDecoder:
             raise ValueError(
                 f"syndrome has {sigma.shape[0]} blocks; it needs at least one "
                 f"data block beyond the {self.pad_blocks} padding blocks")
-        sym = self._syndrome_symbols(sigma)
-        W = self.candidates.build(sym, sym.shape[0])
-        res = viterbi_decode(self.trellis, W, metric)
-        return DecodedError(frame=self.symbols_to_frame(res.error),
-                            path_metric=res.path_metric,
-                            tie_count=res.tie_count)
+        s = self._syndrome_words(sigma)
+        w = self.candidates.build_words(s, len(s))
+        labels, path_metric, ties = viterbi_path(self.trellis, w, metric)
+        bits = self._label_bits.take(labels ^ w, axis=0)
+        return DecodedError(frame=ErrorFrame(bits.reshape(-1)),
+                            path_metric=path_metric, tie_count=ties)
 
 
 class SyndromeDecoderF4(SyndromeDecoder):
@@ -134,9 +152,6 @@ class SyndromeDecoderF4(SyndromeDecoder):
     per block into one GF(4) symbol and running the quaternary trellis."""
 
     trellis_kind = "gf4"
-
-    def __init__(self, spec: StabilizerSpec):
-        super().__init__(spec)
 
     def _transfer(self) -> RatMatrix:
         self.qt = quaternary_transfer(self.spec)
@@ -149,8 +164,8 @@ class SyndromeDecoderF4(SyndromeDecoder):
     def _block_maps(self, bundle) -> tuple[RatMatrix, RatMatrix]:
         return bundle.hb, bundle.isf.matrix
 
-    def _syndrome_symbols(self, sigma: np.ndarray) -> np.ndarray:
-        return self.qt.binary_to_f4_syndrome(sigma)
+    def _syndrome_words(self, sigma: np.ndarray) -> np.ndarray:
+        return self.qt.syndrome_table.take(pack_symbols(sigma, 1))
 
     def frame_to_symbols(self, frame: ErrorFrame) -> np.ndarray:
         """(blocks, n) GF(4) symbols in the decode labeling."""

@@ -16,13 +16,14 @@ Conventions fixed across the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from .algebra import (
     GF2, GF4, W, WBAR, Poly, RatMatrix, RationalFn, gf_convolve, gf_inv,
-    gf_rank, gf_solve,
+    gf_rank, gf_solve, pack_symbols, unpack_symbols,
 )
 
 
@@ -281,14 +282,19 @@ class QuaternaryTransfer:
     def f4_rows(self) -> int:
         return self.hq.rows
 
+    @cached_property
+    def syndrome_table(self) -> np.ndarray:
+        """Packed GF(4) syndrome symbols (symbol j at bits 2j, 2j + 1) of
+        every packed binary syndrome block (bit i = stream i): the bits of
+        syndrome_map_inv @ bits, in order."""
+        nk = 2 * self.f4_rows
+        bits = unpack_symbols(np.arange(1 << nk), nk, 1)
+        return pack_symbols((bits @ self.syndrome_map_inv.T) % 2, 1)
+
     def binary_to_f4_syndrome(self, sigma: np.ndarray) -> np.ndarray:
         """(blocks, n-k) binary -> (blocks, (n-k)/2) GF(4) symbols."""
-        bits = (sigma @ self.syndrome_map_inv.T) % 2
-        r = self.f4_rows
-        out = np.zeros((sigma.shape[0], r), dtype=np.uint8)
-        for j in range(r):
-            out[:, j] = bits[:, 2 * j] | (bits[:, 2 * j + 1] << 1)
-        return out
+        return unpack_symbols(self.syndrome_table.take(pack_symbols(sigma, 1)),
+                              self.f4_rows, 2)
 
     def f4_to_binary_syndrome(self, symbols: np.ndarray) -> np.ndarray:
         r = self.f4_rows

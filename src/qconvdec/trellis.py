@@ -34,7 +34,10 @@ from typing import Literal
 
 import numpy as np
 
-from .algebra import Field, RatMatrix, convolution_matrix, gf_convolve
+from .algebra import (
+    Field, RatMatrix, convolution_matrix, gf_convolve, pack_symbols,
+    unpack_symbols,
+)
 from .circuits import block_parity_matrix
 from .stabilizer import BITS_TO_PAULI, GF4_DECODE_TO_XZ
 
@@ -260,17 +263,12 @@ class DecodeResult:
 
 def pack_sections(frame: np.ndarray, trellis: Trellis) -> np.ndarray:
     """One int label per section: symbol c at bits [bps c, bps (c + 1))."""
-    weights = 1 << (trellis.bits_per_symbol * np.arange(frame.shape[1]))
-    return frame.astype(np.int64) @ weights
+    return pack_symbols(frame, trellis.bits_per_symbol)
 
 
 def unpack_sections(vals, trellis: Trellis) -> np.ndarray:
-    """(sections, out_symbols) symbols of packed section labels, shifted
-    in the labels' own integer dtype."""
-    vals = np.asarray(vals)
-    bps = trellis.bits_per_symbol
-    shifts = np.arange(0, bps * trellis.out_symbols, bps, dtype=vals.dtype)
-    return ((vals[:, None] >> shifts) & ((1 << bps) - 1)).astype(np.uint8)
+    """(sections, out_symbols) symbols of packed section labels."""
+    return unpack_symbols(vals, trellis.out_symbols, trellis.bits_per_symbol)
 
 
 def _metric_tables(trellis: Trellis, metric: BranchMetric) -> tuple[
@@ -461,11 +459,29 @@ def _chunked_pass(trellis: Trellis, folded: Sequence[np.ndarray],
 def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
                    metric: BranchMetric | None = None) -> DecodeResult:
     """Minimum-metric valid codeword for a candidate frame; the error pattern
-    is their symbol-wise difference (XOR in characteristic 2).
+    is their symbol-wise difference (XOR in characteristic 2). The frame is
+    packed, run through :func:`viterbi_path` and the path unpacked."""
+    if candidate.ndim != 2 or candidate.shape[1] != trellis.out_symbols:
+        raise TrellisError(
+            f"candidate must be (sections, {trellis.out_symbols})")
+    labels, path_metric, ties = viterbi_path(
+        trellis, pack_sections(candidate, trellis), metric)
+    codeword = unpack_sections(labels, trellis)
+    return DecodeResult(codeword=codeword,
+                        error=codeword ^ candidate.astype(np.uint8),
+                        path_metric=path_metric, tie_count=ties)
+
+
+def viterbi_path(trellis: Trellis, w: np.ndarray,
+                 metric: BranchMetric | None = None,
+                 ) -> tuple[np.ndarray, int, int]:
+    """(packed section labels, path metric, tie count) of the minimum-metric
+    codeword for a candidate of packed section labels ``w`` (one int per
+    section, as :func:`pack_sections` gives).
 
     The path starts and ends in the zero state (the padded tail gives the
     trellis room to merge back). Ties prefer the smaller most recent input
-    symbol at each merge, then the smaller predecessor state; ``tie_count``
+    symbol at each merge, then the smaller predecessor state; the tie count
     totals the co-optimal branches dropped at merges along the way. A path
     through a branch of cost ``INF`` is unreachable; a frame with no
     reachable path raises ``TrellisError``.
@@ -483,11 +499,7 @@ def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
     """
     if metric is None:
         metric = BranchMetric()
-    if candidate.ndim != 2 or candidate.shape[1] != trellis.out_symbols:
-        raise TrellisError(
-            f"candidate must be (sections, {trellis.out_symbols})")
     *folded, automaton = _metric_tables(trellis, metric)
-    w = pack_sections(candidate, trellis)
     if automaton is not None:
         ids, v = [], 0
         step = automaton.step
@@ -507,10 +519,7 @@ def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
     states = _traceback(came)
     labels = (automaton.label[ids, w, states] if automaton is not None
               else label[np.arange(len(w)), states])
-    codeword = unpack_sections(labels, trellis)
-    error = codeword ^ candidate.astype(np.uint8)
-    return DecodeResult(codeword=codeword, error=error,
-                        path_metric=int(metric_now[0]), tie_count=ties)
+    return labels, int(metric_now[0]), ties
 
 
 # ---------------------------------------------------------------------------

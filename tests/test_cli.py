@@ -213,6 +213,13 @@ class TestInputContract:
                      "--p", "0.05"]) == 0
         assert capsys.readouterr().out.strip() == "IY" + "I" * 16
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_verify_needs_a_trial(self, spec_file, capsys, trials):
+        # --trials 0 used to print PASS for the three checks that ran no
+        # trial and exit 0
+        assert main(["verify", spec_file, "--trials", trials]) == 2
+        assert_one_error_line(capsys.readouterr())
+
     @pytest.mark.parametrize("qubits", ["0", "2", "-3"])
     def test_simulate_frame_below_one_block(self, spec_file, capsys, qubits):
         # --frame-qubits 0 used to die with an uncaught ZeroDivisionError

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from qconvdec.algebra import GF2, parse_poly
+from qconvdec.algebra import GF2, gf_convolve, parse_poly
 from qconvdec.circuits import shifted_isf_matrix
+from qconvdec.circuits import DerivationError
 from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
 from qconvdec.stabilizer import (
     ErrorFrame, SpecError, StabilizerSpec, example_311, parse_stabilizer,
     syndrome_of,
 )
-from qconvdec.simulate import ChannelParams, metric_for, sample_error
-from qconvdec.trellis import BranchMetric, coset_leader_oracle
+from qconvdec.simulate import ChannelParams, frame_rng, metric_for, sample_error
+from qconvdec.trellis import BranchMetric, coset_leader_oracle, viterbi_decode
 
-from reference_data import LONG_REACH_TEXT
+from reference_data import CODES, LONG_REACH_TEXT, PATH_IDS, PATHS
 
 
 def p(t):
@@ -178,3 +179,82 @@ class TestF4Decoder:
             assert out.path_metric == oracle.weight
             if oracle.unique:
                 assert np.array_equal(out.frame.blocks(3), oracle.leader)
+
+
+def _array_harness(decoder, sigma, metric):
+    """The decode of ``sigma`` through the array API:
+    ``candidates.build`` -> ``viterbi_decode`` -> ``symbols_to_frame``."""
+    sym = decoder._syndrome_symbols(sigma)
+    cand = decoder.candidates.build(sym, sym.shape[0])
+    res = viterbi_decode(decoder.trellis, cand, metric)
+    return decoder.symbols_to_frame(res.error), res.path_metric, res.tie_count
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DerivationError as exc:
+        return str(exc)
+
+
+def _needs_repair(decoder, sigma):
+    """Whether the unrepaired ISF candidate of ``sigma`` misses it: its
+    syndrome, by the array convolution, against sigma zero-extended."""
+    cands = decoder.candidates
+    sym = decoder._syndrome_symbols(sigma)
+    W = cands.isf.run_anticausal(sym, len(sym))
+    resid = gf_convolve(cands.syndrome.taps, W, cands.field,
+                        len(sym) + cands.m)
+    resid[:len(sym)] ^= sym
+    return bool(resid.any())
+
+
+# paths whose ISF candidate left no head defect on any frame of the test
+# below, so that they need no repair there
+NO_REPAIR_PATHS = {("311", "f4"), ("211", "bin")}
+
+
+class TestPackedDecode:
+    """``decode`` carries packed blocks from the syndrome to the error
+    labels; the array API must give the same frame, path metric and tie
+    count, or the same error, and every head repair must go through the
+    instance's ``candidates.repair_frame`` (which the benchmark's trace
+    wraps)."""
+
+    @pytest.mark.parametrize("metric_mode", ["hamming", "pauli"])
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_matches_array_harness(self, name, path, metric_mode):
+        spec = CODES[name]
+        decoder = (SyndromeDecoderF4 if path == "f4" else SyndromeDecoder)(
+            spec)
+        metric = metric_for(metric_mode, 0.05)
+        calls = []
+        repair = decoder.candidates.repair_frame
+
+        def counting(*args):
+            calls.append(args)
+            return repair(*args)
+
+        decoder.candidates.repair_frame = counting
+        rng = np.random.default_rng(5)
+        repaired = failed = 0
+        for i in range(24):
+            channel = decoder.measure(sample_error(
+                ChannelParams(0.05), spec.n * 20, frame_rng(31, i)))
+            uniform = rng.integers(0, 2, size=channel.shape).astype(np.uint8)
+            for sigma in (channel, uniform):
+                needs = _needs_repair(decoder, sigma)
+                del calls[:]
+                want = _outcome(_array_harness, decoder, sigma, metric)
+                harness_calls = len(calls)
+                del calls[:]
+                out = _outcome(decoder.decode, sigma, metric)
+                assert len(calls) == harness_calls == needs, (name, i)
+                if isinstance(want, str):
+                    assert out == want, (name, i)
+                    failed += 1
+                else:
+                    assert out.frame == want[0], (name, i)
+                    assert (out.path_metric, out.tie_count) == want[1:]
+                    repaired += needs
+        assert bool(repaired) == ((name, path) not in NO_REPAIR_PATHS)
