@@ -52,9 +52,9 @@ class TransferSystem:
     of its other poles, so that their lcm divides 1 + D^P, and N (``taps``)
     the polynomial D^a (1 + D^P) M. :meth:`run` expands 1 / (1 + D^P) in
     powers of D, :meth:`run_anticausal` in powers of 1/D; each is one pass
-    of N's :class:`ConvolutionKernel` and an XOR at stride P, on packed
-    blocks (the ``*_words`` methods) or on symbol arrays. a, P, N and the
-    kernel are worked out on first use."""
+    of N's :class:`ConvolutionKernel` on packed blocks and an XOR at stride
+    P (:meth:`run_anticausal_words` takes and returns the packed blocks).
+    a, P, N and the kernel are worked out on first use."""
 
     def __init__(self, matrix: RatMatrix, role: str = ""):
         self.matrix = matrix
@@ -122,19 +122,14 @@ class TransferSystem:
     def run(self, x: np.ndarray, extra: int = 0) -> np.ndarray:
         """Stream a (T, inputs) frame; returns (T + extra, outputs) holding
         the coefficients of D^input_advance * (x @ matrix)."""
-        return self._unpacked(self.run_words(self._packed(x),
-                                             len(x) + extra))
-
-    def run_words(self, x: np.ndarray, length: int) -> np.ndarray:
-        """:meth:`run` on packed blocks: (T, slices) input slices in, the
-        first ``length`` output words out."""
         # D^a x M = x N sum_{i>=0} D^iP: a prefix XOR at stride P
-        P = self.period
+        x = self._packed(x)
+        length, P = len(x) + extra, self.period
         rows = -(-length // P)
         v = np.zeros(rows * P, dtype=np.int64)
         v[:length] = self.kernel(x, length)
-        return np.bitwise_xor.accumulate(v.reshape(rows, P), axis=0).reshape(
-            -1)[:length]
+        v = np.bitwise_xor.accumulate(v.reshape(rows, P), axis=0)
+        return self._unpacked(v.reshape(-1)[:length])
 
     def run_anticausal(self, x: np.ndarray, length: int) -> np.ndarray:
         """The first ``length`` coefficients, (length, outputs), of x @ matrix
@@ -423,8 +418,9 @@ class CandidateBuilder:
         self.r, self.lanes = parity.rows, parity.cols
         self.syndrome = ConvolutionKernel(taps, f)
         self.isf = TransferSystem(isf, role="ISF")
-        # work out the closed form now, so that an ISF past the degree cap
-        # fails at construction rather than at the first build; the
+        # work out the closed form and its kernel now, so that an ISF past
+        # the degree cap fails at construction rather than at the first
+        # build; the
         # expansion D^-a N(D) sum_{i>=1} D^-iP reaches deg N - a - P blocks
         # past the last nonzero syndrome block
         self.reach = (self.isf.kernel.taps.shape[0] - 1
