@@ -128,8 +128,8 @@ class SyndromeDecoder:
     def decode(self, sigma: np.ndarray, metric: BranchMetric | None = None,
                ) -> DecodedError:
         """ML error pattern for a measured binary syndrome over the padded
-        span: (blocks, n-k) with at least one data block before the
-        ``pad_blocks`` padding blocks."""
+        span: (blocks, n-k) entries 0 or 1, with at least one data block
+        before the ``pad_blocks`` padding blocks."""
         streams = self.spec.n - self.spec.k
         if sigma.ndim != 2 or sigma.shape[1] != streams:
             raise ValueError(f"syndrome must have shape (blocks, {streams})")
@@ -137,12 +137,30 @@ class SyndromeDecoder:
             raise ValueError(
                 f"syndrome has {sigma.shape[0]} blocks; it needs at least one "
                 f"data block beyond the {self.pad_blocks} padding blocks")
+        _check_bits(sigma)
         s = self._syndrome_words(sigma)
         w = self.candidates.build_words(s, len(s))
         labels, path_metric, ties = viterbi_path(self.trellis, w, metric)
         bits = self._label_bits.take(labels ^ w, axis=0)
         return DecodedError(frame=ErrorFrame(bits.reshape(-1)),
                             path_metric=path_metric, tie_count=ties)
+
+
+# unsigned int dtype of each integer width, in bytes
+_UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
+def _check_bits(sigma: np.ndarray) -> None:
+    """Raise ValueError unless every syndrome entry is 0 or 1. Integer and
+    bool entries are read once, as unsigned ints of their width (a negative
+    one wraps above 1); others are compared with their truth values."""
+    if sigma.dtype.kind in "biu":
+        bad = np.maximum.reduce(sigma.view(_UNSIGNED[sigma.itemsize]),
+                                axis=None) > 1
+    else:
+        bad = np.any(sigma != (sigma != 0))
+    if bad:
+        raise ValueError("syndrome entries must be 0 or 1")
 
 
 class SyndromeDecoderF4(SyndromeDecoder):

@@ -16,11 +16,14 @@ through their differences, so with integer costs a trellis reaches finitely
 many metric vectors normalised to a least entry of 0. Each metric's
 automaton over them holds, per (vector, packed label), the next vector, the
 minimum taken out, every state's survivor (its predecessor and label) and
-the section's tie count, so a frame is one walk of its step table plus
-lookups. A trellis whose automaton would pass a work budget (many states)
-runs add-compare-select section by section in chunks, and only there are
-survivors and ties read off the recorded metrics, by the same rule. The
-traceback walks the survivors' predecessors back, one read per section.
+the section's tie count. Stride tables composed from these advance k
+sections per lookup: the walk over label classes (labels whose next vectors
+agree), the traceback over survivor columns. So a frame is one walk and one
+traceback of about n / k Python steps each, plus gathers. A trellis whose
+automaton would pass a work budget (many states) runs add-compare-select
+section by section in chunks, and only there are survivors and ties read
+off the recorded metrics, by the same rule; its traceback reads one
+survivor per section.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ _CHUNK_BRANCHES = 1 << 14
 # normalised metric vectors x packed labels x states above which a metric
 # gets no automaton and Viterbi runs section by section
 _AUTOMATON_WORK = 1 << 20
+# walk and traceback table entries per metric: its automaton advances the
+# largest number of sections per lookup whose tables fit
+_STRIDE_WORK = 1 << 21
 # trellis state budget, checked before any branch table is allocated
 _MAX_STATES = 1 << 20
 # frame bits the exhaustive oracle enumerates at most (one row per frame)
@@ -300,19 +306,41 @@ def _cached(table: dict, key, build):
 @dataclass(frozen=True)
 class _MetricAutomaton:
     """Add-compare-select over state metrics normalised to a least entry of
-    0 (``INF`` entries stay ``INF``; an all-``INF`` vector gives up 0): the
-    section with packed label x takes vector v to ``vectors[step[v][x]]``
-    plus ``gain[v, x]``, each state t's survivor comes from ``came[v, x,
-    t]`` with label ``label[v, x, t]`` (``_survivor_branches``), and
-    ``ties[v, x]`` co-optimal branches are dropped (``_select``). Vector 0
-    is the start, 0 in the zero state."""
+    0 (``INF`` entries stay ``INF``; an all-``INF`` vector gives up 0).
+    Vector 0 is the start, 0 in the zero state. For vector v and packed
+    label x, at the flat key f = v (L + 1) + x, the section takes v to
+    ``vectors[step[v, x]]`` plus ``tally[0, f]`` and drops ``tally[1, f]``
+    co-optimal branches (``_select``); state t's survivor comes from
+    ``cols[col.flat[f], t]`` with label ``label.flat[f S + t]``
+    (``_survivor_branches``). Label L, one past the packed labels, is the
+    no-op section: it keeps the vector and every state, and gains and ties
+    nothing. A frame is padded with it to whole strides.
+
+    A stride is k = ``stride`` sections. Forwards it is keyed on label
+    classes, labels whose ``step`` columns are equal (the no-op is one
+    more): classes c_i of k labels have the key sum c_i C^(k-1-i), by
+    ``class_weights``, which takes vector v to ``walk[v][key]``, and row
+    v C^k + key of ``within`` holds v_i (L + 1) for the vector v_i before
+    each section i. Backwards it is keyed on survivor column ids, id 0 the
+    no-op's identity: ids b_i of k sections have the key (sum b_i
+    U^(k-1-i)) S, by ``col_weights``, and for the state t after the stride,
+    row key + t of ``back`` holds the state before it and of
+    ``back_within`` the state after each section."""
 
     vectors: np.ndarray      # (vectors, states)
-    step: list[list[int]]    # next vector per (vector, packed label)
-    gain: np.ndarray         # (vectors, packed labels): the minimum taken out
-    came: np.ndarray         # (vectors, packed labels, states)
-    label: np.ndarray        # (vectors, packed labels, states)
-    ties: np.ndarray         # (vectors, packed labels)
+    step: np.ndarray         # (vectors, L): next vector
+    tally: np.ndarray        # (2, vectors * (L + 1)): gain and ties
+    col: np.ndarray          # (vectors, L + 1): survivor column id
+    cols: np.ndarray         # (U, states): each state's predecessor
+    label: np.ndarray        # (vectors, L + 1, states): survivor labels
+    stride: int
+    classes: np.ndarray      # (L + 1,)
+    class_weights: np.ndarray  # (stride,)
+    walk: list               # per vector, a memoryview over class keys
+    within: np.ndarray       # (vectors * C^k, stride)
+    col_weights: np.ndarray  # (stride,)
+    back: memoryview         # (U^k * states,)
+    back_within: np.ndarray  # (U^k * states, stride)
 
 
 def _select(trellis: Trellis, tables: Sequence[np.ndarray],
@@ -385,14 +413,97 @@ def _build_automaton(trellis: Trellis, tables: Sequence[np.ndarray],
         frontier = vectors(found)
         gains.append(gain.reshape(-1, labels))
     every, gain = vectors(0), np.concatenate(gains)
-    after = np.minimum(every[np.fromiter(step, np.intp, len(step)).reshape(
-        -1, labels)] + gain[..., None], INF)
+    step = np.array(step, dtype=np.min_scalar_type(len(every) - 1)).reshape(
+        -1, labels)
+    after = np.minimum(every[step] + gain[..., None], INF)
     survivor, ties = _select(trellis, tables, every[:, None], x, after)
     came, label = _survivor_branches(trellis, survivor)
+    return _with_strides(every, step, gain, ties, came, label)
+
+
+def _row_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(id of each row, the distinct rows in order of first appearance) of a
+    2-d array; rows are equal when their bytes are."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel().tolist()
+    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    ids = np.fromiter(map(index.__getitem__, keys),
+                      np.min_scalar_type(len(index) - 1), len(keys))
+    return ids, np.frombuffer(b"".join(index), dtype=rows.dtype).reshape(
+        len(index), -1)
+
+
+def _stride(vectors: int, classes: int, columns: int, states: int) -> int:
+    """The largest stride k >= 1 whose walk and traceback tables, with
+    their in-block columns, hold at most ``_STRIDE_WORK`` entries. Classes
+    and columns count as at least two, so that the stride, and with it the
+    no-op padding of a frame, stays below log2 of the budget."""
+    classes, columns = max(classes, 2), max(columns, 2)
+
+    def entries(k):
+        return (vectors * classes ** k + columns ** k * states) * (k + 1)
+    k = 1
+    while entries(k + 1) <= _STRIDE_WORK:
+        k += 1
+    return k
+
+
+def _with_strides(vectors: np.ndarray, step: np.ndarray, gain: np.ndarray,
+                  ties: np.ndarray, came: np.ndarray, label: np.ndarray,
+                  ) -> _MetricAutomaton:
+    """The automaton of the one-section tables, with the no-op label
+    appended and the stride tables composed from them. The walk composes
+    ``step`` over label classes stride times from every vector; the
+    traceback composes survivor columns over stride-long runs of column
+    ids, back from every state. Each composition is a gather on narrow
+    indices, so no table-size intp index is made. Tables whose entries
+    meet in one key's product or sum are stored in dtypes that hold the
+    key, so no key overflows."""
+    nvec, labels = step.shape
+    nstates = vectors.shape[1]
+    classes, by_class = _row_ids(np.concatenate(
+        [step, np.arange(nvec, dtype=step.dtype)[:, None]], axis=1).T)
+    # survivor columns; id 0 is the no-op's identity
+    col, cols = _row_ids(np.concatenate(
+        [np.arange(nstates, dtype=came.dtype)[None],
+         came.reshape(-1, nstates)]))
+    nclass, ncol = len(by_class), len(cols)
+    k = _stride(nvec, nclass, ncol, nstates)
+    flat_type = np.min_scalar_type(nvec * (labels + 1) * nstates)
+    back_type = np.min_scalar_type(ncol ** k * nstates)
+
+    # the vector before section i depends on the vector and the classes
+    # of sections 0 .. i - 1, so repeats over the classes after those
+    within = np.empty((nvec * nclass ** k, k), dtype=flat_type)
+    after = np.arange(nvec, dtype=step.dtype)
+    for i in range(k):
+        within[:, i] = np.repeat(after.astype(flat_type) * (labels + 1),
+                                 nclass ** (k - i))
+        after = by_class.T[after.reshape(nvec, -1)].reshape(-1)
+    # the state after section i depends on the ids of sections i + 1 ..
+    # k - 1 and the state after the stride, so repeats over the ids before
+    back_within = np.empty((ncol ** k * nstates, k), dtype=cols.dtype)
+    before = np.arange(nstates, dtype=cols.dtype)
+    for i in reversed(range(k)):
+        back_within[:, i] = np.tile(before.reshape(-1), ncol ** (i + 1))
+        before = cols[:, before]
+
+    def padded(table):
+        out = np.zeros((nvec, labels + 1) + table.shape[2:], table.dtype)
+        out[:, :labels] = table
+        return out
+
+    weights = np.arange(k - 1, -1, -1)
     return _MetricAutomaton(
-        vectors=every,
-        step=[step[v:v + labels] for v in range(0, len(step), labels)],
-        gain=gain, came=came, label=label, ties=ties)
+        vectors=vectors, step=step,
+        tally=np.stack([padded(gain).reshape(-1), padded(ties).reshape(-1)]),
+        col=padded(col[1:].reshape(nvec, labels).astype(back_type)),
+        cols=cols, label=padded(label), stride=k,
+        classes=classes, class_weights=nclass ** weights,
+        walk=[memoryview(row) for row in after.reshape(nvec, -1)],
+        within=within,
+        col_weights=(ncol ** weights * nstates).astype(back_type),
+        back=memoryview(before.reshape(-1)), back_within=back_within)
 
 
 def _survivor_branches(trellis: Trellis, offsets: np.ndarray,
@@ -486,40 +597,66 @@ def viterbi_path(trellis: Trellis, w: np.ndarray,
     through a branch of cost ``INF`` is unreachable; a frame with no
     reachable path raises ``TrellisError``.
 
-    With the metric's automaton (``_MetricAutomaton``), one walk of its
-    step table gives the vector before every section, and the survivors,
-    the tie count and the end metrics are lookups by (vector, packed
-    label). A trellis with no automaton walks the frame in chunks of
-    sections holding about ``_CHUNK_BRANCHES`` branches: a chunk gathers
-    one folded cost per (predecessor, state) and section from the metric's
-    least-cost table, runs add-compare-select section by section, and reads
-    its survivors and ties off the recorded metrics by the same rule
-    (``_select``). The traceback gives the states of the path, whose
-    survivor labels are the codeword's packed sections.
+    With the metric's automaton (``_MetricAutomaton``), the frame is padded
+    with the no-op label to whole strides of k sections. The walk takes one
+    Python step per stride to the vector after it, and one gather of
+    ``within`` gives the flat (vector, packed label) key of every section.
+    The tie count, the path metric and the survivors' column ids are
+    gathers on those keys. The traceback takes one Python step per stride
+    back to the state before it, one gather of ``back_within`` gives the
+    states inside each stride, and one more the path's survivor labels. A
+    trellis with no automaton walks the frame in chunks of sections
+    holding about ``_CHUNK_BRANCHES`` branches: a chunk gathers one folded
+    cost per (predecessor, state) and section from the metric's least-cost
+    table, runs add-compare-select section by section, and reads its
+    survivors and ties off the recorded metrics by the same rule
+    (``_select``); its traceback (``_traceback``) reads one survivor per
+    section. The survivor labels on the path are the codeword's packed
+    sections.
     """
     if metric is None:
         metric = BranchMetric()
     *folded, automaton = _metric_tables(trellis, metric)
-    if automaton is not None:
-        ids, v = [], 0
-        step = automaton.step
-        for x in w.tolist():
-            ids.append(v)
-            v = step[v][x]
-        ids = np.fromiter(ids, np.intp, len(ids))
-        came = automaton.came[ids, w]
-        ties = int(automaton.ties[ids, w].sum())
-        metric_now = np.minimum(
-            automaton.vectors[v] + automaton.gain[ids, w].sum(), INF)
-    else:
+    if automaton is None:
         came, label, ties, metric_now = _chunked_pass(trellis, folded, w)
+        if metric_now[0] >= INF:
+            raise TrellisError("no zero-terminated path fits the frame")
+        return (label[np.arange(len(w)), _traceback(came)],
+                int(metric_now[0]), ties)
 
-    if metric_now[0] >= INF:
+    a, k, n = automaton, automaton.stride, len(w)
+    blocks = -(-n // k)
+    if blocks * k > n:
+        # the no-op label L, the last one ``classes`` holds
+        noop = len(a.classes) - 1
+        w = np.concatenate((w, np.full(blocks * k - n, noop,
+                                        dtype=np.min_scalar_type(noop))))
+    w = w.reshape(blocks, k)
+    keys = a.classes.take(w) @ a.class_weights
+    ids, v = [], 0
+    walk = a.walk
+    for key in keys.tolist():
+        ids.append(v)
+        v = walk[v][key]
+    end = int(a.vectors[v, 0])
+    if end >= INF:
         raise TrellisError("no zero-terminated path fits the frame")
-    states = _traceback(came)
-    labels = (automaton.label[ids, w, states] if automaton is not None
-              else label[np.arange(len(w)), states])
-    return labels, int(metric_now[0]), ties
+    # the flat (vector, packed label) key of every section, in a dtype
+    # that holds it times the states
+    flat = a.within.take(np.fromiter(ids, np.intp, blocks) * len(walk[0])
+                         + keys, axis=0) + w
+    rows, s = [], 0
+    back = a.back
+    for b in (a.col.take(flat) @ a.col_weights)[::-1].tolist():
+        b += s
+        rows.append(b)
+        s = back[b]
+    states = a.back_within.take(np.fromiter(reversed(rows), np.intp, blocks),
+                                axis=0)
+    labels = a.label.take(flat * a.vectors.shape[1] + states)
+    gain, ties = np.add.reduce(a.tally.take(flat, axis=1),
+                               axis=(1, 2)).tolist()
+    return labels.reshape(-1)[:n], end + gain, ties
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,38 @@ class TestBinaryDecoder:
         assert f.num_qubits == 906
 
 
+class TestSyndromeEntries:
+    """``decode`` takes syndrome bits only. An entry of 2 used to pack as
+    the next stream's bit (a 2 at block 2, stream 0 of [3,1,1] decoded to
+    a frame that re-measures to [0, 1] there), and a 3 or -1 failed in a
+    table gather with a bare IndexError."""
+
+    @pytest.mark.parametrize("value,dtype", [(2, np.uint8), (3, np.int64),
+                                             (-1, np.int64)],
+                             ids=["uint8-2", "int64-3", "int64-minus1"])
+    @pytest.mark.parametrize("path", ["bin", "f4"])
+    def test_entry_outside_bits_rejected(self, value, dtype, path, decoder,
+                                         decoder_f4):
+        sigma = np.zeros((8, 2), dtype=dtype)
+        sigma[2, 0] = value
+        with pytest.raises(ValueError, match="0 or 1"):
+            (decoder_f4 if path == "f4" else decoder).decode(sigma)
+
+    @pytest.mark.parametrize("dtype", [bool, np.float64])
+    @pytest.mark.parametrize("path", ["bin", "f4"])
+    def test_bool_and_float_bits_decode(self, dtype, path, decoder,
+                                        decoder_f4):
+        dec = decoder_f4 if path == "f4" else decoder
+        for i in range(5):
+            sigma = dec.measure(sample_error(ChannelParams(0.05), 60,
+                                             frame_rng(41, i)))
+            want = dec.decode(sigma)
+            got = dec.decode(sigma.astype(dtype))
+            assert got.frame == want.frame
+            assert (got.path_metric, got.tie_count) == (want.path_metric,
+                                                        want.tie_count)
+
+
 class TestPaddingCoversCandidateReach:
     @pytest.fixture(scope="class")
     def long_reach(self):

@@ -19,8 +19,9 @@ from qconvdec.simulate import ChannelParams, frame_rng, metric_for, sample_error
 from qconvdec import trellis as trellis_module
 from qconvdec.trellis import (
     _AUTOMATON_WORK, _CHUNK_BRANCHES, INF, BranchMetric, OracleCapError,
-    TrellisError, _metric_tables, build_trellis, coset_leader_oracle,
-    pack_sections, pauli_costs_for_channel, unpack_sections, viterbi_decode,
+    TrellisError, _metric_tables, _with_strides, build_trellis,
+    coset_leader_oracle, pack_sections, pauli_costs_for_channel,
+    unpack_sections, viterbi_decode, viterbi_path,
 )
 
 from reference_data import CODES, PATH_IDS, PATHS, REF_GENERATOR_F4
@@ -333,16 +334,18 @@ def _reference_candidates(decoder, sections, rng):
     yield np.zeros((sections, t.out_symbols), dtype=np.uint8)
 
 
-# the forward passes of viterbi_decode: the metric's automaton where the
-# budget allows one, and section by section under a zero budget
-PASSES = ["automaton", "fallback"]
+# the forward passes of viterbi_decode: the metric's automaton at its own
+# stride, the automaton at stride 1 under a zero stride budget, and section
+# by section under a zero automaton budget
+PASSES = ["automaton", "stride-1", "fallback"]
+_BUDGETS = {"stride-1": "_STRIDE_WORK", "fallback": "_AUTOMATON_WORK"}
 
 
 @contextmanager
 def _forward_pass(name, trellis):
     """viterbi_decode on ``trellis`` with the named forward pass. The
-    fallback sets the kernel's cached tables aside, so that they are rebuilt
-    with no automaton, and puts them back on exit."""
+    others set the kernel's cached tables aside, so that they are rebuilt
+    under their zero budget, and put them back on exit."""
     if name == "automaton":
         yield
         return
@@ -350,7 +353,7 @@ def _forward_pass(name, trellis):
     saved = dict(tables)
     tables.clear()
     try:
-        with mock.patch.object(trellis_module, "_AUTOMATON_WORK", 0):
+        with mock.patch.object(trellis_module, _BUDGETS[name], 0):
             yield
     finally:
         tables.clear()
@@ -358,10 +361,9 @@ def _forward_pass(name, trellis):
 
 
 class TestViterbiReference:
-    """The chunked recursion against the per-section reference on its own
-    (state, input) tables: equal codeword, error, path metric and tie count
-    on every code and path, across every chunk boundary, on each of the
-    ``PASSES``."""
+    """Viterbi against the per-section reference on its own (state, input)
+    tables: equal codeword, error, path metric and tie count on every code
+    and path, across every chunk boundary, on each of the ``PASSES``."""
 
     @pytest.mark.parametrize("metric", ["hamming", "pauli"])
     @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
@@ -377,6 +379,37 @@ class TestViterbiReference:
                 ties += _assert_matches_reference(t, _reference(name, path),
                                                   w, metric)
         assert ties > 0
+
+    @pytest.mark.parametrize("metric", ["hamming", "pauli"])
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_stride_tails_and_label_dtypes(self, name, path, metric):
+        # frames of 1 .. 2k + 1 sections, shorter than one stride and
+        # ending in every tail length, and of 60 sections, which reach the
+        # highest vector ids, with their packed labels in each of uint8,
+        # uint16 and int64 that holds them: the metric's stride and stride
+        # 1 give the reference's path, metric and ties
+        decoder = _decoder(name, path)
+        t = decoder.trellis
+        metric = (BranchMetric() if metric == "hamming"
+                  else metric_for("pauli", 0.05))
+        stride = _metric_tables(t, metric)[3].stride
+        dtypes = [d for d in (np.uint8, np.uint16, np.int64)
+                  if np.iinfo(d).max >= (1 << t.label_bits) - 1]
+        rng = np.random.default_rng(17)
+        frames = [(pack_sections(w, t), reference_viterbi.viterbi_decode(
+                       _reference(name, path), w, metric))
+                  for sections in [*range(1, 2 * stride + 2), 60]
+                  for w in _reference_candidates(decoder, sections, rng)]
+        for forward in ("automaton", "stride-1"):
+            with _forward_pass(forward, t):
+                for w, want in frames:
+                    for dtype in dtypes:
+                        labels, path_metric, ties = viterbi_path(
+                            t, w.astype(dtype), metric)
+                        assert np.array_equal(unpack_sections(labels, t),
+                                              want.codeword)
+                        assert (path_metric, ties) == (want.path_metric,
+                                                       want.tie_count)
 
     def test_matches_reference_with_unreached_states(self):
         # the tick-rate generator trellis reaches all 4 states only from the
@@ -427,12 +460,41 @@ class TestViterbiReference:
                                   BranchMetric(), ["automaton"])
 
 
+def _one_section(automaton):
+    """(gain, ties, survivor predecessors, survivor labels) of an automaton
+    per (vector, packed label), without the no-op label's column."""
+    nvec, labels = automaton.step.shape
+    gain, ties = automaton.tally.reshape(2, nvec, -1)[:, :, :labels]
+    came = automaton.cols[automaton.col[:, :labels]]
+    return gain, ties, came, automaton.label[:, :labels]
+
+
+def _stride_entries(automaton):
+    """Entries of an automaton's walk and traceback tables."""
+    return (len(automaton.walk) * len(automaton.walk[0])
+            + automaton.within.size + len(automaton.back)
+            + automaton.back_within.size)
+
+
+def _digits(count, base, places):
+    """(count, places) base-``base`` digits of 0 .. count - 1, most
+    significant first."""
+    return np.arange(count)[:, None] // base ** np.arange(
+        places - 1, -1, -1) % base
+
+
 class TestAutomaton:
     """The metric automaton: its size on the five codes, its steps against
-    add-compare-select on each vector, and its budget."""
+    add-compare-select on each vector, its stride tables against the
+    one-section tables, and its budgets."""
 
     # normalised metric vectors reached, the same on both paths
     VECTORS = {"311": 18, "211": 3, "421": 18, "312": 172, "511": 66}
+    # stride and stride-table entries, the same under both metrics
+    STRIDES = {"311-bin": (2, 203106), "311-f4": (2, 191298),
+               "211-bin": (9, 984150), "421-bin": (2, 444258),
+               "312-bin": (1, 52456), "511-bin": (2, 1488018),
+               "511-f4": (2, 1488018)}
 
     @pytest.mark.parametrize("metric", [BranchMetric(),
                                         metric_for("pauli", 0.05)],
@@ -443,6 +505,16 @@ class TestAutomaton:
         automaton = _metric_tables(t, metric)[3]
         assert len(automaton.vectors) == self.VECTORS[name]
 
+    @pytest.mark.parametrize("metric", [BranchMetric(),
+                                        metric_for("pauli", 0.05)],
+                             ids=["hamming", "pauli"])
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_strides(self, name, path, metric):
+        automaton = _metric_tables(_decoder(name, path).trellis, metric)[3]
+        assert (automaton.stride, _stride_entries(automaton)) == (
+            self.STRIDES[f"{name}-{path}"])
+        assert _stride_entries(automaton) <= trellis_module._STRIDE_WORK
+
     @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
     def test_steps_match_add_compare_select(self, name, path):
         # every (vector, label) step, against the metrics one section of
@@ -450,6 +522,7 @@ class TestAutomaton:
         t = _decoder(name, path).trellis
         metric = metric_for("pauli", 0.05)
         automaton = _metric_tables(t, metric)[3]
+        gain = _one_section(automaton)[0]
         froms, labels = _branches(t)
         cost_of = metric.xor_table(t)
         x = np.arange(len(cost_of))
@@ -460,7 +533,7 @@ class TestAutomaton:
             assert vec.min() == 0
             cand = vec[froms][..., None] + cost_of[labels[..., None] ^ x]
             after = np.minimum(cand.min(axis=1), INF)
-            got = (automaton.vectors[automaton.step[v]].T + automaton.gain[v])
+            got = automaton.vectors[automaton.step[v]].T + gain[v]
             assert np.array_equal(np.minimum(got, INF), after)
 
     @pytest.mark.parametrize("metric", [BranchMetric(),
@@ -475,6 +548,7 @@ class TestAutomaton:
         # per reached state
         t = _decoder(name, path).trellis
         automaton = _metric_tables(t, metric)[3]
+        _, all_ties, came, survivor_labels = _one_section(automaton)
         froms, labels = _branches(t)
         cost_of = metric.xor_table(t)
         x = np.arange(len(cost_of))
@@ -487,10 +561,80 @@ class TestAutomaton:
             ties = (((cand == after[:, None]) & reached[:, None]).sum(
                 axis=(0, 1)) - reached.sum(axis=0))
             state = np.arange(t.num_states)[:, None]
-            assert np.array_equal(automaton.came[v].T, froms[state, survivor])
-            assert np.array_equal(automaton.label[v].T,
+            assert np.array_equal(came[v].T, froms[state, survivor])
+            assert np.array_equal(survivor_labels[v].T,
                                   labels[state, survivor])
-            assert np.array_equal(automaton.ties[v], ties)
+            assert np.array_equal(all_ties[v], ties)
+
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_stride_tables_compose_one_section(self, name, path):
+        # every walk row against k steps over one label of each class (the
+        # no-op label keeps the vector), and every traceback row against k
+        # survivor columns applied back from each state; the no-op label
+        # gains and ties nothing and keeps every state
+        automaton = _metric_tables(_decoder(name, path).trellis,
+                                   metric_for("pauli", 0.05))[3]
+        k = automaton.stride
+        nvec, labels = automaton.step.shape
+        nstates = automaton.vectors.shape[1]
+        classes = automaton.classes
+        assert classes.shape == (labels + 1,)
+        # the first label of each class; the no-op label L keeps the vector
+        member = np.unique(classes, return_index=True)[1]
+        step = np.concatenate([automaton.step, np.arange(nvec)[:, None]],
+                              axis=1)
+        # each pair of labels in one class steps alike
+        assert np.array_equal(step[:, member[classes]], step)
+        keys = _digits(len(member) ** k, len(member), k)
+        assert np.array_equal(keys @ automaton.class_weights,
+                              np.arange(len(keys)))
+        v = np.repeat(np.arange(nvec), len(keys))
+        within = automaton.within.astype(np.int64)
+        for i in range(k):
+            assert np.array_equal(within[:, i], v * (labels + 1))
+            v = step[v, member[np.tile(keys[:, i], nvec)]]
+        assert np.array_equal(np.concatenate(automaton.walk), v)
+
+        cols = automaton.cols
+        assert np.array_equal(cols[automaton.col[:, labels]],
+                              np.tile(np.arange(nstates), (nvec, 1)))
+        assert not automaton.tally.reshape(2, nvec, -1)[:, :, labels].any()
+        runs = _digits(len(cols) ** k, len(cols), k)
+        assert np.array_equal(runs @ automaton.col_weights,
+                              np.arange(len(runs)) * nstates)
+        runs = np.repeat(runs, nstates, axis=0)
+        s = np.tile(np.arange(nstates), len(cols) ** k)
+        for i in reversed(range(k)):
+            assert np.array_equal(automaton.back_within[:, i], s)
+            s = cols[runs[:, i], s]
+        assert np.array_equal(np.asarray(automaton.back), s)
+
+    def test_over_budget_keeps_stride_one(self):
+        # [3,1,1]'s tables under a stride budget one entry short of its
+        # stride-2 tables: stride 1, at the traced peak of a zero budget,
+        # below that of the stride-2 traceback table alone (125^2 x 4 x 2
+        # one-byte entries)
+        automaton = _metric_tables(_decoder("311", "bin").trellis,
+                                   BranchMetric())[3]
+        assert automaton.stride == 2
+        one_section = (automaton.vectors, automaton.step,
+                       *_one_section(automaton))
+
+        def build(budget):
+            with mock.patch.object(trellis_module, "_STRIDE_WORK", budget):
+                tracemalloc.start()
+                try:
+                    built = _with_strides(*one_section)
+                    return built, tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        short, peak = build(_stride_entries(automaton) - 1)
+        zero, zero_peak = build(0)
+        assert short.stride == zero.stride == 1
+        assert _stride_entries(short) == _stride_entries(zero) < 2000
+        assert peak <= zero_peak + 4096
+        assert peak < 125 ** 2 * 4 * 2
 
     def test_over_budget_has_no_automaton(self):
         # 16 states entered from 2 each reach 191,335 normalised vectors
