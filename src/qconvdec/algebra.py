@@ -844,12 +844,12 @@ def pack_symbols(x: np.ndarray, bps: int) -> np.ndarray:
 
 
 def unpack_symbols(words, count: int, bps: int) -> np.ndarray:
-    """(rows, count) symbols of packed words: one row gather per word byte
-    from the symbols of every byte value."""
+    """(rows, count) symbols of packed words, contiguous: one row gather per
+    word byte from the symbols of every byte value."""
     slices = word_slices(words, -(-count * bps // 8))
     symbols = _BYTE_SYMBOLS[bps].take(slices, axis=0)
-    return symbols.reshape(len(slices), slices.shape[1] * (8 // bps))[
-        :, :count]
+    return np.ascontiguousarray(symbols.reshape(
+        len(slices), slices.shape[1] * (8 // bps))[:, :count])
 
 
 def word_slices(words, slices: int) -> np.ndarray:

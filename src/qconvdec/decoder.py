@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import RatMatrix, pack_symbols, unpack_symbols
+from .algebra import RatMatrix, pack_slices, pack_symbols, unpack_symbols
 from .circuits import (
     CandidateBuilder, block_isf_matrix, block_parity_matrix, block_syndrome,
     coset_code_rows, derive_bundle, polynomial_kernel_basis, with_isf,
@@ -46,10 +46,10 @@ class SyndromeDecoder:
     polynomial and its coset basis, the trellis kind, the block-domain
     candidate maps, and the symbol maps on the way in and out.
 
-    :meth:`decode` carries one packed int per block from the syndrome to
-    the error labels, and each map between is a table gather: the syndrome
+    :meth:`decode_words` carries one packed int per block from the syndrome
+    to the error labels, and each map between is a table gather: the syndrome
     into candidate symbols, the candidate (``CandidateBuilder.build_words``)
-    and the error labels into frame bits."""
+    and the error labels into frame bits or block bytes (``label_bytes``)."""
 
     trellis_kind = "bit-paired"
 
@@ -72,6 +72,7 @@ class SyndromeDecoder:
                                 self.trellis)
         self._label_bits = self.symbols_to_frame(every).bits.reshape(
             len(every), -1)
+        self.label_bytes = pack_slices(self._label_bits, 1)
 
     def _transfer(self) -> RatMatrix:
         self.hb = binary_transfer(self.spec)
@@ -85,15 +86,17 @@ class SyndromeDecoder:
         the binary path fold the tick-rate H_b^T and ISF."""
         return block_parity_matrix(bundle.hb), block_isf_matrix(bundle.isf.matrix)
 
-    def _syndrome_words(self, sigma: np.ndarray) -> np.ndarray:
-        """The measured binary syndrome in the symbols the candidate takes,
-        packed one word per block."""
-        return pack_symbols(sigma, 1)
+    def _syndrome_words(self, s: np.ndarray) -> np.ndarray:
+        """The symbols the candidate takes of packed binary syndrome words,
+        one word per block; on the binary path the words themselves."""
+        return s
 
     def _syndrome_symbols(self, sigma: np.ndarray) -> np.ndarray:
-        """:meth:`_syndrome_words` as a (blocks, symbols) array."""
+        """:meth:`_syndrome_words` of a binary (blocks, n-k) syndrome as a
+        (blocks, symbols) array."""
         c = self.candidates
-        return unpack_symbols(self._syndrome_words(sigma), c.r, c.bps)
+        return unpack_symbols(self._syndrome_words(pack_symbols(sigma, 1)),
+                              c.r, c.bps)
 
     def symbols_to_frame(self, symbols: np.ndarray) -> ErrorFrame:
         """Error frame of a decoded (blocks, lanes) symbol array."""
@@ -119,7 +122,9 @@ class SyndromeDecoder:
 
     def measure(self, frame: ErrorFrame) -> np.ndarray:
         """Syndrome of a data frame over the padded span, (blocks, n-k)."""
-        return syndrome_of(self.spec, self.padded_frame(frame))
+        x = frame.block_bytes(self.n)
+        words = self.spec.syndrome_kernel(x, len(x) + self.pad_blocks)
+        return unpack_symbols(words, self.spec.n - self.spec.k, 1)
 
     def measure_raw(self, frame: ErrorFrame) -> np.ndarray:
         """Syndrome of a frame that already covers the padded span."""
@@ -138,12 +143,19 @@ class SyndromeDecoder:
                 f"syndrome has {sigma.shape[0]} blocks; it needs at least one "
                 f"data block beyond the {self.pad_blocks} padding blocks")
         _check_bits(sigma)
-        s = self._syndrome_words(sigma)
-        w = self.candidates.build_words(s, len(s))
-        labels, path_metric, ties = viterbi_path(self.trellis, w, metric)
-        bits = self._label_bits.take(labels ^ w, axis=0)
+        labels, path_metric, ties = self.decode_words(pack_symbols(sigma, 1),
+                                                      metric)
+        bits = self._label_bits.take(labels, axis=0)
         return DecodedError(frame=ErrorFrame(bits.reshape(-1)),
                             path_metric=path_metric, tie_count=ties)
+
+    def decode_words(self, s: np.ndarray, metric: BranchMetric | None = None,
+                     ) -> tuple[np.ndarray, int, int]:
+        """Core of :meth:`decode`: (error label per block, path metric, ties)
+        of unchecked syndrome words, as ``spec.syndrome_kernel`` packs them."""
+        w = self.candidates.build_words(self._syndrome_words(s), len(s))
+        labels, path_metric, ties = viterbi_path(self.trellis, w, metric)
+        return labels ^ w, path_metric, ties
 
 
 # unsigned int dtype of each integer width, in bytes
@@ -182,8 +194,8 @@ class SyndromeDecoderF4(SyndromeDecoder):
     def _block_maps(self, bundle) -> tuple[RatMatrix, RatMatrix]:
         return bundle.hb, bundle.isf.matrix
 
-    def _syndrome_words(self, sigma: np.ndarray) -> np.ndarray:
-        return self.qt.syndrome_table.take(pack_symbols(sigma, 1))
+    def _syndrome_words(self, s: np.ndarray) -> np.ndarray:
+        return self.qt.syndrome_table.take(s)
 
     def frame_to_symbols(self, frame: ErrorFrame) -> np.ndarray:
         """(blocks, n) GF(4) symbols in the decode labeling."""

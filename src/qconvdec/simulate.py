@@ -25,6 +25,9 @@ CSV_HEADER = ("p,frames,qubit_errors,qubits_total,qber,"
               "frame_errors,fer,seed,elapsed_ms")
 # worker threads a sweep may ask for; checked before any pool exists
 MAX_THREADS = 64
+# qubits with a non-identity Pauli in each byte of interleaved (x, z) bits
+_BYTE_QUBITS = np.bitwise_count((np.arange(256) | np.arange(256) >> 1)
+                                & 0x55)
 
 
 @dataclass(frozen=True)
@@ -139,12 +142,14 @@ class SweepResult:
 def run_frame(decoder: SyndromeDecoder, params: ChannelParams,
               data_qubits: int, rng: np.random.Generator,
               metric: BranchMetric | None = None) -> tuple[int, int]:
-    """(mismatched data qubits, frame error flag) for one channel draw."""
-    e = sample_error(params, data_qubits, rng)
-    sigma = decoder.measure(e)
-    out = decoder.decode(sigma, metric=metric)
-    diff = out.frame.bits[: 2 * data_qubits] ^ e.bits
-    mism = int((diff[0::2] | diff[1::2]).sum())
+    """(mismatched data qubits, frame error flag) for one channel draw. The
+    frame stays packed, one row of ``ErrorFrame.block_bytes`` per block,
+    from the draw through the syndrome and the decode to the score."""
+    x = sample_error(params, data_qubits, rng).block_bytes(decoder.n)
+    s = decoder.spec.syndrome_kernel(x, len(x) + decoder.pad_blocks)
+    labels, _, _ = decoder.decode_words(s, metric)
+    diff = decoder.label_bytes.take(labels[:len(x)], axis=0) ^ x
+    mism = int(_BYTE_QUBITS.take(diff).sum())
     return mism, 1 if mism else 0
 
 
@@ -166,6 +171,9 @@ def run_sweep(config: SimConfig,
     by (seed, frame index) and aggregation follows frame order)."""
     if decoder is None:
         decoder = SyndromeDecoder(config.spec)
+    elif decoder.spec != config.spec:
+        raise ValueError("the decoder was built for a different stabilizer "
+                         "spec than the sweep's")
     data_qubits = config.frame_qubits
     rows = []
     for p in config.p_values:
@@ -206,14 +214,9 @@ def syndrome_to_text(sigma: np.ndarray) -> str:
     """``<blocks>:<hex>`` with bits packed block-major, stream-minor,
     most significant bit first."""
     blocks, r = sigma.shape
-    bits = sigma.reshape(-1)
-    nbits = bits.size
-    val = 0
-    for b in bits:
-        val = (val << 1) | int(b)
-    ndigits = max(1, (nbits + 3) // 4)
-    val <<= (4 * ndigits - nbits)
-    return f"{blocks}:{val:0{ndigits}x}"
+    ndigits = max(1, -(-sigma.size // 4))
+    digits = np.packbits(sigma.reshape(-1).astype(np.uint8)).tobytes().hex()
+    return f"{blocks}:{digits[:ndigits].ljust(ndigits, '0')}"
 
 
 _SYNDROME_LINE = re.compile(r"([0-9]+):([0-9a-fA-F]+)")
@@ -232,15 +235,10 @@ def syndrome_from_text(text: str, streams: int) -> np.ndarray:
     blocks_s, hex_s = line.groups()
     blocks = int(blocks_s)
     nbits = blocks * streams
-    val = int(hex_s, 16)
-    total = 4 * len(hex_s)
-    if total < nbits:
+    if 4 * len(hex_s) < nbits:
         raise ValueError("hex payload shorter than blocks*(n-k) bits")
-    if val & ((1 << (total - nbits)) - 1):
+    bits = np.unpackbits(np.frombuffer(
+        bytes.fromhex(hex_s + "0" * (len(hex_s) % 2)), dtype=np.uint8))
+    if bits[nbits:].any():
         raise ValueError("hex payload has nonzero bits beyond blocks*(n-k)")
-    val >>= (total - nbits)
-    out = np.zeros((blocks, streams), dtype=np.uint8)
-    for i in range(nbits - 1, -1, -1):
-        out[i // streams, i % streams] = val & 1
-        val >>= 1
-    return out
+    return bits[:nbits].reshape(blocks, streams)

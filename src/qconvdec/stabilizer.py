@@ -22,8 +22,9 @@ from typing import Iterable
 import numpy as np
 
 from .algebra import (
-    GF2, GF4, W, WBAR, Poly, RatMatrix, RationalFn, gf_convolve, gf_inv,
-    gf_rank, gf_solve, pack_symbols, unpack_symbols,
+    GF2, GF4, W, WBAR, ConvolutionKernel, Poly, RatMatrix, RationalFn,
+    gf_convolve, gf_inv, gf_rank, gf_solve, pack_slices, pack_symbols,
+    unpack_symbols,
 )
 
 
@@ -88,14 +89,23 @@ class ErrorFrame:
     def bit_weight(self) -> int:
         return int(self.bits.sum())
 
-    def blocks(self, n: int) -> np.ndarray:
-        """(blocks, 2n) view: per block [a_0..a_{n-1}, b_0..b_{n-1}]."""
+    def _check_blocks(self, n: int) -> None:
         if self.num_qubits % n:
             raise ValueError("frame length is not a whole number of blocks")
+
+    def blocks(self, n: int) -> np.ndarray:
+        """(blocks, 2n) view: per block [a_0..a_{n-1}, b_0..b_{n-1}]."""
+        self._check_blocks(n)
         nb = self.num_qubits // n
         x = self.x_part().reshape(nb, n)
         z = self.z_part().reshape(nb, n)
         return np.concatenate([x, z], axis=1)
+
+    def block_bytes(self, n: int) -> np.ndarray:
+        """(blocks, ceil(2n / 8)) bytes, one row per block of n qubits: bit
+        j of byte g is the block's interleaved (x, z) bit 8 g + j."""
+        self._check_blocks(n)
+        return pack_slices(self.bits.reshape(-1, 2 * n), 1)
 
     @classmethod
     def from_blocks(cls, blocks: np.ndarray) -> "ErrorFrame":
@@ -162,6 +172,14 @@ class StabilizerSpec:
         """(m+1, n-k, 2n) block-domain syndrome map: tap d pairs the X bits
         of a block with Q's D^d coefficients and the Z bits with P's."""
         return np.concatenate([self.q_coeffs, self.p_coeffs], axis=2)
+
+    @cached_property
+    def syndrome_kernel(self) -> ConvolutionKernel:
+        """:attr:`syndrome_taps` as a kernel on :meth:`ErrorFrame.block_bytes`
+        slices, its lanes permuted to the frame's interleaved (x, z) order.
+        An output word holds a block's n-k syndrome bits, bit i = stream i."""
+        xz = np.arange(2 * self.n).reshape(2, self.n).T.reshape(-1)
+        return ConvolutionKernel(self.syndrome_taps[:, :, xz], GF2)
 
     def p_matrix(self) -> RatMatrix:
         """P(D), (n-k) x n polynomial matrix."""
@@ -358,7 +376,8 @@ def syndrome_of(spec: StabilizerSpec, frame: ErrorFrame) -> np.ndarray:
     streaming the frame through the realized H_b^T circuit and keeping the
     odd-phase outputs (cross-checked in the test suite).
     """
-    return gf_convolve(spec.syndrome_taps, frame.blocks(spec.n), GF2)
+    x = frame.block_bytes(spec.n)
+    return unpack_symbols(spec.syndrome_kernel(x, len(x)), spec.n - spec.k, 1)
 
 
 EXAMPLE_311_TEXT = """\

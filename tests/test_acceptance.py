@@ -8,6 +8,7 @@ Tolerances are pinned here:
   runtime budgets: c1 < 1 s, c2 < 1 s, c3+c4 < 120 s, c6 < 300 s single thread
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -41,6 +42,8 @@ def decoder():
 
 
 _sweep_cache = {}
+# md5 of the criterion-6 CSV; the sweep's outputs may not move
+CRITERION6_CSV_MD5 = "69704e4763f655327f463bced967cff7"
 
 
 def _criterion6_config(threads=1):
@@ -215,6 +218,11 @@ def test_criterion_6_monte_carlo(decoder):
     assert dt < 300.0
     print(f"\nPASS criterion 6: Monte Carlo sweep, {result.rate_info}, "
           f"{dt:.0f}s\n  " + "\n  ".join(details))
+
+
+def test_criterion_6_csv_md5(decoder):
+    csv = _criterion6_result(decoder, threads=1).csv_text()
+    assert hashlib.md5(csv.encode()).hexdigest() == CRITERION6_CSV_MD5
 
 
 def test_criterion_7_determinism_and_threads(decoder):

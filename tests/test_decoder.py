@@ -147,6 +147,28 @@ class TestPaddingCoversCandidateReach:
             assert np.array_equal(long_reach.measure_raw(out.frame), sigma)
 
 
+class TestSyndromeMap:
+    """``syndrome_of``, ``measure`` and ``measure_raw`` run the frame's
+    block bytes through the spec's syndrome kernel; each must equal the
+    convolution of the frame's (blocks, 2n) layout with the taps."""
+
+    @pytest.mark.parametrize("name", list(CODES))
+    def test_matches_gf_convolve(self, name):
+        spec = CODES[name]
+        dec = SyndromeDecoder(spec)
+        rng = np.random.default_rng(23)
+        for blocks in (1, 2, 3, 7, 40):
+            for p_err in (0.05, 0.5):
+                f = random_error(rng, blocks * spec.n, p_err)
+                want = gf_convolve(spec.syndrome_taps, f.blocks(spec.n), GF2)
+                assert np.array_equal(syndrome_of(spec, f), want)
+                assert np.array_equal(dec.measure_raw(f), want)
+                padded = dec.padded_frame(f)
+                want = gf_convolve(spec.syndrome_taps, padded.blocks(spec.n),
+                                   GF2)
+                assert np.array_equal(dec.measure(f), want)
+
+
 class TestF4Decoder:
     def test_f4_syndrome_remap_consistency(self, decoder_f4):
         # the GF(4) syndrome stream of a frame must equal the remapped binary

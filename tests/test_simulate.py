@@ -1,15 +1,19 @@
 import threading
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qconvdec.decoder import SyndromeDecoder
+from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
 from qconvdec.simulate import (
-    MAX_THREADS, ChannelParams, SimConfig, frame_rng, run_frame, run_sweep,
-    sample_error, syndrome_from_text, syndrome_to_text,
+    MAX_THREADS, ChannelParams, SimConfig, frame_rng, metric_for, run_frame,
+    run_sweep, sample_error, syndrome_from_text, syndrome_to_text,
 )
 from qconvdec.stabilizer import example_311
+
+import reference_simulate as ref
+from reference_data import CODES, PATH_IDS, PATHS
 
 
 class TestChannel:
@@ -85,6 +89,35 @@ class TestRunFrame:
         assert errs <= 5
 
 
+@lru_cache(maxsize=None)
+def path_decoder(name: str, path: str) -> SyndromeDecoder:
+    return (SyndromeDecoderF4 if path == "f4" else SyndromeDecoder)(
+        CODES[name])
+
+
+class TestPackedFrame:
+    """``run_frame`` keeps the frame packed from the draw to the score; it
+    must score every frame as the bit-level reference does. ``[5,1,1]``
+    blocks take two bytes and ``[4,2,1]`` blocks exactly one."""
+
+    @pytest.mark.parametrize("metric_mode", ["hamming", "pauli"])
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_matches_bit_reference(self, name, path, metric_mode):
+        decoder = path_decoder(name, path)
+        qubits = 20 * decoder.n
+        mismatched = 0
+        for p in (0.01, 0.05):
+            params, metric = ChannelParams(p), metric_for(metric_mode, p)
+            for i in range(20):
+                got = run_frame(decoder, params, qubits, frame_rng(17, i),
+                                metric)
+                want = ref.run_frame(decoder, params, qubits,
+                                     frame_rng(17, i), metric)
+                assert got == want, (p, i)
+                mismatched += got[0]
+        assert mismatched
+
+
 class TestSweep:
     def test_schema_and_determinism(self, decoder):
         cfg = SimConfig(spec=example_311(), frame_qubits=90, frames=20,
@@ -113,6 +146,17 @@ class TestSweep:
         row = run_sweep(cfg, decoder).rows[0]
         assert row.qber == 0 and row.fer == 0
         assert row.qubits_total == 900
+
+    def test_decoder_for_other_spec_refused(self, decoder):
+        # a [2,1,1] sweep decoded by the [3,1,1] decoder would mix one code's
+        # rate with the other's padding
+        cfg = SimConfig(spec=CODES["211"], frame_qubits=90, frames=1,
+                        p_values=(0.01,), seed=1, stable_timing=True)
+        with pytest.raises(ValueError, match="different stabilizer spec"):
+            run_sweep(cfg, decoder)
+        cfg = SimConfig(spec=example_311(), frame_qubits=90, frames=1,
+                        p_values=(0.01,), seed=1, stable_timing=True)
+        assert run_sweep(cfg, decoder).rows[0].frames == 1
 
     def test_rate_info(self, decoder):
         cfg = SimConfig(spec=example_311(), frame_qubits=900, frames=1,
@@ -159,6 +203,44 @@ class TestSyndromeText:
         back = syndrome_from_text(syndrome_to_text(sigma), streams)
         assert back.shape == sigma.shape
         assert np.array_equal(back, sigma)
+
+    def test_matches_bit_reference(self):
+        # writer and reader against the per-bit versions, on sizes whose bit
+        # counts need not be a multiple of 4
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            streams = int(rng.integers(1, 6))
+            blocks = int(rng.integers(0, 80))
+            sigma = rng.integers(0, 2, size=(blocks, streams)).astype(
+                np.uint8)
+            text = syndrome_to_text(sigma)
+            assert text == ref.syndrome_to_text(sigma)
+            back = syndrome_from_text(text, streams)
+            assert back.dtype == np.uint8
+            assert np.array_equal(back, ref.syndrome_from_hex(
+                blocks, text.split(":")[1], streams))
+
+    def test_reader_errors_match_bit_reference(self):
+        # every payload length around the blocks*streams bits it must carry,
+        # all zero or with one bit set at each place, in either letter case
+        def outcome(fn, *args):
+            try:
+                return fn(*args).tolist()
+            except ValueError as exc:
+                return str(exc)
+
+        for streams in (1, 2, 3):
+            for blocks in range(0, 7):
+                need = -(-blocks * streams // 4)
+                for ndigits in range(max(1, need - 1), need + 3):
+                    for val in (0, *(1 << i for i in range(4 * ndigits))):
+                        for hex_s in (f"{val:0{ndigits}x}",
+                                      f"{val:0{ndigits}X}"):
+                            got = outcome(syndrome_from_text,
+                                          f"{blocks}:{hex_s}\n", streams)
+                            want = outcome(ref.syndrome_from_hex, blocks,
+                                           hex_s, streams)
+                            assert got == want, (blocks, streams, hex_s)
 
     def test_comments_and_errors(self):
         sigma = syndrome_from_text("# c\n2:f0\n", 2)
