@@ -10,8 +10,7 @@ from .algebra import (
     GF2, GF4, W, WBAR,
     AlgebraError, DegreeCapError, FieldMismatchError, Poly,
     RankDeficientError, RatMatrix, RationalFn, ZeroDenominatorError,
-    format_poly, left_inverse, minors_gcd, null_space_basis, parse_poly,
-    poly_gcd, rank, ratio,
+    format_poly, left_inverse, minors_gcd, parse_poly, poly_gcd, rank, ratio,
 )
 from .stabilizer import (
     ErrorFrame, F4LinearityError, QuaternaryTransfer, SpecError,
@@ -21,10 +20,9 @@ from .stabilizer import (
 from .circuits import (
     CandidateBuilder, CatastrophicGeneratorError, CodeBundle, DerivationError,
     TransferSystem, block_isf_matrix, block_parity_matrix, block_syndrome,
-    coset_code_rows,
-    derive_bundle, derive_generator, derive_inverse_syndrome_former,
-    derive_syndrome_former, polynomial_kernel_basis, shifted_isf_matrix,
-    with_isf,
+    coset_code_rows, derive_bundle, derive_generator,
+    derive_inverse_syndrome_former, derive_syndrome_former,
+    polynomial_kernel_basis, shifted_isf_matrix, with_isf,
 )
 from .trellis import (
     BranchMetric, DecodeResult, OracleCapError, OracleResult, Trellis,

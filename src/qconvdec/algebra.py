@@ -1,6 +1,6 @@
 """Exact arithmetic over GF(2) and GF(4): polynomials and rational functions
 in the delay variable D, linear algebra over the rational-function field
-(elimination, left inverses, null spaces), and the numpy GF(q) core shared
+(elimination, rank, left inverses), and the numpy GF(q) core shared
 by every constant-matrix computation: one reduced-row-echelon elimination and
 one block-domain convolution.
 
@@ -85,9 +85,6 @@ class Field:
         if self.order == 2 or a < 2:
             return a
         return 5 - a  # swaps 2 and 3
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def __repr__(self) -> str:
         return f"GF({self.order})"
@@ -196,12 +193,6 @@ class Poly:
         mul = self.field.mul
         return Poly((mul(c, x) for x in self.coeffs), self.field)
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by D^k (k >= 0)."""
-        if self.is_zero():
-            return self
-        return Poly((0,) * k + self.coeffs, self.field)
-
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         _check_same_field(self, other)
         if other.is_zero():
@@ -246,10 +237,6 @@ class Poly:
         for i, c in enumerate(self.coeffs):
             out[2 * i] = c
         return Poly(out, self.field)
-
-    def reversed(self) -> "Poly":
-        """Coefficient reversal: D^deg * p(1/D)."""
-        return Poly(tuple(reversed(self.coeffs)), self.field)
 
     def __eq__(self, other) -> bool:
         return (
@@ -413,11 +400,6 @@ class RationalFn:
     def __mul__(self, other: "RationalFn") -> "RationalFn":
         return RationalFn(self.num * other.num, self.den * other.den)
 
-    def __truediv__(self, other: "RationalFn") -> "RationalFn":
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
-
     def inverse(self) -> "RationalFn":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
@@ -489,11 +471,6 @@ class RatMatrix:
     def identity(cls, k: int, field: Field = GF2) -> "RatMatrix":
         return cls([[RationalFn.one(field) if i == j else RationalFn.zero(field)
                      for j in range(k)] for i in range(k)], field)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, field: Field = GF2) -> "RatMatrix":
-        z = RationalFn.zero(field)
-        return cls([[z] * cols for _ in range(rows)], field)
 
     def __getitem__(self, rc: tuple[int, int]) -> RationalFn:
         return self.entries[rc[0]][rc[1]]
@@ -634,54 +611,7 @@ def left_inverse(m: RatMatrix) -> RatMatrix:
     # rref_m = trans @ m = [I_r; 0] up to pivot placement; since column rank is
     # full, pivots are exactly columns 0..r-1 and the first r rows of trans
     # give the left inverse.
-    L = RatMatrix(trans.entries[:r], m.field)
-    if not (L @ m).is_identity():  # internal guard
-        raise AlgebraError("left inverse verification failed")
-    return L
-
-
-def null_space_basis(m: RatMatrix) -> RatMatrix:
-    """Basis G ((n-r) x n, polynomial rows) of {g : g @ m = 0} for an n x r
-    matrix of full column rank r.
-
-    Rows are cleared to polynomial form (times the lcm of denominators) and
-    divided by their gcd, then normalized monic in the leading entry.
-    """
-    n, r = m.rows, m.cols
-    rref_m, _, pivots = _rref_with_transform(m.transpose())
-    if len(pivots) < r:
-        raise RankDeficientError(f"rank {len(pivots)} < {r} columns")
-    field = m.field
-    free = [c for c in range(n) if c not in pivots]
-    rows = []
-    for fc in free:
-        vec = [RationalFn.zero(field)] * n
-        vec[fc] = RationalFn.one(field)
-        for i, pc in enumerate(pivots):
-            vec[pc] = rref_m.entries[i][fc]  # char 2: -x = x
-        rows.append(_clear_row(vec))
-    return RatMatrix.from_polys(rows)
-
-
-def _clear_row(vec: list[RationalFn]) -> list[Poly]:
-    field = vec[0].field
-    lcm = Poly.one(field)
-    for e in vec:
-        lcm = poly_lcm(lcm, e.den) if not e.is_zero() else lcm
-    polys = []
-    for e in vec:
-        q = lcm.divmod(e.den)[0] if not e.is_zero() else Poly.zero(field)
-        polys.append(e.num * q)
-    g = Poly.zero(field)
-    for p in polys:
-        g = poly_gcd(g, p)
-    if not g.is_zero() and not g.is_one():
-        polys = [p.divmod(g)[0] for p in polys]
-    lead = next((p.leading_coeff() for p in polys if not p.is_zero()), 1)
-    if lead not in (0, 1):
-        inv = field.inv(lead)
-        polys = [p.scale(inv) for p in polys]
-    return polys
+    return RatMatrix(trans.entries[:r], m.field)
 
 
 def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
@@ -716,10 +646,6 @@ def minors_gcd(g: RatMatrix) -> Poly:
             if acc.is_one():
                 return acc
     return acc.monic() if not acc.is_zero() else acc
-
-
-def is_power_of_d(p: Poly) -> bool:
-    return not p.is_zero() and all(c == 0 for c in p.coeffs[:-1]) and p.leading_coeff() == 1
 
 
 def poly_row_degree(row: Sequence[Poly]) -> int:

@@ -28,9 +28,8 @@ import numpy as np
 from .algebra import (
     _DEGREE_CAP, GF2, ConvolutionKernel, DegreeCapError, Field, Poly,
     RatMatrix, RationalFn, convolution_matrix, gf_convolve, gf_kernel, gf_rank,
-    gf_rref, is_power_of_d, left_inverse, minors_gcd, null_space_basis,
-    pack_slices, pack_symbols, poly_lcm, poly_xgcd, rank, symbol_bits,
-    unpack_symbols, word_slices,
+    gf_rref, left_inverse, minors_gcd, pack_slices, pack_symbols, poly_lcm,
+    poly_xgcd, rank, symbol_bits, unpack_symbols, word_slices,
 )
 
 
@@ -39,8 +38,7 @@ class DerivationError(ValueError):
 
 
 class CatastrophicGeneratorError(DerivationError):
-    """Null-space basis has a common non-D factor that row division cannot
-    remove."""
+    """A polynomial kernel basis whose minors share a nontrivial factor."""
 
 
 class TransferSystem:
@@ -175,8 +173,6 @@ def derive_inverse_syndrome_former(hb: RatMatrix) -> TransferSystem:
         L = _bezout_row(ht)
     if L is None:
         L = left_inverse(ht)
-    if not (L @ ht).is_identity():
-        raise DerivationError("inverse syndrome former failed verification")
     return TransferSystem(L, role="ISF")
 
 
@@ -198,30 +194,19 @@ def _bezout_row(ht: RatMatrix) -> RatMatrix | None:
 
 
 def derive_generator(hb: RatMatrix) -> TransferSystem:
-    """k x n polynomial generator with G @ H_b^T = 0, non-catastrophic.
-
-    Elimination-canonical null-space basis first (deterministic golden
-    outputs); if its minors share a non-D factor, fall back to the minimal
-    polynomial kernel basis, which is basic by construction."""
+    """k x n polynomial generator with G @ H_b^T = 0: the minimal kernel
+    basis of H_b, which is basic and so non-catastrophic."""
     if hb.rows == hb.cols:
         raise DerivationError("k = 0: no logical qubit to decode")
-    G = null_space_basis(hb.transpose())
-    gcd = minors_gcd(G)
-    if not is_power_of_d(gcd):
-        rows = polynomial_kernel_basis(hb, hb.cols - hb.rows)
-        G = RatMatrix.from_polys(rows)
-        gcd = minors_gcd(G)
-        if not is_power_of_d(gcd):
-            raise CatastrophicGeneratorError(
-                f"generator minors share the non-D factor {gcd}")
-        if not (G @ hb.transpose()).is_zero():
-            raise DerivationError("kernel basis failed the null identity")
-    return TransferSystem(G, role="GEN")
+    return TransferSystem(RatMatrix.from_polys(_basic_kernel_rows(hb)),
+                          role="GEN")
 
 
 @dataclass(frozen=True)
 class CodeBundle:
-    """Derived decoding machinery for one transfer polynomial."""
+    """Derived decoding machinery for one transfer polynomial. Construction
+    is the one place a bundle's L @ H_b^T = I and G @ H_b^T = 0 are
+    checked, for a derived ISF and a caller's alike."""
 
     hb: RatMatrix
     sf: TransferSystem
@@ -257,7 +242,8 @@ def derive_bundle(hb: RatMatrix) -> CodeBundle:
 
 
 def with_isf(bundle: CodeBundle, isf_matrix: RatMatrix) -> CodeBundle:
-    """Bundle variant running a caller-supplied (verified) ISF."""
+    """Bundle variant running a caller-supplied ISF, checked like a
+    derived one."""
     return CodeBundle(hb=bundle.hb, sf=bundle.sf,
                       isf=TransferSystem(isf_matrix, role="ISF"),
                       gen=bundle.gen)
@@ -378,16 +364,19 @@ def coset_code_rows(hb: RatMatrix) -> list[list[Poly]]:
     (for a stabilizer-derived H_b, the block-reversed stabilizer rows), so a
     trellis over it searches every error pattern with the given measured
     syndrome."""
-    S = block_parity_matrix(hb)
+    return _basic_kernel_rows(block_parity_matrix(hb))
+
+
+def _basic_kernel_rows(S: RatMatrix) -> list[list[Poly]]:
+    """:func:`polynomial_kernel_basis` of S at full rank, checked basic: a
+    kernel basis whose minors share a factor would make the generator
+    catastrophic and the coset trellis miss part of the coset."""
     rows = polynomial_kernel_basis(S, S.cols - S.rows)
     gcd = minors_gcd(RatMatrix.from_polys(rows))
     if not gcd.is_one():
         raise CatastrophicGeneratorError(
-            f"coset code basis is not basic (minors gcd {gcd}); trellis "
-            "decoding would not span the coset")
+            f"kernel basis is not basic (minors gcd {gcd})")
     return rows
-
-
 
 
 class CandidateBuilder:

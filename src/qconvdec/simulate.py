@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .trellis import BranchMetric, pauli_costs_for_channel
 CSV_SCHEMA = "qconvdec-sim-csv v1"
 CSV_HEADER = ("p,frames,qubit_errors,qubits_total,qber,"
               "frame_errors,fer,seed,elapsed_ms")
-# worker threads a sweep may ask for; checked before any pool exists
+# largest accepted ``SimConfig.threads``
 MAX_THREADS = 64
 # qubits with a non-identity Pauli in each byte of interleaved (x, z) bits
 _BYTE_QUBITS = np.bitwise_count((np.arange(256) | np.arange(256) >> 1)
@@ -79,7 +78,7 @@ class SimConfig:
     p_values: tuple[float, ...] = (0.001, 0.005, 0.01, 0.02, 0.05)
     seed: int = 20100715
     metric: str = "hamming"           # or "pauli"
-    threads: int = 1
+    threads: int = 1                  # range-checked only
     stable_timing: bool = False
 
     def __post_init__(self):
@@ -166,9 +165,9 @@ def metric_for(config_metric: str, p: float) -> BranchMetric | None:
 
 def run_sweep(config: SimConfig,
               decoder: SyndromeDecoder | None = None) -> SweepResult:
-    """Monte Carlo sweep over p values; deterministic given the seed, and
-    invariant under the worker thread count (per-frame RNG streams are keyed
-    by (seed, frame index) and aggregation follows frame order)."""
+    """Monte Carlo sweep over p values, decoding frames in index order on
+    the calling thread; deterministic given the seed (per-frame RNG streams
+    are keyed by (seed, frame index)), whatever ``config.threads`` is."""
     if decoder is None:
         decoder = SyndromeDecoder(config.spec)
     elif decoder.spec != config.spec:
@@ -180,19 +179,12 @@ def run_sweep(config: SimConfig,
         params = ChannelParams(p)
         metric = metric_for(config.metric, p)
         t0 = time.perf_counter()
-
-        def one(idx: int) -> tuple[int, int]:
-            return run_frame(decoder, params, data_qubits,
-                             frame_rng(config.seed, idx), metric)
-
-        if config.threads > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                results = list(pool.map(one, range(config.frames),
-                                        chunksize=16))
-        else:
-            results = [one(i) for i in range(config.frames)]
-        qubit_errors = sum(r[0] for r in results)
-        frame_errors = sum(r[1] for r in results)
+        qubit_errors = frame_errors = 0
+        for idx in range(config.frames):
+            mism, failed = run_frame(decoder, params, data_qubits,
+                                     frame_rng(config.seed, idx), metric)
+            qubit_errors += mism
+            frame_errors += failed
         elapsed = 0 if config.stable_timing else round(
             1000 * (time.perf_counter() - t0))
         rows.append(SweepRow(

@@ -6,9 +6,9 @@ from qconvdec.algebra import (
     DegreeCapError, FieldMismatchError, RankDeficientError,
     ZeroDenominatorError,
     Poly, RatMatrix, RationalFn,
-    format_poly, is_power_of_d, left_inverse, minors_gcd, null_space_basis, parse_poly, poly_gcd, rank,
-    ratio,
+    format_poly, left_inverse, minors_gcd, parse_poly, poly_gcd, rank, ratio,
 )
+from qconvdec.circuits import polynomial_kernel_basis
 
 
 def p2(*coeffs):
@@ -148,10 +148,17 @@ class TestLeftInverse:
         assert (left_inverse(m) @ m).is_identity()
 
 
+def left_kernel(m):
+    """Minimal polynomial basis of {g : g @ m = 0} for an n x r matrix m of
+    full column rank r."""
+    return RatMatrix.from_polys(
+        polynomial_kernel_basis(m.transpose(), m.rows - m.cols))
+
+
 class TestNullSpace:
     def test_example1(self):
         m = RatMatrix.from_polys([[p2(1, 0, 1)], [p2(1, 1, 1)]])
-        G = null_space_basis(m)
+        G = left_kernel(m)
         assert G.rows == 1
         assert (G @ m).is_zero()
         # an equivalent rational basis (1, (1+D^2)/(1+D+D^2)) spans the same space:
@@ -160,14 +167,14 @@ class TestNullSpace:
 
     def test_trivial(self):
         m = RatMatrix.from_polys([[p2(1)], [Poly.zero(GF2)]])
-        G = null_space_basis(m)
+        G = left_kernel(m)
         assert G.rows == 1
         assert G == RatMatrix.from_polys([[Poly.zero(GF2), p2(1)]])
 
     def test_rank(self):
         m = RatMatrix.from_polys([[p2(1, 0, 1)], [p2(1, 1, 1)]])
         assert rank(m) == 1
-        G = null_space_basis(m)
+        G = left_kernel(m)
         assert rank(G) == 1
 
 
@@ -175,12 +182,10 @@ class TestMinorsGcd:
     def test_single_row_generator_noncatastrophic(self):
         g = RatMatrix.from_polys([[p2(0, 0, 1), p2(1, 0, 1), p2(1, 0, 1)]])
         assert minors_gcd(g) == p2(1)
-        assert is_power_of_d(minors_gcd(g))
 
     def test_catastrophic(self):
         g = RatMatrix.from_polys([[p2(1, 1), p2(1, 0, 1)]])
         assert minors_gcd(g) == p2(1, 1)
-        assert not is_power_of_d(minors_gcd(g))
 
     def test_identity(self):
         assert minors_gcd(RatMatrix.identity(3)) == p2(1)
@@ -240,8 +245,9 @@ def test_left_inverse_and_nullspace_posts(m):
         return
     L = left_inverse(m)
     assert (L @ m).is_identity()
-    G = null_space_basis(m)
+    G = left_kernel(m)
     assert G.rows == m.rows - m.cols
     assert (G @ m).is_zero()
     assert rank(G) == m.rows - m.cols
+    assert minors_gcd(G) == p2(1)  # basic
 

@@ -9,22 +9,27 @@ from qconvdec.algebra import (
     GF2, GF4, W, WBAR, DegreeCapError, Poly, RatMatrix, RationalFn,
     gf_rank, parse_poly, minors_gcd, poly_row_degree, rank, ratio,
 )
+import qconvdec.circuits
 from qconvdec.circuits import (
-    CandidateBuilder, DerivationError, TransferSystem, block_isf_matrix,
-    block_parity_matrix, block_syndrome, coset_code_rows, derive_bundle,
-    derive_generator, derive_inverse_syndrome_former, derive_syndrome_former,
-    polynomial_kernel_basis, shifted_isf_matrix,
+    CandidateBuilder, CatastrophicGeneratorError, DerivationError,
+    TransferSystem, block_isf_matrix, block_parity_matrix, block_syndrome,
+    coset_code_rows, derive_bundle, derive_generator,
+    derive_inverse_syndrome_former, derive_syndrome_former,
+    polynomial_kernel_basis, shifted_isf_matrix, with_isf,
 )
+from qconvdec.cli import main
 from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
 from qconvdec.simulate import ChannelParams, frame_rng, sample_error
 from qconvdec.stabilizer import (
-    ErrorFrame, binary_transfer, example_311, quaternary_transfer, syndrome_of,
+    EXAMPLE_311_TEXT, ErrorFrame, binary_transfer, example_311,
+    parse_stabilizer,
+    quaternary_transfer, syndrome_of,
 )
 
 from reference_candidate import reference_build, run_anticausal
 import reference_transfer
 from reference_data import (
-    CODES, PATH_IDS, PATHS, REF_ALLONES_ISF_F4, REF_FIR_ISF_21,
+    CODES, LONG_REACH_TEXT, PATH_IDS, PATHS, REF_ALLONES_ISF_F4, REF_FIR_ISF_21,
     REF_GENERATOR_311, REF_GENERATOR_F4, REF_POLY_GP_21, REF_RATIONAL_GP_21,
     REF_RATIONAL_ISF_311, REF_TRANSFER_21, REF_TRANSFER_311_F4,
 )
@@ -78,6 +83,16 @@ class TestInverseSyndromeFormer:
         ours = derive_inverse_syndrome_former(hb)
         assert (ours.matrix @ hb.transpose()).is_identity()
 
+    def test_bundle_refuses_wrong_isf(self):
+        # CodeBundle is where every ISF's L @ H_b^T = I is checked: with its
+        # rows swapped the derived ISF gives a permutation instead
+        bundle = derive_bundle(hb_311())
+        swapped = RatMatrix(bundle.isf.matrix.entries[::-1])
+        with pytest.raises(DerivationError, match="ISF identity"):
+            with_isf(bundle, swapped)
+        with pytest.raises(DerivationError, match="ISF identity"):
+            SyndromeDecoder(example_311(), isf_matrix=swapped)
+
     def test_identity_case(self):
         eye = RatMatrix.identity(2)
         isf = derive_inverse_syndrome_former(eye)
@@ -94,6 +109,36 @@ class TestInverseSyndromeFormer:
         y = sys.run(x)
         # delayed output: D^1 * (x/D) = x
         assert y[:, 0].tolist() == x[:, 0].tolist()
+
+
+def catastrophic_kernel_basis(S, kernel_rank):
+    rows = polynomial_kernel_basis(S, kernel_rank)
+    return [[e * p("1+D", S.field) for e in rows[0]]] + rows[1:]
+
+
+GENERATORS = {
+    "311-bin": "D^2 | 1+D^2 | 1+D^2",
+    "211-bin": "1 | D^2",
+    "421-bin": "D+D^2+D^3 | D+D^2 | 1+D+D^3 | D+D^2\n"
+               "1+D^2+D^3 | 1+D+D^3 | D | 1+D+D^2+D^3",
+    "312-bin": "1+D^2+D^5+D^6+D^7 | 1+D^5 | D^6+D^7",
+    "511-bin": "1+D^2 | D^2 | D^2 | 1 | D^2",
+    "311-f4": "w | w2 | 1\n1+w*D | 1+D | 0",
+    "511-f4": "w | 1 | 1 | 0 | 0\nw2 | w | 0 | w2 | 1\n"
+              "w | w2*D | 0 | w+D | 0",
+    "432-bin": "1+D | 1+D | 1 | D\n1 | D+D^2 | 1 | 0\n1+D+D^2 | 1 | D^2 | 0",
+    "rate-half": "1+D+D^2 | 1+D^2",
+}
+
+
+def pinned_transfer(name):
+    if name == "rate-half":
+        return REF_TRANSFER_21
+    code, path = name.split("-")
+    spec = (parse_stabilizer(LONG_REACH_TEXT) if code == "432"
+            else CODES[code])
+    return binary_transfer(spec) if path == "bin" else \
+        quaternary_transfer(spec).hq
 
 
 class TestGenerator:
@@ -115,6 +160,29 @@ class TestGenerator:
         ours = derive_generator(hq)
         assert (ours.matrix @ hq.transpose()).is_zero()
         assert rank(ours.matrix) == 2
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_generator_pinned(self, name):
+        # the minimal kernel basis of every transfer matrix the suite builds,
+        # rows separated by newlines
+        assert str(derive_generator(pinned_transfer(name)).matrix) == \
+            GENERATORS[name]
+
+    def test_catastrophic_basis_rejected(self, monkeypatch, tmp_path,
+                                         capsys):
+        # a kernel basis with a row times 1+D spans a smaller module: its
+        # minors share 1+D, and the guard refuses it, also in the CLI
+        monkeypatch.setattr(qconvdec.circuits, "polynomial_kernel_basis",
+                            catastrophic_kernel_basis)
+        with pytest.raises(CatastrophicGeneratorError, match=r"1\+D"):
+            derive_generator(hb_311())
+        spec = tmp_path / "code.qcc"
+        spec.write_text(EXAMPLE_311_TEXT)
+        for command in ("derive", "verify"):
+            assert main([command, str(spec)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(
+                "error: kernel basis is not basic"), err
 
 
 def impulse_response(matrix, length):
