@@ -195,11 +195,25 @@ def _bezout_row(ht: RatMatrix) -> RatMatrix | None:
 
 def derive_generator(hb: RatMatrix) -> TransferSystem:
     """k x n polynomial generator with G @ H_b^T = 0: the minimal kernel
-    basis of H_b, which is basic and so non-catastrophic."""
+    basis of H_b, which is basic and so non-catastrophic. H_b must have full
+    row rank: a rank-deficient H_b, whose kernel has more than k rows,
+    raises DerivationError."""
     if hb.rows == hb.cols:
         raise DerivationError("k = 0: no logical qubit to decode")
-    return TransferSystem(RatMatrix.from_polys(_basic_kernel_rows(hb)),
-                          role="GEN")
+    rows = _basic_kernel_rows(hb)
+    # if the minimal rows, of degrees d_i, span the kernel, its vectors of
+    # degree <= span form a GF(q) space of dimension sum(span - d_i + 1); an
+    # H_b of rank < r = hb.rows has further minimal rows, all of degree at
+    # most its (r - 1)-minors' degree, <= (r - 1) m
+    taps = hb.coeff_tensor()
+    m = taps.shape[0] - 1
+    degrees = [max(p.degree for p in row) for row in rows]
+    span = max([(hb.rows - 1) * m] + degrees)
+    kernel_dim = hb.cols * (span + 1) - gf_rank(
+        convolution_matrix(taps, span + 1, span + m + 1), hb.field)
+    if kernel_dim != sum(span - d + 1 for d in degrees):
+        raise DerivationError("transfer polynomial is not full row rank")
+    return TransferSystem(RatMatrix.from_polys(rows), role="GEN")
 
 
 @dataclass(frozen=True)

@@ -199,9 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=20100715)
     sim.add_argument("--metric", choices=["hamming", "pauli"],
                      default="hamming")
-    sim.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility; frames decode on "
-                     "one thread")
+    sim.add_argument("--threads", type=int, default=1)
     sim.add_argument("--stable-timing", action="store_true",
                      help="zero the elapsed_ms column for byte-stable output")
     sim.add_argument("--out", default=None, help="CSV output path")

@@ -135,11 +135,6 @@ class SyndromeDecoder:
         """ML error pattern for a measured binary syndrome over the padded
         span: (blocks, n-k) entries 0 or 1, with at least one data block
         before the ``pad_blocks`` padding blocks."""
-        # the checks and packing below read a strided view (a column slice)
-        # entry by entry; a Fortran-ordered array is read as fast as a C one
-        # and would only pay for the copy
-        if not sigma.flags.forc:
-            sigma = np.ascontiguousarray(sigma)
         streams = self.spec.n - self.spec.k
         if sigma.ndim != 2 or sigma.shape[1] != streams:
             raise ValueError(f"syndrome must have shape (blocks, {streams})")

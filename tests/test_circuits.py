@@ -168,6 +168,17 @@ class TestGenerator:
         assert str(derive_generator(pinned_transfer(name)).matrix) == \
             GENERATORS[name]
 
+    @pytest.mark.parametrize("rows", [
+        [["1", "1", "0"], ["1", "1", "0"]],
+        # kernel rows [D, 1, 0] and [0, D^2, 1]: the sweep stops at degree
+        # 1 with a basic row, below the second one
+        [["1", "D", "D^3"], ["D", "D^2", "D^4"]],
+    ])
+    def test_rank_deficient_rejected(self, rows):
+        hb = RatMatrix.from_polys([[p(e) for e in row] for row in rows])
+        with pytest.raises(DerivationError, match="not full row rank"):
+            derive_generator(hb)
+
     def test_catastrophic_basis_rejected(self, monkeypatch, tmp_path,
                                          capsys):
         # a kernel basis with a row times 1+D spans a smaller module: its

@@ -128,20 +128,6 @@ class TestSyndromeEntries:
             assert (got.path_metric, got.tie_count) == (want.path_metric,
                                                         want.tie_count)
 
-    @pytest.mark.parametrize("path", ["bin", "f4"])
-    def test_strided_syndrome_decodes(self, path, decoder, decoder_f4):
-        # a Fortran-ordered copy and a column slice of a wider array decode
-        # as their contiguous copy does
-        dec = decoder_f4 if path == "f4" else decoder
-        for i in range(5):
-            sigma = dec.measure(sample_error(ChannelParams(0.05), 60,
-                                             frame_rng(43, i)))
-            want = dec.decode(sigma)
-            for view in (np.asfortranarray(sigma),
-                         np.concatenate([sigma, sigma], axis=1)[:, 2:]):
-                assert not view.flags.c_contiguous
-                assert dec.decode(view) == want
-
 
 class TestPaddingCoversCandidateReach:
     @pytest.fixture(scope="class")
