@@ -5,8 +5,8 @@ A :class:`TransferSystem` computes ``out = in @ matrix``, where matrix rows
 are input streams and columns output streams. Entries with a pole at D = 0
 (non-causal) set its ``input_advance`` a: the causal ``run`` returns the
 coefficient sequence of ``D^a * (in @ matrix)``, i.e. the ideal output
-delayed by a ticks, and ``run_anticausal`` expands the map from the frame
-tail down.
+delayed by a ticks, and ``run_anticausal_words`` expands the map from the
+frame tail down.
 
 The decoder works in the block domain: ``block_parity_matrix`` and
 ``block_isf_matrix`` fold the tick-rate H_b^T and ISF of the binary path into
@@ -29,7 +29,7 @@ from .algebra import (
     _DEGREE_CAP, GF2, ConvolutionKernel, DegreeCapError, Field, Poly,
     RatMatrix, RationalFn, convolution_matrix, gf_convolve, gf_kernel, gf_rank,
     gf_rref, left_inverse, minors_gcd, pack_slices, pack_symbols, poly_lcm,
-    poly_xgcd, rank, symbol_bits, unpack_symbols, word_slices,
+    poly_xgcd, symbol_bits, unpack_symbols, word_slices,
 )
 
 
@@ -49,10 +49,9 @@ class TransferSystem:
     largest pole order of an entry at D = 0, P (``period``) the least period
     of its other poles, so that their lcm divides 1 + D^P, and N (``taps``)
     the polynomial D^a (1 + D^P) M. :meth:`run` expands 1 / (1 + D^P) in
-    powers of D, :meth:`run_anticausal` in powers of 1/D; each is one pass
-    of N's :class:`ConvolutionKernel` on packed blocks and an XOR at stride
-    P (:meth:`run_anticausal_words` takes and returns the packed blocks).
-    a, P, N and the kernel are worked out on first use."""
+    powers of D, :meth:`run_anticausal_words` in powers of 1/D; each is one
+    pass of N's :class:`ConvolutionKernel` on packed blocks and an XOR at
+    stride P. a, P, N and the kernel are worked out on first use."""
 
     def __init__(self, matrix: RatMatrix, role: str = ""):
         self.matrix = matrix
@@ -108,37 +107,26 @@ class TransferSystem:
     def kernel(self) -> ConvolutionKernel:
         return ConvolutionKernel(self.taps, self.field)
 
-    def _packed(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.uint8)
-        if x.ndim != 2 or x.shape[1] != self.inputs:
-            raise ValueError(f"expected (T, {self.inputs}) input")
-        return pack_slices(x, symbol_bits(self.field))
-
-    def _unpacked(self, words: np.ndarray) -> np.ndarray:
-        return unpack_symbols(words, self.outputs, symbol_bits(self.field))
-
     def run(self, x: np.ndarray, extra: int = 0) -> np.ndarray:
         """Stream a (T, inputs) frame; returns (T + extra, outputs) holding
         the coefficients of D^input_advance * (x @ matrix)."""
         # D^a x M = x N sum_{i>=0} D^iP: a prefix XOR at stride P
-        x = self._packed(x)
+        x = np.asarray(x, dtype=np.uint8)
+        if x.ndim != 2 or x.shape[1] != self.inputs:
+            raise ValueError(f"expected (T, {self.inputs}) input")
+        bps = symbol_bits(self.field)
         length, P = len(x) + extra, self.period
         rows = -(-length // P)
         v = np.zeros(rows * P, dtype=np.int64)
-        v[:length] = self.kernel(x, length)
+        v[:length] = self.kernel(pack_slices(x, bps), length)
         v = np.bitwise_xor.accumulate(v.reshape(rows, P), axis=0)
-        return self._unpacked(v.reshape(-1)[:length])
-
-    def run_anticausal(self, x: np.ndarray, length: int) -> np.ndarray:
-        """The first ``length`` coefficients, (length, outputs), of x @ matrix
-        with every entry expanded in powers of 1/D, i.e. from the frame tail
-        down. The expansion is exact; only its terms below D^0 are cut."""
-        return self._unpacked(self.run_anticausal_words(self._packed(x),
-                                                        length))
+        return unpack_symbols(v.reshape(-1)[:length], self.outputs, bps)
 
     def run_anticausal_words(self, x: np.ndarray, length: int) -> np.ndarray:
-        """:meth:`run_anticausal` on packed blocks: (T, slices) input slices
-        in, ``length`` output words out."""
+        """The first ``length`` coefficients of x @ matrix with every entry
+        expanded in powers of 1/D, i.e. from the frame tail down, on packed
+        blocks: (T, slices) input slices in, ``length`` output words out. The
+        expansion is exact; only its terms below D^0 are cut."""
         # out[t] = sum_d N_d u[t + a - d] with u[s] = sum_{i>=1} x[s + iP]
         # (1 / (1 + D^P) = sum_{i>=1} D^-iP) on s >= a - deg N; suffix XORs
         # at stride P, indexed from a - deg N
@@ -156,10 +144,29 @@ class TransferSystem:
         return self.kernel(u[:length + deg], length + deg)[deg:]
 
 
+def full_row_rank(S: RatMatrix) -> bool:
+    """Whether the rows of the polynomial matrix S are independent over the
+    rational functions, by one GF(q) rank.
+
+    If they are not, of rank rho < r = S.rows, some rho + 1 rows with rank
+    rho have a left kernel vector of their rho x rho minors (Cramer), of
+    degree <= rho m <= (r - 1) m, m = deg S. So S has full row rank iff the
+    map u -> u S is injective on the rows u of degree <= (r - 1) m."""
+    taps = S.coeff_tensor()
+    m = taps.shape[0] - 1
+    blocks = (S.rows - 1) * m + 1
+    lift = convolution_matrix(taps.transpose(0, 2, 1), blocks, blocks + m)
+    return gf_rank(lift, S.field) == blocks * S.rows
+
+
+def _require_full_row_rank(hb: RatMatrix) -> None:
+    if not full_row_rank(hb):
+        raise DerivationError("transfer polynomial is not full row rank")
+
+
 def derive_syndrome_former(hb: RatMatrix) -> TransferSystem:
     """SF = H_b^T: n input streams to n-k syndrome streams."""
-    if rank(hb) < hb.rows:
-        raise DerivationError("transfer polynomial is not full row rank")
+    _require_full_row_rank(hb)
     return TransferSystem(hb.transpose(), role="SF")
 
 
@@ -200,20 +207,9 @@ def derive_generator(hb: RatMatrix) -> TransferSystem:
     raises DerivationError."""
     if hb.rows == hb.cols:
         raise DerivationError("k = 0: no logical qubit to decode")
-    rows = _basic_kernel_rows(hb)
-    # if the minimal rows, of degrees d_i, span the kernel, its vectors of
-    # degree <= span form a GF(q) space of dimension sum(span - d_i + 1); an
-    # H_b of rank < r = hb.rows has further minimal rows, all of degree at
-    # most its (r - 1)-minors' degree, <= (r - 1) m
-    taps = hb.coeff_tensor()
-    m = taps.shape[0] - 1
-    degrees = [max(p.degree for p in row) for row in rows]
-    span = max([(hb.rows - 1) * m] + degrees)
-    kernel_dim = hb.cols * (span + 1) - gf_rank(
-        convolution_matrix(taps, span + 1, span + m + 1), hb.field)
-    if kernel_dim != sum(span - d + 1 for d in degrees):
-        raise DerivationError("transfer polynomial is not full row rank")
-    return TransferSystem(RatMatrix.from_polys(rows), role="GEN")
+    _require_full_row_rank(hb)
+    return TransferSystem(RatMatrix.from_polys(_basic_kernel_rows(hb)),
+                          role="GEN")
 
 
 @dataclass(frozen=True)
@@ -377,19 +373,35 @@ def coset_code_rows(hb: RatMatrix) -> list[list[Poly]]:
     This spans the classical codeword space *and* the degeneracy directions
     (for a stabilizer-derived H_b, the block-reversed stabilizer rows), so a
     trellis over it searches every error pattern with the given measured
-    syndrome."""
+    syndrome. H_b must have full row rank, and then so has S: u(D) S = 0
+    gives u(D^2) H_b = 0."""
+    _require_full_row_rank(hb)
     return _basic_kernel_rows(block_parity_matrix(hb))
 
 
 def _basic_kernel_rows(S: RatMatrix) -> list[list[Poly]]:
-    """:func:`polynomial_kernel_basis` of S at full rank, checked basic: a
-    kernel basis whose minors share a factor would make the generator
-    catastrophic and the coset trellis miss part of the coset."""
+    """:func:`polynomial_kernel_basis` of an S of full row rank, certified
+    basic: a kernel basis whose minors share a factor would make the
+    generator catastrophic and the coset trellis miss part of the coset.
+
+    The rows, of degrees d_i, come out row-reduced, so they are basic iff
+    they are minimal (Forney 1975). Minimal rows and their shifts span the
+    kernel vectors of degree <= span = max d_i, a GF(q) space of dimension
+    sum(span - d_i + 1). The minimal degrees, sorted, are at most the d_i,
+    so a basis that is not minimal, with a larger degree sum, leaves that
+    space larger than its count; only then is the minors gcd worked out,
+    to name the shared factor."""
     rows = polynomial_kernel_basis(S, S.cols - S.rows)
-    gcd = minors_gcd(RatMatrix.from_polys(rows))
-    if not gcd.is_one():
+    taps = S.coeff_tensor()
+    m = taps.shape[0] - 1
+    degrees = [max(p.degree for p in row) for row in rows]
+    span = max(degrees)
+    kernel_dim = S.cols * (span + 1) - gf_rank(
+        convolution_matrix(taps, span + 1, span + m + 1), S.field)
+    if kernel_dim != sum(span - d + 1 for d in degrees):
         raise CatastrophicGeneratorError(
-            f"kernel basis is not basic (minors gcd {gcd})")
+            "kernel basis is not basic "
+            f"(minors gcd {minors_gcd(RatMatrix.from_polys(rows))})")
     return rows
 
 
@@ -402,7 +414,8 @@ class CandidateBuilder:
     ``parity`` is the block-domain syndrome map S and ``isf`` a block-domain
     left inverse of it (isf @ S^T = I): ``block_parity_matrix`` and
     ``block_isf_matrix`` on the binary path, H_q and its ISF on the GF(4)
-    path. The expansion is :meth:`TransferSystem.run_anticausal` of the ISF.
+    path. The expansion is :meth:`TransferSystem.run_anticausal_words` of the
+    ISF.
 
     :meth:`build_words` works on packed blocks, one int64 word per block
     with symbol c at bits [bps c, bps (c + 1)) (the label layout of

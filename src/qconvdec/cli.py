@@ -101,6 +101,8 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials <= 0:
         raise ValueError(f"--trials must be positive, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     spec = _load_spec(args.spec)
     failures = 0
 

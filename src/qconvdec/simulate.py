@@ -88,6 +88,8 @@ class SimConfig:
             raise ValueError("frame_qubits must be divisible by n")
         if self.frames < 1:
             raise ValueError("need at least one frame")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 1 <= self.threads <= MAX_THREADS:
             raise ValueError(f"threads must be in [1, {MAX_THREADS}], "
                              f"got {self.threads}")

@@ -33,6 +33,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import log
+from numbers import Integral
 from typing import Literal
 
 import numpy as np
@@ -196,11 +197,27 @@ class BranchMetric:
     and Z components flip independently with equal probability.
 
     ``pauli``: per-qubit integer cost table indexed by the Pauli difference,
-    e.g. quantized -log channel likelihoods.
+    e.g. quantized -log channel likelihoods: four integers (``INF``
+    forbids a Pauli), kept as a tuple of Python ints.
     """
 
     mode: Literal["hamming", "pauli"] = "hamming"
     pauli_costs: tuple[int, int, int, int] | None = None  # (I, X, Y, Z)
+
+    def __post_init__(self):
+        if self.mode not in ("hamming", "pauli"):
+            raise ValueError(
+                f"metric mode must be 'hamming' or 'pauli', got {self.mode!r}")
+        costs = self.pauli_costs
+        if self.mode == "hamming":
+            if costs is not None:
+                raise ValueError("hamming metric takes no costs")
+            return
+        if not (isinstance(costs, (Sequence, np.ndarray)) and len(costs) == 4
+                and all(isinstance(c, Integral) for c in costs)):
+            raise ValueError("pauli metric needs four integer (I, X, Y, Z) "
+                             f"costs, got {costs!r}")
+        object.__setattr__(self, "pauli_costs", tuple(int(c) for c in costs))
 
     def qubit_cost(self, x: int, z: int) -> int:
         if self.mode == "hamming":

@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from qconvdec.algebra import (
     GF2, GF4, W, WBAR, DegreeCapError, Poly, RatMatrix, RationalFn,
-    gf_rank, parse_poly, minors_gcd, poly_row_degree, rank, ratio,
+    gf_rank, pack_slices, parse_poly, minors_gcd, poly_row_degree, rank, ratio,
+    symbol_bits, unpack_symbols,
 )
+import qconvdec.algebra
 import qconvdec.circuits
 from qconvdec.circuits import (
     CandidateBuilder, CatastrophicGeneratorError, DerivationError,
     TransferSystem, block_isf_matrix, block_parity_matrix, block_syndrome,
     coset_code_rows, derive_bundle, derive_generator,
-    derive_inverse_syndrome_former, derive_syndrome_former,
+    derive_inverse_syndrome_former, derive_syndrome_former, full_row_rank,
     polynomial_kernel_basis, shifted_isf_matrix, with_isf,
 )
 from qconvdec.cli import main
@@ -111,6 +113,12 @@ class TestInverseSyndromeFormer:
         assert y[:, 0].tolist() == x[:, 0].tolist()
 
 
+# the two polynomial kernel bases construction derives, each certified by
+# the same full-row-rank test and minimality count
+KERNEL_BASES = [pytest.param(derive_generator, id="generator"),
+                pytest.param(coset_code_rows, id="coset")]
+
+
 def catastrophic_kernel_basis(S, kernel_rank):
     rows = polynomial_kernel_basis(S, kernel_rank)
     return [[e * p("1+D", S.field) for e in rows[0]]] + rows[1:]
@@ -168,25 +176,28 @@ class TestGenerator:
         assert str(derive_generator(pinned_transfer(name)).matrix) == \
             GENERATORS[name]
 
+    @pytest.mark.parametrize("derive", KERNEL_BASES)
     @pytest.mark.parametrize("rows", [
         [["1", "1", "0"], ["1", "1", "0"]],
         # kernel rows [D, 1, 0] and [0, D^2, 1]: the sweep stops at degree
-        # 1 with a basic row, below the second one
+        # 1 with a basic row, below the second one; the block parity map of
+        # this H_b has full row rank, and coset_code_rows refuses it still
         [["1", "D", "D^3"], ["D", "D^2", "D^4"]],
     ])
-    def test_rank_deficient_rejected(self, rows):
+    def test_rank_deficient_rejected(self, rows, derive):
         hb = RatMatrix.from_polys([[p(e) for e in row] for row in rows])
         with pytest.raises(DerivationError, match="not full row rank"):
-            derive_generator(hb)
+            derive(hb)
 
+    @pytest.mark.parametrize("derive", KERNEL_BASES)
     def test_catastrophic_basis_rejected(self, monkeypatch, tmp_path,
-                                         capsys):
+                                         capsys, derive):
         # a kernel basis with a row times 1+D spans a smaller module: its
         # minors share 1+D, and the guard refuses it, also in the CLI
         monkeypatch.setattr(qconvdec.circuits, "polynomial_kernel_basis",
                             catastrophic_kernel_basis)
         with pytest.raises(CatastrophicGeneratorError, match=r"1\+D"):
-            derive_generator(hb_311())
+            derive(hb_311())
         spec = tmp_path / "code.qcc"
         spec.write_text(EXAMPLE_311_TEXT)
         for command in ("derive", "verify"):
@@ -340,8 +351,10 @@ class TestClosedForm:
     def test_run_anticausal_matches_reference(self, name):
         for system, x, extra in closed_form_cases(name):
             length = x.shape[0] + extra
+            bps = symbol_bits(system.field)
+            words = system.run_anticausal_words(pack_slices(x, bps), length)
             assert np.array_equal(
-                system.run_anticausal(x, length),
+                unpack_symbols(words, system.outputs, bps),
                 run_anticausal(system.matrix, x, length)), (
                     x.shape[0], extra)
 
@@ -506,6 +519,46 @@ class TestKernelBasis:
         S = RatMatrix.from_coeff_tensor(taps, field)
         _assert_row_reduced_kernel(
             S, polynomial_kernel_basis(S, S.cols - rank(S)))
+
+
+class TestCertificate:
+    """One GF(q) full-row-rank test and one minimality count certify both
+    polynomial kernel bases."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_full_row_rank_agrees_with_rational_rank(self, data):
+        field = data.draw(st.sampled_from([GF2, GF4]), label="field")
+        r = data.draw(st.integers(1, 3), label="rows")
+        cols = data.draw(st.integers(1, 4), label="cols")
+        m = data.draw(st.integers(0, 2), label="m")
+        symbols = st.integers(0, field.order - 1)
+        taps = np.array(data.draw(st.lists(
+            symbols, min_size=(m + 1) * r * cols,
+            max_size=(m + 1) * r * cols), label="taps"),
+            dtype=np.uint8).reshape(m + 1, r, cols)
+        rows = RatMatrix.from_coeff_tensor(taps, field).poly_entries()
+        if r > 1 and data.draw(st.booleans(), label="dependent"):
+            # the last row becomes a polynomial mix of the others
+            mix = [Poly(data.draw(st.lists(symbols, min_size=1, max_size=2),
+                                  label="mix"), field) for _ in rows[1:]]
+            rows[-1] = [sum((a * row[c] for a, row in zip(mix, rows)),
+                            Poly.zero(field)) for c in range(cols)]
+        S = RatMatrix.from_polys(rows)
+        assert full_row_rank(S) == (rank(S) == S.rows)
+
+    def test_construction_runs_no_rational_rank_or_minors(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("construction left the GF(q) certificate")
+
+        monkeypatch.setattr(qconvdec.algebra, "rank", refuse)
+        monkeypatch.setattr(qconvdec.circuits, "rank", refuse, raising=False)
+        monkeypatch.setattr(qconvdec.algebra, "minors_gcd", refuse)
+        monkeypatch.setattr(qconvdec.circuits, "minors_gcd", refuse)
+        for name, path in PATHS:
+            (SyndromeDecoderF4 if path == "f4" else SyndromeDecoder)(
+                CODES[name])
+        SyndromeDecoder(parse_stabilizer(LONG_REACH_TEXT))
 
 
 def _gf2_rank(M):

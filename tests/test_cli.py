@@ -220,6 +220,19 @@ class TestInputContract:
         assert main(["verify", spec_file, "--trials", trials]) == 2
         assert_one_error_line(capsys.readouterr())
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["verify", "--seed", "-1"], id="verify"),
+        pytest.param(["simulate", "--seed", "-5", "--frames", "1"],
+                     id="simulate"),
+    ])
+    def test_negative_seed(self, spec_file, capsys, argv):
+        # verify --seed -1 used to print two PASS lines before numpy's
+        # "expected non-negative integer", which simulate printed alone
+        assert main(argv[:1] + [spec_file] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "seed must be non-negative" in captured.err
+
     @pytest.mark.parametrize("qubits", ["0", "2", "-3"])
     def test_simulate_frame_below_one_block(self, spec_file, capsys, qubits):
         # --frame-qubits 0 used to die with an uncaught ZeroDivisionError

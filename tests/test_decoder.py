@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from qconvdec.algebra import GF2, gf_convolve, parse_poly
+from qconvdec.algebra import (
+    GF2, gf_convolve, pack_slices, parse_poly, unpack_symbols,
+)
 from qconvdec.circuits import shifted_isf_matrix
 from qconvdec.circuits import DerivationError
 from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
@@ -256,7 +258,8 @@ def _needs_repair(decoder, sigma):
     syndrome, by the array convolution, against sigma zero-extended."""
     cands = decoder.candidates
     sym = decoder._syndrome_symbols(sigma)
-    W = cands.isf.run_anticausal(sym, len(sym))
+    W = unpack_symbols(cands.isf.run_anticausal_words(
+        pack_slices(sym, cands.bps), len(sym)), cands.lanes, cands.bps)
     resid = gf_convolve(cands.syndrome.taps, W, cands.field,
                         len(sym) + cands.m)
     resid[:len(sym)] ^= sym

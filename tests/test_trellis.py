@@ -821,6 +821,31 @@ class TestMetrics:
         assert pack_sections(frame, t).tolist() == packed
         assert np.array_equal(unpack_sections(packed, t), frame)
 
+    @pytest.mark.parametrize("args,costs", [
+        pytest.param(("foo",), None, id="unknown-mode"),
+        pytest.param(("hamming", [0, 1, 2, 1]), None, id="hamming-costs"),
+        pytest.param(("pauli",), None, id="no-costs"),
+        pytest.param(("pauli", (0, 1, 2)), None, id="three-costs"),
+        pytest.param(("pauli", (0, 1.5, 2, 1)), None, id="float-cost"),
+        pytest.param(("pauli", "IXYZ"), None, id="text"),
+        pytest.param(("pauli", [0, 1, 2, 1]), (0, 1, 2, 1), id="list"),
+        pytest.param(("pauli", np.array([0, 1, 2, 1])), (0, 1, 2, 1),
+                     id="numpy"),
+        pytest.param(("pauli", (0, INF, INF, INF)), (0, INF, INF, INF),
+                     id="forbidden"),
+    ])
+    def test_metric_inputs_checked(self, args, costs):
+        # these used to fail at the first decode (a None or list cost table,
+        # a missing Z cost) or, for 1.5, to decode silently as cost 1
+        if costs is None:
+            with pytest.raises(ValueError):
+                BranchMetric(*args)
+            return
+        metric = BranchMetric(*args)
+        assert metric.pauli_costs == costs
+        assert all(type(c) is int for c in metric.pauli_costs)
+        hash(metric)  # the metric keys the per-trellis table cache
+
     def test_pauli_table_on_bits_trellis_rejected(self):
         t = build_trellis(tick_gen_311())
         metric = metric_for("pauli", 0.05)
