@@ -80,12 +80,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero field element")
         return self._inv[a]
 
-    def conj(self, a: int) -> int:
-        """Field conjugation: identity on GF(2), w <-> w^2 on GF(4)."""
-        if self.order == 2 or a < 2:
-            return a
-        return 5 - a  # swaps 2 and 3
-
     def __repr__(self) -> str:
         return f"GF({self.order})"
 
@@ -153,9 +147,6 @@ class Poly:
         if 0 <= power < len(self.coeffs):
             return self.coeffs[power]
         return 0
-
-    def constant_term(self) -> int:
-        return self[0]
 
     def leading_coeff(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
@@ -228,15 +219,6 @@ class Poly:
             if c:
                 return i
         return 0
-
-    def substitute_square(self) -> "Poly":
-        """D -> D^2."""
-        if self.is_zero():
-            return self
-        out = [0] * (2 * self.degree + 1)
-        for i, c in enumerate(self.coeffs):
-            out[2 * i] = c
-        return Poly(out, self.field)
 
     def __eq__(self, other) -> bool:
         return (
@@ -405,9 +387,6 @@ class RationalFn:
             raise ZeroDivisionError("inverse of zero")
         return RationalFn(self.den, self.num)
 
-    def substitute_square(self) -> "RationalFn":
-        return RationalFn(self.num.substitute_square(), self.den.substitute_square())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RationalFn)
@@ -543,11 +522,6 @@ class RatMatrix:
                 out[:len(p.coeffs), i, c] = p.coeffs
         return out
 
-    def substitute_square(self) -> "RatMatrix":
-        """Entry-wise D -> D^2."""
-        return RatMatrix([[e.substitute_square() for e in r] for r in self.entries],
-                         self.field)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RatMatrix)
@@ -646,10 +620,6 @@ def minors_gcd(g: RatMatrix) -> Poly:
             if acc.is_one():
                 return acc
     return acc.monic() if not acc.is_zero() else acc
-
-
-def poly_row_degree(row: Sequence[Poly]) -> int:
-    return max((p.degree for p in row), default=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,11 @@ def full_row_rank(S: RatMatrix) -> bool:
     return gf_rank(lift, S.field) == blocks * S.rows
 
 
+def _require_k(hb: RatMatrix) -> None:
+    if hb.rows == hb.cols:
+        raise DerivationError("k = 0: no logical qubit to decode")
+
+
 def _require_full_row_rank(hb: RatMatrix) -> None:
     if not full_row_rank(hb):
         raise DerivationError("transfer polynomial is not full row rank")
@@ -205,23 +210,22 @@ def derive_generator(hb: RatMatrix) -> TransferSystem:
     basis of H_b, which is basic and so non-catastrophic. H_b must have full
     row rank: a rank-deficient H_b, whose kernel has more than k rows,
     raises DerivationError."""
-    if hb.rows == hb.cols:
-        raise DerivationError("k = 0: no logical qubit to decode")
+    _require_k(hb)
     _require_full_row_rank(hb)
-    return TransferSystem(RatMatrix.from_polys(_basic_kernel_rows(hb)),
-                          role="GEN")
+    return TransferSystem(RatMatrix.from_polys(_basic_kernel_rows(
+        hb, polynomial_kernel_basis(hb, hb.cols - hb.rows))), role="GEN")
 
 
 @dataclass(frozen=True)
 class CodeBundle:
-    """Derived decoding machinery for one transfer polynomial. Construction
-    is the one place a bundle's L @ H_b^T = I and G @ H_b^T = 0 are
-    checked, for a derived ISF and a caller's alike."""
+    """The transfer polynomial H_b and the ISF a decoder runs on it.
+    Construction is the one place a bundle's L @ H_b^T = I is checked, for
+    a derived ISF and a caller's alike. A decoder never runs the syndrome
+    former or the generator: ``derive_syndrome_former`` and
+    ``derive_generator`` derive them apart."""
 
     hb: RatMatrix
-    sf: TransferSystem
     isf: TransferSystem
-    gen: TransferSystem
     n: int = dc_field(init=False)
     r: int = dc_field(init=False)  # syndrome streams = n - k
 
@@ -230,8 +234,6 @@ class CodeBundle:
         object.__setattr__(self, "r", self.hb.rows)
         if not (self.isf.matrix @ self.hb.transpose()).is_identity():
             raise DerivationError("ISF identity violated")
-        if not (self.gen.matrix @ self.hb.transpose()).is_zero():
-            raise DerivationError("generator kernel identity violated")
 
     @property
     def k(self) -> int:
@@ -243,27 +245,24 @@ class CodeBundle:
 
 
 def derive_bundle(hb: RatMatrix) -> CodeBundle:
-    return CodeBundle(
-        hb=hb,
-        sf=derive_syndrome_former(hb),
-        isf=derive_inverse_syndrome_former(hb),
-        gen=derive_generator(hb),
-    )
+    """H_b, refused at k = 0 or without full row rank, and its derived
+    ISF."""
+    _require_k(hb)
+    _require_full_row_rank(hb)
+    return CodeBundle(hb=hb, isf=derive_inverse_syndrome_former(hb))
 
 
 def with_isf(bundle: CodeBundle, isf_matrix: RatMatrix) -> CodeBundle:
     """Bundle variant running a caller-supplied ISF, checked like a
     derived one."""
-    return CodeBundle(hb=bundle.hb, sf=bundle.sf,
-                      isf=TransferSystem(isf_matrix, role="ISF"),
-                      gen=bundle.gen)
+    return CodeBundle(hb=bundle.hb, isf=TransferSystem(isf_matrix, role="ISF"))
 
 
 def shifted_isf_matrix(bundle: CodeBundle, mix: Sequence[Poly]) -> RatMatrix:
     """A structurally different valid ISF: L' = L + mix^T @ G (any polynomial
     mix of generator rows added to each ISF row keeps L' @ H^T = I)."""
     L = bundle.isf.matrix
-    G = bundle.gen.matrix
+    G = derive_generator(bundle.hb).matrix
     rows = []
     for i in range(L.rows):
         row = list(L.entries[i])
@@ -376,13 +375,15 @@ def coset_code_rows(hb: RatMatrix) -> list[list[Poly]]:
     syndrome. H_b must have full row rank, and then so has S: u(D) S = 0
     gives u(D^2) H_b = 0."""
     _require_full_row_rank(hb)
-    return _basic_kernel_rows(block_parity_matrix(hb))
+    S = block_parity_matrix(hb)
+    return _basic_kernel_rows(S, polynomial_kernel_basis(S, S.cols - S.rows))
 
 
-def _basic_kernel_rows(S: RatMatrix) -> list[list[Poly]]:
-    """:func:`polynomial_kernel_basis` of an S of full row rank, certified
-    basic: a kernel basis whose minors share a factor would make the
-    generator catastrophic and the coset trellis miss part of the coset.
+def _basic_kernel_rows(S: RatMatrix,
+                       rows: list[list[Poly]]) -> list[list[Poly]]:
+    """The rows, :func:`polynomial_kernel_basis` of an S of full row rank,
+    certified basic: a kernel basis whose minors share a factor would make
+    the generator catastrophic and the coset trellis miss part of the coset.
 
     The rows, of degrees d_i, come out row-reduced, so they are basic iff
     they are minimal (Forney 1975). Minimal rows and their shifts span the
@@ -391,7 +392,6 @@ def _basic_kernel_rows(S: RatMatrix) -> list[list[Poly]]:
     so a basis that is not minimal, with a larger degree sum, leaves that
     space larger than its count; only then is the minors gcd worked out,
     to name the shared factor."""
-    rows = polynomial_kernel_basis(S, S.cols - S.rows)
     taps = S.coeff_tensor()
     m = taps.shape[0] - 1
     degrees = [max(p.degree for p in row) for row in rows]

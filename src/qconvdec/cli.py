@@ -11,7 +11,10 @@ import sys
 import numpy as np
 
 from .algebra import AlgebraError
-from .circuits import block_parity_matrix, block_syndrome, derive_bundle
+from .circuits import (
+    block_parity_matrix, block_syndrome, derive_bundle, derive_generator,
+    derive_syndrome_former,
+)
 from .decoder import SyndromeDecoder, SyndromeDecoderF4
 from .simulate import SimConfig, metric_for, run_sweep, syndrome_from_text
 from .stabilizer import (
@@ -39,12 +42,13 @@ def cmd_derive(args) -> int:
     spec = _load_spec(args.spec)
     hb = binary_transfer(spec)
     bundle = derive_bundle(hb)
+    gen = derive_generator(hb)
     print(f"qcc n={spec.n} k={spec.k} m={spec.m}")
     print(_matrix_dump("H_b", hb))
-    print(_matrix_dump("SF", bundle.sf.matrix))
+    print(_matrix_dump("SF", derive_syndrome_former(hb).matrix))
     print(_matrix_dump("ISF", bundle.isf.matrix))
     print(f"  # input advance: {bundle.isf.input_advance} ticks")
-    print(_matrix_dump("GEN", bundle.gen.matrix))
+    print(_matrix_dump("GEN", gen.matrix))
     try:
         qt = quaternary_transfer(spec)
         print(_matrix_dump("H_q", qt.hq))
@@ -123,10 +127,11 @@ def cmd_verify(args) -> int:
 
     hb = binary_transfer(spec)
     bundle = derive_bundle(hb)
+    sf, gen = derive_syndrome_former(hb), derive_generator(hb)
     report("ISF left inverse identity",
            (bundle.isf.matrix @ hb.transpose()).is_identity())
     report("generator kernel identity",
-           (bundle.gen.matrix @ hb.transpose()).is_zero())
+           (gen.matrix @ hb.transpose()).is_zero())
 
     rng = np.random.default_rng(args.seed)
     decoder = SyndromeDecoder(spec)
@@ -139,7 +144,7 @@ def cmd_verify(args) -> int:
         # the odd phase of the streamed SF output
         ticks = np.zeros((2 * blocks.shape[0], spec.n), dtype=np.uint8)
         ticks[0::2], ticks[1::2] = blocks[:, :spec.n], blocks[:, spec.n:]
-        if not np.array_equal(bundle.sf.run(ticks)[1::2],
+        if not np.array_equal(sf.run(ticks)[1::2],
                               block_syndrome(S, blocks)):
             ok = False
             break

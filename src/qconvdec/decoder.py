@@ -15,12 +15,13 @@ import numpy as np
 
 from .algebra import RatMatrix, pack_slices, pack_symbols, unpack_symbols
 from .circuits import (
-    CandidateBuilder, block_isf_matrix, block_parity_matrix, block_syndrome,
-    coset_code_rows, derive_bundle, polynomial_kernel_basis, with_isf,
+    CandidateBuilder, _basic_kernel_rows, block_isf_matrix,
+    block_parity_matrix, coset_code_rows, derive_bundle,
+    polynomial_kernel_basis, with_isf,
 )
 from .stabilizer import (
-    ErrorFrame, GF4_DECODE_TO_XZ, SpecError, StabilizerSpec, XZ_TO_GF4_DECODE,
-    binary_transfer, check_symplectic, quaternary_transfer, syndrome_of,
+    ErrorFrame, GF4_DECODE_TO_XZ, SpecError, StabilizerSpec, binary_transfer,
+    check_symplectic, quaternary_transfer, syndrome_of,
 )
 from .trellis import (
     BranchMetric, Trellis, build_trellis, unpack_sections, viterbi_path,
@@ -90,13 +91,6 @@ class SyndromeDecoder:
         """The symbols the candidate takes of packed binary syndrome words,
         one word per block; on the binary path the words themselves."""
         return s
-
-    def _syndrome_symbols(self, sigma: np.ndarray) -> np.ndarray:
-        """:meth:`_syndrome_words` of a binary (blocks, n-k) syndrome as a
-        (blocks, symbols) array."""
-        c = self.candidates
-        return unpack_symbols(self._syndrome_words(pack_symbols(sigma, 1)),
-                              c.r, c.bps)
 
     def symbols_to_frame(self, symbols: np.ndarray) -> ErrorFrame:
         """Error frame of a decoded (blocks, lanes) symbol array."""
@@ -189,7 +183,8 @@ class SyndromeDecoderF4(SyndromeDecoder):
         return self.hq
 
     def _coset_rows(self, transfer: RatMatrix):
-        return polynomial_kernel_basis(transfer, transfer.cols - transfer.rows)
+        return _basic_kernel_rows(transfer, polynomial_kernel_basis(
+            transfer, transfer.cols - transfer.rows))
 
     def _block_maps(self, bundle) -> tuple[RatMatrix, RatMatrix]:
         return bundle.hb, bundle.isf.matrix
@@ -197,17 +192,7 @@ class SyndromeDecoderF4(SyndromeDecoder):
     def _syndrome_words(self, s: np.ndarray) -> np.ndarray:
         return self.qt.syndrome_table.take(s)
 
-    def frame_to_symbols(self, frame: ErrorFrame) -> np.ndarray:
-        """(blocks, n) GF(4) symbols in the decode labeling."""
-        blocks = frame.blocks(self.spec.n)
-        n = self.spec.n
-        return XZ_TO_GF4_DECODE[blocks[:, :n], blocks[:, n:]]
-
     def symbols_to_frame(self, symbols: np.ndarray) -> ErrorFrame:
         xz = GF4_DECODE_TO_XZ[symbols]
         return ErrorFrame.from_blocks(np.concatenate([xz[..., 0], xz[..., 1]],
                                                      axis=1))
-
-    def f4_syndrome(self, frame: ErrorFrame) -> np.ndarray:
-        """GF(4) syndrome stream of a (padded) frame: symbols through H_q^T."""
-        return block_syndrome(self.hq, self.frame_to_symbols(frame))

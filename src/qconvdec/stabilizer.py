@@ -22,9 +22,8 @@ from typing import Iterable
 import numpy as np
 
 from .algebra import (
-    GF2, GF4, W, WBAR, ConvolutionKernel, Poly, RatMatrix, RationalFn,
-    gf_convolve, gf_inv, gf_rank, gf_solve, pack_slices, pack_symbols,
-    unpack_symbols,
+    GF2, GF4, W, WBAR, ConvolutionKernel, RatMatrix, gf_convolve, gf_inv,
+    gf_rank, gf_solve, pack_slices, pack_symbols, unpack_symbols,
 )
 
 
@@ -181,13 +180,6 @@ class StabilizerSpec:
         xz = np.arange(2 * self.n).reshape(2, self.n).T.reshape(-1)
         return ConvolutionKernel(self.syndrome_taps[:, :, xz], GF2)
 
-    def p_matrix(self) -> RatMatrix:
-        """P(D), (n-k) x n polynomial matrix."""
-        return RatMatrix.from_coeff_tensor(self.p_coeffs)
-
-    def q_matrix(self) -> RatMatrix:
-        return RatMatrix.from_coeff_tensor(self.q_coeffs)
-
 
 def parse_stabilizer(text: str) -> StabilizerSpec:
     """Parse the stabilizer spec file format.
@@ -256,15 +248,10 @@ def check_symplectic(spec: StabilizerSpec) -> SymplecticCheck:
 
 
 def binary_transfer(spec: StabilizerSpec) -> RatMatrix:
-    """Equivalent binary transfer polynomial H_b(D) = P(D^2) + D Q(D^2)."""
-    P = spec.p_matrix().substitute_square()
-    Q = spec.q_matrix().substitute_square()
-    D = RationalFn(Poly.D(GF2))
-    rows = []
-    for i in range(spec.n - spec.k):
-        rows.append([P.entries[i][c] + D * Q.entries[i][c]
-                     for c in range(spec.n)])
-    return RatMatrix(rows, GF2)
+    """Equivalent binary transfer polynomial H_b(D) = P(D^2) + D Q(D^2):
+    its even taps are P's, its odd taps Q's."""
+    taps = np.stack([spec.p_coeffs, spec.q_coeffs], axis=1)
+    return RatMatrix.from_coeff_tensor(taps.reshape(-1, *taps.shape[2:]))
 
 
 # Pauli -> GF(4) map used internally by the quaternary decode path. It is the
@@ -272,11 +259,6 @@ def binary_transfer(spec: StabilizerSpec) -> RatMatrix:
 # (no conjugation in the streaming circuits).
 PAULI_TO_GF4_DECODE = {"I": 0, "X": 1, "Y": W, "Z": WBAR}
 GF4_DECODE_TO_PAULI = {v: k for k, v in PAULI_TO_GF4_DECODE.items()}
-# per-qubit (x, z) bits -> decode symbol: value conj(x | z<<1) in GF4 encoding
-XZ_TO_GF4_DECODE = np.zeros((2, 2), dtype=np.uint8)
-for _pl, _v in PAULI_TO_GF4_DECODE.items():
-    _x, _z = PAULI_TO_BITS[_pl]
-    XZ_TO_GF4_DECODE[_x, _z] = _v
 # decode symbol -> (x, z) bits of its Pauli
 GF4_DECODE_TO_XZ = np.array(
     [PAULI_TO_BITS[GF4_DECODE_TO_PAULI[v]] for v in range(4)], dtype=np.uint8)
@@ -313,14 +295,6 @@ class QuaternaryTransfer:
         """(blocks, n-k) binary -> (blocks, (n-k)/2) GF(4) symbols."""
         return unpack_symbols(self.syndrome_table.take(pack_symbols(sigma, 1)),
                               self.f4_rows, 2)
-
-    def f4_to_binary_syndrome(self, symbols: np.ndarray) -> np.ndarray:
-        r = self.f4_rows
-        bits = np.zeros((symbols.shape[0], 2 * r), dtype=np.uint8)
-        for j in range(r):
-            bits[:, 2 * j] = symbols[:, j] & 1
-            bits[:, 2 * j + 1] = symbols[:, j] >> 1
-        return (bits @ self.syndrome_map.T) % 2
 
 
 def quaternary_transfer(spec: StabilizerSpec) -> QuaternaryTransfer:

@@ -197,8 +197,9 @@ class BranchMetric:
     and Z components flip independently with equal probability.
 
     ``pauli``: per-qubit integer cost table indexed by the Pauli difference,
-    e.g. quantized -log channel likelihoods: four integers (``INF``
-    forbids a Pauli), kept as a tuple of Python ints.
+    e.g. quantized -log channel likelihoods: four integers, the identity's
+    0 and the others nonnegative (``INF`` forbids a Pauli), kept as a tuple
+    of Python ints.
     """
 
     mode: Literal["hamming", "pauli"] = "hamming"
@@ -217,7 +218,11 @@ class BranchMetric:
                 and all(isinstance(c, Integral) for c in costs)):
             raise ValueError("pauli metric needs four integer (I, X, Y, Z) "
                              f"costs, got {costs!r}")
-        object.__setattr__(self, "pauli_costs", tuple(int(c) for c in costs))
+        costs = tuple(int(c) for c in costs)
+        if costs[0] != 0 or min(costs) < 0:
+            raise ValueError("pauli metric needs identity cost 0 and "
+                             f"nonnegative X, Y, Z costs, got {costs!r}")
+        object.__setattr__(self, "pauli_costs", costs)
 
     def qubit_cost(self, x: int, z: int) -> int:
         if self.mode == "hamming":

@@ -46,11 +46,11 @@ def realize(matrix: RatMatrix) -> list[RowRealization]:
         for e in scaled:
             if not e.is_zero():
                 den = poly_lcm(den, e.den)
-        if den.constant_term() == 0:
+        if den[0] == 0:
             raise DerivationError("entry remained non-causal after advance "
                                   "extraction")
         # normalize the recursion to den[0] = 1
-        c0inv = f.inv(den.constant_term())
+        c0inv = f.inv(den[0])
         nums = []
         for e in scaled:
             if e.is_zero():

@@ -16,7 +16,9 @@ import pytest
 from scipy.stats import beta
 
 from qconvdec.algebra import GF2, parse_poly, rank
-from qconvdec.circuits import derive_bundle, shifted_isf_matrix
+from qconvdec.circuits import (
+    derive_bundle, derive_generator, derive_syndrome_former, shifted_isf_matrix,
+)
 from qconvdec.decoder import SyndromeDecoder
 from qconvdec.simulate import SimConfig, run_sweep
 from qconvdec.stabilizer import (
@@ -73,8 +75,7 @@ def test_criterion_1_golden_fixtures():
     # derivation reproduces it exactly
     assert (REF_RATIONAL_ISF_311 @ hb.transpose()).is_identity()
     assert (REF_GENERATOR_311 @ hb.transpose()).is_zero()
-    bundle = derive_bundle(hb)
-    assert bundle.gen.matrix == REF_GENERATOR_311
+    assert derive_generator(hb).matrix == REF_GENERATOR_311
 
     # rate-1/2 classical code: known FIR ISF and both generator choices verify
     hb1 = REF_TRANSFER_21
@@ -178,18 +179,20 @@ def test_criterion_5_roundtrip_and_kernel(decoder):
     }
     rng = np.random.default_rng(5)
     for name, bundle in bundles.items():
+        sf = derive_syndrome_former(bundle.hb)
+        gen = derive_generator(bundle.hb)
         a = bundle.isf.input_advance
         for _ in range(1000):
             ticks = 2 * int(rng.integers(4, 61))
             s = rng.integers(0, 2, size=(ticks, bundle.r)).astype(np.uint8)
-            z = bundle.sf.run(bundle.isf.run(s))
+            z = sf.run(bundle.isf.run(s))
             assert np.array_equal(z[a:], s[: ticks - a]), name
             assert not z[:a].any(), name
         for _ in range(1000):
             ticks = int(rng.integers(4, 60))
-            u = rng.integers(0, 2, size=(ticks, bundle.gen.inputs)).astype(np.uint8)
-            c = bundle.gen.run(u, extra=4)
-            assert not bundle.sf.run(c, extra=4).any(), name
+            u = rng.integers(0, 2, size=(ticks, gen.inputs)).astype(np.uint8)
+            c = gen.run(u, extra=4)
+            assert not sf.run(c, extra=4).any(), name
     dt = time.perf_counter() - t0
     print(f"\nPASS criterion 5: SF.ISF identity and SF.GEN kernel, exact on "
           f"1000 random frames per code ({dt:.1f}s)")

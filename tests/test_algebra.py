@@ -30,10 +30,6 @@ class TestFieldTables:
         for a in range(1, 4):
             assert GF4.mul(a, GF4.inv(a)) == 1
 
-    def test_conjugation(self):
-        assert GF4.conj(W) == WBAR and GF4.conj(WBAR) == W
-        assert GF4.conj(0) == 0 and GF4.conj(1) == 1
-
 
 class TestPoly:
     def test_char2_squaring(self):
@@ -104,17 +100,6 @@ class TestRational:
     def test_monic_denominator_gf4(self):
         r = ratio(p4(1), p4(0, W))
         assert r.den.leading_coeff() == 1
-
-
-class TestSubstitution:
-    def test_square_row(self):
-        m = RatMatrix.from_polys([[p2(1, 1), p2(1), p2(1, 1)]])
-        sq = m.substitute_square()
-        assert sq == RatMatrix.from_polys([[p2(1, 0, 1), p2(1), p2(1, 0, 1)]])
-
-    def test_constant_fixed_point(self):
-        m = RatMatrix.from_polys([[p2(1), p2(0)], [p2(1), p2(1)]])
-        assert m.substitute_square() == m
 
 
 class TestLeftInverse:

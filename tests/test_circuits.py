@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -7,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from qconvdec.algebra import (
     GF2, GF4, W, WBAR, DegreeCapError, Poly, RatMatrix, RationalFn,
-    gf_rank, pack_slices, parse_poly, minors_gcd, poly_row_degree, rank, ratio,
+    gf_rank, pack_slices, parse_poly, minors_gcd, rank, ratio,
     symbol_bits, unpack_symbols,
 )
 import qconvdec.algebra
 import qconvdec.circuits
+import qconvdec.decoder
 from qconvdec.circuits import (
     CandidateBuilder, CatastrophicGeneratorError, DerivationError,
     TransferSystem, block_isf_matrix, block_parity_matrix, block_syndrome,
@@ -29,6 +31,7 @@ from qconvdec.stabilizer import (
 )
 
 from reference_candidate import reference_build, run_anticausal
+from reference_symbols import syndrome_symbols
 import reference_transfer
 from reference_data import (
     CODES, LONG_REACH_TEXT, PATH_IDS, PATHS, REF_ALLONES_ISF_F4, REF_FIR_ISF_21,
@@ -301,7 +304,8 @@ def closed_form_matrices():
             hb = binary_transfer(spec)
             coset = coset_code_rows(hb)
         bundle = derive_bundle(hb)
-        for system in (bundle.sf, bundle.isf, bundle.gen):
+        for system in (derive_syndrome_former(hb), bundle.isf,
+                       derive_generator(hb)):
             out[f"{name}-{path}-{system.role}"] = system.matrix
         out[f"{name}-{path}-COSET"] = RatMatrix.from_polys(coset)
         if path == "bin":
@@ -374,22 +378,23 @@ class TestRoundTrips:
     def test_sf_isf_identity_example1(self):
         hb = hb_rate_half()
         bundle = derive_bundle(hb)
+        sf = derive_syndrome_former(hb)
         rng = np.random.default_rng(3)
         for _ in range(50):
             s = rng.integers(0, 2, size=(24, 1)).astype(np.uint8)
             w = bundle.isf.run(s)
-            z = bundle.sf.run(w)
+            z = sf.run(w)
             a = bundle.isf.input_advance
             assert np.array_equal(z[a:], s[: s.shape[0] - a])
 
     def test_sf_gen_zero(self):
         for hb in (hb_rate_half(), hb_311()):
-            bundle = derive_bundle(hb)
+            sf, gen = derive_syndrome_former(hb), derive_generator(hb)
             rng = np.random.default_rng(4)
             for _ in range(20):
-                u = rng.integers(0, 2, size=(30, bundle.gen.inputs)).astype(np.uint8)
-                c = bundle.gen.run(u, extra=4)
-                assert not bundle.sf.run(c, extra=4).any()
+                u = rng.integers(0, 2, size=(30, gen.inputs)).astype(np.uint8)
+                c = gen.run(u, extra=4)
+                assert not sf.run(c, extra=4).any()
 
     def test_shifted_isf_is_valid_and_different(self):
         bundle = derive_bundle(hb_311())
@@ -402,11 +407,11 @@ class TestBlockView:
     def test_block_parity_matches_spec(self):
         spec = example_311()
         S = block_parity_matrix(binary_transfer(spec))
+        Q = RatMatrix.from_coeff_tensor(spec.q_coeffs).poly_entries()
+        P = RatMatrix.from_coeff_tensor(spec.p_coeffs).poly_entries()
         expect = RatMatrix.from_polys([
-            list(spec.q_matrix().poly_entries()[0])
-            + list(spec.p_matrix().poly_entries()[0]),
-            list(spec.q_matrix().poly_entries()[1])
-            + list(spec.p_matrix().poly_entries()[1]),
+            list(Q[0]) + list(P[0]),
+            list(Q[1]) + list(P[1]),
         ])
         assert S == expect
 
@@ -440,7 +445,7 @@ class TestCosetCode:
     def test_structure_311(self):
         rows = coset_code_rows(hb_311())
         assert len(rows) == 4
-        degs = sorted(poly_row_degree(r) for r in rows)
+        degs = sorted(max(p.degree for p in r) for r in rows)
         assert degs == [0, 0, 1, 1]
         assert minors_gcd(RatMatrix.from_polys(rows)).is_one()
 
@@ -461,7 +466,7 @@ class TestCosetCode:
         S = block_parity_matrix(hb)
         rows = coset_code_rows(hb)
         TB = 7
-        path_dim = sum(TB - poly_row_degree(r) for r in rows)
+        path_dim = sum(TB - max(p.degree for p in r) for r in rows)
         cols = []
         for idx in range(TB * 6):
             e = np.zeros((TB, 6), dtype=np.uint8)
@@ -487,7 +492,7 @@ class TestCosetCode:
 def _assert_row_reduced_kernel(S, rows):
     """rows is a row-reduced basis of the polynomial kernel of S: full-rank
     leading coefficient matrix, nondecreasing degrees, and rows @ S^T = 0."""
-    degs = [poly_row_degree(r) for r in rows]
+    degs = [max(p.degree for p in r) for r in rows]
     assert len(rows) == S.cols - rank(S)
     assert degs == sorted(degs)
     lead = np.array([[poly[d] for poly in r] for r, d in zip(rows, degs)],
@@ -559,6 +564,44 @@ class TestCertificate:
             (SyndromeDecoderF4 if path == "f4" else SyndromeDecoder)(
                 CODES[name])
         SyndromeDecoder(parse_stabilizer(LONG_REACH_TEXT))
+
+    def test_construction_derives_isf_and_one_coset_basis(self, monkeypatch):
+        # a decoder runs the ISF and the coset trellis only: it derives no
+        # generator or syndrome former and one kernel basis, and tests H_b's
+        # rank once, plus once in coset_code_rows on the binary path
+        calls = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("derive_generator", "derive_syndrome_former",
+                     "full_row_rank", "polynomial_kernel_basis"):
+            count(qconvdec.circuits, name)
+        count(qconvdec.decoder, "polynomial_kernel_basis")
+        for name, path in PATHS:
+            calls.clear()
+            (SyndromeDecoderF4 if path == "f4" else SyndromeDecoder)(
+                CODES[name])
+            assert dict(calls) == {"polynomial_kernel_basis": 1,
+                                   "full_row_rank": 2 if path == "bin" else 1
+                                   }, (name, path)
+
+    @pytest.mark.parametrize("path", ["bin", "f4"])
+    def test_decoder_refuses_catastrophic_coset_basis(self, monkeypatch,
+                                                      path):
+        # construction derives no generator, so the coset basis count is
+        # what refuses a catastrophic basis, on both paths
+        for module in (qconvdec.circuits, qconvdec.decoder):
+            monkeypatch.setattr(module, "polynomial_kernel_basis",
+                                catastrophic_kernel_basis)
+        with pytest.raises(CatastrophicGeneratorError, match=r"1\+D"):
+            (SyndromeDecoderF4 if path == "f4" else SyndromeDecoder)(
+                example_311())
 
 
 def _gf2_rank(M):
@@ -710,7 +753,7 @@ class TestCandidateReference:
                 ChannelParams(0.1), data, frame_rng(12, blocks)))
             uniform = rng.integers(0, 2, size=channel.shape).astype(np.uint8)
             for sigma in (channel, uniform):
-                sym = decoder._syndrome_symbols(sigma)
+                sym = syndrome_symbols(decoder, sigma)
                 want = build_or_error(
                     lambda s, b: reference_build(decoder.bundle, s, b,
                                                  interleaved=not f4),

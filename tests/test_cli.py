@@ -5,6 +5,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qconvdec.cli
+from qconvdec.algebra import RatMatrix
 from qconvdec.circuits import TransferSystem
 from qconvdec.cli import main
 from qconvdec.decoder import SyndromeDecoder
@@ -79,6 +81,15 @@ class TestVerify:
         assert main(["verify", spec_file]) == 1
         assert "FAIL  block syndrome matches streamed SF" in \
             capsys.readouterr().out
+
+    def test_wrong_generator_fails(self, spec_file, monkeypatch, capsys):
+        # the generator is derived for the check alone, so a G with
+        # G @ H_b^T != 0 fails it
+        monkeypatch.setattr(qconvdec.cli, "derive_generator",
+                            lambda hb: TransferSystem(RatMatrix.identity(
+                                hb.cols)))
+        assert main(["verify", spec_file]) == 1
+        assert "FAIL  generator kernel identity" in capsys.readouterr().out
 
     def test_malformed_spec(self, tmp_path, capsys):
         path = tmp_path / "broken.qcc"

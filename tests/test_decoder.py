@@ -15,6 +15,7 @@ from qconvdec.simulate import ChannelParams, frame_rng, metric_for, sample_error
 from qconvdec.trellis import BranchMetric, coset_leader_oracle, viterbi_decode
 
 from reference_data import CODES, LONG_REACH_TEXT, PATH_IDS, PATHS
+from reference_symbols import f4_syndrome, frame_to_symbols, syndrome_symbols
 
 
 def p(t):
@@ -181,14 +182,14 @@ class TestF4Decoder:
             padded = ErrorFrame(np.concatenate(
                 [e.bits, np.zeros(12, dtype=np.uint8)]))
             bin_sigma = syndrome_of(decoder_f4.spec, padded)
-            f4_direct = decoder_f4.f4_syndrome(padded)
+            f4_direct = f4_syndrome(decoder_f4, padded)
             f4_remap = decoder_f4.qt.binary_to_f4_syndrome(bin_sigma)
             assert np.array_equal(f4_direct, f4_remap)
 
     def test_symbol_frame_roundtrip(self, decoder_f4):
         rng = np.random.default_rng(4)
         e = random_error(rng, 12, 0.3)
-        sym = decoder_f4.frame_to_symbols(e)
+        sym = frame_to_symbols(decoder_f4.spec.n, e)
         assert decoder_f4.symbols_to_frame(sym) == e
 
     def test_zero_syndrome(self, decoder_f4):
@@ -240,7 +241,7 @@ class TestF4Decoder:
 def _array_harness(decoder, sigma, metric):
     """The decode of ``sigma`` through the array API:
     ``candidates.build`` -> ``viterbi_decode`` -> ``symbols_to_frame``."""
-    sym = decoder._syndrome_symbols(sigma)
+    sym = syndrome_symbols(decoder, sigma)
     cand = decoder.candidates.build(sym, sym.shape[0])
     res = viterbi_decode(decoder.trellis, cand, metric)
     return decoder.symbols_to_frame(res.error), res.path_metric, res.tie_count
@@ -257,7 +258,7 @@ def _needs_repair(decoder, sigma):
     """Whether the unrepaired ISF candidate of ``sigma`` misses it: its
     syndrome, by the array convolution, against sigma zero-extended."""
     cands = decoder.candidates
-    sym = decoder._syndrome_symbols(sigma)
+    sym = syndrome_symbols(decoder, sigma)
     W = unpack_symbols(cands.isf.run_anticausal_words(
         pack_slices(sym, cands.bps), len(sym)), cands.lanes, cands.bps)
     resid = gf_convolve(cands.syndrome.taps, W, cands.field,

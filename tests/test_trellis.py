@@ -25,6 +25,7 @@ from qconvdec.trellis import (
 )
 
 from reference_data import CODES, PATH_IDS, PATHS, REF_GENERATOR_F4
+from reference_symbols import syndrome_symbols
 import reference_trellis
 import reference_viterbi
 
@@ -327,7 +328,7 @@ def _reference_candidates(decoder, sections, rng):
         error = sample_error(ChannelParams(p), n * sections,
                              frame_rng(sections, int(100 * p)))
         sigma = decoder.measure_raw(error)[:sections]
-        yield decoder.candidates.build(decoder._syndrome_symbols(sigma),
+        yield decoder.candidates.build(syndrome_symbols(decoder, sigma),
                                        sections)
     yield rng.integers(0, 1 << t.bits_per_symbol,
                        size=(sections, t.out_symbols)).astype(np.uint8)
@@ -833,10 +834,14 @@ class TestMetrics:
                      id="numpy"),
         pytest.param(("pauli", (0, INF, INF, INF)), (0, INF, INF, INF),
                      id="forbidden"),
+        pytest.param(("pauli", (0, -1, 2, 1)), None, id="negative-cost"),
+        pytest.param(("pauli", (5, 1, 1, 1)), None, id="identity-cost"),
     ])
     def test_metric_inputs_checked(self, args, costs):
         # these used to fail at the first decode (a None or list cost table,
-        # a missing Z cost) or, for 1.5, to decode silently as cost 1
+        # a missing Z cost) or, for 1.5, to decode silently as cost 1; a
+        # negative cost decoded one Y on [3,1,1] to X on most qubits at path
+        # metric -28, and an identity cost flagged every block
         if costs is None:
             with pytest.raises(ValueError):
                 BranchMetric(*args)
@@ -845,6 +850,14 @@ class TestMetrics:
         assert metric.pauli_costs == costs
         assert all(type(c) is int for c in metric.pauli_costs)
         hash(metric)  # the metric keys the per-trellis table cache
+
+    def test_channel_costs_accepted(self):
+        # the channel's costs pass the check: identity 0, the others
+        # nonnegative, down to 0 next to p = 0.5
+        for p in np.linspace(0.0001, 0.4999, 200):
+            costs = metric_for("pauli", p).pauli_costs
+            assert costs[0] == 0 and min(costs) >= 0, p
+        assert metric_for("pauli", 0.4999999).pauli_costs == (0, 0, 0, 0)
 
     def test_pauli_table_on_bits_trellis_rejected(self):
         t = build_trellis(tick_gen_311())
