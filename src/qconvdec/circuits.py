@@ -19,7 +19,7 @@ frame head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -218,22 +218,22 @@ def derive_generator(hb: RatMatrix) -> TransferSystem:
 
 @dataclass(frozen=True)
 class CodeBundle:
-    """The transfer polynomial H_b and the ISF a decoder runs on it.
-    Construction is the one place a bundle's L @ H_b^T = I is checked, for
-    a derived ISF and a caller's alike. A decoder never runs the syndrome
-    former or the generator: ``derive_syndrome_former`` and
-    ``derive_generator`` derive them apart."""
+    """The transfer polynomial H_b and the ISF a decoder runs on it, as a
+    record: the decoder's :class:`CandidateBuilder` certifies the ISF on the
+    block map it runs. A decoder never runs the syndrome former or the
+    generator: ``derive_syndrome_former`` and ``derive_generator`` derive
+    them apart."""
 
     hb: RatMatrix
     isf: TransferSystem
-    n: int = dc_field(init=False)
-    r: int = dc_field(init=False)  # syndrome streams = n - k
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", self.hb.cols)
-        object.__setattr__(self, "r", self.hb.rows)
-        if not (self.isf.matrix @ self.hb.transpose()).is_identity():
-            raise DerivationError("ISF identity violated")
+    @property
+    def n(self) -> int:
+        return self.hb.cols
+
+    @property
+    def r(self) -> int:
+        return self.hb.rows  # syndrome streams, n - k
 
     @property
     def k(self) -> int:
@@ -244,18 +244,13 @@ class CodeBundle:
         return self.hb.field
 
 
-def derive_bundle(hb: RatMatrix) -> CodeBundle:
-    """H_b, refused at k = 0 or without full row rank, and its derived
-    ISF."""
+def derive_bundle(hb: RatMatrix, isf: RatMatrix | None = None) -> CodeBundle:
+    """H_b, refused at k = 0 or without full row rank, and the caller's ISF
+    ``isf`` or, if None, a derived one. Neither is checked here."""
     _require_k(hb)
     _require_full_row_rank(hb)
-    return CodeBundle(hb=hb, isf=derive_inverse_syndrome_former(hb))
-
-
-def with_isf(bundle: CodeBundle, isf_matrix: RatMatrix) -> CodeBundle:
-    """Bundle variant running a caller-supplied ISF, checked like a
-    derived one."""
-    return CodeBundle(hb=bundle.hb, isf=TransferSystem(isf_matrix, role="ISF"))
+    return CodeBundle(hb=hb, isf=derive_inverse_syndrome_former(hb)
+                      if isf is None else TransferSystem(isf, role="ISF"))
 
 
 def shifted_isf_matrix(bundle: CodeBundle, mix: Sequence[Poly]) -> RatMatrix:
@@ -412,10 +407,10 @@ class CandidateBuilder:
     defect that the truncation at block 0 leaves.
 
     ``parity`` is the block-domain syndrome map S and ``isf`` a block-domain
-    left inverse of it (isf @ S^T = I): ``block_parity_matrix`` and
-    ``block_isf_matrix`` on the binary path, H_q and its ISF on the GF(4)
-    path. The expansion is :meth:`TransferSystem.run_anticausal_words` of the
-    ISF.
+    left inverse of it (isf @ S^T = I, a decoder's one check of its ISF):
+    ``block_parity_matrix`` and ``block_isf_matrix`` on the binary path, H_q
+    and its ISF on the GF(4) path. The expansion is
+    :meth:`TransferSystem.run_anticausal_words` of the ISF.
 
     :meth:`build_words` works on packed blocks, one int64 word per block
     with symbol c at bits [bps c, bps (c + 1)) (the label layout of
@@ -425,8 +420,9 @@ class CandidateBuilder:
     """
 
     def __init__(self, parity: RatMatrix, isf: RatMatrix):
-        if not (isf @ parity.transpose()).is_identity():
-            raise DerivationError("ISF is not a left inverse of the parity map")
+        if (isf.rows, isf.cols) != (parity.rows, parity.cols):
+            raise ValueError(f"{isf.rows}x{isf.cols} ISF does not fit the "
+                             f"{parity.rows}x{parity.cols} parity map")
         f = self.field = parity.field
         self.bps = symbol_bits(f)
         taps = parity.coeff_tensor()
@@ -434,13 +430,20 @@ class CandidateBuilder:
         self.r, self.lanes = parity.rows, parity.cols
         self.syndrome = ConvolutionKernel(taps, f)
         self.isf = TransferSystem(isf, role="ISF")
-        # work out the closed form and its kernel now, so that an ISF past
-        # the degree cap fails at construction rather than at the first
-        # build; the
-        # expansion D^-a N(D) sum_{i>=1} D^-iP reaches deg N - a - P blocks
-        # past the last nonzero syndrome block
-        self.reach = (self.isf.kernel.taps.shape[0] - 1
-                      - self.isf.input_advance - self.isf.period)
+        # the one check of the ISF, on its closed form N = D^a (1 + D^P) isf:
+        # a nonzero scalar factor is injective, so isf @ S^T = I iff
+        # N @ S^T = (D^a + D^(a+P)) I
+        N, a, P = self.isf.kernel.taps, self.isf.input_advance, self.isf.period
+        window = max(len(N) - 1 + self.m, a + P) + 1
+        got = [self.syndrome(pack_slices(N[:, :, i], self.bps), window)
+               for i in range(self.r)]
+        want = np.zeros((self.r, window), dtype=np.int64)
+        want[:, [a, a + P]] = 1 << self.bps * np.arange(self.r)[:, None]
+        if not np.array_equal(got, want):
+            raise DerivationError("ISF is not a left inverse of the parity map")
+        # the expansion D^-a N(D) sum_{i>=1} D^-iP reaches deg N - a - P
+        # blocks past the last nonzero syndrome block
+        self.reach = len(N) - 1 - a - P
         # S is causal of degree m, so the truncated expansion misses sigma
         # only on blocks < m; a frame on m + 1 blocks repairs it. One RREF
         # gives the particular solution (free variables zero) of every

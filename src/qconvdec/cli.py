@@ -128,8 +128,10 @@ def cmd_verify(args) -> int:
     hb = binary_transfer(spec)
     bundle = derive_bundle(hb)
     sf, gen = derive_syndrome_former(hb), derive_generator(hb)
-    report("ISF left inverse identity",
-           (bundle.isf.matrix @ hb.transpose()).is_identity())
+    isf_ok = (bundle.isf.matrix @ hb.transpose()).is_identity()
+    report("ISF left inverse identity", isf_ok)
+    if not isf_ok:
+        return EXIT_VERIFY
     report("generator kernel identity",
            (gen.matrix @ hb.transpose()).is_zero())
 
@@ -161,15 +163,13 @@ def cmd_verify(args) -> int:
     report("decode syndrome consistency", ok)
 
     ok = True
-    W = None
     for _ in range(args.trials):
-        sigma = (rng.random((8, spec.n - spec.k)) < 0.3).astype(np.uint8)
-        sigma[-decoder.pad_blocks:] = 0
+        # the syndrome of an error frame with a quiet tail, so realizable
+        e = (rng.random((8, 2 * spec.n)) < 0.3).astype(np.uint8)
+        e[-decoder.pad_blocks:] = 0
+        sigma = block_syndrome(S, e, 10 + spec.m)
         W = decoder.candidates.build(sigma, 10)
-        got = block_syndrome(S, W, 10 + spec.m)
-        want = np.zeros_like(got)
-        want[:8] = sigma
-        if not np.array_equal(got, want):
+        if not np.array_equal(block_syndrome(S, W, 10 + spec.m), sigma):
             ok = False
             break
     report("candidate round trip (SF of ISF output)", ok)

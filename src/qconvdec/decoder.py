@@ -17,7 +17,7 @@ from .algebra import RatMatrix, pack_slices, pack_symbols, unpack_symbols
 from .circuits import (
     CandidateBuilder, _basic_kernel_rows, block_isf_matrix,
     block_parity_matrix, coset_code_rows, derive_bundle,
-    polynomial_kernel_basis, with_isf,
+    polynomial_kernel_basis,
 )
 from .stabilizer import (
     ErrorFrame, GF4_DECODE_TO_XZ, SpecError, StabilizerSpec, binary_transfer,
@@ -60,10 +60,7 @@ class SyndromeDecoder:
             raise SpecError(f"generators do not commute: {res.witness_text()}")
         self.spec = spec
         transfer = self._transfer()
-        bundle = derive_bundle(transfer)
-        if isf_matrix is not None:
-            bundle = with_isf(bundle, isf_matrix)
-        self.bundle = bundle
+        self.bundle = bundle = derive_bundle(transfer, isf_matrix)
         self.trellis: Trellis = build_trellis(
             RatMatrix.from_polys(self._coset_rows(transfer)),
             kind=self.trellis_kind)

@@ -19,7 +19,7 @@ from qconvdec.circuits import (
     TransferSystem, block_isf_matrix, block_parity_matrix, block_syndrome,
     coset_code_rows, derive_bundle, derive_generator,
     derive_inverse_syndrome_former, derive_syndrome_former, full_row_rank,
-    polynomial_kernel_basis, shifted_isf_matrix, with_isf,
+    polynomial_kernel_basis, shifted_isf_matrix,
 )
 from qconvdec.cli import main
 from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
@@ -88,14 +88,12 @@ class TestInverseSyndromeFormer:
         ours = derive_inverse_syndrome_former(hb)
         assert (ours.matrix @ hb.transpose()).is_identity()
 
-    def test_bundle_refuses_wrong_isf(self):
-        # CodeBundle is where every ISF's L @ H_b^T = I is checked: with its
-        # rows swapped the derived ISF gives a permutation instead
-        bundle = derive_bundle(hb_311())
-        swapped = RatMatrix(bundle.isf.matrix.entries[::-1])
-        with pytest.raises(DerivationError, match="ISF identity"):
-            with_isf(bundle, swapped)
-        with pytest.raises(DerivationError, match="ISF identity"):
+    def test_decoder_refuses_wrong_isf(self):
+        # the decoder's candidate builder is where a caller's ISF is checked:
+        # with its rows swapped the derived ISF gives a permutation instead
+        swapped = RatMatrix(
+            derive_inverse_syndrome_former(hb_311()).matrix.entries[::-1])
+        with pytest.raises(DerivationError, match="not a left inverse"):
             SyndromeDecoder(example_311(), isf_matrix=swapped)
 
     def test_identity_case(self):
@@ -567,8 +565,9 @@ class TestCertificate:
 
     def test_construction_derives_isf_and_one_coset_basis(self, monkeypatch):
         # a decoder runs the ISF and the coset trellis only: it derives no
-        # generator or syndrome former and one kernel basis, and tests H_b's
-        # rank once, plus once in coset_code_rows on the binary path
+        # generator or syndrome former and one kernel basis, tests H_b's
+        # rank once, plus once in coset_code_rows on the binary path, and
+        # multiplies no rational matrices
         calls = Counter()
 
         def count(module, name):
@@ -583,6 +582,7 @@ class TestCertificate:
                      "full_row_rank", "polynomial_kernel_basis"):
             count(qconvdec.circuits, name)
         count(qconvdec.decoder, "polynomial_kernel_basis")
+        count(RatMatrix, "__matmul__")
         for name, path in PATHS:
             calls.clear()
             (SyndromeDecoderF4 if path == "f4" else SyndromeDecoder)(
@@ -696,6 +696,62 @@ class TestCandidate:
                        derive_inverse_syndrome_former(hb).matrix.entries])
         with pytest.raises(DerivationError, match="not a left inverse"):
             CandidateBuilder(block_parity_matrix(hb), L)
+
+
+def isf_variants(decoder):
+    """(id, block ISF) pairs around the decoder's own block maps: the ISF, a
+    shifted one on the binary path, its rows swapped where r > 1, and two
+    entries perturbed by 1 and by D^3."""
+    S, L = decoder._block_maps(decoder.bundle)
+    out = [("own", L)]
+    if L.field is GF2:
+        out.append(("shifted", block_isf_matrix(shifted_isf_matrix(
+            decoder.bundle, [p("1"), p("D")]))))
+    if L.rows > 1:
+        out.append(("swapped", RatMatrix(L.entries[::-1], L.field)))
+    rows = [list(row) for row in L.entries]
+    rows[0][0] = rows[0][0] + RationalFn(Poly.one(L.field))
+    rows[-1][-1] = rows[-1][-1] + RationalFn(Poly.monomial(3, field=L.field))
+    out.append(("perturbed", RatMatrix(rows, L.field)))
+    return S, out
+
+
+class TestISFCheck:
+    """CandidateBuilder's GF(q) check of N @ S^T = D^a (1 + D^P) I is the
+    rational identity isf @ S^T = I."""
+
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_accepts_exactly_the_left_inverses(self, name, path):
+        decoder = (SyndromeDecoderF4 if path == "f4" else SyndromeDecoder)(
+            CODES[name])
+        S, variants = isf_variants(decoder)
+        verdicts = {}
+        for label, L in variants:
+            try:
+                CandidateBuilder(S, L)
+                accepted = True
+            except DerivationError as exc:
+                assert "not a left inverse" in str(exc)
+                accepted = False
+            assert accepted == (L @ S.transpose()).is_identity(), label
+            verdicts[label] = accepted
+        assert verdicts["own"] and not verdicts["perturbed"]
+
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_shape_mismatch_is_a_value_error(self, name, path):
+        decoder = (SyndromeDecoderF4 if path == "f4" else SyndromeDecoder)(
+            CODES[name])
+        S, L = decoder._block_maps(decoder.bundle)
+        zero = RationalFn.zero(L.field)
+        wide = RatMatrix([list(row) + [zero] for row in L.entries], L.field)
+        tall = RatMatrix([list(row) for row in L.entries]
+                         + [[zero] * L.cols], L.field)
+        for bad in (wide, tall, RatMatrix(L.entries[:1], L.field),
+                    L.transpose()):
+            if (bad.rows, bad.cols) == (S.rows, S.cols):
+                continue
+            with pytest.raises(ValueError, match="does not fit"):
+                CandidateBuilder(S, bad)
 
 
 class TestBlockISF:

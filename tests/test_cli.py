@@ -5,6 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qconvdec.circuits
 import qconvdec.cli
 from qconvdec.algebra import RatMatrix
 from qconvdec.circuits import TransferSystem
@@ -13,7 +14,7 @@ from qconvdec.decoder import SyndromeDecoder
 from qconvdec.simulate import syndrome_to_text
 from qconvdec.stabilizer import EXAMPLE_311_TEXT, ErrorFrame, example_311
 
-from reference_data import LONG_REACH_TEXT
+from reference_data import CODES, LONG_REACH_TEXT
 
 
 @pytest.fixture
@@ -47,10 +48,17 @@ class TestDerive:
 
 
 class TestVerify:
-    def test_good_spec_passes(self, spec_file, capsys):
-        assert main(["verify", spec_file]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
+    def test_good_spec_passes(self, tmp_path, capsys):
+        # every check passes on each suite code; the candidate round trip
+        # draws realizable syndromes, so [3,1,2] and [5,1,1] reach it too
+        for name, spec in CODES.items():
+            path = tmp_path / f"{name}.qcc"
+            path.write_text(f"qcc n={spec.n} k={spec.k} m={spec.m}\n"
+                            + "\n".join(spec.generators) + "\n")
+            assert main(["verify", str(path)]) == 0, name
+            out = capsys.readouterr().out
+            assert "FAIL" not in out, name
+            assert "PASS  candidate round trip" in out, name
 
     def test_long_reach_isf_passes(self, tmp_path, capsys):
         # its candidate reaches 4 blocks past the syndrome: the decode and
@@ -90,6 +98,22 @@ class TestVerify:
                                 hb.cols)))
         assert main(["verify", spec_file]) == 1
         assert "FAIL  generator kernel identity" in capsys.readouterr().out
+
+    def test_wrong_isf_fails(self, spec_file, monkeypatch, capsys):
+        # the bundle takes the ISF unchecked, so verify reports a wrong one
+        # itself, and stops before the decoder would refuse it
+        derive = qconvdec.circuits.derive_inverse_syndrome_former
+
+        def swapped(hb):
+            isf = derive(hb).matrix
+            return TransferSystem(RatMatrix(isf.entries[::-1]), role="ISF")
+
+        monkeypatch.setattr(qconvdec.circuits,
+                            "derive_inverse_syndrome_former", swapped)
+        assert main(["verify", spec_file]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL  ISF left inverse identity" in captured.out
+        assert captured.err == ""
 
     def test_malformed_spec(self, tmp_path, capsys):
         path = tmp_path / "broken.qcc"
