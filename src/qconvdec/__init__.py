@@ -22,7 +22,7 @@ from .circuits import (
     TransferSystem, block_isf_matrix, block_parity_matrix, block_syndrome,
     coset_code_rows, derive_bundle, derive_generator,
     derive_inverse_syndrome_former, derive_syndrome_former,
-    polynomial_kernel_basis, shifted_isf_matrix,
+    polynomial_kernel_basis,
 )
 from .trellis import (
     BranchMetric, DecodeResult, OracleCapError, OracleResult, Trellis,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -251,21 +250,6 @@ def derive_bundle(hb: RatMatrix, isf: RatMatrix | None = None) -> CodeBundle:
     _require_full_row_rank(hb)
     return CodeBundle(hb=hb, isf=derive_inverse_syndrome_former(hb)
                       if isf is None else TransferSystem(isf, role="ISF"))
-
-
-def shifted_isf_matrix(bundle: CodeBundle, mix: Sequence[Poly]) -> RatMatrix:
-    """A structurally different valid ISF: L' = L + mix^T @ G (any polynomial
-    mix of generator rows added to each ISF row keeps L' @ H^T = I)."""
-    L = bundle.isf.matrix
-    G = derive_generator(bundle.hb).matrix
-    rows = []
-    for i in range(L.rows):
-        row = list(L.entries[i])
-        for gr in range(G.rows):
-            scale = RationalFn(mix[(i + gr) % len(mix)])
-            row = [a + scale * b for a, b in zip(row, G.entries[gr])]
-        rows.append(row)
-    return RatMatrix(rows, L.field)
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,10 @@ def main(argv: list[str] | None = None) -> int:
     except (SpecError, AlgebraError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:
+        # an input too large to hold, such as a huge --frame-qubits
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

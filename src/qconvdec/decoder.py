@@ -106,11 +106,6 @@ class SyndromeDecoder:
     def pad_qubits(self) -> int:
         return self.spec.n * self.pad_blocks
 
-    def padded_frame(self, frame: ErrorFrame) -> ErrorFrame:
-        """Frame extended by the all-identity padding tail."""
-        tail = np.zeros(2 * self.pad_qubits(), dtype=np.uint8)
-        return ErrorFrame(np.concatenate([frame.bits, tail]))
-
     def measure(self, frame: ErrorFrame) -> np.ndarray:
         """Syndrome of a data frame over the padded span, (blocks, n-k)."""
         x = frame.block_bytes(self.n)

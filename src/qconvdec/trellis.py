@@ -18,8 +18,12 @@ automaton over them holds, per (vector, packed label), the next vector, the
 minimum taken out, every state's survivor (its predecessor and label) and
 the section's tie count. Stride tables composed from these advance k
 sections per lookup: the walk over label classes (labels whose next vectors
-agree), the traceback over survivor columns. So a frame is one walk and one
-traceback of about n / k Python steps each, plus gathers. A trellis whose
+agree), the traceback over survivor columns. Above them, levels composed
+pairwise (``levels``) key a stride of 2^l k sections by the id of its
+composed map: vector to vector for the walk, state to state for the
+traceback. A long frame takes as many levels as keep its top walk at least
+``_LEVEL_STEPS`` steps long, so it is one walk and one traceback of about
+n / (2^l k) Python steps each, plus gathers. A trellis whose
 automaton would pass a work budget (many states) runs add-compare-select
 section by section in chunks, and only there are survivors and ties read
 off the recorded metrics, by the same rule; its traceback reads one
@@ -43,6 +47,7 @@ from .algebra import (
     unpack_symbols,
 )
 from .circuits import block_parity_matrix
+from .levels import Levels, build_levels, level_walk, row_ids
 from .stabilizer import BITS_TO_PAULI, GF4_DECODE_TO_XZ
 
 INF = 1 << 60
@@ -55,6 +60,9 @@ _AUTOMATON_WORK = 1 << 20
 # walk and traceback table entries per metric: its automaton advances the
 # largest number of sections per lookup whose tables fit
 _STRIDE_WORK = 1 << 21
+# Python steps a level-composed walk keeps at least: a frame of b strides
+# composes levels while b / 2^levels stays at or above this
+_LEVEL_STEPS = 128
 # trellis state budget, checked before any branch table is allocated
 _MAX_STATES = 1 << 20
 # frame bits the exhaustive oracle enumerates at most (one row per frame)
@@ -347,7 +355,13 @@ class _MetricAutomaton:
     no-op's identity: ids b_i of k sections have the key (sum b_i
     U^(k-1-i)) S, by ``col_weights``, and for the state t after the stride,
     row key + t of ``back`` holds the state before it and of
-    ``back_within`` the state after each section."""
+    ``back_within`` the state after each section.
+
+    ``levels`` holds the composed levels above these strides (``Levels``):
+    the walk's over the vector maps ``walk[v][key]`` of each key and the
+    traceback's over the state maps ``back[key S:(key + 1) S]``, built on
+    the first frame long enough to use them, within what the stride tables
+    leave of ``_STRIDE_WORK``."""
 
     vectors: np.ndarray      # (vectors, states)
     step: np.ndarray         # (vectors, L): next vector
@@ -363,6 +377,9 @@ class _MetricAutomaton:
     col_weights: np.ndarray  # (stride,)
     back: memoryview         # (U^k * states,)
     back_within: np.ndarray  # (U^k * states, stride)
+    # (walk, traceback) Levels, built on the first frame that composes
+    levels: dict = dataclasses.field(default_factory=dict, repr=False,
+                                     compare=False)
 
 
 def _select(trellis: Trellis, tables: Sequence[np.ndarray],
@@ -443,18 +460,6 @@ def _build_automaton(trellis: Trellis, tables: Sequence[np.ndarray],
     return _with_strides(every, step, gain, ties, came, label)
 
 
-def _row_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(id of each row, the distinct rows in order of first appearance) of a
-    2-d array; rows are equal when their bytes are."""
-    rows = np.ascontiguousarray(rows)
-    keys = rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel().tolist()
-    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    ids = np.fromiter(map(index.__getitem__, keys),
-                      np.min_scalar_type(len(index) - 1), len(keys))
-    return ids, np.frombuffer(b"".join(index), dtype=rows.dtype).reshape(
-        len(index), -1)
-
-
 def _stride(vectors: int, classes: int, columns: int, states: int) -> int:
     """The largest stride k >= 1 whose walk and traceback tables, with
     their in-block columns, hold at most ``_STRIDE_WORK`` entries. Classes
@@ -483,12 +488,12 @@ def _with_strides(vectors: np.ndarray, step: np.ndarray, gain: np.ndarray,
     key, so no key overflows."""
     nvec, labels = step.shape
     nstates = vectors.shape[1]
-    classes, by_class = _row_ids(np.concatenate(
-        [step, np.arange(nvec, dtype=step.dtype)[:, None]], axis=1).T)
+    classes, by_class = row_ids(np.concatenate(
+        [step, np.arange(nvec, dtype=step.dtype)[:, None]], axis=1).T, nvec)
     # survivor columns; id 0 is the no-op's identity
-    col, cols = _row_ids(np.concatenate(
+    col, cols = row_ids(np.concatenate(
         [np.arange(nstates, dtype=came.dtype)[None],
-         came.reshape(-1, nstates)]))
+         came.reshape(-1, nstates)]), nstates)
     nclass, ncol = len(by_class), len(cols)
     k = _stride(nvec, nclass, ncol, nstates)
     flat_type = np.min_scalar_type(nvec * (labels + 1) * nstates)
@@ -526,6 +531,35 @@ def _with_strides(vectors: np.ndarray, step: np.ndarray, gain: np.ndarray,
         within=within,
         col_weights=(ncol ** weights * nstates).astype(back_type),
         back=memoryview(before.reshape(-1)), back_within=back_within)
+
+
+def _automaton_levels(a: _MetricAutomaton,
+                      ) -> tuple[Levels | None, Levels | None]:
+    """The automaton's (walk, traceback) levels, built on the first frame
+    that composes. They share what its stride tables leave of
+    ``_STRIDE_WORK``, the traceback first, and a top stride spans at most
+    ``_STRIDE_WORK`` sections."""
+    if not a.levels:
+        nstates = a.vectors.shape[1]
+        left = _STRIDE_WORK - (len(a.walk) * len(a.walk[0]) + a.within.size
+                               + len(a.back) + a.back_within.size)
+        longest = _STRIDE_WORK // a.stride
+        back, spent = build_levels(np.asarray(a.back).reshape(-1, nstates),
+                                   left, longest)
+        walk, _ = build_levels(np.asarray(a.walk).T, left - spent, longest)
+        a.levels.update(walk=walk, back=back)
+    return a.levels["walk"], a.levels["back"]
+
+
+def _frame_levels(a: _MetricAutomaton, blocks: int) -> tuple[int, int]:
+    """(walk, traceback) composed levels of a frame of ``blocks`` strides:
+    as many as keep its top walk at least ``_LEVEL_STEPS`` Python steps
+    long, up to those the automaton's levels hold."""
+    wanted = (blocks // _LEVEL_STEPS).bit_length() - 1
+    if wanted < 1:
+        return 0, 0
+    return tuple(0 if levels is None else levels.depth(wanted)
+                 for levels in _automaton_levels(a))
 
 
 def _survivor_branches(trellis: Trellis, offsets: np.ndarray,
@@ -627,6 +661,13 @@ def viterbi_path(trellis: Trellis, w: np.ndarray,
     gathers on those keys. The traceback takes one Python step per stride
     back to the state before it, one gather of ``back_within`` gives the
     states inside each stride, and one more the path's survivor labels. A
+    frame of b strides, b >= 2 ``_LEVEL_STEPS``, is padded to whole strides
+    of 2^l k sections instead, l = floor(log2(b / ``_LEVEL_STEPS``)) as far
+    as the automaton's levels reach (``_frame_levels``): its walk and its
+    traceback compose their stride keys up l levels, one gather per level,
+    take one Python step per top stride, and recover the vector before and
+    the state after each k-section stride on the way down, one gather per
+    level (``levels.level_walk``); the same gathers as above finish. A
     trellis with no automaton walks the frame in chunks of sections
     holding about ``_CHUNK_BRANCHES`` branches: a chunk gathers one folded
     cost per (predecessor, state) and section from the metric's least-cost
@@ -648,6 +689,10 @@ def viterbi_path(trellis: Trellis, w: np.ndarray,
 
     a, k, n = automaton, automaton.stride, len(w)
     blocks = -(-n // k)
+    walk_depth, back_depth = _frame_levels(a, blocks)
+    # whole top strides of the deeper walk
+    top = 1 << max(walk_depth, back_depth)
+    blocks = -(-blocks // top) * top
     if blocks * k > n:
         # the no-op label L, the last one ``classes`` holds
         noop = len(a.classes) - 1
@@ -655,26 +700,39 @@ def viterbi_path(trellis: Trellis, w: np.ndarray,
                                         dtype=np.min_scalar_type(noop))))
     w = w.reshape(blocks, k)
     keys = a.classes.take(w) @ a.class_weights
-    ids, v = [], 0
     walk = a.walk
-    for key in keys.tolist():
-        ids.append(v)
-        v = walk[v][key]
+    if top > 1:
+        walk_levels, back_levels = _automaton_levels(a)
+    if walk_depth:
+        ids, v = level_walk(walk_levels, walk_depth, keys)
+    else:
+        ids, v = [], 0
+        for key in keys.tolist():
+            ids.append(v)
+            v = walk[v][key]
+        ids = np.fromiter(ids, np.intp, blocks)
     end = int(a.vectors[v, 0])
     if end >= INF:
         raise TrellisError("no zero-terminated path fits the frame")
     # the flat (vector, packed label) key of every section, in a dtype
     # that holds it times the states
-    flat = a.within.take(np.fromiter(ids, np.intp, blocks) * len(walk[0])
-                         + keys, axis=0) + w
-    rows, s = [], 0
-    back = a.back
-    for b in (a.col.take(flat) @ a.col_weights)[::-1].tolist():
-        b += s
-        rows.append(b)
-        s = back[b]
-    states = a.back_within.take(np.fromiter(reversed(rows), np.intp, blocks),
-                                axis=0)
+    flat = a.within.take(ids * len(walk[0]) + keys, axis=0) + w
+    runs = a.col.take(flat) @ a.col_weights
+    if back_depth:
+        # the traceback is a walk over the survivor-column maps read from
+        # the end: the state after each stride is the point before it
+        after = level_walk(back_levels, back_depth,
+                           runs[::-1] // a.vectors.shape[1])[0]
+        rows = runs + after[::-1]
+    else:
+        rows, s = [], 0
+        back = a.back
+        for b in runs[::-1].tolist():
+            b += s
+            rows.append(b)
+            s = back[b]
+        rows = np.fromiter(reversed(rows), np.intp, blocks)
+    states = a.back_within.take(rows, axis=0)
     labels = a.label.take(flat * a.vectors.shape[1] + states)
     gain, ties = np.add.reduce(a.tally.take(flat, axis=1),
                                axis=(1, 2)).tolist()

@@ -14,12 +14,19 @@ import numpy as np
 
 from qconvdec.algebra import GF2, gf_convolve
 from qconvdec.simulate import sample_error
+from qconvdec.stabilizer import ErrorFrame
+
+
+def padded_frame(decoder, frame: ErrorFrame) -> ErrorFrame:
+    """Frame extended by the decoder's all-identity padding tail."""
+    tail = np.zeros(2 * decoder.pad_qubits(), dtype=np.uint8)
+    return ErrorFrame(np.concatenate([frame.bits, tail]))
 
 
 def run_frame(decoder, params, data_qubits, rng, metric=None):
     """(mismatched data qubits, frame error flag) for one channel draw."""
     e = sample_error(params, data_qubits, rng)
-    padded = decoder.padded_frame(e)
+    padded = padded_frame(decoder, e)
     sigma = gf_convolve(decoder.spec.syndrome_taps,
                         padded.blocks(decoder.n), GF2)
     out = decoder.decode(sigma, metric=metric)

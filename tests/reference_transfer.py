@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qconvdec.algebra import Poly, RatMatrix, RationalFn, poly_lcm
-from qconvdec.circuits import DerivationError
+from qconvdec.circuits import CodeBundle, DerivationError, derive_generator
 
 
 @dataclass(frozen=True)
@@ -163,3 +163,18 @@ def run_state_space(matrix: RatMatrix, x: np.ndarray,
         out[t] = vecmat(state, C) ^ vecmat(xt, E)
         state = vecmat(state, A) ^ vecmat(xt, B)
     return out
+
+
+def shifted_isf_matrix(bundle: CodeBundle, mix: list[Poly]) -> RatMatrix:
+    """A structurally different valid ISF: L' = L + mix^T @ G (any polynomial
+    mix of generator rows added to each ISF row keeps L' @ H^T = I)."""
+    L = bundle.isf.matrix
+    G = derive_generator(bundle.hb).matrix
+    rows = []
+    for i in range(L.rows):
+        row = list(L.entries[i])
+        for gr in range(G.rows):
+            scale = RationalFn(mix[(i + gr) % len(mix)])
+            row = [a + scale * b for a, b in zip(row, G.entries[gr])]
+        rows.append(row)
+    return RatMatrix(rows, L.field)

@@ -5,6 +5,8 @@ Every (state, input) branch unpacks the state's shift registers, multiplies
 each register symbol by its generator tap with scalar field products and
 packs the output and the shifted registers back into ints. The result is a
 plain (state, input) table, not the library's ``Trellis``.
+
+``row_ids`` is the per-row dictionary that ``trellis._row_ids`` replaces.
 """
 
 from __future__ import annotations
@@ -96,3 +98,15 @@ def build_trellis(gen: RatMatrix, kind: str = "bits") -> ReferenceTrellis:
         num_inputs=num_inputs, num_states=num_states, out_symbols=ncols,
         bits_per_symbol=bps, next_state=next_state, label=label,
         row_degrees=degs, kind=kind)
+
+
+def row_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(id of each row, the distinct rows in order of first appearance) of a
+    2-d array: one dictionary entry per distinct row's bytes."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel().tolist()
+    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    ids = np.fromiter(map(index.__getitem__, keys),
+                      np.min_scalar_type(len(index) - 1), len(keys))
+    return ids, np.frombuffer(b"".join(index), dtype=rows.dtype).reshape(
+        len(index), -1)

@@ -17,7 +17,7 @@ from scipy.stats import beta
 
 from qconvdec.algebra import GF2, parse_poly, rank
 from qconvdec.circuits import (
-    derive_bundle, derive_generator, derive_syndrome_former, shifted_isf_matrix,
+    derive_bundle, derive_generator, derive_syndrome_former,
 )
 from qconvdec.decoder import SyndromeDecoder
 from qconvdec.simulate import SimConfig, run_sweep
@@ -32,6 +32,7 @@ from reference_data import (
     REF_POLY_GP_21, REF_RATIONAL_GP_21, REF_RATIONAL_ISF_311,
     REF_TRANSFER_21, REF_TRANSFER_311, REF_TRANSFER_311_F4,
 )
+from reference_transfer import shifted_isf_matrix
 
 
 def p(text, field=GF2):

@@ -19,7 +19,7 @@ from qconvdec.circuits import (
     TransferSystem, block_isf_matrix, block_parity_matrix, block_syndrome,
     coset_code_rows, derive_bundle, derive_generator,
     derive_inverse_syndrome_former, derive_syndrome_former, full_row_rank,
-    polynomial_kernel_basis, shifted_isf_matrix,
+    polynomial_kernel_basis,
 )
 from qconvdec.cli import main
 from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
@@ -33,6 +33,7 @@ from qconvdec.stabilizer import (
 from reference_candidate import reference_build, run_anticausal
 from reference_symbols import syndrome_symbols
 import reference_transfer
+from reference_transfer import shifted_isf_matrix
 from reference_data import (
     CODES, LONG_REACH_TEXT, PATH_IDS, PATHS, REF_ALLONES_ISF_F4, REF_FIR_ISF_21,
     REF_GENERATOR_311, REF_GENERATOR_F4, REF_POLY_GP_21, REF_RATIONAL_GP_21,

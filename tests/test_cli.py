@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import qconvdec.circuits
 import qconvdec.cli
+import qconvdec.simulate
 from qconvdec.algebra import RatMatrix
 from qconvdec.circuits import TransferSystem
 from qconvdec.cli import main
@@ -274,6 +275,20 @@ class TestInputContract:
         assert main(["simulate", spec_file, "--frames", "1",
                      "--frame-qubits", qubits]) == 2
         assert_one_error_line(capsys.readouterr())
+
+    def test_simulate_out_of_memory(self, spec_file, capsys, monkeypatch):
+        # a 3e9-qubit frame used to die with numpy's _ArrayMemoryError
+        # traceback from the channel draw; the draw here raises at once, so
+        # the test allocates nothing
+        def draw(params, qubits, rng):
+            raise MemoryError(f"Unable to allocate {qubits} draws")
+
+        monkeypatch.setattr(qconvdec.simulate, "sample_error", draw)
+        assert main(["simulate", spec_file, "--frames", "1",
+                     "--frame-qubits", "3000000000"]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "out of memory" in captured.err
 
     def test_spec_memory_beyond_generator_length(self, tmp_path, capsys):
         # the header's m used to size the coefficient tensors before the

@@ -4,7 +4,6 @@ import pytest
 from qconvdec.algebra import (
     GF2, gf_convolve, pack_slices, parse_poly, unpack_symbols,
 )
-from qconvdec.circuits import shifted_isf_matrix
 from qconvdec.circuits import DerivationError
 from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
 from qconvdec.stabilizer import (
@@ -15,7 +14,9 @@ from qconvdec.simulate import ChannelParams, frame_rng, metric_for, sample_error
 from qconvdec.trellis import BranchMetric, coset_leader_oracle, viterbi_decode
 
 from reference_data import CODES, LONG_REACH_TEXT, PATH_IDS, PATHS
+from reference_simulate import padded_frame
 from reference_symbols import f4_syndrome, frame_to_symbols, syndrome_symbols
+from reference_transfer import shifted_isf_matrix
 
 
 def p(t):
@@ -58,7 +59,7 @@ class TestBinaryDecoder:
                 sigma = decoder.measure(e)
                 out = decoder.decode(sigma)
                 if pauli in "XZ":
-                    assert out.frame == decoder.padded_frame(e), (q, pauli)
+                    assert out.frame == padded_frame(decoder, e), (q, pauli)
                 else:
                     assert out.frame.bit_weight() == 2, (q, pauli)
                     assert np.array_equal(decoder.measure_raw(out.frame), sigma)
@@ -96,7 +97,7 @@ class TestBinaryDecoder:
 
     def test_padded_frame_rate(self, decoder):
         assert decoder.pad_qubits() == 6
-        f = decoder.padded_frame(ErrorFrame.zeros(900))
+        f = padded_frame(decoder, ErrorFrame.zeros(900))
         assert f.num_qubits == 906
 
 
@@ -166,7 +167,7 @@ class TestSyndromeMap:
                 want = gf_convolve(spec.syndrome_taps, f.blocks(spec.n), GF2)
                 assert np.array_equal(syndrome_of(spec, f), want)
                 assert np.array_equal(dec.measure_raw(f), want)
-                padded = dec.padded_frame(f)
+                padded = padded_frame(dec, f)
                 want = gf_convolve(spec.syndrome_taps, padded.blocks(spec.n),
                                    GF2)
                 assert np.array_equal(dec.measure(f), want)

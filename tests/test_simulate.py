@@ -78,7 +78,7 @@ class TestRunFrame:
         e.bits[42] = 1  # Z component of qubit 21
         sigma = decoder.measure(e)
         out = decoder.decode(sigma)
-        assert out.frame == decoder.padded_frame(e)
+        assert out.frame == ref.padded_frame(decoder, e)
 
     def test_small_p_mostly_clean(self, decoder):
         errs = 0

@@ -17,10 +17,12 @@ from qconvdec.stabilizer import (
 )
 from qconvdec.simulate import ChannelParams, frame_rng, metric_for, sample_error
 from qconvdec import trellis as trellis_module
+from qconvdec.levels import row_ids
 from qconvdec.trellis import (
     _AUTOMATON_WORK, _CHUNK_BRANCHES, INF, BranchMetric, OracleCapError,
-    TrellisError, _metric_tables, _with_strides, build_trellis,
-    coset_leader_oracle, pack_sections, pauli_costs_for_channel,
+    TrellisError, _automaton_levels, _frame_levels, _metric_tables,
+    _with_strides, build_trellis, coset_leader_oracle, pack_sections,
+    pauli_costs_for_channel,
     unpack_sections, viterbi_decode, viterbi_path,
 )
 
@@ -412,6 +414,59 @@ class TestViterbiReference:
                         assert (path_metric, ties) == (want.path_metric,
                                                        want.tie_count)
 
+    @pytest.mark.parametrize("metric", ["hamming", "pauli"])
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_levels_match_reference(self, name, path, metric):
+        # at _LEVEL_STEPS = 1 a frame of b strides wants floor(log2 b)
+        # composed levels: frames of 1 .. 16k + 1 sections fall on both
+        # sides of each threshold up to 4 levels and, within each level
+        # count, end in every tail length modulo the top stride; each gives
+        # the reference's path, metric and ties
+        decoder = _decoder(name, path)
+        t = decoder.trellis
+        metric = (BranchMetric() if metric == "hamming"
+                  else metric_for("pauli", 0.05))
+        automaton = _metric_tables(t, metric)[3]
+        k = automaton.stride
+        rng = np.random.default_rng(19)
+        used = set()
+        with mock.patch.object(trellis_module, "_LEVEL_STEPS", 1):
+            for sections in range(1, 16 * k + 2):
+                used.add(_frame_levels(automaton, -(-sections // k)))
+                w = rng.integers(0, 1 << t.bits_per_symbol,
+                                 size=(sections, t.out_symbols)).astype(
+                                     np.uint8)
+                want = reference_viterbi.viterbi_decode(
+                    _reference(name, path), w, metric)
+                labels, path_metric, ties = viterbi_path(
+                    t, pack_sections(w, t), metric)
+                assert np.array_equal(unpack_sections(labels, t),
+                                      want.codeword)
+                assert (path_metric, ties) == (want.path_metric,
+                                               want.tie_count)
+        assert used == {tuple(0 if levels is None else levels.depth(wanted)
+                              for levels in _automaton_levels(automaton))
+                        for wanted in range(5)}
+
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_long_frame_matches_stride_one(self, name, path):
+        # a 3,002-section channel frame composes levels on every path, and
+        # its labels, metric and ties equal those of the stride-1 pass,
+        # which composes none
+        decoder = _decoder(name, path)
+        t = decoder.trellis
+        w = pack_sections(next(_reference_candidates(
+            decoder, 3002, np.random.default_rng(20))), t)
+        automaton = _metric_tables(t, BranchMetric())[3]
+        assert sum(_frame_levels(automaton, -(-3002 // automaton.stride)))
+        labels, path_metric, ties = viterbi_path(t, w)
+        with _forward_pass("stride-1", t):
+            one = _metric_tables(t, BranchMetric())[3]
+            assert _frame_levels(one, 3002) == (0, 0)
+            want = viterbi_path(t, w)
+        assert np.array_equal(labels, want[0])
+        assert (path_metric, ties) == want[1:]
+
     def test_matches_reference_with_unreached_states(self):
         # the tick-rate generator trellis reaches all 4 states only from the
         # second section on: ties between unreached branches are not counted
@@ -477,6 +532,15 @@ def _stride_entries(automaton):
             + automaton.back_within.size)
 
 
+def _level_entries(levels):
+    """Entries of one family's level tables; a map table that a repeating
+    level shares with the level below counts once."""
+    if levels is None:
+        return 0
+    tables = {id(a): a for a in (*levels.ids, *levels.maps) if a is not None}
+    return sum(a.size for a in tables.values())
+
+
 def _digits(count, base, places):
     """(count, places) base-``base`` digits of 0 .. count - 1, most
     significant first."""
@@ -497,6 +561,18 @@ class TestAutomaton:
                "312-bin": (1, 52456), "511-bin": (2, 1488018),
                "511-f4": (2, 1488018)}
 
+    # distinct maps per level of the walk and of the traceback (None: no
+    # composed level fits), and their tables' entries, the same under both
+    # metrics; the walk's top of 18-point vector maps is kept raw, one row
+    # per pair of maps below, and equal counts are a repeating level
+    LEVELS = {"311-bin": ((65, 4225), (233, 233), 148355),
+              "311-f4": ((65, 4225), (240, 240), 150710),
+              "211-bin": ((3, 3), (3, 3), 39399),
+              "421-bin": ((81, 6561), (240, 240), 214126),
+              "312-bin": ((33, 1089), None, 193017),
+              "511-bin": (None, (241, 244, 244), 173846),
+              "511-f4": (None, (241, 244, 244), 173846)}
+
     @pytest.mark.parametrize("metric", [BranchMetric(),
                                         metric_for("pauli", 0.05)],
                              ids=["hamming", "pauli"])
@@ -515,6 +591,32 @@ class TestAutomaton:
         assert (automaton.stride, _stride_entries(automaton)) == (
             self.STRIDES[f"{name}-{path}"])
         assert _stride_entries(automaton) <= trellis_module._STRIDE_WORK
+
+    @pytest.mark.parametrize("metric", [BranchMetric(),
+                                        metric_for("pauli", 0.05)],
+                             ids=["hamming", "pauli"])
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_levels(self, name, path, metric):
+        automaton = _metric_tables(_decoder(name, path).trellis, metric)[3]
+        levels = _automaton_levels(automaton)
+        counts = tuple(None if family is None
+                       else tuple(len(m) for m in family.maps)
+                       for family in levels)
+        entries = sum(map(_level_entries, levels))
+        assert (*counts, entries) == self.LEVELS[f"{name}-{path}"]
+        assert (_stride_entries(automaton) + entries
+                <= trellis_module._STRIDE_WORK)
+
+    @pytest.mark.parametrize("path", ["bin", "f4"])
+    def test_level_rule(self, path):
+        # a 302-section [3,1,1] frame runs the bottom strides alone; a
+        # 3,002-section one walks over 4-section and traces back over
+        # 16-section strides
+        automaton = _metric_tables(_decoder("311", path).trellis,
+                                   BranchMetric())[3]
+        assert automaton.stride == 2
+        assert _frame_levels(automaton, 151) == (0, 0)
+        assert _frame_levels(automaton, 1501) == (1, 3)
 
     @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
     def test_steps_match_add_compare_select(self, name, path):
@@ -609,6 +711,68 @@ class TestAutomaton:
             assert np.array_equal(automaton.back_within[:, i], s)
             s = cols[runs[:, i], s]
         assert np.array_equal(np.asarray(automaton.back), s)
+
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_level_tables_compose(self, name, path):
+        # each bottom key's map, and each level's map of every pair of maps
+        # below (b after a at a n + b), against their composition; a
+        # deduplicated level holds each of its maps once, and a repeating
+        # level shares the map table below
+        automaton = _metric_tables(_decoder(name, path).trellis,
+                                   metric_for("pauli", 0.05))[3]
+        nstates = automaton.vectors.shape[1]
+        bottoms = (np.asarray(automaton.walk).T,
+                   np.asarray(automaton.back).reshape(-1, nstates))
+        for levels, bottom in zip(_automaton_levels(automaton), bottoms):
+            if levels is None:
+                continue
+            assert np.array_equal(levels.maps[0][levels.ids[0]], bottom)
+            for l in range(1, len(levels.ids)):
+                below, (ids, maps) = levels.maps[l - 1], levels.level(l)
+                a, b = np.divmod(np.arange(len(below) ** 2), len(below))
+                assert np.array_equal(maps if ids is None else maps[ids],
+                                      below[b[:, None], below[a]])
+            for ids, maps in zip(levels.ids, levels.maps):
+                if ids is not None:
+                    assert len(np.unique(maps, axis=0)) == len(maps)
+                    assert np.array_equal(np.unique(ids),
+                                          np.arange(len(maps)))
+            assert levels.repeats == (levels.maps[-1] is levels.maps[-2])
+
+    def test_over_budget_has_no_levels(self):
+        # under a zero stride budget the automaton runs at stride 1 and
+        # even a 60,002-section frame composes no level
+        t = _decoder("311", "bin").trellis
+        with _forward_pass("stride-1", t):
+            automaton = _metric_tables(t, BranchMetric())[3]
+            assert automaton.stride == 1
+            assert _automaton_levels(automaton) == (None, None)
+            assert _frame_levels(automaton, 60002) == (0, 0)
+
+    @pytest.mark.parametrize("metric", [BranchMetric(),
+                                        metric_for("pauli", 0.05)],
+                             ids=["hamming", "pauli"])
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_row_ids_match_reference(self, name, path, metric):
+        # the label classes and survivor columns the stride tables number:
+        # their ids, id dtype and distinct rows in order of first
+        # appearance equal the per-row dictionary's, by code (columns of
+        # 4 states) and by bytes (classes over 18 vectors)
+        automaton = _metric_tables(_decoder(name, path).trellis, metric)[3]
+        nvec = len(automaton.vectors)
+        nstates = automaton.vectors.shape[1]
+        step, came = automaton.step, _one_section(automaton)[2]
+        for rows, base in (
+                (np.concatenate([step, np.arange(nvec, dtype=step.dtype)
+                                 [:, None]], axis=1).T, nvec),
+                (np.concatenate([np.arange(nstates, dtype=came.dtype)[None],
+                                 came.reshape(-1, nstates)]), nstates)):
+            ids, distinct = row_ids(rows, base)
+            want_ids, want = reference_trellis.row_ids(rows)
+            assert ids.dtype == want_ids.dtype
+            assert np.array_equal(ids, want_ids)
+            assert distinct.dtype == want.dtype
+            assert np.array_equal(distinct, want)
 
     def test_over_budget_keeps_stride_one(self):
         # [3,1,1]'s tables under a stride budget one entry short of its
