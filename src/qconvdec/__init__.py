@@ -8,9 +8,9 @@ error patterns with a single Viterbi pass.
 
 from .algebra import (
     GF2, GF4, W, WBAR,
-    AlgebraError, DegreeCapError, FieldMismatchError, Poly,
-    RankDeficientError, RatMatrix, RationalFn, ZeroDenominatorError,
-    format_poly, left_inverse, minors_gcd, parse_poly, poly_gcd, rank, ratio,
+    AlgebraError, DegreeCapError, FieldMismatchError, Poly, RatMatrix,
+    RationalFn, ZeroDenominatorError,
+    format_poly, minors_gcd, parse_poly, poly_gcd, ratio,
 )
 from .stabilizer import (
     ErrorFrame, F4LinearityError, QuaternaryTransfer, SpecError,

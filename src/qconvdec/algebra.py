@@ -1,8 +1,7 @@
 """Exact arithmetic over GF(2) and GF(4): polynomials and rational functions
-in the delay variable D, linear algebra over the rational-function field
-(elimination, rank, left inverses), and the numpy GF(q) core shared
-by every constant-matrix computation: one reduced-row-echelon elimination and
-one block-domain convolution.
+in the delay variable D, polynomial determinants and minors, and the numpy
+GF(q) core shared by every constant-matrix computation: one
+reduced-row-echelon elimination and one block-domain convolution.
 
 Field elements are plain ints. GF(4) uses 0, 1, 2, 3 with 2 = w (the
 primitive element), 3 = w^2 = 1 + w; addition is XOR in both fields.
@@ -29,10 +28,6 @@ class FieldMismatchError(AlgebraError):
 
 
 class ZeroDenominatorError(AlgebraError):
-    pass
-
-
-class RankDeficientError(AlgebraError):
     pass
 
 
@@ -536,56 +531,6 @@ class RatMatrix:
 
     def __repr__(self) -> str:
         return f"RatMatrix {self.rows}x{self.cols} over {self.field}:\n{self}"
-
-
-def _rref_with_transform(m: RatMatrix) -> tuple[RatMatrix, RatMatrix, list[int]]:
-    """Row-reduced echelon form R = T @ m; returns (R, T, pivot columns)."""
-    field = m.field
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
-    trans = [[RationalFn.one(field) if i == j else RationalFn.zero(field)
-              for j in range(nrows)] for i in range(nrows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        trans[r], trans[sel] = trans[sel], trans[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [e * inv for e in rows[r]]
-        trans[r] = [e * inv for e in trans[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a + f * b for a, b in zip(rows[i], rows[r])]
-                trans[i] = [a + f * b for a, b in zip(trans[i], trans[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return RatMatrix(rows, field), RatMatrix(trans, field), pivots
-
-
-def rank(m: RatMatrix) -> int:
-    return len(_rref_with_transform(m)[2])
-
-
-def left_inverse(m: RatMatrix) -> RatMatrix:
-    """L with L @ m = I, for an n x r matrix of full column rank r.
-
-    Gaussian elimination over the rational-function field; always succeeds at
-    full rank (the field has no characteristic-2 Gram pathology).
-    """
-    r = m.cols
-    rref_m, trans, pivots = _rref_with_transform(m)
-    if len(pivots) < r:
-        raise RankDeficientError(f"rank {len(pivots)} < {r} columns")
-    # rref_m = trans @ m = [I_r; 0] up to pivot placement; since column rank is
-    # full, pivots are exactly columns 0..r-1 and the first r rows of trans
-    # give the left inverse.
-    return RatMatrix(trans.entries[:r], m.field)
 
 
 def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:

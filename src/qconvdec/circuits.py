@@ -27,7 +27,7 @@ import numpy as np
 from .algebra import (
     _DEGREE_CAP, GF2, ConvolutionKernel, DegreeCapError, Field, Poly,
     RatMatrix, RationalFn, convolution_matrix, gf_convolve, gf_kernel, gf_rank,
-    gf_rref, left_inverse, minors_gcd, pack_slices, pack_symbols, poly_lcm,
+    gf_rref, minors_gcd, pack_slices, pack_symbols, poly_det, poly_lcm,
     poly_xgcd, symbol_bits, unpack_symbols, word_slices,
 )
 
@@ -95,11 +95,13 @@ class TransferSystem:
     def taps(self) -> np.ndarray:
         """(deg N + 1, outputs, inputs) coefficients of N, the layout
         ``gf_convolve`` takes."""
+        # every reduced denominator divides D^a (1 + D^P): its D power
+        # divides D^a, and the rest divides the pole lcm and so 1 + D^P
         f, a = self.field, self.input_advance
-        scale = RationalFn(Poly.monomial(a, field=f)
-                           + Poly.monomial(a + self.period, field=f))
-        N = RatMatrix([[e * scale for e in row] for row in self.matrix.entries],
-                      f)
+        scale = (Poly.monomial(a, field=f)
+                 + Poly.monomial(a + self.period, field=f))
+        N = RatMatrix.from_polys([[e.num * scale.divmod(e.den)[0] for e in row]
+                                  for row in self.matrix.entries])
         return N.coeff_tensor().transpose(0, 2, 1)
 
     @cached_property
@@ -175,23 +177,26 @@ def derive_syndrome_former(hb: RatMatrix) -> TransferSystem:
 
 
 def derive_inverse_syndrome_former(hb: RatMatrix) -> TransferSystem:
-    """Any L with L @ H_b^T = I. Prefers a polynomial (FIR) inverse when the
-    entries of a single syndrome stream admit a Bezout identity; otherwise
-    Gaussian elimination over the rational-function field."""
-    ht = hb.transpose()
-    L = None
-    if hb.rows == 1:
-        L = _bezout_row(ht)
-    if L is None:
-        L = left_inverse(ht)
-    return TransferSystem(L, role="ISF")
+    """Any L with L @ H_b^T = I. A single syndrome stream whose entries
+    admit a Bezout identity gets that polynomial (FIR) inverse.
+
+    Otherwise L is the inverse that Gaussian elimination on H_b^T finds,
+    worked out as an adjugate of polynomials: L = adj(M) / det(M) on the r
+    rows of H_b^T that elimination pivots on, M being the r x r block at
+    those rows, and zero on the other rows. The pivot rule is elimination's:
+    per column c, the first remaining row, in swap order, whose
+    (c + 1) x (c + 1) leading minor with the rows already chosen is nonzero
+    is swapped into place. Elimination's multiplier rows stay on the chosen
+    rows, so it finds this L."""
+    ht = hb.transpose().poly_entries()
+    L = _bezout_row(ht) if hb.rows == 1 else None
+    return TransferSystem(_adjugate_inverse(ht, hb.field) if L is None else L,
+                          role="ISF")
 
 
-def _bezout_row(ht: RatMatrix) -> RatMatrix | None:
-    if not ht.is_polynomial():
-        return None
-    f = ht.field
-    entries = [ht.entries[i][0].num for i in range(ht.rows)]
+def _bezout_row(ht: list[list[Poly]]) -> RatMatrix | None:
+    f = ht[0][0].field
+    entries = [row[0] for row in ht]
     g = entries[0]
     coefs = [Poly.one(f)] + [Poly.zero(f)] * (len(entries) - 1)
     for idx in range(1, len(entries)):
@@ -202,6 +207,31 @@ def _bezout_row(ht: RatMatrix) -> RatMatrix | None:
     if not g.is_one():
         return None
     return RatMatrix.from_polys([coefs])
+
+
+def _adjugate_inverse(ht: list[list[Poly]], field: Field) -> RatMatrix:
+    """adj(M) / det(M) on the pivot rows of the n x r polynomial matrix
+    H^T = ``ht``, as :func:`derive_inverse_syndrome_former` sets out."""
+    n, r = len(ht), len(ht[0])
+    order = list(range(n))
+    for c in range(r):
+        for i in range(c, n):
+            det = poly_det([ht[j][:c + 1] for j in order[:c] + [order[i]]])
+            if det:
+                break
+        else:
+            raise DerivationError("transfer polynomial is not full row rank")
+        order[c], order[i] = order[i], order[c]
+    M = [ht[j] for j in order[:r]]
+    # char 2: the cofactors have no signs; (M^-1)[i][j] is the minor of M
+    # without row j and column i, over det M
+    L = [[RationalFn.zero(field)] * n for _ in range(r)]
+    for i in range(r):
+        for j in range(r):
+            minor = [row[:i] + row[i + 1:] for row in M[:j] + M[j + 1:]]
+            L[i][order[j]] = RationalFn(
+                poly_det(minor) if minor else Poly.one(field), det)
+    return RatMatrix(L, field)
 
 
 def derive_generator(hb: RatMatrix) -> TransferSystem:
@@ -384,6 +414,20 @@ def _basic_kernel_rows(S: RatMatrix,
     return rows
 
 
+def is_left_inverse(isf: TransferSystem, parity: RatMatrix) -> bool:
+    """Whether isf @ parity^T = I, checked over GF(q) on the closed form
+    N = D^a (1 + D^P) isf: a nonzero scalar factor is injective, so this
+    holds iff N @ parity^T = (D^a + D^(a+P)) I, one convolution of parity
+    per row of N."""
+    N, a, P = isf.taps, isf.input_advance, isf.period
+    S = parity.coeff_tensor()
+    window = max(len(N) + len(S) - 2, a + P) + 1
+    want = np.zeros((parity.rows, window, parity.rows), dtype=np.uint8)
+    want[:, [a, a + P]] = np.eye(parity.rows, dtype=np.uint8)[:, None]
+    return np.array_equal([gf_convolve(S, N[:, :, i], parity.field, window)
+                           for i in range(parity.rows)], want)
+
+
 class CandidateBuilder:
     """Produces a member of {frames whose measured syndrome matches sigma}
     with one block-domain linear map: the ISF expanded anticausally (from
@@ -414,20 +458,12 @@ class CandidateBuilder:
         self.r, self.lanes = parity.rows, parity.cols
         self.syndrome = ConvolutionKernel(taps, f)
         self.isf = TransferSystem(isf, role="ISF")
-        # the one check of the ISF, on its closed form N = D^a (1 + D^P) isf:
-        # a nonzero scalar factor is injective, so isf @ S^T = I iff
-        # N @ S^T = (D^a + D^(a+P)) I
-        N, a, P = self.isf.kernel.taps, self.isf.input_advance, self.isf.period
-        window = max(len(N) - 1 + self.m, a + P) + 1
-        got = [self.syndrome(pack_slices(N[:, :, i], self.bps), window)
-               for i in range(self.r)]
-        want = np.zeros((self.r, window), dtype=np.int64)
-        want[:, [a, a + P]] = 1 << self.bps * np.arange(self.r)[:, None]
-        if not np.array_equal(got, want):
+        if not is_left_inverse(self.isf, parity):
             raise DerivationError("ISF is not a left inverse of the parity map")
         # the expansion D^-a N(D) sum_{i>=1} D^-iP reaches deg N - a - P
         # blocks past the last nonzero syndrome block
-        self.reach = len(N) - 1 - a - P
+        self.reach = (len(self.isf.taps) - 1 - self.isf.input_advance
+                      - self.isf.period)
         # S is causal of degree m, so the truncated expansion misses sigma
         # only on blocks < m; a frame on m + 1 blocks repairs it. One RREF
         # gives the particular solution (free variables zero) of every

@@ -13,7 +13,7 @@ import numpy as np
 from .algebra import AlgebraError
 from .circuits import (
     block_parity_matrix, block_syndrome, derive_bundle, derive_generator,
-    derive_syndrome_former,
+    derive_syndrome_former, is_left_inverse,
 )
 from .decoder import SyndromeDecoder, SyndromeDecoderF4
 from .simulate import SimConfig, metric_for, run_sweep, syndrome_from_text
@@ -128,12 +128,16 @@ def cmd_verify(args) -> int:
     hb = binary_transfer(spec)
     bundle = derive_bundle(hb)
     sf, gen = derive_syndrome_former(hb), derive_generator(hb)
-    isf_ok = (bundle.isf.matrix @ hb.transpose()).is_identity()
+    isf_ok = is_left_inverse(bundle.isf, hb)
     report("ISF left inverse identity", isf_ok)
     if not isf_ok:
         return EXIT_VERIFY
+    # G @ H_b^T = 0: each generator row, read as a frame, has zero syndrome
+    G = gen.matrix.coeff_tensor()
+    window = len(G) + 2 * spec.m + 1  # deg H_b <= 2m + 1
     report("generator kernel identity",
-           (gen.matrix @ hb.transpose()).is_zero())
+           not any(block_syndrome(hb, G[:, i], window).any()
+                   for i in range(G.shape[1])))
 
     rng = np.random.default_rng(args.seed)
     decoder = SyndromeDecoder(spec)

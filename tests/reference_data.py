@@ -69,6 +69,12 @@ CODES = {
         "IIIIIYXIYZ", "IIIIIXZIXY", "YYZYXYIXIZ", "XXYXZXIZIY")),
 }
 
+def spec_text(spec: StabilizerSpec) -> str:
+    """The text of ``spec`` as ``parse_stabilizer`` reads it."""
+    return f"qcc n={spec.n} k={spec.k} m={spec.m}\n" + \
+        "\n".join(spec.generators) + "\n"
+
+
 # a [4,3,2] code whose anticausal block ISF reaches 4 blocks past the last
 # nonzero syndrome block: it needs m + 4 = 6 padding blocks, not m + 1
 LONG_REACH_TEXT = "qcc n=4 k=3 m=2\nZZZXIXXYYIZY\n"

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.stats import beta
 
-from qconvdec.algebra import GF2, parse_poly, rank
+from qconvdec.algebra import GF2, parse_poly
 from qconvdec.circuits import (
     derive_bundle, derive_generator, derive_syndrome_former,
 )
@@ -32,6 +32,7 @@ from reference_data import (
     REF_POLY_GP_21, REF_RATIONAL_GP_21, REF_RATIONAL_ISF_311,
     REF_TRANSFER_21, REF_TRANSFER_311, REF_TRANSFER_311_F4,
 )
+from reference_elimination import rank
 from reference_transfer import shifted_isf_matrix
 
 

@@ -4,11 +4,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qconvdec.algebra import (
     GF2, GF4, W, WBAR, DegreeCapError, Poly, RatMatrix, RationalFn,
-    gf_rank, pack_slices, parse_poly, minors_gcd, rank, ratio,
+    gf_rank, pack_slices, parse_poly, minors_gcd, ratio,
     symbol_bits, unpack_symbols,
 )
 import qconvdec.algebra
@@ -19,7 +19,7 @@ from qconvdec.circuits import (
     TransferSystem, block_isf_matrix, block_parity_matrix, block_syndrome,
     coset_code_rows, derive_bundle, derive_generator,
     derive_inverse_syndrome_former, derive_syndrome_former, full_row_rank,
-    polynomial_kernel_basis,
+    is_left_inverse, polynomial_kernel_basis,
 )
 from qconvdec.cli import main
 from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
@@ -31,13 +31,14 @@ from qconvdec.stabilizer import (
 )
 
 from reference_candidate import reference_build, run_anticausal
+from reference_elimination import left_inverse, rank, rational_taps
 from reference_symbols import syndrome_symbols
 import reference_transfer
 from reference_transfer import shifted_isf_matrix
 from reference_data import (
     CODES, LONG_REACH_TEXT, PATH_IDS, PATHS, REF_ALLONES_ISF_F4, REF_FIR_ISF_21,
     REF_GENERATOR_311, REF_GENERATOR_F4, REF_POLY_GP_21, REF_RATIONAL_GP_21,
-    REF_RATIONAL_ISF_311, REF_TRANSFER_21, REF_TRANSFER_311_F4,
+    REF_RATIONAL_ISF_311, REF_TRANSFER_21, REF_TRANSFER_311_F4, spec_text,
 )
 
 
@@ -113,6 +114,81 @@ class TestInverseSyndromeFormer:
         y = sys.run(x)
         # delayed output: D^1 * (x/D) = x
         assert y[:, 0].tolist() == x[:, 0].tolist()
+
+    def test_pivot_rows_skip_a_vanishing_leading_minor(self):
+        # H_b^T = [[0, 1], [0, D], [1, 1]]: its leading 2 x 2 minor is zero,
+        # so column 0 swaps row 2 into place and column 1 takes row 1; L is
+        # M^-1 on rows 2 and 1, M = [[1, 1], [0, D]]
+        hb = RatMatrix.from_polys([[p("0"), p("0"), p("1")],
+                                   [p("1"), p("D"), p("1")]])
+        isf = derive_inverse_syndrome_former(hb)
+        zero, one = RationalFn.zero(GF2), RationalFn.one(GF2)
+        inv_d = ratio(p("1"), p("D"))
+        assert isf.matrix == RatMatrix([[zero, inv_d, one],
+                                        [zero, inv_d, zero]])
+        assert isf.matrix == left_inverse(hb.transpose())
+        assert is_left_inverse(isf, hb)
+        assert isf.input_advance == 1
+
+
+@st.composite
+def full_row_rank_hb(draw):
+    """A random full-row-rank H_b with r >= 2 rows, so that no Bezout row
+    applies; in a share of the draws entry (0, 0) or all of row 0 of H_b^T
+    is zero, so that elimination swaps rows and, for a zero row, its pivot
+    rows are not rows 0..r-1."""
+    field = draw(st.sampled_from([GF2, GF4]), label="field")
+    r = draw(st.integers(2, 3), label="rows")
+    n = draw(st.integers(r + 1, 5), label="cols")
+    m = draw(st.integers(0, 2), label="m")
+    size = (m + 1) * r * n
+    taps = np.array(draw(st.lists(st.integers(0, field.order - 1),
+                                  min_size=size, max_size=size), label="taps"),
+                    dtype=np.uint8).reshape(m + 1, r, n)
+    zero = draw(st.sampled_from(["none", "entry", "row"]), label="zero")
+    if zero == "entry":
+        taps[:, 0, 0] = 0
+    elif zero == "row":
+        taps[:, :, 0] = 0
+    hb = RatMatrix.from_coeff_tensor(taps, field)
+    assume(full_row_rank(hb))
+    return hb
+
+
+def closed_form(matrix, taps):
+    """(N, a, P) of a transfer matrix, N worked out by ``taps``, or
+    DegreeCapError when the closed form passes the degree cap."""
+    system = TransferSystem(matrix)
+    try:
+        N = taps(system)
+        return N.shape, N.tobytes(), system.input_advance, system.period
+    except DegreeCapError:
+        return DegreeCapError
+
+
+@settings(max_examples=60, deadline=None)
+@given(hb=full_row_rank_hb())
+def test_adjugate_isf_is_the_elimination_inverse(hb):
+    # the adjugate ISF is the reference elimination's RatMatrix, and its
+    # closed forms, by exact division, are the reference's by rational
+    # products: the tick ISF on both fields, the block ISF on GF(2)
+    try:
+        want = left_inverse(hb.transpose())
+    except DegreeCapError:
+        want = DegreeCapError
+    try:
+        got = derive_inverse_syndrome_former(hb).matrix
+    except DegreeCapError:
+        got = DegreeCapError
+    assert got == want
+    if got is DegreeCapError:
+        return
+    forms = [(got, want)]
+    if hb.field is GF2:
+        forms.append((block_isf_matrix(got), block_isf_matrix(want)))
+    for ours, ref in forms:
+        assert closed_form(ours, lambda system: system.taps) == \
+            closed_form(ref, rational_taps)
 
 
 # the two polynomial kernel bases construction derives, each certified by
@@ -551,18 +627,28 @@ class TestCertificate:
         S = RatMatrix.from_polys(rows)
         assert full_row_rank(S) == (rank(S) == S.rows)
 
-    def test_construction_runs_no_rational_rank_or_minors(self, monkeypatch):
+    def test_construction_runs_no_rational_rank_or_minors(self, monkeypatch,
+                                                          tmp_path):
+        # no decoder build, derive or verify does rational-function
+        # arithmetic or works out a minors gcd: each runs over GF(q)
         def refuse(*args):
             raise AssertionError("construction left the GF(q) certificate")
 
-        monkeypatch.setattr(qconvdec.algebra, "rank", refuse)
-        monkeypatch.setattr(qconvdec.circuits, "rank", refuse, raising=False)
         monkeypatch.setattr(qconvdec.algebra, "minors_gcd", refuse)
         monkeypatch.setattr(qconvdec.circuits, "minors_gcd", refuse)
+        for name in ("__add__", "__sub__", "__mul__", "inverse"):
+            monkeypatch.setattr(RationalFn, name, refuse)
+        monkeypatch.setattr(RatMatrix, "__matmul__", refuse)
         for name, path in PATHS:
             (SyndromeDecoderF4 if path == "f4" else SyndromeDecoder)(
                 CODES[name])
         SyndromeDecoder(parse_stabilizer(LONG_REACH_TEXT))
+        texts = [spec_text(spec) for spec in CODES.values()]
+        for i, text in enumerate(texts + [LONG_REACH_TEXT]):
+            path = tmp_path / f"code{i}.qcc"
+            path.write_text(text)
+            assert main(["derive", str(path)]) == 0
+            assert main(["verify", str(path), "--trials", "2"]) == 0
 
     def test_construction_derives_isf_and_one_coset_basis(self, monkeypatch):
         # a decoder runs the ISF and the coset trellis only: it derives no

@@ -25,7 +25,7 @@ from qconvdec.simulate import ChannelParams, frame_rng, sample_error
 from qconvdec.stabilizer import F4LinearityError, StabilizerSpec
 from qconvdec.trellis import BranchMetric, pauli_costs_for_channel
 
-from reference_data import CODES
+from reference_data import CODES, spec_text
 
 FIXTURE = Path(__file__).with_name("golden_decodes.json")
 FRAMES = 20
@@ -34,12 +34,10 @@ P_VALUES = (0.02, 0.05, 0.1)
 SEED = 2010
 
 def derive_dump(spec: StabilizerSpec) -> str:
-    text = f"qcc n={spec.n} k={spec.k} m={spec.m}\n" + \
-        "\n".join(spec.generators) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "code.qcc")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(spec_text(spec))
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(["derive", path]) == 0
