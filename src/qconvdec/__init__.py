@@ -25,10 +25,10 @@ from .circuits import (
     polynomial_kernel_basis,
 )
 from .trellis import (
-    BranchMetric, DecodeResult, OracleCapError, OracleResult, Trellis,
-    TrellisError, build_trellis, coset_leader_oracle, pauli_costs_for_channel,
-    viterbi_decode,
+    BranchMetric, DecodeResult, Trellis, TrellisError, build_trellis,
+    pauli_costs_for_channel, viterbi_decode,
 )
+from .oracle import OracleCapError, OracleResult, coset_leader_oracle
 from .decoder import DecodedError, SyndromeDecoder, SyndromeDecoderF4
 from .simulate import (
     ChannelParams, SimConfig, SweepResult, SweepRow, frame_rng, run_frame,

@@ -326,13 +326,14 @@ class RationalFn:
         _check_same_field(num, den)
         if den.is_zero():
             raise ZeroDenominatorError("zero denominator")
-        if not num.is_zero():
+        if num.is_zero():
+            den = Poly.one(num.field)
+        elif den.degree > 0:
+            # a constant denominator is coprime with every numerator
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num = num.divmod(g)[0]
                 den = den.divmod(g)[0]
-        else:
-            den = Poly.one(num.field)
         lead = den.leading_coeff()
         if lead != 1:
             inv = num.field.inv(lead)
@@ -695,9 +696,13 @@ def unpack_symbols(words, count: int, bps: int) -> np.ndarray:
 
 def word_slices(words, slices: int) -> np.ndarray:
     """(rows, slices) low bytes of packed words: the input slices of a
-    :class:`ConvolutionKernel` whose inputs are those words."""
-    return np.ascontiguousarray(words, dtype="<i8").view(np.uint8).reshape(
-        -1, 8)[:, :slices]
+    :class:`ConvolutionKernel` whose inputs are those words. Words (rows,
+    B) of B frames give (rows, slices, B)."""
+    words = np.ascontiguousarray(words, dtype="<i8")
+    if words.ndim > 1:
+        return words.view(np.uint8).reshape(*words.shape, 8).swapaxes(1, 2)[
+            :, :slices]
+    return words.view(np.uint8).reshape(-1, 8)[:, :slices]
 
 
 class ConvolutionKernel:
@@ -732,8 +737,11 @@ class ConvolutionKernel:
             self.tables.append(prod.astype(np.int64) @ weights)
 
     def __call__(self, x: np.ndarray, window: int) -> np.ndarray:
-        """(window,) packed output words of (blocks, slices) input slices."""
-        out = np.zeros(window, dtype=np.int64)
+        """(window,) packed output words of (blocks, slices) input slices.
+        Trailing axes are frames, each convolved alone: (blocks, slices, B)
+        gives (window, B), and every frame is sliced as one frame is."""
+        out = np.zeros(window if x.ndim == 2 else (window, *x.shape[2:]),
+                       dtype=np.int64)
         nb = len(x)
         for g, tables in enumerate(self.tables):
             xg = x[:, g]

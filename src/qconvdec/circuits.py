@@ -126,8 +126,10 @@ class TransferSystem:
     def run_anticausal_words(self, x: np.ndarray, length: int) -> np.ndarray:
         """The first ``length`` coefficients of x @ matrix with every entry
         expanded in powers of 1/D, i.e. from the frame tail down, on packed
-        blocks: (T, slices) input slices in, ``length`` output words out. The
-        expansion is exact; only its terms below D^0 are cut."""
+        blocks: (T, slices) input slices in, ``length`` output words out;
+        a (T, slices, B) batch of B frames gives (length, B), as the kernel
+        takes frames. The expansion is exact; only its terms below D^0 are
+        cut."""
         # out[t] = sum_d N_d u[t + a - d] with u[s] = sum_{i>=1} x[s + iP]
         # (1 / (1 + D^P) = sum_{i>=1} D^-iP) on s >= a - deg N; suffix XORs
         # at stride P, indexed from a - deg N
@@ -137,11 +139,16 @@ class TransferSystem:
         pad = max(-first, 0)
         x = x[max(first, 0):]
         rows = -(-max(length + deg, pad + len(x)) // P)
-        width = x.shape[1]
+        # a batch's frames ride along with the slices through the XORs
+        flat = (x if x.ndim == 2
+                else x.reshape(len(x), x.shape[1] * x.shape[2]))
+        width = flat.shape[1]
         u = np.zeros((rows * P, width), dtype=np.uint8)
-        u[pad:pad + len(x)] = x
+        u[pad:pad + len(x)] = flat
         u = np.bitwise_xor.accumulate(u.reshape(rows, P, width)[::-1],
                                       axis=0)[::-1].reshape(rows * P, width)
+        if x.ndim > 2:
+            u = u.reshape(rows * P, *x.shape[1:])
         return self.kernel(u[:length + deg], length + deg)[deg:]
 
 
@@ -489,12 +496,21 @@ class CandidateBuilder:
         """The first min(defect_blocks, blocks) packed blocks of a frame on
         ``blocks`` blocks whose syndrome is the head defect (packed, its
         first defect_blocks blocks) followed by zeros; the frame is zero
-        beyond them."""
-        flat = 0
-        for j, word in enumerate(defect.tolist()):
-            flat |= word << (j * self.r * self.bps)
-        x = np.frombuffer(flat.to_bytes(self._repair.slices, "little"),
-                          dtype=np.uint8)[None]
+        beyond them. Trailing axes are frames: a (db, B) defect gives B
+        repairs from one kernel call, and any frame without one raises."""
+        # the defect as the little-endian bytes of one flat block of db r
+        # symbols
+        bits = self.r * self.bps
+        if defect.ndim > 1:
+            x = np.packbits((defect[:, None] >> np.arange(bits)[:, None] & 1)
+                            .reshape(-1, defect.shape[1]).astype(np.uint8),
+                            axis=0, bitorder="little")[None]
+        else:
+            flat = 0
+            for j, word in enumerate(defect.tolist()):
+                flat |= word << (j * bits)
+            x = np.frombuffer(flat.to_bytes(self._repair.slices, "little"),
+                              dtype=np.uint8)[None]
         sol = self._repair(x, self._repair.taps.shape[0])
         db = self.defect_blocks
         if sol[db:].any():
@@ -518,7 +534,19 @@ class CandidateBuilder:
     def build_words(self, s: np.ndarray, blocks: int) -> np.ndarray:
         """Candidate frame W as ``blocks`` packed blocks, with its syndrome
         over blocks + m blocks == the packed syndrome s (at most ``blocks``
-        words) zero-extended."""
+        words) zero-extended. A (B, words) batch gives (B, blocks): its
+        expansion, residual and window check run once on every frame, and
+        when any frame has a head defect, one :meth:`repair_frame` call
+        repairs them all (a zero defect takes a zero repair)."""
+        if s.ndim > 1:
+            # the frames ride along a trailing axis, so that every step
+            # slices blocks as it does on one frame
+            return self._build_words(s.T, blocks).T
+        return self._build_words(s, blocks)
+
+    def _build_words(self, s: np.ndarray, blocks: int) -> np.ndarray:
+        """:meth:`build_words` of one frame's words, or of a batch's on the
+        trailing axis of s, giving the candidates on that axis."""
         W = self.isf.run_anticausal_words(
             word_slices(s, self.isf.kernel.slices), blocks)
         resid = self._residual(W, s, blocks + self.m)

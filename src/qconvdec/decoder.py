@@ -138,9 +138,25 @@ class SyndromeDecoder:
     def decode_words(self, s: np.ndarray, metric: BranchMetric | None = None,
                      ) -> tuple[np.ndarray, int, int]:
         """Core of :meth:`decode`: (error label per block, path metric, ties)
-        of unchecked syndrome words, as ``spec.syndrome_kernel`` packs them."""
-        w = self.candidates.build_words(self._syndrome_words(s), len(s))
-        labels, path_metric, ties = viterbi_path(self.trellis, w, metric)
+        of unchecked syndrome words, as ``spec.syndrome_kernel`` packs them.
+
+        A (B, blocks) batch gives (B, blocks) labels and B path metrics and
+        tie counts, lists of ints. The candidate and Viterbi each run once
+        on the batch; a batch of one runs as its frame. A batch raises what
+        :meth:`decode` raises on its first failing frame, as it then decodes
+        its frames one by one."""
+        if s.ndim > 1 and len(s) == 1:
+            labels, path_metric, ties = self.decode_words(s[0], metric)
+            return labels[None], [path_metric], [ties]
+        try:
+            w = self.candidates.build_words(self._syndrome_words(s),
+                                            s.shape[-1])
+            labels, path_metric, ties = viterbi_path(self.trellis, w, metric)
+        except ValueError:
+            if s.ndim > 1:
+                for frame in s:
+                    self.decode_words(frame, metric)
+            raise
         return labels ^ w, path_metric, ties
 
 

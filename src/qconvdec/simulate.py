@@ -24,6 +24,9 @@ CSV_HEADER = ("p,frames,qubit_errors,qubits_total,qber,"
               "frame_errors,fer,seed,elapsed_ms")
 # largest accepted ``SimConfig.threads``
 MAX_THREADS = 64
+# sections (frame blocks) that ``run_sweep`` decodes per batch of frames
+BATCH_SECTIONS = 1 << 15
+METRIC_MODES = ("hamming", "pauli")
 # qubits with a non-identity Pauli in each byte of interleaved (x, z) bits
 _BYTE_QUBITS = np.bitwise_count((np.arange(256) | np.arange(256) >> 1)
                                 & 0x55)
@@ -93,6 +96,7 @@ class SimConfig:
         if not 1 <= self.threads <= MAX_THREADS:
             raise ValueError(f"threads must be in [1, {MAX_THREADS}], "
                              f"got {self.threads}")
+        _check_metric_mode(self.metric)
         for p in self.p_values:
             ChannelParams(p)
 
@@ -143,62 +147,114 @@ class SweepResult:
 def run_frame(decoder: SyndromeDecoder, params: ChannelParams,
               data_qubits: int, rng: np.random.Generator,
               metric: BranchMetric | None = None) -> tuple[int, int]:
-    """(mismatched data qubits, frame error flag) for one channel draw. The
-    frame stays packed, one row of ``ErrorFrame.block_bytes`` per block,
-    from the draw through the syndrome and the decode to the score."""
+    """(mismatched data qubits, frame error flag) for one channel draw: a
+    batch of one frame of :func:`run_sweep`."""
     x = sample_error(params, data_qubits, rng).block_bytes(decoder.n)
-    s = decoder.spec.syndrome_kernel(x, len(x) + decoder.pad_blocks)
-    labels, _, _ = decoder.decode_words(s, metric)
-    diff = decoder.label_bytes.take(labels[:len(x)], axis=0) ^ x
-    mism = int(_BYTE_QUBITS.take(diff).sum())
+    frame = np.zeros((1, len(x) + decoder.pad_blocks, x.shape[1]),
+                     dtype=np.uint8)
+    frame[0, :len(x)] = x
+    mism = int(_mismatches(decoder, frame, len(x), metric)[0])
     return mism, 1 if mism else 0
+
+
+def _mismatches(decoder: SyndromeDecoder, x: np.ndarray, data_blocks: int,
+                metric: BranchMetric | None) -> np.ndarray:
+    """Mismatched data qubits of each frame of a batch: packed frames, one
+    row of ``ErrorFrame.block_bytes`` per block in (B, blocks, bytes) ``x``
+    and zero past ``data_blocks``, through one syndrome kernel call (the
+    frames on its trailing axis), one ``decode_words`` call and one
+    score."""
+    s = decoder.spec.syndrome_kernel(x.transpose(1, 2, 0), x.shape[1]).T
+    labels = decoder.decode_words(s, metric)[0]
+    diff = (decoder.label_bytes.take(labels[:, :data_blocks], axis=0)
+            ^ x[:, :data_blocks])
+    return _BYTE_QUBITS.take(diff).sum(axis=(1, 2))
+
+
+def _check_metric_mode(mode: str) -> None:
+    if mode not in METRIC_MODES:
+        raise ValueError(f"unknown metric mode {mode!r}")
 
 
 def metric_for(config_metric: str, p: float) -> BranchMetric | None:
     """None for Hamming, or the quantized channel likelihoods at p."""
+    _check_metric_mode(config_metric)
     if config_metric == "hamming":
         return None
-    if config_metric == "pauli":
-        ch = ChannelParams(p)
-        return BranchMetric("pauli", pauli_costs_for_channel(
-            ch.p_identity, ch.p_x, ch.p_y, ch.p_z))
-    raise ValueError(f"unknown metric mode {config_metric!r}")
+    ch = ChannelParams(p)
+    return BranchMetric("pauli", pauli_costs_for_channel(
+        ch.p_identity, ch.p_x, ch.p_y, ch.p_z))
+
+
+def _batches(metrics: list, frames: int, size: int):
+    """Lists of (p row, frame index) in sweep order, at most ``size`` long,
+    each within a run of consecutive rows of one metric."""
+    batch = []
+    for row, metric in enumerate(metrics):
+        if batch and metric != metrics[batch[0][0]]:
+            yield batch
+            batch = []
+        for idx in range(frames):
+            batch.append((row, idx))
+            if len(batch) == size:
+                yield batch
+                batch = []
+    if batch:
+        yield batch
 
 
 def run_sweep(config: SimConfig,
               decoder: SyndromeDecoder | None = None) -> SweepResult:
-    """Monte Carlo sweep over p values, decoding frames in index order on
-    the calling thread; deterministic given the seed (per-frame RNG streams
-    are keyed by (seed, frame index)), whatever ``config.threads`` is."""
+    """Monte Carlo sweep over p values on the calling thread; deterministic
+    given the seed (per-frame RNG streams are keyed by (seed, frame
+    index)), whatever ``config.threads`` is.
+
+    Frames are drawn in (p, index) order and decoded in batches of about
+    ``BATCH_SECTIONS`` sections: a batch spans consecutive p values with the
+    same branch metric (every p under Hamming, one p under Pauli), and its
+    frames share one syndrome kernel call, one ``decode_words`` call and
+    one score. A row's ``elapsed_ms`` is the wall time of the batches it
+    takes part in, each split among its p values by their frames in it. The
+    first frame, in sweep order, that fails to decode raises."""
     if decoder is None:
         decoder = SyndromeDecoder(config.spec)
     elif decoder.spec != config.spec:
         raise ValueError("the decoder was built for a different stabilizer "
                          "spec than the sweep's")
-    data_qubits = config.frame_qubits
-    rows = []
-    for p in config.p_values:
-        params = ChannelParams(p)
-        metric = metric_for(config.metric, p)
+    data_qubits, n = config.frame_qubits, config.spec.n
+    data_blocks = data_qubits // n
+    blocks = data_blocks + decoder.pad_blocks
+    params = [ChannelParams(p) for p in config.p_values]
+    metrics = [metric_for(config.metric, p) for p in config.p_values]
+    qubit_errors = [0] * len(params)
+    frame_errors = [0] * len(params)
+    seconds = [0.0] * len(params)
+    for batch in _batches(metrics, config.frames,
+                          max(1, BATCH_SECTIONS // blocks)):
         t0 = time.perf_counter()
-        qubit_errors = frame_errors = 0
-        for idx in range(config.frames):
-            mism, failed = run_frame(decoder, params, data_qubits,
-                                     frame_rng(config.seed, idx), metric)
-            qubit_errors += mism
-            frame_errors += failed
-        elapsed = 0 if config.stable_timing else round(
-            1000 * (time.perf_counter() - t0))
-        rows.append(SweepRow(
-            p=p, frames=config.frames, qubit_errors=qubit_errors,
-            qubits_total=config.frames * data_qubits,
-            frame_errors=frame_errors, seed=config.seed, elapsed_ms=elapsed))
-    blocks = data_qubits // config.spec.n
+        # ceil(2n / 8) bytes per block, as ``block_bytes`` packs them
+        x = np.zeros((len(batch), blocks, -(-n // 4)), dtype=np.uint8)
+        for frame, (row, idx) in zip(x, batch):
+            frame[:data_blocks] = sample_error(
+                params[row], data_qubits,
+                frame_rng(config.seed, idx)).block_bytes(n)
+        mism = _mismatches(decoder, x, data_blocks, metrics[batch[0][0]])
+        share = (time.perf_counter() - t0) / len(batch)
+        for (row, _), m in zip(batch, mism.tolist()):
+            qubit_errors[row] += m
+            frame_errors[row] += 1 if m else 0
+            seconds[row] += share
+    rows = tuple(SweepRow(
+        p=p, frames=config.frames, qubit_errors=qubit_errors[row],
+        qubits_total=config.frames * data_qubits,
+        frame_errors=frame_errors[row], seed=config.seed,
+        elapsed_ms=0 if config.stable_timing else round(1000 * seconds[row]))
+        for row, p in enumerate(config.p_values))
     return SweepResult(
-        rows=tuple(rows),
+        rows=rows,
         data_qubits=data_qubits,
         padded_qubits=data_qubits + decoder.pad_qubits(),
-        logical_qubits=config.spec.k * blocks,
+        logical_qubits=config.spec.k * data_blocks,
     )
 
 

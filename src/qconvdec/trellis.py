@@ -1,6 +1,5 @@
-"""Trellis construction from a polynomial generator matrix, Viterbi
-maximum-likelihood decoding of a candidate frame, and an independent
-coset-leader oracle for verification.
+"""Trellis construction from a polynomial generator matrix and Viterbi
+maximum-likelihood decoding of a candidate frame.
 
 Labels are packed into ints (one field symbol per bit pair on GF(4), one bit
 on GF(2)); all metrics depend only on the XOR difference of packed labels.
@@ -27,7 +26,8 @@ n / (2^l k) Python steps each, plus gathers. A trellis whose
 automaton would pass a work budget (many states) runs add-compare-select
 section by section in chunks, and only there are survivors and ties read
 off the recorded metrics, by the same rule; its traceback reads one
-survivor per section.
+survivor per section. A batch of frames walks and traces back each frame
+alone and runs every gather once on the batch.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 from math import log
 from numbers import Integral
 from typing import Literal
@@ -43,10 +42,8 @@ from typing import Literal
 import numpy as np
 
 from .algebra import (
-    Field, RatMatrix, convolution_matrix, gf_convolve, pack_symbols,
-    unpack_symbols,
+    Field, RatMatrix, gf_convolve, pack_symbols, unpack_symbols,
 )
-from .circuits import block_parity_matrix
 from .levels import Levels, build_levels, level_walk, row_ids
 from .stabilizer import BITS_TO_PAULI, GF4_DECODE_TO_XZ
 
@@ -65,8 +62,6 @@ _STRIDE_WORK = 1 << 21
 _LEVEL_STEPS = 128
 # trellis state budget, checked before any branch table is allocated
 _MAX_STATES = 1 << 20
-# frame bits the exhaustive oracle enumerates at most (one row per frame)
-_EXHAUSTIVE_BITS = 20
 
 
 class TrellisError(ValueError):
@@ -676,10 +671,21 @@ def viterbi_path(trellis: Trellis, w: np.ndarray,
     (``_select``); its traceback (``_traceback``) reads one survivor per
     section. The survivor labels on the path are the codeword's packed
     sections.
+
+    A (B, n) batch gives (B, n) labels and B path metrics and tie counts,
+    lists of ints (``_batch_path``). Each frame walks and traces back by
+    the Python loops or ``level_walk`` above; every gather is one call on
+    the batch. The first frame that has no path raises.
     """
     if metric is None:
         metric = BranchMetric()
     *folded, automaton = _metric_tables(trellis, metric)
+    if w.ndim > 1:
+        if automaton is not None:
+            return _batch_path(automaton, w)
+        labels, path_metric, ties = zip(*(viterbi_path(trellis, x, metric)
+                                          for x in w))
+        return np.stack(labels), list(path_metric), list(ties)
     if automaton is None:
         came, label, ties, metric_now = _chunked_pass(trellis, folded, w)
         if metric_now[0] >= INF:
@@ -739,181 +745,56 @@ def viterbi_path(trellis: Trellis, w: np.ndarray,
     return labels.reshape(-1)[:n], end + gain, ties
 
 
-# ---------------------------------------------------------------------------
-# coset-leader oracle
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OracleResult:
-    weight: int
-    leader: np.ndarray        # (frame_blocks, 2n) block layout
-    count: int                # number of weight-minimal coset members
-
-    @property
-    def unique(self) -> bool:
-        return self.count == 1
-
-
-class OracleCapError(ValueError):
-    pass
-
-
-def coset_leader_oracle(hb: RatMatrix, syndrome: np.ndarray, frame_blocks: int,
-                        metric: BranchMetric | None = None,
-                        mode: Literal["auto", "dp", "exhaustive"] = "auto",
-                        ) -> OracleResult:
-    """Minimum-weight error frame whose physical syndrome matches ``syndrome``
-    (zero-extended over blocks [0, frame_blocks + m)), searched independently
-    of the ISF/generator/trellis pipeline.
-
-    ``dp`` sweeps blocks with the raw previous-m-blocks state (a weight
-    branch-and-bound over the syndrome constraints); ``exhaustive`` enumerates
-    every frame and is only for tiny spans. Both caps are checked before
-    any table is built.
-    """
-    if metric is None:
-        metric = BranchMetric()
-    taps = _oracle_taps(hb)
-    m = taps.shape[0] - 1
-    n = hb.cols
-    lanes = 2 * n
-    r = hb.rows
-    window = frame_blocks + m
-    target = np.zeros((window, r), dtype=np.uint8)
-    take = min(syndrome.shape[0], window)
-    target[:take] = syndrome[:take]
-    if syndrome.shape[0] > window and syndrome[window:].any():
-        raise ValueError("syndrome extends beyond the oracle window")
-
-    exhaustive = mode == "exhaustive" or (
-        mode == "auto" and lanes * frame_blocks <= 16)
-    if exhaustive and lanes * frame_blocks > _EXHAUSTIVE_BITS:
-        raise OracleCapError(
-            f"exhaustive oracle limited to {_EXHAUSTIVE_BITS} frame bits")
-    if not exhaustive and (lanes * m > 20 or lanes > 14):
-        raise OracleCapError("search-space cap exceeded for the DP oracle")
-    wtab = metric.paired_table(n)
-    if exhaustive:
-        return _oracle_exhaustive(taps, target, frame_blocks, lanes, wtab)
-    emit, groups = _emission_data(hb)
-    return _oracle_dp(target, frame_blocks, lanes, m, r, wtab, emit, groups)
-
-
-@lru_cache(maxsize=16)
-def _oracle_taps(hb: RatMatrix) -> np.ndarray:
-    """The block-domain syndrome map of ``hb`` as a (m+1, r, 2n) tensor."""
-    return block_parity_matrix(hb).coeff_tensor()
-
-
-def _frame_bits(count: int, bits: int) -> np.ndarray:
-    """Row v holds the ``bits`` low bits of v, least significant first."""
-    v = np.arange(count, dtype=np.int64)
-    out = np.empty((count, bits), dtype=np.uint8)
-    for k in range(bits):
-        out[:, k] = (v >> k) & 1
-    return out
-
-
-@lru_cache(maxsize=16)
-def _emission_data(hb: RatMatrix):
-    """Per-code DP tables: emit[b][e] = r-bit syndrome emitted at lag b by
-    block value e, plus block values grouped by their lag-0 emission."""
-    taps = _oracle_taps(hb)
-    lags, r, lanes = taps.shape
-    syn = (_frame_bits(1 << lanes, lanes)
-           @ convolution_matrix(taps, 1, lags).T) & 1
-    emit = syn.reshape(-1, lags, r).astype(np.int64) @ (1 << np.arange(r))
-    tables = emit.T.tolist()
-    groups: dict[int, list[int]] = {}
-    for e, v in enumerate(tables[0]):
-        groups.setdefault(v, []).append(e)
-    return tables, {k: tuple(v) for k, v in groups.items()}
-
-
-def _oracle_dp(target, frame_blocks, lanes, m, r, wtab, emit,
-               groups) -> OracleResult:
-    tgt = []
-    for j in range(target.shape[0]):
-        v = 0
-        for i in range(r):
-            v |= int(target[j, i]) << i
-        tgt.append(v)
-
-    smask = (1 << (lanes * m)) - 1 if m else 0
-    # dp: state -> (weight, count, backpointers handled via parent array)
-    dp: dict[int, tuple[int, int]] = {0: (0, 1)}
-    parents: list[dict[int, tuple[int, int]]] = []
-    size = 1 << lanes
-    for j in range(frame_blocks):
-        nd: dict[int, tuple[int, int]] = {}
-        npar: dict[int, tuple[int, int]] = {}
-        t = tgt[j]
-        for state, (wgt, cnt) in sorted(dp.items()):
-            base = 0
-            for b in range(1, m + 1):
-                blk = (state >> (lanes * (b - 1))) & (size - 1)
-                base ^= int(emit[b][blk])
-            for e in groups.get(base ^ t, ()):
-                nw = wgt + int(wtab[e])
-                ns = ((state << lanes) | e) & smask if m else 0
-                cur = nd.get(ns)
-                if cur is None or nw < cur[0]:
-                    nd[ns] = (nw, cnt)
-                    npar[ns] = (state, e)
-                elif nw == cur[0]:
-                    nd[ns] = (nw, cur[1] + cnt)
-        dp = nd
-        parents.append(npar)
-        if not dp:
-            raise ValueError("syndrome is not realizable on this span")
-    # tail constraints: lags 1..m beyond the last block
-    best_w, best_state, best_count = INF, None, 0
-    for state, (wgt, cnt) in sorted(dp.items()):
-        ok = True
-        for jj in range(m):
-            acc = 0
-            for b in range(jj + 1, m + 1):
-                blk = (state >> (lanes * (b - 1 - jj))) & ((1 << lanes) - 1)
-                acc ^= int(emit[b][blk])
-            if acc != tgt[frame_blocks + jj]:
-                ok = False
-                break
-        if not ok:
-            continue
-        if wgt < best_w:
-            best_w, best_state, best_count = wgt, state, cnt
-        elif wgt == best_w:
-            best_count += cnt
-    if best_state is None:
-        raise ValueError("syndrome is not realizable on this span")
-    leader = np.zeros((frame_blocks, lanes), dtype=np.uint8)
-    s = best_state
-    for j in range(frame_blocks - 1, -1, -1):
-        prev, e = parents[j][s]
-        for kbit in range(lanes):
-            leader[j, kbit] = (e >> kbit) & 1
-        s = prev
-    return OracleResult(weight=best_w, leader=leader, count=best_count)
-
-
-def _oracle_exhaustive(taps, target, frame_blocks, lanes,
-                       wtab) -> OracleResult:
-    """Every frame's syndrome as one product of all 2^(lanes * blocks) frame
-    bit rows with the unrolled syndrome map; the leader is the first
-    minimum-weight match in enumeration order."""
-    nbits = lanes * frame_blocks
-    frames = _frame_bits(1 << nbits, nbits)
-    window = target.shape[0]
-    syn = (frames @ convolution_matrix(taps, frame_blocks, window).T) & 1
-    match = np.flatnonzero((syn == target.reshape(-1)).all(axis=1))
-    if not match.size:
-        raise ValueError("syndrome is not realizable on this span")
-    block_values = (match[:, None] >> (lanes * np.arange(frame_blocks))) \
-        & ((1 << lanes) - 1)
-    wgt = wtab[block_values].sum(axis=1)
-    best = wgt.min()
-    first = match[np.argmax(wgt == best)]
-    return OracleResult(weight=int(best),
-                        leader=frames[first].reshape(frame_blocks,
-                                                     lanes).copy(),
-                        count=int((wgt == best).sum()))
+def _batch_path(a: _MetricAutomaton, w: np.ndarray,
+                ) -> tuple[np.ndarray, list[int], list[int]]:
+    """:func:`viterbi_path` of a (B, n) batch on the metric's automaton:
+    each frame walks and traces back alone, and every gather is one call
+    on the (B, strides, k) batch."""
+    k, (frames, n) = a.stride, w.shape
+    blocks = -(-n // k)
+    walk_depth, back_depth = _frame_levels(a, blocks)
+    top = 1 << max(walk_depth, back_depth)
+    blocks = -(-blocks // top) * top
+    noop = len(a.classes) - 1
+    padded = np.full((frames, blocks * k), noop, dtype=np.promote_types(
+        w.dtype, np.min_scalar_type(noop)))
+    padded[:, :n] = w
+    w = padded.reshape(frames, blocks, k)
+    keys = a.classes.take(w) @ a.class_weights
+    walk, back, nstates = a.walk, a.back, a.vectors.shape[1]
+    if walk_depth:
+        ids, ends = zip(*(level_walk(_automaton_levels(a)[0], walk_depth,
+                                     row) for row in keys))
+        ids = np.stack(ids)
+    else:
+        ids, ends = [], []
+        for row in keys.tolist():
+            v = 0
+            for key in row:
+                ids.append(v)
+                v = walk[v][key]
+            ends.append(v)
+        ids = np.fromiter(ids, np.intp, keys.size).reshape(keys.shape)
+    end = a.vectors[list(ends), 0]
+    if end.max() >= INF:
+        raise TrellisError("no zero-terminated path fits the frame")
+    flat = a.within.take(ids * len(walk[0]) + keys, axis=0) + w
+    runs = a.col.take(flat) @ a.col_weights
+    # each frame's state after every stride, from its end
+    if back_depth:
+        after = np.stack([level_walk(_automaton_levels(a)[1], back_depth,
+                                     row[::-1] // nstates)[0]
+                          for row in runs])
+    else:
+        after = []
+        for row in runs[:, ::-1].tolist():
+            s = 0
+            for b in row:
+                after.append(s)
+                s = back[b + s]
+        after = np.fromiter(after, np.intp, runs.size).reshape(runs.shape)
+    states = a.back_within.take(runs + after[:, ::-1], axis=0)
+    labels = a.label.take(flat * nstates + states)
+    gain, ties = np.add.reduce(a.tally.take(flat, axis=1), axis=(2, 3))
+    return (labels.reshape(frames, -1)[:, :n], (end + gain).tolist(),
+            ties.tolist())

@@ -25,7 +25,7 @@ from qconvdec.stabilizer import (
     StabilizerSpec, binary_transfer, check_symplectic, example_311,
     quaternary_transfer,
 )
-from qconvdec.trellis import coset_leader_oracle
+from qconvdec.oracle import coset_leader_oracle
 
 from reference_data import (
     REF_ALLONES_ISF_F4, REF_FIR_ISF_21, REF_GENERATOR_311, REF_GENERATOR_F4,

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qconvdec.algebra import (
     GF2, GF4, W, WBAR,
@@ -101,6 +101,18 @@ class TestRational:
     def test_monic_denominator_gf4(self):
         r = ratio(p4(1), p4(0, W))
         assert r.den.leading_coeff() == 1
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.sampled_from([GF2, GF4]), st.data())
+    def test_polynomial_equals_reduced_fraction(self, field, data):
+        # a polynomial over 1 takes no gcd; it must equal num d / d, which
+        # the gcd (or, for a constant d, the scaling) reduces
+        coeff = st.integers(0, field.order - 1)
+        num = Poly(data.draw(st.lists(coeff, max_size=6)), field)
+        d = Poly(data.draw(st.lists(coeff, min_size=1, max_size=5)), field)
+        assume(not d.is_zero())
+        assert RationalFn(num) == RationalFn(num * d, d)
+        assert RationalFn(num).den == Poly.one(field)
 
 
 class TestLeftInverse:

@@ -428,6 +428,8 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("name", CLOSED_FORM_IDS)
     def test_run_anticausal_matches_reference(self, name):
+        # each frame alone, and with two more frames on a trailing batch
+        # axis, where each must come out as it does alone
         for system, x, extra in closed_form_cases(name):
             length = x.shape[0] + extra
             bps = symbol_bits(system.field)
@@ -436,6 +438,13 @@ class TestClosedForm:
                 unpack_symbols(words, system.outputs, bps),
                 run_anticausal(system.matrix, x, length)), (
                     x.shape[0], extra)
+            frames = [pack_slices(f, bps) for f in (x, x[::-1], x ^ 1)]
+            batch = system.run_anticausal_words(np.stack(frames, axis=-1),
+                                                length)
+            assert batch.shape == (length, 3)
+            for b, f in enumerate(frames):
+                assert np.array_equal(
+                    batch[:, b], system.run_anticausal_words(f, length))
 
     def test_pole_period_past_degree_cap_fails_fast(self):
         # 1+D^3+D^20 is primitive, so its period is 2^20 - 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qconvdec.algebra import (
-    GF2, gf_convolve, pack_slices, parse_poly, unpack_symbols,
+    GF2, gf_convolve, pack_slices, pack_symbols, parse_poly, unpack_symbols,
 )
 from qconvdec.circuits import DerivationError
 from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
@@ -11,7 +11,11 @@ from qconvdec.stabilizer import (
     syndrome_of,
 )
 from qconvdec.simulate import ChannelParams, frame_rng, metric_for, sample_error
-from qconvdec.trellis import BranchMetric, coset_leader_oracle, viterbi_decode
+from qconvdec.oracle import coset_leader_oracle
+from qconvdec.trellis import (
+    INF, BranchMetric, TrellisError, _frame_levels, _metric_tables,
+    viterbi_decode,
+)
 
 from reference_data import CODES, LONG_REACH_TEXT, PATH_IDS, PATHS
 from reference_simulate import padded_frame
@@ -317,3 +321,98 @@ class TestPackedDecode:
                     assert (out.path_metric, out.tie_count) == want[1:]
                     repaired += needs
         assert bool(repaired) == ((name, path) not in NO_REPAIR_PATHS)
+
+
+def _channel_words(decoder, sections, count, p=0.05):
+    """(count, sections) packed syndrome words of channel frames whose data
+    and padding blocks span ``sections`` blocks."""
+    qubits = decoder.n * (sections - decoder.pad_blocks)
+    return np.stack([pack_symbols(decoder.measure(sample_error(
+        ChannelParams(p), qubits, frame_rng(sections, i))), 1)
+        for i in range(count)])
+
+
+def _raised(fn, *args):
+    """(type, message) of the error ``fn(*args)`` raises."""
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestBatchDecode:
+    """``decode_words`` on a (B, blocks) batch: each frame's labels, path
+    metric and tie count equal those of its own ``decode_words``, on frames
+    shorter than the composed levels and long enough for them, in batches
+    that mix repaired and unrepaired frames; the batch's head repairs take
+    one ``candidates.repair_frame`` call; and a batch raises what its first
+    failing frame raises alone."""
+
+    @pytest.mark.parametrize("metric_mode", ["hamming", "pauli"])
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_matches_each_frame(self, name, path, metric_mode):
+        decoder = (SyndromeDecoderF4 if path == "f4" else SyndromeDecoder)(
+            CODES[name])
+        metric = metric_for(metric_mode, 0.05)
+        automaton = _metric_tables(decoder.trellis,
+                                   metric or BranchMetric())[3]
+        assert sum(_frame_levels(automaton, -(-3002 // automaton.stride)))
+        calls = []
+        repair = decoder.candidates.repair_frame
+
+        def counting(*args):
+            calls.append(args)
+            return repair(*args)
+
+        decoder.candidates.repair_frame = counting
+        mixed = False
+        for sections, count in ((302, 8), (3002, 3)):
+            s = _channel_words(decoder, sections, count)
+            frames, repaired = [], 0
+            for row in s:
+                del calls[:]
+                frames.append(decoder.decode_words(row, metric))
+                repaired += len(calls)
+            mixed |= 0 < repaired < count
+            del calls[:]
+            labels, path_metric, ties = decoder.decode_words(s, metric)
+            assert len(calls) == (repaired > 0)
+            assert labels.shape == s.shape
+            assert len(path_metric) == len(ties) == count
+            for i, want in enumerate(frames):
+                assert np.array_equal(labels[i], want[0]), (sections, i)
+                assert (path_metric[i], ties[i]) == want[1:], (sections, i)
+        assert mixed == ((name, path) not in NO_REPAIR_PATHS)
+
+    def test_batch_of_one_is_its_frame(self, decoder):
+        s = _channel_words(decoder, 40, 1)
+        labels, path_metric, ties = decoder.decode_words(s)
+        want = decoder.decode_words(s[0])
+        assert np.array_equal(labels, want[0][None])
+        assert (path_metric, ties) == ([want[1]], [want[2]])
+
+    def test_first_failing_frame_raises(self):
+        # [3,1,2] has unrealizable syndromes, which the candidate refuses;
+        # with every Pauli forbidden, Viterbi refuses any other nonzero
+        # syndrome. Each batch raises what decode raises on its first
+        # failing frame, though the candidate runs on all its frames first
+        decoder = SyndromeDecoder(CODES["312"])
+        forbid = BranchMetric("pauli", (0, INF, INF, INF))
+        rng = np.random.default_rng(3)
+        clean = np.zeros((24, 2), dtype=np.uint8)
+        channel = decoder.measure(sample_error(ChannelParams(0.05), 3 * 21,
+                                               frame_rng(4, 0)))
+        while True:
+            bad = rng.integers(0, 2, size=clean.shape).astype(np.uint8)
+            try:
+                decoder.decode(bad)
+            except DerivationError:
+                break
+        frames = {"clean": clean, "channel": channel, "bad": bad}
+        for order in (("clean", "channel", "bad"), ("clean", "bad", "channel"),
+                      ("bad", "channel"), ("channel", "clean")):
+            s = np.stack([pack_symbols(frames[f], 1) for f in order])
+            first = next(f for f in order if f != "clean")
+            want = _raised(decoder.decode, frames[first], forbid)
+            assert want[0] is (TrellisError if first == "channel"
+                               else DerivationError)
+            assert _raised(decoder.decode_words, s, forbid) == want, order

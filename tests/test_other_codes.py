@@ -9,7 +9,7 @@ import pytest
 from qconvdec.circuits import DerivationError
 from qconvdec.decoder import SyndromeDecoder
 from qconvdec.stabilizer import StabilizerSpec, check_symplectic
-from qconvdec.trellis import coset_leader_oracle
+from qconvdec.oracle import coset_leader_oracle
 
 from reference_simulate import padded_frame
 

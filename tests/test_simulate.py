@@ -1,10 +1,12 @@
 import threading
+import time
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qconvdec import simulate
 from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
 from qconvdec.simulate import (
     MAX_THREADS, ChannelParams, SimConfig, frame_rng, metric_for, run_frame,
@@ -172,6 +174,12 @@ class TestSweep:
         with pytest.raises(ValueError, match="flip probability"):
             SimConfig(spec=example_311(), p_values=(0.01, 0.7))
 
+    @pytest.mark.parametrize("metric", ["Hamming", "pauli ", "", "ml"])
+    def test_unknown_metric_refused(self, metric):
+        # refused by the config, before a sweep builds a decoder
+        with pytest.raises(ValueError, match="unknown metric mode"):
+            SimConfig(spec=example_311(), frames=1, metric=metric)
+
     @pytest.mark.parametrize("threads", [0, -3, MAX_THREADS + 1, 10 ** 6])
     def test_thread_count_checked(self, threads):
         # refused by the config itself, before a sweep could start a pool of
@@ -181,6 +189,51 @@ class TestSweep:
             SimConfig(spec=example_311(), frames=1, threads=threads)
         assert threading.active_count() == running
         SimConfig(spec=example_311(), threads=MAX_THREADS)
+
+
+class TestBatchedSweep:
+    """``run_sweep`` decodes runs of same-metric frames in batches of about
+    ``BATCH_SECTIONS`` sections; the batch size must not change a CSV
+    byte, and the totals must be the bit-level reference's frame by
+    frame."""
+
+    @pytest.mark.parametrize("metric_mode", ["hamming", "pauli"])
+    @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
+    def test_batch_size_keeps_csv(self, name, path, metric_mode,
+                                  monkeypatch):
+        decoder = path_decoder(name, path)
+        qubits = 20 * decoder.n
+        cfg = SimConfig(spec=CODES[name], frame_qubits=qubits, frames=5,
+                        p_values=(0.01, 0.05, 0.1), seed=23,
+                        metric=metric_mode, stable_timing=True)
+        blocks = 20 + decoder.pad_blocks
+        csvs = []
+        # default batches, one frame each, and 3 frames that cut across p
+        for sections in (simulate.BATCH_SECTIONS, 1, 3 * blocks):
+            monkeypatch.setattr(simulate, "BATCH_SECTIONS", sections)
+            csvs.append(run_sweep(cfg, decoder).csv_text())
+        assert csvs[0] == csvs[1] == csvs[2]
+        rows = run_sweep(cfg, decoder).rows
+        for row in rows:
+            metric = metric_for(metric_mode, row.p)
+            want = [ref.run_frame(decoder, ChannelParams(row.p), qubits,
+                                  frame_rng(23, i), metric)
+                    for i in range(cfg.frames)]
+            assert (row.qubit_errors, row.frame_errors) == tuple(
+                map(sum, zip(*want)))
+        assert sum(row.qubit_errors for row in rows)
+
+    def test_batch_time_split_by_frames(self, decoder):
+        # one batch holds every row's frames: each row gets an equal share
+        # of its time, and the shares add up to no more than the call
+        cfg = SimConfig(spec=example_311(), frame_qubits=90, frames=4,
+                        p_values=(0.01, 0.02, 0.05), seed=5)
+        t0 = time.perf_counter()
+        rows = run_sweep(cfg, decoder).rows
+        wall_ms = 1000 * (time.perf_counter() - t0)
+        elapsed = [row.elapsed_ms for row in rows]
+        assert max(elapsed) - min(elapsed) <= 1
+        assert sum(elapsed) <= wall_ms + len(rows)
 
 
 class TestSyndromeText:

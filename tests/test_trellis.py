@@ -18,10 +18,11 @@ from qconvdec.stabilizer import (
 from qconvdec.simulate import ChannelParams, frame_rng, metric_for, sample_error
 from qconvdec import trellis as trellis_module
 from qconvdec.levels import row_ids
+from qconvdec.oracle import OracleCapError, coset_leader_oracle
 from qconvdec.trellis import (
-    _AUTOMATON_WORK, _CHUNK_BRANCHES, INF, BranchMetric, OracleCapError,
+    _AUTOMATON_WORK, _CHUNK_BRANCHES, INF, BranchMetric,
     TrellisError, _automaton_levels, _frame_levels, _metric_tables,
-    _with_strides, build_trellis, coset_leader_oracle, pack_sections,
+    _with_strides, build_trellis, pack_sections,
     pauli_costs_for_channel,
     unpack_sections, viterbi_decode, viterbi_path,
 )
