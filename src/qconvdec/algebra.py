@@ -679,10 +679,15 @@ def pack_symbols(x: np.ndarray, bps: int) -> np.ndarray:
     x = np.asarray(x)
     if bps * x.shape[1] > WORD_BITS:
         raise ValueError(f"{x.shape[1]} symbols do not fit a packed word")
-    slices = pack_slices(x, bps)
-    out = np.zeros((len(x), 8), dtype=np.uint8)
-    out[:, :slices.shape[1]] = slices
-    return out.view("<i8")[:, 0]
+    # one integer product: on a frame's few hundred rows, or run cold, it
+    # costs less than the BLAS call of ``pack_slices`` and its byte copy
+    return x.astype(np.int64) @ _word_weights(x.shape[1], bps)
+
+
+@lru_cache(maxsize=64)
+def _word_weights(count: int, bps: int) -> np.ndarray:
+    """(count,) int64 weights 2^(bps c) that pack symbols into a word."""
+    return 1 << (bps * np.arange(count, dtype=np.int64))
 
 
 def unpack_symbols(words, count: int, bps: int) -> np.ndarray:
@@ -695,14 +700,13 @@ def unpack_symbols(words, count: int, bps: int) -> np.ndarray:
 
 
 def word_slices(words, slices: int) -> np.ndarray:
-    """(rows, slices) low bytes of packed words: the input slices of a
-    :class:`ConvolutionKernel` whose inputs are those words. Words (rows,
+    """(rows, slices) low bytes of packed words (rows,): the input slices of
+    a :class:`ConvolutionKernel` whose inputs are those words. Words (rows,
     B) of B frames give (rows, slices, B)."""
     words = np.ascontiguousarray(words, dtype="<i8")
-    if words.ndim > 1:
-        return words.view(np.uint8).reshape(*words.shape, 8).swapaxes(1, 2)[
-            :, :slices]
-    return words.view(np.uint8).reshape(-1, 8)[:, :slices]
+    # a view whose slice axis steps one byte within each word
+    return np.ndarray((len(words), slices, *words.shape[1:]), np.uint8,
+                      words, 0, (words.strides[0], 1, *words.strides[1:]))
 
 
 class ConvolutionKernel:
@@ -740,11 +744,11 @@ class ConvolutionKernel:
         """(window,) packed output words of (blocks, slices) input slices.
         Trailing axes are frames, each convolved alone: (blocks, slices, B)
         gives (window, B), and every frame is sliced as one frame is."""
-        out = np.zeros(window if x.ndim == 2 else (window, *x.shape[2:]),
-                       dtype=np.int64)
+        out = np.zeros((window, *x.shape[2:]), dtype=np.int64)
         nb = len(x)
         for g, tables in enumerate(self.tables):
-            xg = x[:, g]
+            # index once as intp: each tap's gather would convert the bytes
+            xg = x[:, g].astype(np.intp)
             for d, table in enumerate(tables):
                 hi = min(window, nb + d)
                 if hi > d:

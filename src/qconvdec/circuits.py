@@ -126,10 +126,10 @@ class TransferSystem:
     def run_anticausal_words(self, x: np.ndarray, length: int) -> np.ndarray:
         """The first ``length`` coefficients of x @ matrix with every entry
         expanded in powers of 1/D, i.e. from the frame tail down, on packed
-        blocks: (T, slices) input slices in, ``length`` output words out;
-        a (T, slices, B) batch of B frames gives (length, B), as the kernel
-        takes frames. The expansion is exact; only its terms below D^0 are
-        cut."""
+        blocks: (T, slices, B) input slices of B frames in, (length, B)
+        output words out; trailing axes ride along as the kernel takes
+        them, so (T, slices) gives (length,). The expansion is exact; only
+        its terms below D^0 are cut."""
         # out[t] = sum_d N_d u[t + a - d] with u[s] = sum_{i>=1} x[s + iP]
         # (1 / (1 + D^P) = sum_{i>=1} D^-iP) on s >= a - deg N; suffix XORs
         # at stride P, indexed from a - deg N
@@ -138,17 +138,14 @@ class TransferSystem:
         first = self.input_advance - deg + P
         pad = max(-first, 0)
         x = x[max(first, 0):]
-        rows = -(-max(length + deg, pad + len(x)) // P)
-        # a batch's frames ride along with the slices through the XORs
-        flat = (x if x.ndim == 2
-                else x.reshape(len(x), x.shape[1] * x.shape[2]))
-        width = flat.shape[1]
-        u = np.zeros((rows * P, width), dtype=np.uint8)
-        u[pad:pad + len(x)] = flat
-        u = np.bitwise_xor.accumulate(u.reshape(rows, P, width)[::-1],
-                                      axis=0)[::-1].reshape(rows * P, width)
-        if x.ndim > 2:
-            u = u.reshape(rows * P, *x.shape[1:])
+        # at least one row, so that a row's width is always known
+        rows = -(-max(length + deg, pad + len(x), 1) // P)
+        u = np.zeros((rows * P, *x.shape[1:]), dtype=np.uint8)
+        u[pad:pad + len(x)] = x
+        # one row per period, the slices and frames riding along: the XORs
+        # run down its columns, in place
+        suffix = u.reshape(rows, -1)[::-1]
+        np.bitwise_xor.accumulate(suffix, axis=0, out=suffix)
         return self.kernel(u[:length + deg], length + deg)[deg:]
 
 
@@ -447,11 +444,12 @@ class CandidateBuilder:
     and its ISF on the GF(4) path. The expansion is
     :meth:`TransferSystem.run_anticausal_words` of the ISF.
 
-    :meth:`build_words` works on packed blocks, one int64 word per block
-    with symbol c at bits [bps c, bps (c + 1)) (the label layout of
-    ``trellis.pack_sections``): sigma in, the candidate out, and the
-    residual check and the repair as :class:`ConvolutionKernel` gathers.
-    :meth:`build` is the same map on symbol arrays.
+    :meth:`build_words` works on a batch of frames of packed blocks, one
+    int64 word per block with symbol c at bits [bps c, bps (c + 1)) (the
+    label layout of ``trellis.pack_sections``): sigma in, the candidate
+    out, and the residual check and the repair as :class:`ConvolutionKernel`
+    gathers. :meth:`build` is the same map on one frame's symbol arrays, a
+    batch of one.
     """
 
     def __init__(self, parity: RatMatrix, isf: RatMatrix):
@@ -493,25 +491,27 @@ class CandidateBuilder:
             repair.reshape(out_blocks, self.lanes, -1), f)
 
     def repair_frame(self, defect: np.ndarray, blocks: int) -> np.ndarray:
-        """The first min(defect_blocks, blocks) packed blocks of a frame on
-        ``blocks`` blocks whose syndrome is the head defect (packed, its
-        first defect_blocks blocks) followed by zeros; the frame is zero
-        beyond them. Trailing axes are frames: a (db, B) defect gives B
-        repairs from one kernel call, and any frame without one raises."""
-        # the defect as the little-endian bytes of one flat block of db r
-        # symbols
-        bits = self.r * self.bps
-        if defect.ndim > 1:
-            x = np.packbits((defect[:, None] >> np.arange(bits)[:, None] & 1)
-                            .reshape(-1, defect.shape[1]).astype(np.uint8),
-                            axis=0, bitorder="little")[None]
-        else:
-            flat = 0
-            for j, word in enumerate(defect.tolist()):
-                flat |= word << (j * bits)
-            x = np.frombuffer(flat.to_bytes(self._repair.slices, "little"),
-                              dtype=np.uint8)[None]
-        sol = self._repair(x, self._repair.taps.shape[0])
+        """The first min(defect_blocks, blocks) packed blocks of the frames
+        on ``blocks`` blocks whose syndromes are the head defects (packed,
+        (defect_blocks, B), one frame per column) followed by zeros, as
+        (min(defect_blocks, blocks), B); the frames are zero beyond them.
+        The B repairs run together, and any frame without one raises."""
+        # each defect as the little-endian bytes of one flat block of db r
+        # symbols, built as a Python int (faster than ``np.packbits`` on
+        # the few frames a batch repairs)
+        bits, flat = self.r * self.bps, bytearray()
+        for frame in defect.T.tolist():
+            word = 0
+            for j, block in enumerate(frame):
+                word |= block << (j * bits)
+            flat += word.to_bytes(self._repair.slices, "little")
+        x = np.frombuffer(flat, dtype=np.uint8).reshape(
+            -1, self._repair.slices)
+        # the kernel on one input block: each slice's tables give all the
+        # output blocks of its byte at once
+        sol = np.zeros((len(self._repair.taps), len(x)), dtype=np.int64)
+        for tables, xg in zip(self._repair.tables, x.T):
+            sol ^= tables.take(xg, axis=1)
         db = self.defect_blocks
         if sol[db:].any():
             raise DerivationError(
@@ -532,37 +532,32 @@ class CandidateBuilder:
         return out
 
     def build_words(self, s: np.ndarray, blocks: int) -> np.ndarray:
-        """Candidate frame W as ``blocks`` packed blocks, with its syndrome
-        over blocks + m blocks == the packed syndrome s (at most ``blocks``
-        words) zero-extended. A (B, words) batch gives (B, blocks): its
-        expansion, residual and window check run once on every frame, and
+        """Candidate frames W, (B, blocks) packed blocks, of a (B, words)
+        batch of packed syndromes s (at most ``blocks`` words each): each
+        frame's syndrome over blocks + m blocks is its s zero-extended. The
+        expansion, residual and window check run once on the batch, and
         when any frame has a head defect, one :meth:`repair_frame` call
         repairs them all (a zero defect takes a zero repair)."""
-        if s.ndim > 1:
-            # the frames ride along a trailing axis, so that every step
-            # slices blocks as it does on one frame
-            return self._build_words(s.T, blocks).T
-        return self._build_words(s, blocks)
-
-    def _build_words(self, s: np.ndarray, blocks: int) -> np.ndarray:
-        """:meth:`build_words` of one frame's words, or of a batch's on the
-        trailing axis of s, giving the candidates on that axis."""
+        # the frames ride along a trailing axis, so that every step slices
+        # blocks as it would one frame
+        s = s.T
         W = self.isf.run_anticausal_words(
             word_slices(s, self.isf.kernel.slices), blocks)
         resid = self._residual(W, s, blocks + self.m)
         db = self.defect_blocks
-        if resid[db:].any():
-            raise DerivationError(
-                "ISF candidate defect outside the head window: the ISF "
-                "entries need more padding lookahead than the frame carries")
         if resid.any():
+            if resid[db:].any():
+                raise DerivationError(
+                    "ISF candidate defect outside the head window: the ISF "
+                    "entries need more padding lookahead than the frame "
+                    "carries")
             head = self.repair_frame(resid[:db], blocks)
             W[:len(head)] ^= head
             # the repair is supported on the first db blocks, so the
             # residual can only have changed on blocks [0, db + m)
             if self._residual(W, s, len(head) + self.m).any():
                 raise DerivationError("candidate repair failed")
-        return W
+        return W.T
 
     def build(self, sigma: np.ndarray, blocks: int) -> np.ndarray:
         """Candidate frame W, block layout (blocks, lanes), with its syndrome
@@ -574,5 +569,6 @@ class CandidateBuilder:
         if sigma[blocks:].any():
             raise ValueError(f"syndrome is nonzero beyond the {blocks}-block "
                              "frame")
-        W = self.build_words(pack_symbols(sigma[:blocks], self.bps), blocks)
-        return unpack_symbols(W, self.lanes, self.bps)
+        W = self.build_words(pack_symbols(sigma[:blocks], self.bps)[None],
+                             blocks)
+        return unpack_symbols(W[0], self.lanes, self.bps)

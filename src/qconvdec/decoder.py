@@ -128,34 +128,33 @@ class SyndromeDecoder:
             raise ValueError(
                 f"syndrome has {sigma.shape[0]} blocks; it needs at least one "
                 f"data block beyond the {self.pad_blocks} padding blocks")
+        # one copy of a strided syndrome: the bit check below reduces a
+        # column slice or a transpose several times slower
+        sigma = np.ascontiguousarray(sigma)
         _check_bits(sigma)
-        labels, path_metric, ties = self.decode_words(pack_symbols(sigma, 1),
-                                                      metric)
+        labels, path_metric, ties = self.decode_words(
+            pack_symbols(sigma, 1)[None], metric)
         bits = self._label_bits.take(labels, axis=0)
         return DecodedError(frame=ErrorFrame(bits.reshape(-1)),
-                            path_metric=path_metric, tie_count=ties)
+                            path_metric=path_metric[0], tie_count=ties[0])
 
     def decode_words(self, s: np.ndarray, metric: BranchMetric | None = None,
-                     ) -> tuple[np.ndarray, int, int]:
-        """Core of :meth:`decode`: (error label per block, path metric, ties)
-        of unchecked syndrome words, as ``spec.syndrome_kernel`` packs them.
-
-        A (B, blocks) batch gives (B, blocks) labels and B path metrics and
-        tie counts, lists of ints. The candidate and Viterbi each run once
-        on the batch; a batch of one runs as its frame. A batch raises what
-        :meth:`decode` raises on its first failing frame, as it then decodes
-        its frames one by one."""
-        if s.ndim > 1 and len(s) == 1:
-            labels, path_metric, ties = self.decode_words(s[0], metric)
-            return labels[None], [path_metric], [ties]
+                     ) -> tuple[np.ndarray, list[int], list[int]]:
+        """Core of :meth:`decode`: ((B, blocks) error labels, lists of B
+        path metrics and B tie counts) of a (B, blocks) batch of unchecked
+        syndrome words, as ``spec.syndrome_kernel`` packs them, through one
+        candidate and one Viterbi call; one frame is a batch of one. A
+        failing batch raises what :meth:`decode` raises on its first
+        failing frame."""
         try:
             w = self.candidates.build_words(self._syndrome_words(s),
-                                            s.shape[-1])
+                                            s.shape[1])
             labels, path_metric, ties = viterbi_path(self.trellis, w, metric)
         except ValueError:
-            if s.ndim > 1:
-                for frame in s:
-                    self.decode_words(frame, metric)
+            # a frame that fails alone raises its error; when all before
+            # the last decode, the last one failed, with the batch's error
+            for frame in s[:-1]:
+                self.decode_words(frame[None], metric)
             raise
         return labels ^ w, path_metric, ties
 

@@ -141,25 +141,31 @@ def compose(maps: np.ndarray) -> np.ndarray:
 
 
 def level_walk(levels: Levels, depth: int, keys: np.ndarray,
-               ) -> tuple[np.ndarray, int]:
-    """(the point before each bottom step, the point after the last) of a
-    walk from point 0 over the bottom keys ``keys``, whose count is a
-    multiple of 2^depth. The ids are composed up to level ``depth``, one
-    gather per level; the walk takes one Python step per level-``depth``
-    stride; the point before the second half of each level-l stride is
-    the first half's map of the point before it, one gather per level."""
+               ) -> tuple[np.ndarray, list[int]]:
+    """(the point before each bottom step, the walks end to end; the point
+    after the last step of each walk) of B walks from point 0 over the
+    bottom keys ``keys`` (B, steps), whose step count is a multiple of
+    2^depth. The ids are composed up to level ``depth``, one gather per
+    level; each walk takes one Python step per level-``depth`` stride; the
+    point before the second half of each level-l stride is the first
+    half's map of the point before it, one gather per level. No stride
+    spans two walks, so every gather runs on the walks laid end to end."""
     at = [levels.level(l) for l in range(depth + 1)]
-    ids = [at[0][0].take(keys)]
+    ids = [at[0][0].take(keys.reshape(-1))]
     for (table, _), (_, below) in zip(at[1:], at):
         pairs = np.multiply(ids[-1][0::2], len(below), dtype=np.intp)
         pairs += ids[-1][1::2]
         ids.append(pairs if table is None else table.take(pairs))
     points = at[0][1].shape[1]
     flat = memoryview(at[depth][1].reshape(-1))
-    before, p = [], 0
-    for row in np.multiply(ids[-1], points, dtype=np.intp).tolist():
-        before.append(p)
-        p = flat[row + p]
+    before, ends = [], []
+    for walk in np.multiply(ids[-1], points, dtype=np.intp).reshape(
+            len(keys), -1).tolist():
+        p = 0
+        for row in walk:
+            before.append(p)
+            p = flat[row + p]
+        ends.append(p)
     before = np.fromiter(before, np.intp, len(ids[-1]))
     for l in reversed(range(depth)):
         first = np.multiply(ids[l][0::2], points, dtype=np.intp)
@@ -168,4 +174,4 @@ def level_walk(levels: Levels, depth: int, keys: np.ndarray,
         both[0::2] = before
         both[1::2] = at[l][1].reshape(-1).take(first)
         before = both
-    return before, p
+    return before, ends

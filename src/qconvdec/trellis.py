@@ -26,8 +26,9 @@ n / (2^l k) Python steps each, plus gathers. A trellis whose
 automaton would pass a work budget (many states) runs add-compare-select
 section by section in chunks, and only there are survivors and ties read
 off the recorded metrics, by the same rule; its traceback reads one
-survivor per section. A batch of frames walks and traces back each frame
-alone and runs every gather once on the batch.
+survivor per section. Viterbi takes a batch of frames, one frame being a
+batch of one: each frame walks and traces back alone, and every gather runs
+once on the batch.
 """
 
 from __future__ import annotations
@@ -261,6 +262,10 @@ class BranchMetric:
                         dtype=np.int64)
 
 
+# the metric of a decode that names none
+_HAMMING = BranchMetric()
+
+
 def _saturated_sum(qubit_costs: np.ndarray) -> np.ndarray:
     """Row sums of per-qubit costs; a row holding a forbidden (``INF``) cost
     sums to ``INF``."""
@@ -307,25 +312,20 @@ def _metric_tables(trellis: Trellis, metric: BranchMetric) -> tuple[
     """(low, first, count, automaton), built once per metric: over packed
     labels x, the least of ``cost[x ^ parallel[m]]`` over members m, the
     first m attaining it and the number that do; and the metric's
-    automaton (None when it would pass ``_AUTOMATON_WORK``)."""
-    def build():
+    automaton (None when it would pass ``_AUTOMATON_WORK``). The oldest
+    metric's tables go past 16."""
+    tables = trellis._tables.get(metric)
+    if tables is None:
+        if len(trellis._tables) >= 16:
+            del trellis._tables[next(iter(trellis._tables))]
         cost_of = metric.xor_table(trellis)
         member = cost_of[np.arange(len(cost_of))[:, None] ^ trellis.parallel]
         low = member.min(axis=1)
         hit = member == low[:, None]
         folded = low, hit.argmax(axis=1), hit.sum(axis=1)
-        return *folded, _build_automaton(trellis, folded)
-    return _cached(trellis._tables, metric, build)
-
-
-def _cached(table: dict, key, build):
-    """table[key], built on first use; the oldest entry goes past 16."""
-    value = table.get(key)
-    if value is None:
-        if len(table) >= 16:
-            del table[next(iter(table))]
-        value = table[key] = build()
-    return value
+        tables = trellis._tables[metric] = (
+            *folded, _build_automaton(trellis, folded))
+    return tables
 
 
 @dataclass(frozen=True)
@@ -359,6 +359,7 @@ class _MetricAutomaton:
     leave of ``_STRIDE_WORK``."""
 
     vectors: np.ndarray      # (vectors, states)
+    zero: list               # (vectors,): the zero state's metric, as ints
     step: np.ndarray         # (vectors, L): next vector
     tally: np.ndarray        # (2, vectors * (L + 1)): gain and ties
     col: np.ndarray          # (vectors, L + 1): survivor column id
@@ -517,11 +518,13 @@ def _with_strides(vectors: np.ndarray, step: np.ndarray, gain: np.ndarray,
 
     weights = np.arange(k - 1, -1, -1)
     return _MetricAutomaton(
-        vectors=vectors, step=step,
+        vectors=vectors, zero=vectors[:, 0].tolist(), step=step,
         tally=np.stack([padded(gain).reshape(-1), padded(ties).reshape(-1)]),
         col=padded(col[1:].reshape(nvec, labels).astype(back_type)),
         cols=cols, label=padded(label), stride=k,
-        classes=classes, class_weights=nclass ** weights,
+        # int64 like their weights, so that no class key is cast on its way
+        # into the rows of ``within``
+        classes=classes.astype(np.int64), class_weights=nclass ** weights,
         walk=[memoryview(row) for row in after.reshape(nvec, -1)],
         within=within,
         col_weights=(ncol ** weights * nstates).astype(back_type),
@@ -570,26 +573,12 @@ def _survivor_branches(trellis: Trellis, offsets: np.ndarray,
             trellis.pred_label.take(at) ^ trellis.parallel[offsets // preds])
 
 
-def _traceback(came: np.ndarray) -> np.ndarray:
-    """The state each section of the survivor path enters, for the path
-    that ends in the zero state; ``came[j, t]`` is the predecessor of state
-    t's survivor at section j. The walk back reads one entry per section,
-    through a memoryview that makes no Python int per entry."""
-    sections, nstates = came.shape
-    flat = memoryview(came.ravel())
-    path, s = [], 0
-    for row in range(len(flat) - nstates, -1, -nstates):
-        path.append(s)
-        s = flat[row + s]
-    return np.fromiter(reversed(path), np.intp, sections)
-
-
 def _chunked_pass(trellis: Trellis, folded: Sequence[np.ndarray],
-                  w: np.ndarray,
-                  ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """(survivor predecessors, survivor labels, ties, end metrics) of
-    packed labels ``w`` from add-compare-select section by section, in
-    chunks of sections; the survivors are (section, state) arrays."""
+                  w: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """(path labels, path metric, ties) of one frame of packed labels ``w``
+    from add-compare-select section by section, in chunks of sections,
+    and a traceback over its (section, state) survivors from the zero
+    state, one survivor per section."""
     low = folded[0]
     nstates, sections = trellis.num_states, len(w)
     chunk = max(1, _CHUNK_BRANCHES // (nstates * trellis.num_inputs))
@@ -615,31 +604,42 @@ def _chunked_pass(trellis: Trellis, folded: Sequence[np.ndarray],
         came[c0:c0 + size], label[c0:c0 + size] = _survivor_branches(
             trellis, offsets)
         ties += int(chunk_ties.sum())
-    return came, label, ties, metric_now
+    if metric_now[0] >= INF:
+        raise TrellisError("no zero-terminated path fits the frame")
+    # the state each section enters, read back through a memoryview that
+    # makes no Python int per entry
+    flat, path, s = memoryview(came.ravel()), [], 0
+    for row in range(len(flat) - nstates, -1, -nstates):
+        path.append(s)
+        s = flat[row + s]
+    path = np.fromiter(reversed(path), np.intp, sections)
+    return label[np.arange(sections), path], int(metric_now[0]), ties
 
 
 def viterbi_decode(trellis: Trellis, candidate: np.ndarray,
                    metric: BranchMetric | None = None) -> DecodeResult:
     """Minimum-metric valid codeword for a candidate frame; the error pattern
     is their symbol-wise difference (XOR in characteristic 2). The frame is
-    packed, run through :func:`viterbi_path` and the path unpacked."""
+    packed, run through :func:`viterbi_path` as a batch of one and the path
+    unpacked."""
     if candidate.ndim != 2 or candidate.shape[1] != trellis.out_symbols:
         raise TrellisError(
             f"candidate must be (sections, {trellis.out_symbols})")
     labels, path_metric, ties = viterbi_path(
-        trellis, pack_sections(candidate, trellis), metric)
-    codeword = unpack_sections(labels, trellis)
+        trellis, pack_sections(candidate, trellis)[None], metric)
+    codeword = unpack_sections(labels[0], trellis)
     return DecodeResult(codeword=codeword,
                         error=codeword ^ candidate.astype(np.uint8),
-                        path_metric=path_metric, tie_count=ties)
+                        path_metric=path_metric[0], tie_count=ties[0])
 
 
 def viterbi_path(trellis: Trellis, w: np.ndarray,
                  metric: BranchMetric | None = None,
-                 ) -> tuple[np.ndarray, int, int]:
-    """(packed section labels, path metric, tie count) of the minimum-metric
-    codeword for a candidate of packed section labels ``w`` (one int per
-    section, as :func:`pack_sections` gives).
+                 ) -> tuple[np.ndarray, list[int], list[int]]:
+    """((B, n) packed section labels, B path metrics, B tie counts) of the
+    minimum-metric codewords for B candidates of n packed section labels,
+    ``w`` (B, n) (one int per section, as :func:`pack_sections` gives); the
+    metrics and counts are lists of ints. One frame is a batch of one.
 
     The path starts and ends in the zero state (the padded tail gives the
     trellis room to merge back). Ties prefer the smaller most recent input
@@ -668,32 +668,20 @@ def viterbi_path(trellis: Trellis, w: np.ndarray,
     cost per (predecessor, state) and section from the metric's least-cost
     table, runs add-compare-select section by section, and reads its
     survivors and ties off the recorded metrics by the same rule
-    (``_select``); its traceback (``_traceback``) reads one survivor per
-    section. The survivor labels on the path are the codeword's packed
-    sections.
-
-    A (B, n) batch gives (B, n) labels and B path metrics and tie counts,
-    lists of ints (``_batch_path``). Each frame walks and traces back by
-    the Python loops or ``level_walk`` above; every gather is one call on
-    the batch. The first frame that has no path raises.
+    (``_select``); its traceback reads one survivor per section, frame by
+    frame. The survivor labels on the path are the codeword's packed
+    sections. On the automaton the frames' strides lie end to end, so that
+    every gather is one call on the batch, and each frame walks and traces
+    back alone.
     """
-    if metric is None:
-        metric = BranchMetric()
-    *folded, automaton = _metric_tables(trellis, metric)
-    if w.ndim > 1:
-        if automaton is not None:
-            return _batch_path(automaton, w)
-        labels, path_metric, ties = zip(*(viterbi_path(trellis, x, metric)
-                                          for x in w))
-        return np.stack(labels), list(path_metric), list(ties)
+    *folded, automaton = _metric_tables(trellis, metric or _HAMMING)
     if automaton is None:
-        came, label, ties, metric_now = _chunked_pass(trellis, folded, w)
-        if metric_now[0] >= INF:
-            raise TrellisError("no zero-terminated path fits the frame")
-        return (label[np.arange(len(w)), _traceback(came)],
-                int(metric_now[0]), ties)
+        labels, metrics, ties = zip(*(_chunked_pass(trellis, folded, x)
+                                      for x in w))
+        return np.stack(labels), list(metrics), list(ties)
 
-    a, k, n = automaton, automaton.stride, len(w)
+    a, k, (frames, n) = automaton, automaton.stride, w.shape
+    nstates = a.vectors.shape[1]
     blocks = -(-n // k)
     walk_depth, back_depth = _frame_levels(a, blocks)
     # whole top strides of the deeper walk
@@ -702,99 +690,56 @@ def viterbi_path(trellis: Trellis, w: np.ndarray,
     if blocks * k > n:
         # the no-op label L, the last one ``classes`` holds
         noop = len(a.classes) - 1
-        w = np.concatenate((w, np.full(blocks * k - n, noop,
-                                        dtype=np.min_scalar_type(noop))))
-    w = w.reshape(blocks, k)
+        w = np.concatenate((w, np.full((frames, blocks * k - n), noop,
+                                        dtype=np.min_scalar_type(noop))),
+                           axis=1)
+    # the frames' strides end to end: every gather runs on them at once, and
+    # each walk restarts at a frame's first stride
+    w = w.reshape(frames * blocks, k)
     keys = a.classes.take(w) @ a.class_weights
     walk = a.walk
-    if top > 1:
-        walk_levels, back_levels = _automaton_levels(a)
     if walk_depth:
-        ids, v = level_walk(walk_levels, walk_depth, keys)
+        ids, ends = level_walk(_automaton_levels(a)[0], walk_depth,
+                               keys.reshape(frames, blocks))
     else:
-        ids, v = [], 0
-        for key in keys.tolist():
-            ids.append(v)
-            v = walk[v][key]
-        ids = np.fromiter(ids, np.intp, blocks)
-    end = int(a.vectors[v, 0])
-    if end >= INF:
-        raise TrellisError("no zero-terminated path fits the frame")
+        ids, ends = [], []
+        for frame in keys.reshape(frames, blocks).tolist():
+            v = 0
+            for key in frame:
+                ids.append(v)
+                v = walk[v][key]
+            ends.append(v)
+        ids = np.fromiter(ids, np.intp, len(keys))
     # the flat (vector, packed label) key of every section, in a dtype
     # that holds it times the states
     flat = a.within.take(ids * len(walk[0]) + keys, axis=0) + w
     runs = a.col.take(flat) @ a.col_weights
+    # the traceback walks the frames from the end of the last: each of
+    # them reversed, in reverse order
+    back = runs[::-1].reshape(frames, blocks)
     if back_depth:
-        # the traceback is a walk over the survivor-column maps read from
-        # the end: the state after each stride is the point before it
-        after = level_walk(back_levels, back_depth,
-                           runs[::-1] // a.vectors.shape[1])[0]
+        # a walk over the survivor-column maps, whose point before each
+        # stride is the state after it
+        after = level_walk(_automaton_levels(a)[1], back_depth,
+                           back // nstates)[0]
         rows = runs + after[::-1]
     else:
-        rows, s = [], 0
-        back = a.back
-        for b in runs[::-1].tolist():
-            b += s
-            rows.append(b)
-            s = back[b]
-        rows = np.fromiter(reversed(rows), np.intp, blocks)
-    states = a.back_within.take(rows, axis=0)
-    labels = a.label.take(flat * a.vectors.shape[1] + states)
-    gain, ties = np.add.reduce(a.tally.take(flat, axis=1),
-                               axis=(1, 2)).tolist()
-    return labels.reshape(-1)[:n], end + gain, ties
-
-
-def _batch_path(a: _MetricAutomaton, w: np.ndarray,
-                ) -> tuple[np.ndarray, list[int], list[int]]:
-    """:func:`viterbi_path` of a (B, n) batch on the metric's automaton:
-    each frame walks and traces back alone, and every gather is one call
-    on the (B, strides, k) batch."""
-    k, (frames, n) = a.stride, w.shape
-    blocks = -(-n // k)
-    walk_depth, back_depth = _frame_levels(a, blocks)
-    top = 1 << max(walk_depth, back_depth)
-    blocks = -(-blocks // top) * top
-    noop = len(a.classes) - 1
-    padded = np.full((frames, blocks * k), noop, dtype=np.promote_types(
-        w.dtype, np.min_scalar_type(noop)))
-    padded[:, :n] = w
-    w = padded.reshape(frames, blocks, k)
-    keys = a.classes.take(w) @ a.class_weights
-    walk, back, nstates = a.walk, a.back, a.vectors.shape[1]
-    if walk_depth:
-        ids, ends = zip(*(level_walk(_automaton_levels(a)[0], walk_depth,
-                                     row) for row in keys))
-        ids = np.stack(ids)
-    else:
-        ids, ends = [], []
-        for row in keys.tolist():
-            v = 0
-            for key in row:
-                ids.append(v)
-                v = walk[v][key]
-            ends.append(v)
-        ids = np.fromiter(ids, np.intp, keys.size).reshape(keys.shape)
-    end = a.vectors[list(ends), 0]
-    if end.max() >= INF:
-        raise TrellisError("no zero-terminated path fits the frame")
-    flat = a.within.take(ids * len(walk[0]) + keys, axis=0) + w
-    runs = a.col.take(flat) @ a.col_weights
-    # each frame's state after every stride, from its end
-    if back_depth:
-        after = np.stack([level_walk(_automaton_levels(a)[1], back_depth,
-                                     row[::-1] // nstates)[0]
-                          for row in runs])
-    else:
-        after = []
-        for row in runs[:, ::-1].tolist():
+        rows, table = [], a.back
+        for frame in back.tolist():
             s = 0
-            for b in row:
-                after.append(s)
-                s = back[b + s]
-        after = np.fromiter(after, np.intp, runs.size).reshape(runs.shape)
-    states = a.back_within.take(runs + after[:, ::-1], axis=0)
-    labels = a.label.take(flat * nstates + states)
-    gain, ties = np.add.reduce(a.tally.take(flat, axis=1), axis=(2, 3))
-    return (labels.reshape(frames, -1)[:, :n], (end + gain).tolist(),
-            ties.tolist())
+            for b in frame:
+                b += s
+                rows.append(b)
+                s = table[b]
+        rows = np.fromiter(reversed(rows), np.intp, len(runs))
+    states = a.back_within.take(rows, axis=0)
+    labels = a.label.take(flat * nstates + states).reshape(frames, -1)
+    metric, ties = np.add.reduce(a.tally.take(flat, axis=1).reshape(
+        2, frames, -1), axis=2).tolist()
+    # a path ends in the zero state of its frame's last vector, unreachable
+    # at INF, and its metric adds that state's to the gains
+    for f, v in enumerate(ends):
+        if a.zero[v] >= INF:
+            raise TrellisError("no zero-terminated path fits the frame")
+        metric[f] += a.zero[v]
+    return labels[:, :n], metric, ties

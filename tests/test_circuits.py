@@ -1,10 +1,11 @@
 import time
 from collections import Counter
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qconvdec.algebra import (
     GF2, GF4, W, WBAR, DegreeCapError, Poly, RatMatrix, RationalFn,
@@ -166,12 +167,37 @@ def closed_form(matrix, taps):
         return DegreeCapError
 
 
+def uncapped_rational_taps(system):
+    """``rational_taps`` with no degree cap on its products, which can pass
+    the cap on the way to an N within it. It raises DegreeCapError where
+    ``TransferSystem.taps`` must: at a pole period past the cap (the period
+    keeps its cap) or at an N of degree past it."""
+    with mock.patch.object(qconvdec.algebra, "_DEGREE_CAP", 4096):
+        N = rational_taps(system)
+    if len(N) - 1 > qconvdec.algebra._DEGREE_CAP:
+        raise DegreeCapError(f"N has degree {len(N) - 1}")
+    return N
+
+
+def gf4_hb(rows):
+    return RatMatrix.from_polys([[p(e, GF4) for e in row] for row in rows])
+
+
 @settings(max_examples=60, deadline=None)
 @given(hb=full_row_rank_hb())
+# the reference's intermediate products reach degree 514 on these, for an
+# ISF whose N has degree 508 (a = 0, P = 510)
+@example(hb=gf4_hb([["0", "w2+D^2", "1+w2*D", "0", "0"],
+                    ["1+D+w2*D^2", "w2*D+D^2", "w2+w2*D+D^2", "0", "0"],
+                    ["1+D+w*D^2", "1+D", "w2+D+w*D^2", "0", "0"]]))
+@example(hb=gf4_hb([["1", "0", "D^2", "0"],
+                    ["D^2", "D+w*D^2", "1", "0"],
+                    ["0", "1+D+D^2", "D^2", "0"]]))
 def test_adjugate_isf_is_the_elimination_inverse(hb):
     # the adjugate ISF is the reference elimination's RatMatrix, and its
     # closed forms, by exact division, are the reference's by rational
-    # products: the tick ISF on both fields, the block ISF on GF(2)
+    # products (run with no cap on those products): the tick ISF on both
+    # fields, the block ISF on GF(2)
     try:
         want = left_inverse(hb.transpose())
     except DegreeCapError:
@@ -188,7 +214,7 @@ def test_adjugate_isf_is_the_elimination_inverse(hb):
         forms.append((block_isf_matrix(got), block_isf_matrix(want)))
     for ours, ref in forms:
         assert closed_form(ours, lambda system: system.taps) == \
-            closed_form(ref, rational_taps)
+            closed_form(ref, uncapped_rational_taps)
 
 
 # the two polynomial kernel bases construction derives, each certified by

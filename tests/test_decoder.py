@@ -136,6 +136,24 @@ class TestSyndromeEntries:
             assert (got.path_metric, got.tie_count) == (want.path_metric,
                                                         want.tie_count)
 
+    @pytest.mark.parametrize("path", ["bin", "f4"])
+    def test_strided_syndromes_decode(self, path, decoder, decoder_f4):
+        # a column slice of a wider array and a Fortran-order copy decode
+        # as their contiguous copy does
+        dec = decoder_f4 if path == "f4" else decoder
+        for i in range(5):
+            sigma = dec.measure(sample_error(ChannelParams(0.05), 300,
+                                             frame_rng(42, i)))
+            want = dec.decode(sigma)
+            wide = np.zeros((len(sigma), 5), dtype=sigma.dtype)
+            wide[:, 1:5:2] = sigma
+            for strided in (wide[:, 1:5:2], np.asfortranarray(sigma)):
+                assert not strided.flags.c_contiguous
+                got = dec.decode(strided)
+                assert got.frame == want.frame
+                assert (got.path_metric, got.tie_count) == (
+                    want.path_metric, want.tie_count)
+
 
 class TestPaddingCoversCandidateReach:
     @pytest.fixture(scope="class")
@@ -370,7 +388,8 @@ class TestBatchDecode:
             frames, repaired = [], 0
             for row in s:
                 del calls[:]
-                frames.append(decoder.decode_words(row, metric))
+                one = decoder.decode_words(row[None], metric)
+                frames.append((one[0][0], one[1][0], one[2][0]))
                 repaired += len(calls)
             mixed |= 0 < repaired < count
             del calls[:]
@@ -384,11 +403,17 @@ class TestBatchDecode:
         assert mixed == ((name, path) not in NO_REPAIR_PATHS)
 
     def test_batch_of_one_is_its_frame(self, decoder):
-        s = _channel_words(decoder, 40, 1)
-        labels, path_metric, ties = decoder.decode_words(s)
-        want = decoder.decode_words(s[0])
-        assert np.array_equal(labels, want[0][None])
-        assert (path_metric, ties) == ([want[1]], [want[2]])
+        # decode is decode_words on a batch of one: its frame holds the
+        # frame bits of the batch's one row of labels
+        sigma = decoder.measure(sample_error(ChannelParams(0.05),
+                                             decoder.n * 38, frame_rng(40, 0)))
+        labels, path_metric, ties = decoder.decode_words(
+            pack_symbols(sigma, 1)[None])
+        out = decoder.decode(sigma)
+        assert labels.shape == (1, len(sigma))
+        assert np.array_equal(out.frame.block_bytes(decoder.n),
+                              decoder.label_bytes.take(labels[0], axis=0))
+        assert ([out.path_metric], [out.tie_count]) == (path_metric, ties)
 
     def test_first_failing_frame_raises(self):
         # [3,1,2] has unrealizable syndromes, which the candidate refuses;

@@ -17,13 +17,17 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qconvdec.algebra import pack_symbols
 from qconvdec.cli import main
 from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
 from qconvdec.simulate import ChannelParams, frame_rng, sample_error
 from qconvdec.stabilizer import F4LinearityError, StabilizerSpec
-from qconvdec.trellis import BranchMetric, pauli_costs_for_channel
+from qconvdec.trellis import (
+    BranchMetric, pauli_costs_for_channel, unpack_sections,
+)
 
 from reference_data import CODES, spec_text
 
@@ -78,6 +82,33 @@ def decode_records(spec: StabilizerSpec) -> dict:
     return out
 
 
+def batch_records(spec: StabilizerSpec) -> dict:
+    """:func:`decode_records` of the same frames decoded in batches through
+    ``decode_words``: all of a path's frames in one batch under Hamming,
+    and those of each p in one batch under that p's Pauli metric."""
+    out = {}
+    for path, decoder in decoders(spec).items():
+        p_of = [P_VALUES[i % len(P_VALUES)] for i in range(FRAMES)]
+        words = np.stack([pack_symbols(decoder.measure(sample_error(
+            ChannelParams(p), spec.n * DATA_BLOCKS, frame_rng(SEED, i))), 1)
+            for i, p in enumerate(p_of)])
+        per_metric = {"hamming": [None] * FRAMES, "pauli": [None] * FRAMES}
+        batches = [("hamming", None, list(range(FRAMES)))]
+        batches += [("pauli", channel_metric(p),
+                     [i for i in range(FRAMES) if p_of[i] == p])
+                    for p in P_VALUES]
+        for name, metric, frames in batches:
+            labels, path_metric, ties = decoder.decode_words(words[frames],
+                                                             metric)
+            for row, i in enumerate(frames):
+                frame = decoder.symbols_to_frame(
+                    unpack_sections(labels[row], decoder.trellis))
+                per_metric[name][i] = [frame.to_pauli(), path_metric[row],
+                                       ties[row]]
+        out[path] = per_metric
+    return out
+
+
 def record() -> dict:
     return {code: {"derive": derive_dump(spec),
                    "decodes": decode_records(spec)}
@@ -97,6 +128,11 @@ def test_derive_dump_pinned(golden, code):
 @pytest.mark.parametrize("code", sorted(CODES))
 def test_decodes_pinned(golden, code):
     assert decode_records(CODES[code]) == golden[code]["decodes"]
+
+
+@pytest.mark.parametrize("code", sorted(CODES))
+def test_batch_decodes_pinned(golden, code):
+    assert batch_records(CODES[code]) == golden[code]["decodes"]
 
 
 if __name__ == "__main__":

@@ -409,11 +409,11 @@ class TestViterbiReference:
                 for w, want in frames:
                     for dtype in dtypes:
                         labels, path_metric, ties = viterbi_path(
-                            t, w.astype(dtype), metric)
-                        assert np.array_equal(unpack_sections(labels, t),
+                            t, w.astype(dtype)[None], metric)
+                        assert np.array_equal(unpack_sections(labels[0], t),
                                               want.codeword)
-                        assert (path_metric, ties) == (want.path_metric,
-                                                       want.tie_count)
+                        assert (path_metric, ties) == ([want.path_metric],
+                                                       [want.tie_count])
 
     @pytest.mark.parametrize("metric", ["hamming", "pauli"])
     @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
@@ -440,11 +440,11 @@ class TestViterbiReference:
                 want = reference_viterbi.viterbi_decode(
                     _reference(name, path), w, metric)
                 labels, path_metric, ties = viterbi_path(
-                    t, pack_sections(w, t), metric)
-                assert np.array_equal(unpack_sections(labels, t),
+                    t, pack_sections(w, t)[None], metric)
+                assert np.array_equal(unpack_sections(labels[0], t),
                                       want.codeword)
-                assert (path_metric, ties) == (want.path_metric,
-                                               want.tie_count)
+                assert (path_metric, ties) == ([want.path_metric],
+                                               [want.tie_count])
         assert used == {tuple(0 if levels is None else levels.depth(wanted)
                               for levels in _automaton_levels(automaton))
                         for wanted in range(5)}
@@ -457,7 +457,7 @@ class TestViterbiReference:
         decoder = _decoder(name, path)
         t = decoder.trellis
         w = pack_sections(next(_reference_candidates(
-            decoder, 3002, np.random.default_rng(20))), t)
+            decoder, 3002, np.random.default_rng(20))), t)[None]
         automaton = _metric_tables(t, BranchMetric())[3]
         assert sum(_frame_levels(automaton, -(-3002 // automaton.stride)))
         labels, path_metric, ties = viterbi_path(t, w)
@@ -886,15 +886,27 @@ def _chunk_boundaries(trellis):
 
 def _assert_matches_reference(t, ref, w, metric, passes=PASSES):
     """viterbi_decode on trellis ``t`` against the reference decoder on
-    ``ref``, the reference tables of the same generator."""
+    ``ref``, the reference tables of the same generator; and viterbi_path
+    on the (3, n) batch of w, w reversed and zeros, each row against the
+    reference's decode of its frame."""
     want = reference_viterbi.viterbi_decode(ref, w, metric)
+    frames = (w, w[::-1], np.zeros_like(w))
+    rows = [want] + [reference_viterbi.viterbi_decode(ref, f, metric)
+                     for f in frames[1:]]
+    batch = np.stack([pack_sections(f, t) for f in frames])
     for name in passes:
         with _forward_pass(name, t):
             got = viterbi_decode(t, w, metric)
+            labels, path_metric, ties = viterbi_path(t, batch, metric)
         assert np.array_equal(got.codeword, want.codeword)
         assert np.array_equal(got.error, want.error)
         assert (got.path_metric, got.tie_count) == (
             want.path_metric, want.tie_count)
+        for i, row in enumerate(rows):
+            assert np.array_equal(unpack_sections(labels[i], t),
+                                  row.codeword), (name, i)
+            assert (path_metric[i], ties[i]) == (
+                row.path_metric, row.tie_count), (name, i)
     return want.tie_count
 
 
