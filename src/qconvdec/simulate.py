@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import re
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import pack_slices
 from .decoder import SyndromeDecoder
 from .stabilizer import ErrorFrame, StabilizerSpec
 from .trellis import BranchMetric, pauli_costs_for_channel
@@ -60,17 +62,50 @@ class ChannelParams:
 
 
 def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
-    """Counter-based per-frame stream: identical regardless of scheduling."""
+    """Counter-based per-frame stream: identical regardless of scheduling.
+    It is ``default_rng([seed, frame_index])``. Two ints in [0, 2^32) are
+    that list's two entropy words as they stand, so they seed the same
+    stream from a uint32 array without the list's coercion; any other pair
+    goes through ``default_rng``, which raises its errors."""
+    if (type(seed) is int and type(frame_index) is int
+            and 0 <= seed < 1 << 32 and 0 <= frame_index < 1 << 32):
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            np.array([seed, frame_index], dtype=np.uint32))))
     return np.random.default_rng([seed, frame_index])
+
+
+def _channel_flips(p: Sequence[float], qubits: int,
+                   rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """(B, qubits, 2) X and Z flips of B channel draws over ``qubits``
+    qubits, as uint8: frame b flips each bit with probability ``p[b]``,
+    its X bits from the first ``qubits`` uniforms of ``rngs[b]`` and its Z
+    bits from the next ``qubits``. Each frame's uniforms are one
+    ``random`` call, the same stream as two calls of ``qubits``."""
+    uniforms = np.empty((len(rngs), 2, qubits))
+    for row, rng in zip(uniforms, rngs):
+        rng.random(out=row)
+    flips = np.empty((len(rngs), qubits, 2), dtype=np.uint8)
+    np.less(uniforms, np.asarray(p, dtype=float)[:, None, None],
+            out=flips.transpose(0, 2, 1))
+    return flips
+
+
+def sample_blocks(p: Sequence[float], qubits: int,
+                  rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
+    """(B, blocks, ceil(2n / 8)) bytes of B channel draws over ``qubits``
+    qubits, frame b at flip probability ``p[b]`` from ``rngs[b]`` as
+    :func:`sample_error` draws it: one row of ``ErrorFrame.block_bytes``
+    per block of n qubits, packed in one call for the batch."""
+    flips = _channel_flips(p, qubits, rngs)
+    return pack_slices(flips.reshape(-1, 2 * n), 1).reshape(
+        len(flips), qubits // n, -1)
 
 
 def sample_error(params: ChannelParams, qubits: int,
                  rng: np.random.Generator) -> ErrorFrame:
-    """Channel draw for the data span; padding qubits stay error-free."""
-    bits = np.zeros(2 * qubits, dtype=np.uint8)
-    bits[0::2] = rng.random(qubits) < params.p
-    bits[1::2] = rng.random(qubits) < params.p
-    return ErrorFrame(bits)
+    """Channel draw for the data span, a batch of one of
+    :func:`_channel_flips`; padding qubits stay error-free."""
+    return ErrorFrame(_channel_flips([params.p], qubits, [rng]).reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -149,25 +184,26 @@ def run_frame(decoder: SyndromeDecoder, params: ChannelParams,
               metric: BranchMetric | None = None) -> tuple[int, int]:
     """(mismatched data qubits, frame error flag) for one channel draw: a
     batch of one frame of :func:`run_sweep`."""
-    x = sample_error(params, data_qubits, rng).block_bytes(decoder.n)
-    frame = np.zeros((1, len(x) + decoder.pad_blocks, x.shape[1]),
-                     dtype=np.uint8)
-    frame[0, :len(x)] = x
-    mism = int(_mismatches(decoder, frame, len(x), metric)[0])
+    mism = int(_mismatches(decoder, sample_blocks(
+        [params.p], data_qubits, [rng], decoder.n), metric)[0])
     return mism, 1 if mism else 0
 
 
-def _mismatches(decoder: SyndromeDecoder, x: np.ndarray, data_blocks: int,
+def _mismatches(decoder: SyndromeDecoder, x: np.ndarray,
                 metric: BranchMetric | None) -> np.ndarray:
-    """Mismatched data qubits of each frame of a batch: packed frames, one
-    row of ``ErrorFrame.block_bytes`` per block in (B, blocks, bytes) ``x``
-    and zero past ``data_blocks``, through one syndrome kernel call (the
-    frames on its trailing axis), one ``decode_words`` call and one
-    score."""
-    s = decoder.spec.syndrome_kernel(x.transpose(1, 2, 0), x.shape[1]).T
+    """Mismatched data qubits of each frame of a batch of packed data
+    frames, (B, data blocks, bytes) ``x`` as :func:`sample_blocks` gives
+    them: padded with clean blocks, measured in one syndrome kernel call
+    (the frames on its trailing axis), decoded in one ``decode_words`` call
+    and scored at once."""
+    frames, data_blocks, width = x.shape
+    padded = np.zeros((frames, data_blocks + decoder.pad_blocks, width),
+                      dtype=np.uint8)
+    padded[:, :data_blocks] = x
+    s = decoder.spec.syndrome_kernel(padded.transpose(1, 2, 0),
+                                     padded.shape[1]).T
     labels = decoder.decode_words(s, metric)[0]
-    diff = (decoder.label_bytes.take(labels[:, :data_blocks], axis=0)
-            ^ x[:, :data_blocks])
+    diff = decoder.label_bytes.take(labels[:, :data_blocks], axis=0) ^ x
     return _BYTE_QUBITS.take(diff).sum(axis=(1, 2))
 
 
@@ -212,10 +248,11 @@ def run_sweep(config: SimConfig,
     Frames are drawn in (p, index) order and decoded in batches of about
     ``BATCH_SECTIONS`` sections: a batch spans consecutive p values with the
     same branch metric (every p under Hamming, one p under Pauli), and its
-    frames share one syndrome kernel call, one ``decode_words`` call and
-    one score. A row's ``elapsed_ms`` is the wall time of the batches it
-    takes part in, each split among its p values by their frames in it. The
-    first frame, in sweep order, that fails to decode raises."""
+    frames share one draw and pack (:func:`sample_blocks`), one syndrome
+    kernel call, one ``decode_words`` call and one score. A row's
+    ``elapsed_ms`` is the wall time of the batches it takes part in, each
+    split among its p values by their frames in it. The first frame, in
+    sweep order, that fails to decode raises."""
     if decoder is None:
         decoder = SyndromeDecoder(config.spec)
     elif decoder.spec != config.spec:
@@ -224,21 +261,17 @@ def run_sweep(config: SimConfig,
     data_qubits, n = config.frame_qubits, config.spec.n
     data_blocks = data_qubits // n
     blocks = data_blocks + decoder.pad_blocks
-    params = [ChannelParams(p) for p in config.p_values]
     metrics = [metric_for(config.metric, p) for p in config.p_values]
-    qubit_errors = [0] * len(params)
-    frame_errors = [0] * len(params)
-    seconds = [0.0] * len(params)
+    qubit_errors = [0] * len(metrics)
+    frame_errors = [0] * len(metrics)
+    seconds = [0.0] * len(metrics)
     for batch in _batches(metrics, config.frames,
                           max(1, BATCH_SECTIONS // blocks)):
         t0 = time.perf_counter()
-        # ceil(2n / 8) bytes per block, as ``block_bytes`` packs them
-        x = np.zeros((len(batch), blocks, -(-n // 4)), dtype=np.uint8)
-        for frame, (row, idx) in zip(x, batch):
-            frame[:data_blocks] = sample_error(
-                params[row], data_qubits,
-                frame_rng(config.seed, idx)).block_bytes(n)
-        mism = _mismatches(decoder, x, data_blocks, metrics[batch[0][0]])
+        x = sample_blocks([config.p_values[row] for row, _ in batch],
+                          data_qubits,
+                          [frame_rng(config.seed, idx) for _, idx in batch], n)
+        mism = _mismatches(decoder, x, metrics[batch[0][0]])
         share = (time.perf_counter() - t0) / len(batch)
         for (row, _), m in zip(batch, mism.tolist()):
             qubit_errors[row] += m

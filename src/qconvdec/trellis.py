@@ -20,15 +20,16 @@ sections per lookup: the walk over label classes (labels whose next vectors
 agree), the traceback over survivor columns. Above them, levels composed
 pairwise (``levels``) key a stride of 2^l k sections by the id of its
 composed map: vector to vector for the walk, state to state for the
-traceback. A long frame takes as many levels as keep its top walk at least
-``_LEVEL_STEPS`` steps long, so it is one walk and one traceback of about
-n / (2^l k) Python steps each, plus gathers. A trellis whose
-automaton would pass a work budget (many states) runs add-compare-select
-section by section in chunks, and only there are survivors and ties read
-off the recorded metrics, by the same rule; its traceback reads one
-survivor per section. Viterbi takes a batch of frames, one frame being a
-batch of one: each frame walks and traces back alone, and every gather runs
-once on the batch.
+traceback. A batch of frames takes as many levels as keep its top walk, the
+frames end to end, at least ``_LEVEL_STEPS`` steps long and each frame at
+least ``_TOP_STRIDES`` top strides long, so a frame of n sections is one
+walk and one traceback of about n / (2^l k) Python steps each, plus
+gathers. A trellis whose automaton would pass a work budget (many states)
+runs add-compare-select section by section in chunks, and only there are
+survivors and ties read off the recorded metrics, by the same rule; its
+traceback reads one survivor per section. Viterbi takes a batch of frames,
+one frame being a batch of one: each frame walks and traces back alone, and
+every gather runs once on the batch.
 """
 
 from __future__ import annotations
@@ -58,9 +59,13 @@ _AUTOMATON_WORK = 1 << 20
 # walk and traceback table entries per metric: its automaton advances the
 # largest number of sections per lookup whose tables fit
 _STRIDE_WORK = 1 << 21
-# Python steps a level-composed walk keeps at least: a frame of b strides
-# composes levels while b / 2^levels stays at or above this
+# Python steps a level-composed walk keeps at least: a batch of b strides,
+# its frames end to end, composes levels while b / 2^levels stays at or
+# above this
 _LEVEL_STEPS = 128
+# top strides each frame of a level-composed batch keeps at least: a
+# frame's no-op padding, under one top stride, stays under this share of it
+_TOP_STRIDES = 8
 # trellis state budget, checked before any branch table is allocated
 _MAX_STATES = 1 << 20
 
@@ -355,7 +360,7 @@ class _MetricAutomaton:
     ``levels`` holds the composed levels above these strides (``Levels``):
     the walk's over the vector maps ``walk[v][key]`` of each key and the
     traceback's over the state maps ``back[key S:(key + 1) S]``, built on
-    the first frame long enough to use them, within what the stride tables
+    the first batch long enough to use them, within what the stride tables
     leave of ``_STRIDE_WORK``."""
 
     vectors: np.ndarray      # (vectors, states)
@@ -373,7 +378,7 @@ class _MetricAutomaton:
     col_weights: np.ndarray  # (stride,)
     back: memoryview         # (U^k * states,)
     back_within: np.ndarray  # (U^k * states, stride)
-    # (walk, traceback) Levels, built on the first frame that composes
+    # (walk, traceback) Levels, built on the first batch that composes
     levels: dict = dataclasses.field(default_factory=dict, repr=False,
                                      compare=False)
 
@@ -533,7 +538,7 @@ def _with_strides(vectors: np.ndarray, step: np.ndarray, gain: np.ndarray,
 
 def _automaton_levels(a: _MetricAutomaton,
                       ) -> tuple[Levels | None, Levels | None]:
-    """The automaton's (walk, traceback) levels, built on the first frame
+    """The automaton's (walk, traceback) levels, built on the first batch
     that composes. They share what its stride tables leave of
     ``_STRIDE_WORK``, the traceback first, and a top stride spans at most
     ``_STRIDE_WORK`` sections."""
@@ -549,11 +554,15 @@ def _automaton_levels(a: _MetricAutomaton,
     return a.levels["walk"], a.levels["back"]
 
 
-def _frame_levels(a: _MetricAutomaton, blocks: int) -> tuple[int, int]:
-    """(walk, traceback) composed levels of a frame of ``blocks`` strides:
-    as many as keep its top walk at least ``_LEVEL_STEPS`` Python steps
-    long, up to those the automaton's levels hold."""
-    wanted = (blocks // _LEVEL_STEPS).bit_length() - 1
+def _frame_levels(a: _MetricAutomaton, blocks: int,
+                  frames: int = 1) -> tuple[int, int]:
+    """(walk, traceback) composed levels of a batch of ``frames`` frames of
+    ``blocks`` strides each: as many as keep the batch's top walk, its
+    frames end to end, at least ``_LEVEL_STEPS`` Python steps long, and
+    each frame at least ``_TOP_STRIDES`` top strides long, up to those the
+    automaton's levels hold. At one frame the second bound never binds."""
+    wanted = min((frames * blocks // _LEVEL_STEPS).bit_length(),
+                 (blocks // _TOP_STRIDES).bit_length()) - 1
     if wanted < 1:
         return 0, 0
     return tuple(0 if levels is None else levels.depth(wanted)
@@ -655,14 +664,18 @@ def viterbi_path(trellis: Trellis, w: np.ndarray,
     The tie count, the path metric and the survivors' column ids are
     gathers on those keys. The traceback takes one Python step per stride
     back to the state before it, one gather of ``back_within`` gives the
-    states inside each stride, and one more the path's survivor labels. A
-    frame of b strides, b >= 2 ``_LEVEL_STEPS``, is padded to whole strides
-    of 2^l k sections instead, l = floor(log2(b / ``_LEVEL_STEPS``)) as far
-    as the automaton's levels reach (``_frame_levels``): its walk and its
-    traceback compose their stride keys up l levels, one gather per level,
-    take one Python step per top stride, and recover the vector before and
-    the state after each k-section stride on the way down, one gather per
-    level (``levels.level_walk``); the same gathers as above finish. A
+    states inside each stride, and one more the path's survivor labels.
+    Levels are chosen on the batch: B frames of b strides each, with B b >=
+    2 ``_LEVEL_STEPS`` and b >= 2 ``_TOP_STRIDES``, are each padded to whole
+    strides of 2^l k sections instead, l = floor(log2(min(B b /
+    ``_LEVEL_STEPS``, b / ``_TOP_STRIDES``))) as far as the automaton's
+    levels reach (``_frame_levels``), so that a frame's padding stays under
+    one top stride in ``_TOP_STRIDES``; at B = 1 the second bound never
+    binds. The walk and the traceback compose their stride keys up l
+    levels, one gather per level, take one Python step per top stride of
+    each frame, and recover the vector before and the state after each
+    k-section stride on the way down, one gather per level
+    (``levels.level_walk``); the same gathers as above finish. A
     trellis with no automaton walks the frame in chunks of sections
     holding about ``_CHUNK_BRANCHES`` branches: a chunk gathers one folded
     cost per (predecessor, state) and section from the metric's least-cost
@@ -683,7 +696,7 @@ def viterbi_path(trellis: Trellis, w: np.ndarray,
     a, k, (frames, n) = automaton, automaton.stride, w.shape
     nstates = a.vectors.shape[1]
     blocks = -(-n // k)
-    walk_depth, back_depth = _frame_levels(a, blocks)
+    walk_depth, back_depth = _frame_levels(a, blocks, frames)
     # whole top strides of the deeper walk
     top = 1 << max(walk_depth, back_depth)
     blocks = -(-blocks // top) * top

@@ -1,10 +1,13 @@
-"""Reference Monte Carlo frame and syndrome text: the bit-level formulations
-that ``simulate.run_frame``, ``syndrome_to_text`` and ``syndrome_from_text``
-replace, kept to check them against.
+"""Reference channel draw, Monte Carlo frame and syndrome text: the
+bit-level formulations that ``simulate.sample_error``, ``run_frame``,
+``syndrome_to_text`` and ``syndrome_from_text`` replace, kept to check them
+against.
 
-The frame is padded by concatenation, measured by ``gf_convolve`` on its
-(blocks, 2n) block layout, decoded through ``decode`` into a bit frame and
-scored qubit by qubit on the data span. The syndrome text is built and read
+The draw takes two ``random`` calls per frame, X bits then Z bits, written
+into every other place of the bit vector. The frame is padded by
+concatenation, measured by ``gf_convolve`` on its (blocks, 2n) block
+layout, decoded through ``decode`` into a bit frame and scored qubit by
+qubit on the data span. The syndrome text is built and read
 as one Python integer, shifted once per bit.
 """
 
@@ -13,8 +16,16 @@ from __future__ import annotations
 import numpy as np
 
 from qconvdec.algebra import GF2, gf_convolve
-from qconvdec.simulate import sample_error
 from qconvdec.stabilizer import ErrorFrame
+
+
+def sample_error(params, qubits, rng):
+    """Channel draw for the data span: X bits from the first ``qubits``
+    uniforms, Z bits from the next ``qubits``."""
+    bits = np.zeros(2 * qubits, dtype=np.uint8)
+    bits[0::2] = rng.random(qubits) < params.p
+    bits[1::2] = rng.random(qubits) < params.p
+    return ErrorFrame(bits)
 
 
 def padded_frame(decoder, frame: ErrorFrame) -> ErrorFrame:

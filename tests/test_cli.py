@@ -280,10 +280,10 @@ class TestInputContract:
         # a 3e9-qubit frame used to die with numpy's _ArrayMemoryError
         # traceback from the channel draw; the draw here raises at once, so
         # the test allocates nothing
-        def draw(params, qubits, rng):
+        def draw(p, qubits, rngs, n):
             raise MemoryError(f"Unable to allocate {qubits} draws")
 
-        monkeypatch.setattr(qconvdec.simulate, "sample_error", draw)
+        monkeypatch.setattr(qconvdec.simulate, "sample_blocks", draw)
         assert main(["simulate", spec_file, "--frames", "1",
                      "--frame-qubits", "3000000000"]) == 2
         captured = capsys.readouterr()

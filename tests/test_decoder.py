@@ -373,7 +373,10 @@ class TestBatchDecode:
         metric = metric_for(metric_mode, 0.05)
         automaton = _metric_tables(decoder.trellis,
                                    metric or BranchMetric())[3]
+        # one frame of 302 sections composes no level on most paths, and
+        # a batch of 8 composes on every path
         assert sum(_frame_levels(automaton, -(-3002 // automaton.stride)))
+        assert sum(_frame_levels(automaton, -(-302 // automaton.stride), 8))
         calls = []
         repair = decoder.candidates.repair_frame
 

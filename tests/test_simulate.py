@@ -57,11 +57,72 @@ class TestChannel:
         b = sample_error(ChannelParams(0.05), 500, frame_rng(7, 3))
         assert a == b
 
+    @pytest.mark.parametrize("p", [0.0, 0.01, 0.3])
+    def test_matches_two_call_reference(self, p):
+        # one random call per frame draws the stream of two calls of
+        # ``qubits``: X bits from the first, Z bits from the second
+        for qubits in (1, 2, 7, 900):
+            got = sample_error(ChannelParams(p), qubits, frame_rng(3, qubits))
+            want = ref.sample_error(ChannelParams(p), qubits,
+                                    frame_rng(3, qubits))
+            assert got.bits.dtype == np.uint8
+            assert got == want, qubits
+
     def test_coupled_monotone_in_p(self):
         # same stream, larger p: flip set only grows
         a = sample_error(ChannelParams(0.02), 2000, frame_rng(5, 1))
         b = sample_error(ChannelParams(0.08), 2000, frame_rng(5, 1))
         assert not (a.bits & ~b.bits).any()
+
+
+class TestFrameRng:
+    """``frame_rng(seed, index)`` is ``default_rng([seed, index])``: the
+    same stream on both sides of the uint32 fast path, and the same
+    errors."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 311, 2 ** 32 - 1, 2 ** 32,
+                                      2 ** 64])
+    @pytest.mark.parametrize("index", [0, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 64])
+    def test_stream_is_default_rng(self, seed, index):
+        got = frame_rng(seed, index).random(8)
+        want = np.random.default_rng([seed, index]).random(8)
+        assert np.array_equal(got, want)
+
+    def test_bool_seeds_as_int(self):
+        assert np.array_equal(frame_rng(True, 1).random(4),
+                              frame_rng(1, 1).random(4))
+        assert np.array_equal(frame_rng(2, False).random(4),
+                              frame_rng(2, 0).random(4))
+
+    @pytest.mark.parametrize("seed,index", [(-1, 0), (0, -1), (-2 ** 40, 3)])
+    def test_negative_refused(self, seed, index):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            frame_rng(seed, index)
+
+    @pytest.mark.parametrize("seed,index",
+                             [(3.0, 1), (3, 1.0), (2.0 ** 40, 0)])
+    def test_non_integer_refused(self, seed, index):
+        with pytest.raises(TypeError):
+            frame_rng(seed, index)
+
+
+class TestBatchDraw:
+    """``sample_blocks`` draws and packs a batch of frames at once; each
+    row is its frame's ``sample_error`` packed on its own."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 6), st.integers(1, 40), st.lists(
+        st.tuples(st.sampled_from([0.0, 0.001, 0.05, 0.2, 0.49]),
+                  st.integers(0, 2 ** 33)), min_size=1, max_size=12))
+    def test_rows_are_frames_of_one(self, n, blocks, frames):
+        qubits = n * blocks
+        got = simulate.sample_blocks([p for p, _ in frames], qubits,
+                                     [frame_rng(9, i) for _, i in frames], n)
+        assert got.shape == (len(frames), blocks, -(-n // 4))
+        assert got.dtype == np.uint8
+        for row, (p, i) in zip(got, frames):
+            want = sample_error(ChannelParams(p), qubits, frame_rng(9, i))
+            assert np.array_equal(row, want.block_bytes(n))
 
 
 @pytest.fixture(scope="module")

@@ -418,11 +418,11 @@ class TestViterbiReference:
     @pytest.mark.parametrize("metric", ["hamming", "pauli"])
     @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
     def test_levels_match_reference(self, name, path, metric):
-        # at _LEVEL_STEPS = 1 a frame of b strides wants floor(log2 b)
-        # composed levels: frames of 1 .. 16k + 1 sections fall on both
-        # sides of each threshold up to 4 levels and, within each level
-        # count, end in every tail length modulo the top stride; each gives
-        # the reference's path, metric and ties
+        # at _LEVEL_STEPS = _TOP_STRIDES = 1 a frame of b strides wants
+        # floor(log2 b) composed levels: frames of 1 .. 16k + 1 sections
+        # fall on both sides of each threshold up to 4 levels and, within
+        # each level count, end in every tail length modulo the top stride;
+        # each gives the reference's path, metric and ties
         decoder = _decoder(name, path)
         t = decoder.trellis
         metric = (BranchMetric() if metric == "hamming"
@@ -431,7 +431,8 @@ class TestViterbiReference:
         k = automaton.stride
         rng = np.random.default_rng(19)
         used = set()
-        with mock.patch.object(trellis_module, "_LEVEL_STEPS", 1):
+        with mock.patch.object(trellis_module, "_LEVEL_STEPS", 1), \
+                mock.patch.object(trellis_module, "_TOP_STRIDES", 1):
             for sections in range(1, 16 * k + 2):
                 used.add(_frame_levels(automaton, -(-sections // k)))
                 w = rng.integers(0, 1 << t.bits_per_symbol,
@@ -612,12 +613,20 @@ class TestAutomaton:
     def test_level_rule(self, path):
         # a 302-section [3,1,1] frame runs the bottom strides alone; a
         # 3,002-section one walks over 4-section and traces back over
-        # 16-section strides
+        # 16-section strides. Levels are chosen on a batch's strides: ten
+        # 302-section frames compose as one 3,002-section frame does, and
+        # 108 of them (a sweep batch of 2^15 sections) stop at the 4
+        # traceback levels that leave each frame 8 top strides, though one
+        # frame of their total length takes 6
         automaton = _metric_tables(_decoder("311", path).trellis,
                                    BranchMetric())[3]
         assert automaton.stride == 2
         assert _frame_levels(automaton, 151) == (0, 0)
         assert _frame_levels(automaton, 1501) == (1, 3)
+        assert _frame_levels(automaton, 151, 10) == (1, 3)
+        assert _frame_levels(automaton, 151, 108) == (1, 4)
+        assert _frame_levels(automaton, 151 * 108) == (1, 6)
+        assert 151 >> 4 >= trellis_module._TOP_STRIDES > 151 >> 5
 
     @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
     def test_steps_match_add_compare_select(self, name, path):
