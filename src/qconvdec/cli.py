@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -88,12 +89,15 @@ def cmd_simulate(args) -> int:
         threads=args.threads,
         stable_timing=args.stable_timing,
     )
-    result = run_sweep(config)
-    print(result.rate_info)
-    text = result.csv_text()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    # a bad --out path fails before the sweep, not after it
+    with (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
+          else contextlib.nullcontext()) as fh:
+        result = run_sweep(config)
+        text = result.csv_text()
+        if fh:
             fh.write(text)
+    print(result.rate_info)
+    if args.out:
         print(f"wrote {args.out}")
     for row in result.rows:
         print(f"p={row.p!r} qber={row.qber:.3e} fer={row.fer:.3e}")

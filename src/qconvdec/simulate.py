@@ -76,26 +76,29 @@ def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
 
 def _channel_flips(p: Sequence[float], qubits: int,
                    rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """(B, qubits, 2) X and Z flips of B channel draws over ``qubits``
-    qubits, as uint8: frame b flips each bit with probability ``p[b]``,
-    its X bits from the first ``qubits`` uniforms of ``rngs[b]`` and its Z
-    bits from the next ``qubits``. Each frame's uniforms are one
-    ``random`` call, the same stream as two calls of ``qubits``."""
+    """(len(p) · len(rngs), qubits, 2) X and Z flips over ``qubits`` qubits,
+    as uint8, p-major: frame r · len(rngs) + i flips each bit with
+    probability ``p[r]``, its X bits from the first ``qubits`` uniforms of
+    ``rngs[i]`` and its Z bits from the next ``qubits``. Each stream is
+    drawn once, one ``random`` call (the same stream as two calls of
+    ``qubits``), and every p compares against the same uniforms, so a
+    frame's flips at a lower p are a subset of its flips at a higher p."""
     uniforms = np.empty((len(rngs), 2, qubits))
     for row, rng in zip(uniforms, rngs):
         rng.random(out=row)
-    flips = np.empty((len(rngs), qubits, 2), dtype=np.uint8)
-    np.less(uniforms, np.asarray(p, dtype=float)[:, None, None],
-            out=flips.transpose(0, 2, 1))
-    return flips
+    flips = np.empty((len(p), len(rngs), qubits, 2), dtype=np.uint8)
+    np.less(uniforms, np.asarray(p, dtype=float)[:, None, None, None],
+            out=flips.transpose(0, 1, 3, 2))
+    return flips.reshape(-1, qubits, 2)
 
 
 def sample_blocks(p: Sequence[float], qubits: int,
                   rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
-    """(B, blocks, ceil(2n / 8)) bytes of B channel draws over ``qubits``
-    qubits, frame b at flip probability ``p[b]`` from ``rngs[b]`` as
-    :func:`sample_error` draws it: one row of ``ErrorFrame.block_bytes``
-    per block of n qubits, packed in one call for the batch."""
+    """(len(p) · len(rngs), blocks, ceil(2n / 8)) bytes of the p-major grid
+    of channel draws over ``qubits`` qubits: frame r · len(rngs) + i at
+    flip probability ``p[r]`` from ``rngs[i]`` as :func:`sample_error`
+    draws it, one row of ``ErrorFrame.block_bytes`` per block of n qubits,
+    packed in one call for the grid."""
     flips = _channel_flips(p, qubits, rngs)
     return pack_slices(flips.reshape(-1, 2 * n), 1).reshape(
         len(flips), qubits // n, -1)
@@ -126,6 +129,8 @@ class SimConfig:
             raise ValueError("frame_qubits must be divisible by n")
         if self.frames < 1:
             raise ValueError("need at least one frame")
+        if not self.p_values:
+            raise ValueError("need at least one p value")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 1 <= self.threads <= MAX_THREADS:
@@ -222,37 +227,22 @@ def metric_for(config_metric: str, p: float) -> BranchMetric | None:
         ch.p_identity, ch.p_x, ch.p_y, ch.p_z))
 
 
-def _batches(metrics: list, frames: int, size: int):
-    """Lists of (p row, frame index) in sweep order, at most ``size`` long,
-    each within a run of consecutive rows of one metric."""
-    batch = []
-    for row, metric in enumerate(metrics):
-        if batch and metric != metrics[batch[0][0]]:
-            yield batch
-            batch = []
-        for idx in range(frames):
-            batch.append((row, idx))
-            if len(batch) == size:
-                yield batch
-                batch = []
-    if batch:
-        yield batch
-
-
 def run_sweep(config: SimConfig,
               decoder: SyndromeDecoder | None = None) -> SweepResult:
     """Monte Carlo sweep over p values on the calling thread; deterministic
     given the seed (per-frame RNG streams are keyed by (seed, frame
     index)), whatever ``config.threads`` is.
 
-    Frames are drawn in (p, index) order and decoded in batches of about
-    ``BATCH_SECTIONS`` sections: a batch spans consecutive p values with the
-    same branch metric (every p under Hamming, one p under Pauli), and its
-    frames share one draw and pack (:func:`sample_blocks`), one syndrome
-    kernel call, one ``decode_words`` call and one score. A row's
-    ``elapsed_ms`` is the wall time of the batches it takes part in, each
-    split among its p values by their frames in it. The first frame, in
-    sweep order, that fails to decode raises."""
+    A batch is a range of frame indices across every p row, about
+    ``BATCH_SECTIONS`` sections. Each index of it seeds one stream and
+    draws it once: every p row compares against the same uniforms
+    (:func:`sample_blocks`), so a frame's flips at a lower p are a subset
+    of its flips at a higher p. Each run of consecutive rows with the same
+    branch metric (every row under Hamming, one p under Pauli) is one
+    syndrome kernel call, one ``decode_words`` call and one score. A row's
+    ``elapsed_ms`` is the wall time of the batches, each split equally
+    among the rows, which have the same frames in it. The first frame to
+    fail to decode raises, in (index range, row, index) order."""
     if decoder is None:
         decoder = SyndromeDecoder(config.spec)
     elif decoder.spec != config.spec:
@@ -260,28 +250,32 @@ def run_sweep(config: SimConfig,
                          "spec than the sweep's")
     data_qubits, n = config.frame_qubits, config.spec.n
     data_blocks = data_qubits // n
-    blocks = data_blocks + decoder.pad_blocks
     metrics = [metric_for(config.metric, p) for p in config.p_values]
-    qubit_errors = [0] * len(metrics)
-    frame_errors = [0] * len(metrics)
-    seconds = [0.0] * len(metrics)
-    for batch in _batches(metrics, config.frames,
-                          max(1, BATCH_SECTIONS // blocks)):
+    # where each run of rows with one metric starts, and the end
+    runs = [row for row in range(len(metrics))
+            if row == 0 or metrics[row] != metrics[row - 1]] + [len(metrics)]
+    size = max(1, BATCH_SECTIONS // (data_blocks + decoder.pad_blocks)
+               // len(metrics))
+    qubit_errors = np.zeros(len(metrics), dtype=np.int64)
+    frame_errors = np.zeros(len(metrics), dtype=np.int64)
+    seconds = 0.0
+    for start in range(0, config.frames, size):
         t0 = time.perf_counter()
-        x = sample_blocks([config.p_values[row] for row, _ in batch],
-                          data_qubits,
-                          [frame_rng(config.seed, idx) for _, idx in batch], n)
-        mism = _mismatches(decoder, x, metrics[batch[0][0]])
-        share = (time.perf_counter() - t0) / len(batch)
-        for (row, _), m in zip(batch, mism.tolist()):
-            qubit_errors[row] += m
-            frame_errors[row] += 1 if m else 0
-            seconds[row] += share
+        indices = range(start, min(start + size, config.frames))
+        x = sample_blocks(config.p_values, data_qubits,
+                          [frame_rng(config.seed, idx) for idx in indices], n)
+        mism = np.concatenate([
+            _mismatches(decoder, x[a * len(indices):b * len(indices)],
+                        metrics[a])
+            for a, b in zip(runs, runs[1:])]).reshape(len(metrics), -1)
+        qubit_errors += mism.sum(axis=1, dtype=np.int64)
+        frame_errors += np.count_nonzero(mism, axis=1)
+        seconds += (time.perf_counter() - t0) / len(metrics)
     rows = tuple(SweepRow(
-        p=p, frames=config.frames, qubit_errors=qubit_errors[row],
+        p=p, frames=config.frames, qubit_errors=int(qubit_errors[row]),
         qubits_total=config.frames * data_qubits,
-        frame_errors=frame_errors[row], seed=config.seed,
-        elapsed_ms=0 if config.stable_timing else round(1000 * seconds[row]))
+        frame_errors=int(frame_errors[row]), seed=config.seed,
+        elapsed_ms=0 if config.stable_timing else round(1000 * seconds))
         for row, p in enumerate(config.p_values))
     return SweepResult(
         rows=rows,

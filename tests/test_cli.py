@@ -179,6 +179,57 @@ class TestSimulate:
         assert rc == 2
         assert_one_error_line(capsys.readouterr())
 
+    def test_out_opened_before_sweep(self, spec_file, tmp_path, capsys):
+        # an --out in a missing directory used to fail only after the
+        # whole sweep had run
+        with mock.patch("qconvdec.cli.run_sweep",
+                        side_effect=AssertionError("decoded")):
+            rc = main(["simulate", spec_file, "--out",
+                       str(tmp_path / "missing" / "x.csv")])
+        assert rc == 2
+        assert_one_error_line(capsys.readouterr())
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_argv_fuzz(self, tmp_path_factory, data):
+        # every argv exits 0 or 2, and an exit of 2 prints one error line
+        # and nothing on stdout; one argument ranges over bad values too,
+        # the others over good ones, so that many calls run a sweep
+        good = {"p": st.sampled_from(["0.01", "0,0.2", "1e-3,0.49"]),
+                "frames": st.integers(1, 3),
+                "frame-qubits": st.sampled_from([3, 30]),
+                "seed": st.sampled_from([0, 2 ** 32, 2 ** 64]),
+                "threads": st.integers(1, 64),
+                "out": st.sampled_from([None, "x.csv"])}
+        every = {"p": st.lists(st.sampled_from(
+                     ["", "nan", "inf", "-0.1", "0.5", "0", "0.01"]),
+                     min_size=1, max_size=3).map(",".join),
+                 "frames": st.integers(-2, 3),
+                 "frame-qubits": st.integers(-3, 30),
+                 "seed": st.sampled_from([-2, 0, 2 ** 32, 2 ** 64]),
+                 "threads": st.integers(-1, 65),
+                 "out": st.sampled_from([None, "x.csv", "missing/x.csv"])}
+        free = data.draw(st.sampled_from(sorted(every)), label="free")
+        args = {name: data.draw((every if name == free else good)[name],
+                                label=name) for name in every}
+        tmp = tmp_path_factory.mktemp("sim")
+        spec = tmp / "code.qcc"
+        spec.write_text(EXAMPLE_311_TEXT)
+        argv = ["simulate", str(spec), "--metric",
+                data.draw(st.sampled_from(["hamming", "pauli"]))]
+        argv += [f"--{name}={value if name != 'out' else tmp / value}"
+                 for name, value in args.items() if value is not None]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            rc = main(argv)
+        assert rc in (0, 2), (argv, rc)
+        if rc == 2:
+            assert_one_error_line(mock.Mock(out=stdout.getvalue(),
+                                            err=stderr.getvalue()))
+        else:
+            assert stderr.getvalue() == "", argv
+
     def test_thread_count_checked(self, spec_file, capsys):
         # --threads 0 used to run silently on one thread
         with mock.patch("qconvdec.cli.run_sweep",

@@ -107,22 +107,30 @@ class TestFrameRng:
 
 
 class TestBatchDraw:
-    """``sample_blocks`` draws and packs a batch of frames at once; each
-    row is its frame's ``sample_error`` packed on its own."""
+    """``sample_blocks`` draws and packs the p-major grid of every p with
+    every stream at once; frame (r, i) is ``sample_error`` at ``p[r]`` from
+    stream i, packed on its own."""
 
     @settings(deadline=None, max_examples=60)
-    @given(st.integers(1, 6), st.integers(1, 40), st.lists(
-        st.tuples(st.sampled_from([0.0, 0.001, 0.05, 0.2, 0.49]),
-                  st.integers(0, 2 ** 33)), min_size=1, max_size=12))
-    def test_rows_are_frames_of_one(self, n, blocks, frames):
+    @given(st.integers(1, 6), st.integers(1, 40),
+           st.lists(st.sampled_from([0.0, 0.001, 0.05, 0.2, 0.49]),
+                    min_size=1, max_size=4),
+           st.lists(st.integers(0, 2 ** 33), min_size=1, max_size=6))
+    def test_rows_are_frames_of_one(self, n, blocks, ps, indices):
         qubits = n * blocks
-        got = simulate.sample_blocks([p for p, _ in frames], qubits,
-                                     [frame_rng(9, i) for _, i in frames], n)
-        assert got.shape == (len(frames), blocks, -(-n // 4))
+        got = simulate.sample_blocks(ps, qubits,
+                                     [frame_rng(9, i) for i in indices], n)
+        assert got.shape == (len(ps) * len(indices), blocks, -(-n // 4))
         assert got.dtype == np.uint8
-        for row, (p, i) in zip(got, frames):
-            want = sample_error(ChannelParams(p), qubits, frame_rng(9, i))
-            assert np.array_equal(row, want.block_bytes(n))
+        grid = got.reshape(len(ps), len(indices), blocks, -1)
+        for r, p in enumerate(ps):
+            for c, i in enumerate(indices):
+                want = sample_error(ChannelParams(p), qubits, frame_rng(9, i))
+                assert np.array_equal(grid[r, c], want.block_bytes(n))
+        # each index's flips at a lower p are a subset of those at a higher
+        order = np.argsort(ps, kind="stable")
+        for lower, higher in zip(order, order[1:]):
+            assert not (grid[lower] & ~grid[higher]).any()
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +242,8 @@ class TestSweep:
             SimConfig(spec=example_311(), frame_qubits=90, frames=0)
         with pytest.raises(ValueError, match="flip probability"):
             SimConfig(spec=example_311(), p_values=(0.01, 0.7))
+        with pytest.raises(ValueError, match="at least one p"):
+            SimConfig(spec=example_311(), p_values=())
 
     @pytest.mark.parametrize("metric", ["Hamming", "pauli ", "", "ml"])
     def test_unknown_metric_refused(self, metric):
@@ -283,6 +293,26 @@ class TestBatchedSweep:
             assert (row.qubit_errors, row.frame_errors) == tuple(
                 map(sum, zip(*want)))
         assert sum(row.qubit_errors for row in rows)
+
+    @pytest.mark.parametrize("sections", [simulate.BATCH_SECTIONS, 1])
+    @pytest.mark.parametrize("metric_mode", ["hamming", "pauli"])
+    def test_one_draw_per_index(self, decoder, monkeypatch, metric_mode,
+                                sections):
+        # every p row shares each index's stream: frames calls, not
+        # frames x p
+        calls = []
+
+        def counted(seed, index):
+            calls.append(index)
+            return frame_rng(seed, index)
+
+        monkeypatch.setattr(simulate, "BATCH_SECTIONS", sections)
+        monkeypatch.setattr(simulate, "frame_rng", counted)
+        cfg = SimConfig(spec=example_311(), frame_qubits=30, frames=4,
+                        p_values=(0.01, 0.05, 0.1), seed=3,
+                        metric=metric_mode, stable_timing=True)
+        run_sweep(cfg, decoder)
+        assert sorted(calls) == list(range(cfg.frames))
 
     def test_batch_time_split_by_frames(self, decoder):
         # one batch holds every row's frames: each row gets an equal share
