@@ -19,7 +19,7 @@ from .stabilizer import (
 )
 from .circuits import (
     CandidateBuilder, CatastrophicGeneratorError, CodeBundle, DerivationError,
-    TransferSystem, block_isf_matrix, block_parity_matrix, block_syndrome,
+    PolePeriodError, TransferSystem, block_isf_matrix, block_parity_matrix,
     coset_code_rows, derive_bundle, derive_generator,
     derive_inverse_syndrome_former, derive_syndrome_former,
     polynomial_kernel_basis,

@@ -1,7 +1,9 @@
-"""Exact arithmetic over GF(2) and GF(4): polynomials and rational functions
-in the delay variable D, polynomial determinants and minors, and the numpy
-GF(q) core shared by every constant-matrix computation: one
-reduced-row-echelon elimination and one block-domain convolution.
+"""Exact arithmetic over GF(2) and GF(4) in the delay variable D: polynomial
+tensors (numpy arrays of field elements, one slice per power of D) with
+their products, long division, gcds and determinants; the numpy GF(q) core
+shared by every constant-matrix computation (one reduced-row-echelon
+elimination and one block-domain convolution); and the ``Poly``,
+``RationalFn`` and ``RatMatrix`` values that are parsed and printed.
 
 Field elements are plain ints. GF(4) uses 0, 1, 2, 3 with 2 = w (the
 primitive element), 3 = w^2 = 1 + w; addition is XOR in both fields.
@@ -45,27 +47,14 @@ class Field:
         if order not in (2, 4):
             raise ValueError("only GF(2) and GF(4) are supported")
         self.order = order
-        if order == 2:
-            self._mul = ((0, 0), (0, 1))
-            self._inv = (0, 1)
-        else:
-            # (a0 + a1*w)(b0 + b1*w) with w^2 = 1 + w
-            tbl = [[0] * 4 for _ in range(4)]
-            for a in range(4):
-                for b in range(4):
-                    a0, a1 = a & 1, a >> 1
-                    b0, b1 = b & 1, b >> 1
-                    c0 = (a0 & b0) ^ (a1 & b1)
-                    c1 = (a0 & b1) ^ (a1 & b0) ^ (a1 & b1)
-                    tbl[a][b] = c0 | (c1 << 1)
-            self._mul = tuple(tuple(r) for r in tbl)
-            inv = [0] * 4
-            for a in range(1, 4):
-                inv[a] = next(b for b in range(1, 4) if self._mul[a][b] == 1)
-            self._inv = tuple(inv)
-        # numpy copies of the tables for vectorized elimination/convolution
-        self.mul_table = np.array(self._mul, dtype=np.uint8)
-        self.inv_table = np.array(self._inv, dtype=np.uint8)
+        # (a0 + a1 w)(b0 + b1 w) with w^2 = 1 + w; on GF(2) a1 = b1 = 0
+        a, b = np.indices((order, order), dtype=np.uint8)
+        low = (a & b & 1) ^ (a & b) >> 1
+        high = (a & b >> 1 ^ a >> 1 & b ^ a >> 1 & b >> 1) & 1
+        self.mul_table = low | high << 1
+        self.inv_table = (self.mul_table == 1).argmax(axis=1).astype(np.uint8)
+        # plain copies for scalar products
+        self._mul, self._inv = self.mul_table.tolist(), self.inv_table.tolist()
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
@@ -120,10 +109,6 @@ class Poly:
         return cls((1,), field)
 
     @classmethod
-    def D(cls, field: Field = GF2) -> "Poly":
-        return cls((0, 1), field)
-
-    @classmethod
     def monomial(cls, power: int, coeff: int = 1, field: Field = GF2) -> "Poly":
         return cls((0,) * power + (coeff,), field)
 
@@ -146,59 +131,36 @@ class Poly:
     def leading_coeff(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 
+    def _array(self) -> np.ndarray:
+        return np.array(self.coeffs or (0,), dtype=np.uint8)
+
+    # the arithmetic is the polynomial-tensor core's, on 1-D arrays
+
     def __add__(self, other: "Poly") -> "Poly":
         _check_same_field(self, other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] ^= x
-        return Poly(out, self.field)
+        return Poly(gf_poly_add(self._array(), other._array()).tolist(),
+                    self.field)
 
     __sub__ = __add__  # characteristic 2
 
     def __mul__(self, other: "Poly") -> "Poly":
         _check_same_field(self, other)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
         deg = self.degree + other.degree
-        if deg > _DEGREE_CAP:
+        if deg > _DEGREE_CAP and not (self.is_zero() or other.is_zero()):
             raise DegreeCapError(f"product degree {deg} exceeds cap {_DEGREE_CAP}")
-        mul = self.field.mul
-        out = [0] * (deg + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] ^= mul(a, b)
-        return Poly(out, self.field)
+        return Poly(gf_poly_mul(self._array(), other._array(),
+                                self.field).tolist(), self.field)
 
     def scale(self, c: int) -> "Poly":
-        mul = self.field.mul
-        return Poly((mul(c, x) for x in self.coeffs), self.field)
+        return Poly(self.field.mul_table[c, self._array()].tolist(),
+                    self.field)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         _check_same_field(self, other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        field = self.field
-        rem = list(self.coeffs)
-        dq = self.degree - other.degree
-        if dq < 0:
-            return Poly.zero(field), self
-        quo = [0] * (dq + 1)
-        inv_lead = field.inv(other.leading_coeff())
-        for i in range(dq, -1, -1):
-            top = rem[i + other.degree]
-            if top == 0:
-                continue
-            q = field.mul(top, inv_lead)
-            quo[i] = q
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] ^= field.mul(q, b)
-        return Poly(quo, field), Poly(rem, field)
+        quo, rem = gf_poly_divmod(self._array(), other._array(), self.field)
+        return Poly(quo.tolist(), self.field), Poly(rem.tolist(), self.field)
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
@@ -290,33 +252,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly.zero(a.field)
-    g = poly_gcd(a, b)
-    return (a * b).divmod(g)[0].monic()
-
-
-def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g, g monic."""
-    field = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(field), Poly.zero(field)
-    t0, t1 = Poly.zero(field), Poly.one(field)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 + q * s1
-        t0, t1 = t1, t0 + q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lead_inv = field.inv(r0.leading_coeff())
-    scale = Poly((lead_inv,), field)
-    return r0.monic(), s0 * scale, t0 * scale
-
-
 class RationalFn:
-    """Quotient of polynomials, kept coprime with a monic denominator."""
+    """Quotient of polynomials, kept coprime with a monic denominator: the
+    printed and parsed form of a rational entry; builds work on polynomial
+    tensors over a common denominator instead."""
 
     __slots__ = ("num", "den")
 
@@ -363,26 +302,6 @@ class RationalFn:
     def is_polynomial(self) -> bool:
         return self.den.is_one()
 
-    def pole_order_at_zero(self) -> int:
-        """Order of the pole at D = 0 (0 if causal)."""
-        if self.is_zero():
-            return 0
-        return max(0, self.den.valuation() - self.num.valuation())
-
-    def __add__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(self.num * other.den + other.num * self.den,
-                          self.den * other.den)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    def inverse(self) -> "RationalFn":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return RationalFn(self.den, self.num)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RationalFn)
@@ -414,7 +333,10 @@ def ratio(num: Poly, den: Poly) -> RationalFn:
 
 
 class RatMatrix:
-    """Dense matrix of rational functions over one field."""
+    """Dense matrix of rational functions over one field: what ``derive``
+    prints and a caller may hand a decoder as its ISF. :meth:`fraction` and
+    :meth:`from_coeff_tensor` convert to and from the polynomial tensors
+    that builds work on."""
 
     __slots__ = ("rows", "cols", "entries", "field")
 
@@ -442,53 +364,8 @@ class RatMatrix:
     def from_polys(cls, rows: Sequence[Sequence[Poly]]) -> "RatMatrix":
         return cls([[RationalFn(p) for p in r] for r in rows])
 
-    @classmethod
-    def identity(cls, k: int, field: Field = GF2) -> "RatMatrix":
-        return cls([[RationalFn.one(field) if i == j else RationalFn.zero(field)
-                     for j in range(k)] for i in range(k)], field)
-
     def __getitem__(self, rc: tuple[int, int]) -> RationalFn:
         return self.entries[rc[0]][rc[1]]
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix([[self.entries[r][c] for r in range(self.rows)]
-                          for c in range(self.cols)], self.field)
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        z = RationalFn.zero(self.field)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return RatMatrix(out, self.field)
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return RatMatrix([[self.entries[i][j] + other.entries[i][j]
-                           for j in range(self.cols)] for i in range(self.rows)],
-                         self.field)
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for r in self.entries for e in r)
-
-    def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        one = RationalFn.one(self.field)
-        return all(self.entries[i][j] == (one if i == j else RationalFn.zero(self.field))
-                   for i in range(self.rows) for j in range(self.cols))
 
     def is_polynomial(self) -> bool:
         return all(e.is_polynomial() for r in self.entries for e in r)
@@ -499,24 +376,32 @@ class RatMatrix:
         return [[e.num for e in r] for r in self.entries]
 
     @classmethod
-    def from_coeff_tensor(cls, taps: np.ndarray,
-                          field: Field = GF2) -> "RatMatrix":
-        """Polynomial matrix whose D^d coefficients are ``taps[d]``; the
-        inverse of :meth:`coeff_tensor`."""
+    def from_coeff_tensor(cls, taps: np.ndarray, field: Field = GF2,
+                          den: np.ndarray | None = None) -> "RatMatrix":
+        """The matrix whose entry (i, c) is the polynomial ``taps[:, i, c]``
+        (its D^d coefficient at d) over the polynomial ``den`` (default 1),
+        reduced; the inverse of :meth:`fraction`."""
         _, rows, cols = taps.shape
-        return cls.from_polys([[Poly(taps[:, i, c].tolist(), field)
-                                for c in range(cols)] for i in range(rows)])
+        d = Poly(den.tolist(), field) if den is not None else None
+        return cls([[RationalFn(Poly(taps[:, i, c].tolist(), field), d)
+                     for c in range(cols)] for i in range(rows)], field)
+
+    def fraction(self) -> tuple[np.ndarray, np.ndarray]:
+        """(num, den): the entries over the lcm den of their denominators,
+        num as a (max degree + 1, rows, cols) tensor whose slice d holds the
+        D^d coefficients, and den as a monic polynomial (1-D)."""
+        den = Poly.one(self.field)
+        for row in self.entries:
+            for e in row:
+                den = (den * e.den).divmod(poly_gcd(den, e.den))[0]
+        return gf_stack([[(e.num * den.divmod(e.den)[0])._array()
+                          for e in row] for row in self.entries]), den._array()
 
     def coeff_tensor(self) -> np.ndarray:
         """Polynomial entries as a (max degree + 1, rows, cols) array whose
         slice d holds the D^d coefficients."""
-        polys = self.poly_entries()
-        deg = max((p.degree for row in polys for p in row), default=0)
-        out = np.zeros((max(deg, 0) + 1, self.rows, self.cols), dtype=np.uint8)
-        for i, row in enumerate(polys):
-            for c, p in enumerate(row):
-                out[:len(p.coeffs), i, c] = p.coeffs
-        return out
+        return gf_stack([[p._array() for p in row]
+                         for row in self.poly_entries()])
 
     def __eq__(self, other) -> bool:
         return (
@@ -534,38 +419,174 @@ class RatMatrix:
         return f"RatMatrix {self.rows}x{self.cols} over {self.field}:\n{self}"
 
 
-def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a small square polynomial matrix (Laplace expansion)."""
-    k = len(rows)
-    field = rows[0][0].field
-    if k == 1:
-        return rows[0][0]
-    acc = Poly.zero(field)
-    for j in range(k):
-        if rows[0][j].is_zero():
-            continue
-        minor = [[rows[i][jj] for jj in range(k) if jj != j] for i in range(1, k)]
-        acc = acc + rows[0][j] * poly_det(minor)  # char 2: signs vanish
-    return acc
-
-
-def minors_gcd(g: RatMatrix) -> Poly:
-    """Gcd of all k x k minors of a k x n polynomial matrix.
+def minors_gcd(g: np.ndarray, field: Field) -> Poly:
+    """Gcd of all k x k minors of a k x n polynomial tensor (deg + 1, k, n).
 
     A convolutional generator is non-catastrophic iff this gcd is a power of
     D (including 1)."""
-    rows = g.poly_entries()
-    k, n = g.rows, g.cols
+    _, k, n = g.shape
     if k > n:
         raise ValueError("wide matrix expected (k <= n)")
-    acc = Poly.zero(g.field)
+    minors = []
     for cols in itertools.combinations(range(n), k):
-        det = poly_det([[rows[i][c] for c in cols] for i in range(k)])
-        if not det.is_zero():
-            acc = poly_gcd(acc, det) if not acc.is_zero() else det.monic()
-            if acc.is_one():
-                return acc
-    return acc.monic() if not acc.is_zero() else acc
+        # the last pivot of an elimination is the determinant (no signs in
+        # characteristic 2), zero where a column has no pivot
+        done = gf_eliminate(g[:, :, cols], k, field)
+        minors.append(np.zeros(1, dtype=np.uint8) if done is None else done[1])
+    first = next((m for m in minors if m.any()), minors[0])
+    return Poly(gf_poly_gcd(first, gf_stack([minors]), field).tolist()
+                if first.any() else [], field)
+
+
+# ---------------------------------------------------------------------------
+# polynomial tensors: a (deg + 1, ...) uint8 array of GF(q) elements whose
+# slice d holds the D^d coefficient of a polynomial (1-D), or of each entry
+# of a polynomial matrix ((deg + 1, rows, cols)); never empty, and trimmed
+# (a nonzero top slice, or the one slice of zero) where a function says so
+# ---------------------------------------------------------------------------
+
+def gf_trim(a: np.ndarray) -> np.ndarray:
+    """A polynomial tensor without its zero top slices, keeping one."""
+    nz = a.reshape(len(a), -1).any(axis=1).nonzero()[0]
+    return a[:nz[-1] + 1 if nz.size else 1]
+
+
+def row_degrees(taps: np.ndarray) -> tuple[int, ...]:
+    """Each row's degree in a (deg + 1, rows, cols) tensor: its last nonzero
+    tap, 0 for a zero row."""
+    return tuple(int(d) for d in (np.arange(len(taps))[:, None]
+                                  * taps.any(axis=2)).max(axis=0))
+
+
+def gf_stack(rows: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
+    """The trimmed (deg + 1, rows, cols) tensor of polynomials (1-D)."""
+    out = np.zeros((max(len(p) for row in rows for p in row), len(rows),
+                    len(rows[0])), dtype=np.uint8)
+    for i, row in enumerate(rows):
+        for c, p in enumerate(row):
+            out[:len(p), i, c] = p
+    return gf_trim(out)
+
+
+def gf_poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Trimmed sum of two polynomial tensors of one shape per slice."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = a.copy()
+    out[:len(b)] ^= b
+    return gf_trim(out)
+
+
+def gf_poly_mul(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
+    """The polynomial a (1-D) times the polynomial tensor b, entrywise:
+    (len(a) + len(b) - 1, ...), trimmed where a and b are."""
+    out = np.zeros((len(a) + len(b) - 1, *b.shape[1:]), dtype=np.uint8)
+    for i in np.flatnonzero(a):
+        out[i:i + len(b)] ^= field.mul_table[a[i], b]
+    return out
+
+
+def gf_poly_divmod(a: np.ndarray, d: np.ndarray,
+                   field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """(quotient, remainder) of the polynomial tensor a by the nonzero
+    polynomial d (1-D), entrywise, by one long division."""
+    d = gf_trim(d)
+    top = len(d) - 1
+    mul = field.mul_table
+    scale = mul[field.inv_table[d[-1]]]  # x -> x / lead(d)
+    if not top:
+        return scale[a], np.zeros((1, *a.shape[1:]), dtype=np.uint8)
+    rem = np.array(a, dtype=np.uint8)
+    if len(rem) <= top:
+        return np.zeros((1, *rem.shape[1:]), dtype=np.uint8), rem
+    quo = np.empty((len(rem) - top, *rem.shape[1:]), dtype=np.uint8)
+    col = d.reshape(-1, *(1,) * (rem.ndim - 1))
+    for i in range(len(quo) - 1, -1, -1):
+        q = quo[i] = scale[rem[i + top]]
+        rem[i:i + top + 1] ^= mul[col, q]
+    return quo, rem[:top]
+
+
+def gf_poly_gcd(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
+    """Monic gcd of the nonzero polynomial a (1-D) and every entry of the
+    polynomial tensor b.
+
+    Modulo a, of degree d, the multiples of the gcd g are the g y of degree
+    below d, a space of dimension d - deg g spanned by the remainders of b
+    and their shifts by D^i, i < d. Eliminated from the top degree down, its
+    last row is g."""
+    a = gf_trim(a)
+    a = field.mul_table[field.inv_table[a[-1]], a]
+    d = len(a) - 1
+    if not d:
+        return a
+    rem = np.zeros((d, b[0].size), dtype=np.uint8)
+    part = gf_poly_divmod(b.reshape(len(b), -1), a, field)[1][:d]
+    rem[:len(part)] = part
+    shifts = []
+    for _ in range(d):
+        shifts.append(rem.T)
+        # D rem modulo a: D^d = a[:d] (a monic, char 2)
+        rem = np.concatenate([np.zeros_like(rem[:1]), rem[:-1]]) \
+            ^ field.mul_table[rem[-1], a[:-1, None]]
+    red, pivots = gf_rref(np.concatenate(shifts)[:, ::-1], field)
+    return gf_trim(red[len(pivots) - 1, ::-1]) if pivots else a
+
+
+def gf_poly_xgcd(a: np.ndarray, b: np.ndarray, field: Field,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extended Euclid on polynomials (1-D): (g, s, t) with s a + t b = g,
+    g monic (zero when a and b are)."""
+    one, zero = np.ones(1, dtype=np.uint8), np.zeros(1, dtype=np.uint8)
+    r0, r1 = gf_trim(a), gf_trim(b)
+    s0, s1, t0, t1 = one, zero, zero, one
+    while r1.any():
+        q, r = gf_poly_divmod(r0, r1, field)
+        r0, r1 = r1, gf_trim(r)
+        s0, s1 = s1, gf_poly_add(s0, gf_poly_mul(q, s1, field))
+        t0, t1 = t1, gf_poly_add(t0, gf_poly_mul(q, t1, field))
+    if not r0[-1]:
+        return r0, s0, t0
+    scale = field.mul_table[field.inv_table[r0[-1]]]
+    return scale[r0], scale[s0], scale[t0]
+
+
+def gf_eliminate(a: np.ndarray, cols: int, field: Field,
+                 ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the polynomial
+    tensor a (deg + 1, rows, width) on its first ``cols`` columns, or None
+    when one of them has no pivot.
+
+    Per column c, the first row from c on with a nonzero entry in column c
+    is swapped into row c, its entry p is the pivot, and every other row i
+    becomes (p a_i - a_ic a_c) / p', p' the last pivot (1 at first), an
+    exact division. By Sylvester's identity the entry a_ic of a row i >= c
+    is then the minor on rows (the pivot rows, i) and columns 0..c, so the
+    pivot row of column c is the first whose such minor is nonzero, and the
+    last pivot is the leading minor on the pivot rows. Returns the trimmed
+    tensor, whose first ``cols`` rows hold that minor times the identity on
+    the first ``cols`` columns, and the last pivot."""
+    mul = field.mul_table
+    prev = np.ones(1, dtype=np.uint8)
+    for c in range(cols):
+        nz = np.flatnonzero(a[:, c:, c].any(axis=0))
+        if not nz.size:
+            return None
+        if nz[0]:
+            a = a.copy()
+            a[:, [c, c + nz[0]]] = a[:, [c + nz[0], c]]
+        others = np.arange(a.shape[1]) != c
+        pivot, row, col = a[:, c, c], a[:, c], a[:, others, c]
+        # p a_i - a_ic a_c (char 2: a sum), then the exact division
+        prod = gf_poly_mul(pivot, a[:, others], field)
+        for j in np.flatnonzero(col.any(axis=1)):
+            prod[j:j + len(a)] ^= mul[col[j][None, :, None], row[:, None]]
+        quo = gf_poly_divmod(prod, prev, field)[0]
+        out = np.zeros((max(len(a), len(quo)), *a.shape[1:]), dtype=np.uint8)
+        out[:len(a), c] = row
+        out[:len(quo), others] = quo
+        a, prev = gf_trim(out), gf_trim(pivot)
+    return a, prev
 
 
 # ---------------------------------------------------------------------------
@@ -586,16 +607,18 @@ def gf_rref(a: np.ndarray, field: Field,
         r = len(pivots)
         if r == a.shape[0]:
             break
-        nz = np.flatnonzero(a[r:, c])
+        # ndarray.nonzero: np.flatnonzero's ravel costs more on these
+        nz = a[r:, c].nonzero()[0]
         if not nz.size:
             continue
         sel = r + nz[0]
         if sel != r:
             a[[r, sel]] = a[[sel, r]]
-        a[r] = mul[inv[a[r, c]], a[r]]
+        if a[r, c] != 1:
+            a[r] = mul[inv[a[r, c]], a[r]]
         f = a[:, c].copy()
         f[r] = 0
-        hit = np.flatnonzero(f)
+        hit = f.nonzero()[0]
         a[hit] ^= mul[f[hit, None], a[r]]
         pivots.append(c)
     return a, pivots

@@ -11,9 +11,9 @@ import sys
 
 import numpy as np
 
-from .algebra import AlgebraError
+from .algebra import GF2, GF4, AlgebraError, RatMatrix, gf_convolve
 from .circuits import (
-    block_parity_matrix, block_syndrome, derive_bundle, derive_generator,
+    block_parity_matrix, derive_bundle, derive_generator,
     derive_syndrome_former, is_left_inverse,
 )
 from .decoder import SyndromeDecoder, SyndromeDecoderF4
@@ -42,17 +42,17 @@ def _matrix_dump(name: str, matrix) -> str:
 def cmd_derive(args) -> int:
     spec = _load_spec(args.spec)
     hb = binary_transfer(spec)
-    bundle = derive_bundle(hb)
-    gen = derive_generator(hb)
+    bundle = derive_bundle(hb, GF2)
+    gen = derive_generator(hb, GF2)
     print(f"qcc n={spec.n} k={spec.k} m={spec.m}")
-    print(_matrix_dump("H_b", hb))
-    print(_matrix_dump("SF", derive_syndrome_former(hb).matrix))
+    print(_matrix_dump("H_b", RatMatrix.from_coeff_tensor(hb, GF2)))
+    print(_matrix_dump("SF", derive_syndrome_former(hb, GF2).matrix))
     print(_matrix_dump("ISF", bundle.isf.matrix))
     print(f"  # input advance: {bundle.isf.input_advance} ticks")
     print(_matrix_dump("GEN", gen.matrix))
     try:
         qt = quaternary_transfer(spec)
-        print(_matrix_dump("H_q", qt.hq))
+        print(_matrix_dump("H_q", RatMatrix.from_coeff_tensor(qt.hq, GF4)))
     except F4LinearityError as exc:
         print(f"H_q: unavailable ({exc})")
     return EXIT_OK
@@ -130,17 +130,17 @@ def cmd_verify(args) -> int:
         return EXIT_VERIFY
 
     hb = binary_transfer(spec)
-    bundle = derive_bundle(hb)
-    sf, gen = derive_syndrome_former(hb), derive_generator(hb)
+    bundle = derive_bundle(hb, GF2)
+    sf, gen = derive_syndrome_former(hb, GF2), derive_generator(hb, GF2)
     isf_ok = is_left_inverse(bundle.isf, hb)
     report("ISF left inverse identity", isf_ok)
     if not isf_ok:
         return EXIT_VERIFY
     # G @ H_b^T = 0: each generator row, read as a frame, has zero syndrome
-    G = gen.matrix.coeff_tensor()
+    G = gen.num
     window = len(G) + 2 * spec.m + 1  # deg H_b <= 2m + 1
     report("generator kernel identity",
-           not any(block_syndrome(hb, G[:, i], window).any()
+           not any(gf_convolve(hb, G[:, i], GF2, window).any()
                    for i in range(G.shape[1])))
 
     rng = np.random.default_rng(args.seed)
@@ -155,7 +155,7 @@ def cmd_verify(args) -> int:
         ticks = np.zeros((2 * blocks.shape[0], spec.n), dtype=np.uint8)
         ticks[0::2], ticks[1::2] = blocks[:, :spec.n], blocks[:, spec.n:]
         if not np.array_equal(sf.run(ticks)[1::2],
-                              block_syndrome(S, blocks)):
+                              gf_convolve(S, blocks, GF2)):
             ok = False
             break
     report("block syndrome matches streamed SF", ok)
@@ -175,9 +175,9 @@ def cmd_verify(args) -> int:
         # the syndrome of an error frame with a quiet tail, so realizable
         e = (rng.random((8, 2 * spec.n)) < 0.3).astype(np.uint8)
         e[-decoder.pad_blocks:] = 0
-        sigma = block_syndrome(S, e, 10 + spec.m)
+        sigma = gf_convolve(S, e, GF2, 10 + spec.m)
         W = decoder.candidates.build(sigma, 10)
-        if not np.array_equal(block_syndrome(S, W, 10 + spec.m), sigma):
+        if not np.array_equal(gf_convolve(S, W, GF2, 10 + spec.m), sigma):
             ok = False
             break
     report("candidate round trip (SF of ISF output)", ok)

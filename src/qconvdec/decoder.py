@@ -13,11 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import RatMatrix, pack_slices, pack_symbols, unpack_symbols
+from .algebra import (
+    GF2, GF4, Field, RatMatrix, pack_slices, pack_symbols, unpack_symbols,
+)
 from .circuits import (
-    CandidateBuilder, _basic_kernel_rows, block_isf_matrix,
-    block_parity_matrix, coset_code_rows, derive_bundle,
-    polynomial_kernel_basis,
+    CandidateBuilder, TransferSystem, _basic_kernel_rows,
+    _require_full_row_rank, block_isf_matrix, block_parity_matrix,
+    coset_code_rows, derive_bundle, polynomial_kernel_basis,
 )
 from .stabilizer import (
     ErrorFrame, GF4_DECODE_TO_XZ, SpecError, StabilizerSpec, binary_transfer,
@@ -50,9 +52,13 @@ class SyndromeDecoder:
     :meth:`decode_words` carries one packed int per block from the syndrome
     to the error labels, and each map between is a table gather: the syndrome
     into candidate symbols, the candidate (``CandidateBuilder.build_words``)
-    and the error labels into frame bits or block bytes (``label_bytes``)."""
+    and the error labels into frame bits or block bytes (``label_bytes``).
+
+    Construction works on polynomial tensors over GF(q) (``algebra``); a
+    caller's ``isf_matrix`` is the one rational matrix it converts."""
 
     trellis_kind = "bit-paired"
+    field: Field = GF2
 
     def __init__(self, spec: StabilizerSpec, isf_matrix: RatMatrix | None = None):
         res = check_symplectic(spec)
@@ -60,10 +66,11 @@ class SyndromeDecoder:
             raise SpecError(f"generators do not commute: {res.witness_text()}")
         self.spec = spec
         transfer = self._transfer()
-        self.bundle = bundle = derive_bundle(transfer, isf_matrix)
+        self.bundle = bundle = derive_bundle(
+            transfer, self.field, None if isf_matrix is None
+            else TransferSystem.from_matrix(isf_matrix, role="ISF"))
         self.trellis: Trellis = build_trellis(
-            RatMatrix.from_polys(self._coset_rows(transfer)),
-            kind=self.trellis_kind)
+            self._coset_rows(transfer), self.field, kind=self.trellis_kind)
         self.candidates = CandidateBuilder(*self._block_maps(bundle))
         # frame bits of every packed section label, one row per label
         every = unpack_sections(np.arange(1 << self.trellis.label_bits),
@@ -72,17 +79,17 @@ class SyndromeDecoder:
             len(every), -1)
         self.label_bytes = pack_slices(self._label_bits, 1)
 
-    def _transfer(self) -> RatMatrix:
+    def _transfer(self) -> np.ndarray:
         self.hb = binary_transfer(self.spec)
         return self.hb
 
-    def _coset_rows(self, transfer: RatMatrix):
+    def _coset_rows(self, transfer: np.ndarray) -> np.ndarray:
         return coset_code_rows(transfer)
 
-    def _block_maps(self, bundle) -> tuple[RatMatrix, RatMatrix]:
+    def _block_maps(self, bundle) -> tuple[np.ndarray, TransferSystem]:
         """Syndrome map and ISF on block-domain frames: the (a | b) lanes of
         the binary path fold the tick-rate H_b^T and ISF."""
-        return block_parity_matrix(bundle.hb), block_isf_matrix(bundle.isf.matrix)
+        return block_parity_matrix(bundle.hb), block_isf_matrix(bundle.isf)
 
     def _syndrome_words(self, s: np.ndarray) -> np.ndarray:
         """The symbols the candidate takes of packed binary syndrome words,
@@ -183,18 +190,22 @@ class SyndromeDecoderF4(SyndromeDecoder):
     per block into one GF(4) symbol and running the quaternary trellis."""
 
     trellis_kind = "gf4"
+    field = GF4
 
-    def _transfer(self) -> RatMatrix:
+    def _transfer(self) -> np.ndarray:
         self.qt = quaternary_transfer(self.spec)
         self.hq = self.qt.hq
         return self.hq
 
-    def _coset_rows(self, transfer: RatMatrix):
-        return _basic_kernel_rows(transfer, polynomial_kernel_basis(
-            transfer, transfer.cols - transfer.rows))
+    def _coset_rows(self, transfer: np.ndarray) -> np.ndarray:
+        # H_q is its own block parity map: its kernel basis, certified as
+        # coset_code_rows certifies the binary one
+        _require_full_row_rank(transfer, GF4)
+        return _basic_kernel_rows(transfer, GF4, polynomial_kernel_basis(
+            transfer, GF4, transfer.shape[2] - transfer.shape[1]))
 
-    def _block_maps(self, bundle) -> tuple[RatMatrix, RatMatrix]:
-        return bundle.hb, bundle.isf.matrix
+    def _block_maps(self, bundle) -> tuple[np.ndarray, TransferSystem]:
+        return bundle.hb, bundle.isf
 
     def _syndrome_words(self, s: np.ndarray) -> np.ndarray:
         return self.qt.syndrome_table.take(s)

@@ -12,7 +12,7 @@ from typing import Literal
 
 import numpy as np
 
-from .algebra import RatMatrix, convolution_matrix
+from .algebra import convolution_matrix
 from .circuits import block_parity_matrix
 from .trellis import INF, BranchMetric
 
@@ -35,13 +35,15 @@ class OracleCapError(ValueError):
     pass
 
 
-def coset_leader_oracle(hb: RatMatrix, syndrome: np.ndarray, frame_blocks: int,
+def coset_leader_oracle(hb: np.ndarray, syndrome: np.ndarray,
+                        frame_blocks: int,
                         metric: BranchMetric | None = None,
                         mode: Literal["auto", "dp", "exhaustive"] = "auto",
                         ) -> OracleResult:
     """Minimum-weight error frame whose physical syndrome matches ``syndrome``
     (zero-extended over blocks [0, frame_blocks + m)), searched independently
-    of the ISF/generator/trellis pipeline.
+    of the ISF/generator/trellis pipeline; ``hb`` is the GF(2) tensor of
+    ``binary_transfer``.
 
     ``dp`` sweeps blocks with the raw previous-m-blocks state (a weight
     branch-and-bound over the syndrome constraints); ``exhaustive`` enumerates
@@ -50,11 +52,11 @@ def coset_leader_oracle(hb: RatMatrix, syndrome: np.ndarray, frame_blocks: int,
     """
     if metric is None:
         metric = BranchMetric()
-    taps = _oracle_taps(hb)
+    taps = block_parity_matrix(hb)
     m = taps.shape[0] - 1
-    n = hb.cols
+    n = hb.shape[2]
     lanes = 2 * n
-    r = hb.rows
+    r = hb.shape[1]
     window = frame_blocks + m
     target = np.zeros((window, r), dtype=np.uint8)
     take = min(syndrome.shape[0], window)
@@ -72,14 +74,8 @@ def coset_leader_oracle(hb: RatMatrix, syndrome: np.ndarray, frame_blocks: int,
     wtab = metric.paired_table(n)
     if exhaustive:
         return _oracle_exhaustive(taps, target, frame_blocks, lanes, wtab)
-    emit, groups = _emission_data(hb)
+    emit, groups = _emission_data(taps.tobytes(), taps.shape)
     return _oracle_dp(target, frame_blocks, lanes, m, r, wtab, emit, groups)
-
-
-@lru_cache(maxsize=16)
-def _oracle_taps(hb: RatMatrix) -> np.ndarray:
-    """The block-domain syndrome map of ``hb`` as a (m+1, r, 2n) tensor."""
-    return block_parity_matrix(hb).coeff_tensor()
 
 
 def _frame_bits(count: int, bits: int) -> np.ndarray:
@@ -92,10 +88,11 @@ def _frame_bits(count: int, bits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _emission_data(hb: RatMatrix):
-    """Per-code DP tables: emit[b][e] = r-bit syndrome emitted at lag b by
+def _emission_data(taps: bytes, shape: tuple[int, ...]):
+    """Per-code DP tables of the block-domain syndrome map (its bytes and
+    (m+1, r, 2n) shape): emit[b][e] = r-bit syndrome emitted at lag b by
     block value e, plus block values grouped by their lag-0 emission."""
-    taps = _oracle_taps(hb)
+    taps = np.frombuffer(taps, dtype=np.uint8).reshape(shape)
     lags, r, lanes = taps.shape
     syn = (_frame_bits(1 << lanes, lanes)
            @ convolution_matrix(taps, 1, lags).T) & 1

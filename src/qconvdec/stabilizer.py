@@ -22,8 +22,8 @@ from typing import Iterable
 import numpy as np
 
 from .algebra import (
-    GF2, GF4, W, WBAR, ConvolutionKernel, RatMatrix, gf_convolve, gf_inv,
-    gf_rank, gf_solve, pack_slices, pack_symbols, unpack_symbols,
+    GF2, GF4, W, WBAR, ConvolutionKernel, gf_convolve, gf_inv, gf_rank,
+    gf_solve, gf_trim, pack_slices, pack_symbols, unpack_symbols,
 )
 
 
@@ -247,11 +247,12 @@ def check_symplectic(spec: StabilizerSpec) -> SymplecticCheck:
     return SymplecticCheck(False, (int(i), int(j), shifts))
 
 
-def binary_transfer(spec: StabilizerSpec) -> RatMatrix:
-    """Equivalent binary transfer polynomial H_b(D) = P(D^2) + D Q(D^2):
-    its even taps are P's, its odd taps Q's."""
+def binary_transfer(spec: StabilizerSpec) -> np.ndarray:
+    """Equivalent binary transfer polynomial H_b(D) = P(D^2) + D Q(D^2), as
+    a trimmed (deg + 1, n-k, n) GF(2) tensor: its even taps are P's, its odd
+    taps Q's."""
     taps = np.stack([spec.p_coeffs, spec.q_coeffs], axis=1)
-    return RatMatrix.from_coeff_tensor(taps.reshape(-1, *taps.shape[2:]))
+    return gf_trim(taps.reshape(-1, *taps.shape[2:]))
 
 
 # Pauli -> GF(4) map used internally by the quaternary decode path. It is the
@@ -268,19 +269,20 @@ GF4_DECODE_TO_XZ = np.array(
 class QuaternaryTransfer:
     """GF(4) equivalent of a stabilizer spec.
 
-    ``hq`` is the (n-k)/2 x n transfer polynomial. ``syndrome_map`` is the
+    ``hq`` is the (n-k)/2 x n transfer polynomial, a trimmed (deg + 1,
+    (n-k)/2, n) GF(4) tensor. ``syndrome_map`` is the
     invertible GF(2) matrix taking the per-block GF(4) syndrome symbol bits
     (x_1, y_1, ..., x_r, y_r) to the measured binary syndrome bits, i.e.
     sigma = syndrome_map @ bits(sigma*).
     """
 
-    hq: RatMatrix
+    hq: np.ndarray
     syndrome_map: np.ndarray
     syndrome_map_inv: np.ndarray
 
     @property
     def f4_rows(self) -> int:
-        return self.hq.rows
+        return self.hq.shape[1]
 
     @cached_property
     def syndrome_table(self) -> np.ndarray:
@@ -325,8 +327,8 @@ def quaternary_transfer(spec: StabilizerSpec) -> QuaternaryTransfer:
             "generator row space is not closed under w-scaling; "
             "use the binary transfer polynomial instead")
 
-    hq = RatMatrix.from_coeff_tensor(
-        np.array(basis).reshape(-1, spec.m + 1, spec.n).transpose(1, 0, 2), GF4)
+    hq = gf_trim(np.array(basis).reshape(-1, spec.m + 1, spec.n)
+                 .transpose(1, 0, 2))
 
     # rows4 = C @ basis with a unique C; binary syndrome bits from GF(4)
     # syndrome symbols: sigma_i = Tr(sum_j c_ij sigma*_j),

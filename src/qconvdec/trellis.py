@@ -44,7 +44,7 @@ from typing import Literal
 import numpy as np
 
 from .algebra import (
-    Field, RatMatrix, gf_convolve, pack_symbols, unpack_symbols,
+    Field, gf_convolve, pack_symbols, row_degrees, unpack_symbols,
 )
 from .levels import Levels, build_levels, level_walk, row_ids
 from .stabilizer import BITS_TO_PAULI, GF4_DECODE_TO_XZ
@@ -120,8 +120,10 @@ class Trellis:
         raise TrellisError("trellis sections have no qubit structure")
 
 
-def build_trellis(gen: RatMatrix, kind: str = "bits") -> Trellis:
-    """Controller-form trellis of a polynomial generator matrix: the state
+def build_trellis(gen: np.ndarray, field: Field,
+                  kind: str = "bits") -> Trellis:
+    """Controller-form trellis of a polynomial generator matrix, the
+    (deg + 1, rows, cols) tensor ``gen`` over ``field``: the state
     holds the last deg_i input symbols of each generator row, symbol d of
     row i (its input d + 1 sections back) at packed position
     offset_i + d.
@@ -134,27 +136,22 @@ def build_trellis(gen: RatMatrix, kind: str = "bits") -> Trellis:
     times every input-symbol vector, the state part the delayed taps times
     every state-symbol vector, each one GF(q) matrix product. Both tables
     are stored in the narrowest dtype that holds them."""
-    if not gen.is_polynomial():
-        raise TrellisError("trellis generator must be polynomial (feed-forward)")
-    field = gen.field
     q = field.order
     bps = 1 if q == 2 else 2
-    taps = gen.coeff_tensor()
-    # a row's degree is its last nonzero tap (0 for a zero row)
-    degs = tuple(int(d) for d in (np.arange(len(taps))[:, None]
-                                  * taps.any(axis=2)).max(axis=0))
+    _, rows, cols = gen.shape
+    degs = row_degrees(gen)
     state_symbols = sum(degs)
     num_states = q ** state_symbols
     if num_states > _MAX_STATES:
         raise TrellisError(
             f"state count {num_states} exceeds cap {_MAX_STATES}")
-    weights = 1 << (bps * np.arange(gen.cols))
-    label_type = np.min_scalar_type((1 << (bps * gen.cols)) - 1)
+    weights = 1 << (bps * np.arange(cols))
+    label_type = np.min_scalar_type((1 << (bps * cols)) - 1)
     state_type = np.min_scalar_type(num_states - 1)
-    from_input = (gf_convolve(taps[:1].transpose(0, 2, 1),
-                              _symbol_vectors(q, gen.rows), field)
+    from_input = (gf_convolve(gen[:1].transpose(0, 2, 1),
+                              _symbol_vectors(q, rows), field)
                   @ weights).astype(label_type)
-    delayed = np.concatenate([taps[1:d + 1, i] for i, d in enumerate(degs)])
+    delayed = np.concatenate([gen[1:d + 1, i] for i, d in enumerate(degs)])
     from_state = (gf_convolve(delayed.T[None],
                               _symbol_vectors(q, state_symbols), field)
                   @ weights).astype(label_type)
@@ -178,8 +175,8 @@ def build_trellis(gen: RatMatrix, kind: str = "bits") -> Trellis:
     pred_state = oldest.astype(state_type)[:, None] | shifted
     members = _symbol_vectors(q, len(degs) - nheld) @ (
         1 << (bps * np.flatnonzero(~held)))
-    return Trellis(field=field, num_inputs=q ** gen.rows,
-                   num_states=num_states, out_symbols=gen.cols,
+    return Trellis(field=field, num_inputs=q ** rows,
+                   num_states=num_states, out_symbols=cols,
                    bits_per_symbol=bps, row_degrees=degs,
                    pred_state=pred_state,
                    pred_label=from_state[pred_state] ^ from_input[fed],

@@ -111,9 +111,8 @@ def reference_build(bundle: CodeBundle, sigma: np.ndarray, blocks: int,
     r = bundle.r
     if sigma.shape[1] != r:
         raise ValueError("syndrome stream count mismatch")
-    S = block_parity_matrix(bundle.hb) if interleaved else bundle.hb
-    taps = S.coeff_tensor()
-    lanes = S.cols
+    taps = block_parity_matrix(bundle.hb) if interleaved else bundle.hb
+    lanes = taps.shape[2]
     m = taps.shape[0] - 1
     maxden = max((e.den.degree for row in bundle.isf.matrix.entries
                   for e in row), default=0)

@@ -11,6 +11,8 @@ import numpy as np
 from qconvdec.algebra import AlgebraError, Poly, RatMatrix, RationalFn
 from qconvdec.circuits import TransferSystem
 
+from reference_rational import add, inverse, mul
+
 
 class RankDeficientError(AlgebraError):
     pass
@@ -31,14 +33,15 @@ def _rref_with_transform(m: RatMatrix) -> tuple[RatMatrix, RatMatrix, list[int]]
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
         trans[r], trans[sel] = trans[sel], trans[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [e * inv for e in rows[r]]
-        trans[r] = [e * inv for e in trans[r]]
+        inv = inverse(rows[r][c])
+        rows[r] = [mul(e, inv) for e in rows[r]]
+        trans[r] = [mul(e, inv) for e in trans[r]]
         for i in range(nrows):
             if i != r and not rows[i][c].is_zero():
                 f = rows[i][c]
-                rows[i] = [a + f * b for a, b in zip(rows[i], rows[r])]
-                trans[i] = [a + f * b for a, b in zip(trans[i], trans[r])]
+                rows[i] = [add(a, mul(f, b)) for a, b in zip(rows[i], rows[r])]
+                trans[i] = [add(a, mul(f, b))
+                            for a, b in zip(trans[i], trans[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -73,6 +76,6 @@ def rational_taps(system: TransferSystem) -> np.ndarray:
     f, a = system.field, system.input_advance
     scale = RationalFn(Poly.monomial(a, field=f)
                        + Poly.monomial(a + system.period, field=f))
-    N = RatMatrix([[e * scale for e in row] for row in system.matrix.entries],
-                  f)
+    N = RatMatrix([[mul(e, scale) for e in row]
+                   for row in system.matrix.entries], f)
     return N.coeff_tensor().transpose(0, 2, 1)

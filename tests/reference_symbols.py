@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qconvdec.algebra import pack_symbols, unpack_symbols
-from qconvdec.circuits import block_syndrome
+from qconvdec.algebra import GF4, gf_convolve, pack_symbols, unpack_symbols
 from qconvdec.stabilizer import PAULI_TO_BITS, PAULI_TO_GF4_DECODE
 
 # per-qubit (x, z) bits -> decode symbol
@@ -37,7 +36,8 @@ def frame_to_symbols(n: int, frame) -> np.ndarray:
 
 def f4_syndrome(decoder, frame) -> np.ndarray:
     """GF(4) syndrome stream of a (padded) frame: symbols through H_q^T."""
-    return block_syndrome(decoder.hq, frame_to_symbols(decoder.spec.n, frame))
+    return gf_convolve(decoder.hq, frame_to_symbols(decoder.spec.n, frame),
+                       GF4)
 
 
 def f4_to_binary_syndrome(qt, symbols: np.ndarray) -> np.ndarray:

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qconvdec.algebra import Poly, RatMatrix, RationalFn, poly_lcm
+from qconvdec.algebra import Poly, RatMatrix, RationalFn
 from qconvdec.circuits import CodeBundle, DerivationError, derive_generator
+
+from reference_rational import add, mul, pole_order_at_zero, poly_lcm
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,7 @@ class RowRealization:
 
 
 def input_advance(matrix: RatMatrix) -> int:
-    return max((e.pole_order_at_zero() for row in matrix.entries for e in row),
+    return max((pole_order_at_zero(e) for row in matrix.entries for e in row),
                default=0)
 
 
@@ -169,12 +171,12 @@ def shifted_isf_matrix(bundle: CodeBundle, mix: list[Poly]) -> RatMatrix:
     """A structurally different valid ISF: L' = L + mix^T @ G (any polynomial
     mix of generator rows added to each ISF row keeps L' @ H^T = I)."""
     L = bundle.isf.matrix
-    G = derive_generator(bundle.hb).matrix
+    G = derive_generator(bundle.hb, bundle.field).matrix
     rows = []
     for i in range(L.rows):
         row = list(L.entries[i])
         for gr in range(G.rows):
             scale = RationalFn(mix[(i + gr) % len(mix)])
-            row = [a + scale * b for a, b in zip(row, G.entries[gr])]
+            row = [add(a, mul(scale, b)) for a, b in zip(row, G.entries[gr])]
         rows.append(row)
     return RatMatrix(rows, L.field)

@@ -10,6 +10,10 @@ from qconvdec.algebra import (
 from qconvdec.circuits import polynomial_kernel_basis
 
 from reference_elimination import RankDeficientError, left_inverse, rank
+from reference_rational import (
+    identity, is_identity, is_zero, matmul, pole_order_at_zero, tensor,
+    transpose,
+)
 
 
 def p2(*coeffs):
@@ -87,7 +91,7 @@ class TestRational:
         # 1/(D+D^3) keeps its denominator and has a pole at D = 0
         r = ratio(p2(1), p2(0, 1, 0, 1))
         assert r.den == p2(0, 1, 0, 1)
-        assert r.pole_order_at_zero() == 1
+        assert pole_order_at_zero(r) == 1
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominatorError):
@@ -119,22 +123,22 @@ class TestLeftInverse:
     def test_example1_column(self):
         m = RatMatrix.from_polys([[p2(1, 0, 1)], [p2(1, 1, 1)]])
         L = left_inverse(m)
-        assert (L @ m).is_identity()
+        assert is_identity(matmul(L, m))
 
     def test_known_fir_isf_verifies(self):
         # (1+D, D) is one valid left inverse of the same column
         m = RatMatrix.from_polys([[p2(1, 0, 1)], [p2(1, 1, 1)]])
         L = RatMatrix.from_polys([[p2(1, 1), p2(0, 1)]])
-        assert (L @ m).is_identity()
+        assert is_identity(matmul(L, m))
 
     def test_identity(self):
-        eye = RatMatrix.identity(2)
+        eye = identity(2)
         assert left_inverse(eye) == eye
 
     def test_rank_deficient(self):
         m = RatMatrix.from_polys([[p2(1, 1)], [p2(1, 1)]])
         L = left_inverse(m)  # rank 1, 1 column: fine
-        assert (L @ m).is_identity()
+        assert is_identity(matmul(L, m))
         bad = RatMatrix.from_polys([[p2(1), p2(1)], [p2(1), p2(1)]])
         with pytest.raises(RankDeficientError):
             left_inverse(bad)
@@ -143,14 +147,14 @@ class TestLeftInverse:
         # (1,1)^T has full column rank but a singular Gram matrix m^T m in
         # char 2; elimination still finds a left inverse
         m = RatMatrix.from_polys([[p2(1)], [p2(1)]])
-        assert (left_inverse(m) @ m).is_identity()
+        assert is_identity(matmul(left_inverse(m), m))
 
 
 def left_kernel(m):
     """Minimal polynomial basis of {g : g @ m = 0} for an n x r matrix m of
     full column rank r."""
-    return RatMatrix.from_polys(
-        polynomial_kernel_basis(m.transpose(), m.rows - m.cols))
+    return RatMatrix.from_coeff_tensor(polynomial_kernel_basis(
+        tensor(transpose(m)), m.field, m.rows - m.cols), m.field)
 
 
 class TestNullSpace:
@@ -158,10 +162,10 @@ class TestNullSpace:
         m = RatMatrix.from_polys([[p2(1, 0, 1)], [p2(1, 1, 1)]])
         G = left_kernel(m)
         assert G.rows == 1
-        assert (G @ m).is_zero()
+        assert is_zero(matmul(G, m))
         # an equivalent rational basis (1, (1+D^2)/(1+D+D^2)) spans the same space:
         alt = RatMatrix([[RationalFn.one(GF2), ratio(p2(1, 0, 1), p2(1, 1, 1))]])
-        assert (alt @ m).is_zero()
+        assert is_zero(matmul(alt, m))
 
     def test_trivial(self):
         m = RatMatrix.from_polys([[p2(1)], [Poly.zero(GF2)]])
@@ -179,14 +183,14 @@ class TestNullSpace:
 class TestMinorsGcd:
     def test_single_row_generator_noncatastrophic(self):
         g = RatMatrix.from_polys([[p2(0, 0, 1), p2(1, 0, 1), p2(1, 0, 1)]])
-        assert minors_gcd(g) == p2(1)
+        assert minors_gcd(tensor(g), GF2) == p2(1)
 
     def test_catastrophic(self):
         g = RatMatrix.from_polys([[p2(1, 1), p2(1, 0, 1)]])
-        assert minors_gcd(g) == p2(1, 1)
+        assert minors_gcd(tensor(g), GF2) == p2(1, 1)
 
     def test_identity(self):
-        assert minors_gcd(RatMatrix.identity(3)) == p2(1)
+        assert minors_gcd(tensor(identity(3)), GF2) == p2(1)
 
 
 # ---- property tests ---------------------------------------------------------
@@ -242,10 +246,10 @@ def test_left_inverse_and_nullspace_posts(m):
     if rank(m) < m.cols:
         return
     L = left_inverse(m)
-    assert (L @ m).is_identity()
+    assert is_identity(matmul(L, m))
     G = left_kernel(m)
     assert G.rows == m.rows - m.cols
-    assert (G @ m).is_zero()
+    assert is_zero(matmul(G, m))
     assert rank(G) == m.rows - m.cols
-    assert minors_gcd(G) == p2(1)  # basic
+    assert minors_gcd(tensor(G), GF2) == p2(1)  # basic
 

@@ -9,15 +9,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from qconvdec.algebra import (
     GF2, GF4, W, WBAR, DegreeCapError, Poly, RatMatrix, RationalFn,
-    gf_rank, pack_slices, parse_poly, minors_gcd, ratio,
-    symbol_bits, unpack_symbols,
+    gf_convolve, gf_poly_mul, gf_rank, pack_slices, parse_poly, minors_gcd,
+    ratio, row_degrees, symbol_bits, unpack_symbols,
 )
 import qconvdec.algebra
 import qconvdec.circuits
 import qconvdec.decoder
 from qconvdec.circuits import (
     CandidateBuilder, CatastrophicGeneratorError, DerivationError,
-    TransferSystem, block_isf_matrix, block_parity_matrix, block_syndrome,
+    PolePeriodError, TransferSystem, block_isf_matrix, block_parity_matrix,
     coset_code_rows, derive_bundle, derive_generator,
     derive_inverse_syndrome_former, derive_syndrome_former, full_row_rank,
     is_left_inverse, polynomial_kernel_basis,
@@ -33,6 +33,9 @@ from qconvdec.stabilizer import (
 
 from reference_candidate import reference_build, run_anticausal
 from reference_elimination import left_inverse, rank, rational_taps
+from reference_rational import (
+    add, identity, is_identity, is_zero, matmul, system_of, tensor, transpose,
+)
 from reference_symbols import syndrome_symbols
 import reference_transfer
 from reference_transfer import shifted_isf_matrix
@@ -52,21 +55,22 @@ def hb_rate_half():
 
 
 def hb_311():
-    return binary_transfer(example_311())
+    return RatMatrix.from_coeff_tensor(binary_transfer(example_311()))
 
 
 class TestSyndromeFormer:
     def test_rate_half_column(self):
-        sf = derive_syndrome_former(hb_rate_half())
+        sf = derive_syndrome_former(tensor(hb_rate_half()), GF2)
         assert sf.matrix == RatMatrix.from_polys([[p("1+D^2")], [p("1+D+D^2")]])
         assert reference_transfer.state_dim(sf.matrix) <= 4
 
     def test_three_in_two_out(self):
-        sf = derive_syndrome_former(hb_311())
+        sf = derive_syndrome_former(tensor(hb_311()), GF2)
         assert (sf.inputs, sf.outputs) == (3, 2)
 
     def test_identity_wire(self):
-        sf = derive_syndrome_former(RatMatrix.from_polys([[p("1")]]))
+        sf = derive_syndrome_former(tensor(RatMatrix.from_polys([[p("1")]])),
+                                    GF2)
         x = np.array([[1], [0], [1]], dtype=np.uint8)
         assert np.array_equal(sf.run(x), x)
 
@@ -74,41 +78,42 @@ class TestSyndromeFormer:
         bad = RatMatrix.from_polys([[p("1+D"), p("1+D")],
                                     [p("1+D"), p("1+D")]])
         with pytest.raises(Exception):
-            derive_syndrome_former(bad)
+            derive_syndrome_former(tensor(bad), GF2)
 
 
 class TestInverseSyndromeFormer:
     def test_rate_half_fir_and_reference(self):
         hb = hb_rate_half()
-        isf = derive_inverse_syndrome_former(hb)
-        assert (isf.matrix @ hb.transpose()).is_identity()
+        isf = derive_inverse_syndrome_former(tensor(hb), GF2)
+        assert is_identity(matmul(isf.matrix, transpose(hb)))
         assert isf.matrix.is_polynomial()  # Bezout gives an FIR inverse
-        assert (REF_FIR_ISF_21 @ hb.transpose()).is_identity()
+        assert is_identity(matmul(REF_FIR_ISF_21, transpose(hb)))
 
     def test_reference_rational_isf_verifies(self):
         hb = hb_311()
-        assert (REF_RATIONAL_ISF_311 @ hb.transpose()).is_identity()
-        ours = derive_inverse_syndrome_former(hb)
-        assert (ours.matrix @ hb.transpose()).is_identity()
+        assert is_identity(matmul(REF_RATIONAL_ISF_311, transpose(hb)))
+        ours = derive_inverse_syndrome_former(tensor(hb), GF2)
+        assert is_identity(matmul(ours.matrix, transpose(hb)))
 
     def test_decoder_refuses_wrong_isf(self):
         # the decoder's candidate builder is where a caller's ISF is checked:
         # with its rows swapped the derived ISF gives a permutation instead
         swapped = RatMatrix(
-            derive_inverse_syndrome_former(hb_311()).matrix.entries[::-1])
+            derive_inverse_syndrome_former(tensor(hb_311()), GF2)
+            .matrix.entries[::-1])
         with pytest.raises(DerivationError, match="not a left inverse"):
             SyndromeDecoder(example_311(), isf_matrix=swapped)
 
     def test_identity_case(self):
-        eye = RatMatrix.identity(2)
-        isf = derive_inverse_syndrome_former(eye)
-        assert isf.matrix.is_identity()
+        eye = identity(2)
+        isf = derive_inverse_syndrome_former(tensor(eye), GF2)
+        assert is_identity(isf.matrix)
         assert isf.input_advance == 0
 
     def test_advance_extraction(self):
         # 1/D entry: realizable with one tick of lookahead
         m = RatMatrix([[ratio(p("1"), p("D"))]])
-        sys = TransferSystem(m)
+        sys = system_of(m)
         assert sys.input_advance == 1
         x = np.zeros((6, 1), dtype=np.uint8)
         x[2, 0] = 1
@@ -122,13 +127,13 @@ class TestInverseSyndromeFormer:
         # M^-1 on rows 2 and 1, M = [[1, 1], [0, D]]
         hb = RatMatrix.from_polys([[p("0"), p("0"), p("1")],
                                    [p("1"), p("D"), p("1")]])
-        isf = derive_inverse_syndrome_former(hb)
+        isf = derive_inverse_syndrome_former(tensor(hb), GF2)
         zero, one = RationalFn.zero(GF2), RationalFn.one(GF2)
         inv_d = ratio(p("1"), p("D"))
         assert isf.matrix == RatMatrix([[zero, inv_d, one],
                                         [zero, inv_d, zero]])
-        assert isf.matrix == left_inverse(hb.transpose())
-        assert is_left_inverse(isf, hb)
+        assert isf.matrix == left_inverse(transpose(hb))
+        assert is_left_inverse(isf, tensor(hb))
         assert isf.input_advance == 1
 
 
@@ -152,31 +157,27 @@ def full_row_rank_hb(draw):
     elif zero == "row":
         taps[:, :, 0] = 0
     hb = RatMatrix.from_coeff_tensor(taps, field)
-    assume(full_row_rank(hb))
+    assume(full_row_rank(taps, field))
     return hb
 
 
-def closed_form(matrix, taps):
-    """(N, a, P) of a transfer matrix, N worked out by ``taps``, or
-    DegreeCapError when the closed form passes the degree cap."""
-    system = TransferSystem(matrix)
+def closed_form(system, taps):
+    """(N, a, P) of a transfer system, N worked out by ``taps``, or
+    PolePeriodError when its pole period passes the tap budget."""
     try:
         N = taps(system)
         return N.shape, N.tobytes(), system.input_advance, system.period
-    except DegreeCapError:
-        return DegreeCapError
+    except PolePeriodError:
+        return PolePeriodError
 
 
 def uncapped_rational_taps(system):
-    """``rational_taps`` with no degree cap on its products, which can pass
-    the cap on the way to an N within it. It raises DegreeCapError where
-    ``TransferSystem.taps`` must: at a pole period past the cap (the period
-    keeps its cap) or at an N of degree past it."""
+    """``rational_taps`` with no degree cap on its products, which pass the
+    ``Poly`` cap on the way to an N within the tap budget. It raises
+    PolePeriodError where ``TransferSystem.taps`` must: at a pole period
+    past the budget."""
     with mock.patch.object(qconvdec.algebra, "_DEGREE_CAP", 4096):
-        N = rational_taps(system)
-    if len(N) - 1 > qconvdec.algebra._DEGREE_CAP:
-        raise DegreeCapError(f"N has degree {len(N) - 1}")
-    return N
+        return rational_taps(system)
 
 
 def gf4_hb(rows):
@@ -199,19 +200,20 @@ def test_adjugate_isf_is_the_elimination_inverse(hb):
     # products (run with no cap on those products): the tick ISF on both
     # fields, the block ISF on GF(2)
     try:
-        want = left_inverse(hb.transpose())
+        want = left_inverse(transpose(hb))
     except DegreeCapError:
         want = DegreeCapError
+    ours = derive_inverse_syndrome_former(tensor(hb), hb.field)
     try:
-        got = derive_inverse_syndrome_former(hb).matrix
+        got = ours.matrix
     except DegreeCapError:
         got = DegreeCapError
     assert got == want
     if got is DegreeCapError:
         return
-    forms = [(got, want)]
+    forms = [(ours, system_of(want))]
     if hb.field is GF2:
-        forms.append((block_isf_matrix(got), block_isf_matrix(want)))
+        forms.append((block_isf_matrix(ours), block_isf_matrix(forms[0][1])))
     for ours, ref in forms:
         assert closed_form(ours, lambda system: system.taps) == \
             closed_form(ref, uncapped_rational_taps)
@@ -219,13 +221,18 @@ def test_adjugate_isf_is_the_elimination_inverse(hb):
 
 # the two polynomial kernel bases construction derives, each certified by
 # the same full-row-rank test and minimality count
-KERNEL_BASES = [pytest.param(derive_generator, id="generator"),
+KERNEL_BASES = [pytest.param(lambda hb: derive_generator(hb, GF2),
+                             id="generator"),
                 pytest.param(coset_code_rows, id="coset")]
 
 
-def catastrophic_kernel_basis(S, kernel_rank):
-    rows = polynomial_kernel_basis(S, kernel_rank)
-    return [[e * p("1+D", S.field) for e in rows[0]]] + rows[1:]
+def catastrophic_kernel_basis(S, field, kernel_rank):
+    rows = polynomial_kernel_basis(S, field, kernel_rank)
+    out = np.zeros((len(rows) + 1, *rows.shape[1:]), dtype=np.uint8)
+    out[:-1] = rows
+    out[:, 0] = gf_poly_mul(np.array([1, 1], dtype=np.uint8), rows[:, 0],
+                            field)
+    return out
 
 
 GENERATORS = {
@@ -245,39 +252,39 @@ GENERATORS = {
 
 def pinned_transfer(name):
     if name == "rate-half":
-        return REF_TRANSFER_21
+        return tensor(REF_TRANSFER_21), GF2
     code, path = name.split("-")
     spec = (parse_stabilizer(LONG_REACH_TEXT) if code == "432"
             else CODES[code])
-    return binary_transfer(spec) if path == "bin" else \
-        quaternary_transfer(spec).hq
+    return (binary_transfer(spec), GF2) if path == "bin" else \
+        (quaternary_transfer(spec).hq, GF4)
 
 
 class TestGenerator:
     def test_generator_matches_reference(self):
-        gen = derive_generator(hb_311())
+        gen = derive_generator(tensor(hb_311()), GF2)
         assert gen.matrix == REF_GENERATOR_311
 
     def test_rate_half_row_space(self):
-        gen = derive_generator(hb_rate_half())
+        gen = derive_generator(tensor(hb_rate_half()), GF2)
         assert gen.matrix == REF_POLY_GP_21
         # a rational generator choice spans the same row space
-        assert (REF_RATIONAL_GP_21 @ hb_rate_half().transpose()).is_zero()
+        assert is_zero(matmul(REF_RATIONAL_GP_21, transpose(hb_rate_half())))
 
     def test_gf4_references_verify(self):
         hq = REF_TRANSFER_311_F4
-        assert (REF_ALLONES_ISF_F4 @ hq.transpose()).is_identity()
-        assert (REF_GENERATOR_F4 @ hq.transpose()).is_zero()
+        assert is_identity(matmul(REF_ALLONES_ISF_F4, transpose(hq)))
+        assert is_zero(matmul(REF_GENERATOR_F4, transpose(hq)))
         assert rank(REF_GENERATOR_F4) == 2
-        ours = derive_generator(hq)
-        assert (ours.matrix @ hq.transpose()).is_zero()
+        ours = derive_generator(tensor(hq), GF4)
+        assert is_zero(matmul(ours.matrix, transpose(hq)))
         assert rank(ours.matrix) == 2
 
     @pytest.mark.parametrize("name", sorted(GENERATORS))
     def test_generator_pinned(self, name):
         # the minimal kernel basis of every transfer matrix the suite builds,
         # rows separated by newlines
-        assert str(derive_generator(pinned_transfer(name)).matrix) == \
+        assert str(derive_generator(*pinned_transfer(name)).matrix) == \
             GENERATORS[name]
 
     @pytest.mark.parametrize("derive", KERNEL_BASES)
@@ -291,7 +298,22 @@ class TestGenerator:
     def test_rank_deficient_rejected(self, rows, derive):
         hb = RatMatrix.from_polys([[p(e) for e in row] for row in rows])
         with pytest.raises(DerivationError, match="not full row rank"):
-            derive(hb)
+            derive(tensor(hb))
+
+    @pytest.mark.parametrize("rows", [
+        [["1", "1", "0"], ["1", "1", "0"]],
+        [["1", "D", "D^3"], ["D", "D^2", "D^4"]],
+    ])
+    def test_bundle_refuses_rank_deficient(self, rows):
+        # the derived ISF's pivot search refuses H_b itself; with a
+        # caller's ISF the bundle tests the rank
+        hb = tensor(RatMatrix.from_polys([[p(e) for e in row]
+                                          for row in rows]))
+        with pytest.raises(DerivationError, match="not full row rank"):
+            derive_bundle(hb, GF2)
+        isf = TransferSystem(np.zeros((1, 2, 3), dtype=np.uint8), GF2)
+        with pytest.raises(DerivationError, match="not full row rank"):
+            derive_bundle(hb, GF2, isf)
 
     @pytest.mark.parametrize("derive", KERNEL_BASES)
     def test_catastrophic_basis_rejected(self, monkeypatch, tmp_path,
@@ -301,7 +323,7 @@ class TestGenerator:
         monkeypatch.setattr(qconvdec.circuits, "polynomial_kernel_basis",
                             catastrophic_kernel_basis)
         with pytest.raises(CatastrophicGeneratorError, match=r"1\+D"):
-            derive(hb_311())
+            derive(tensor(hb_311()))
         spec = tmp_path / "code.qcc"
         spec.write_text(EXAMPLE_311_TEXT)
         for command in ("derive", "verify"):
@@ -317,7 +339,7 @@ def impulse_response(matrix, length):
     y = reference_transfer.impulse_response(matrix, length)
     x = np.zeros((length, matrix.rows), dtype=np.uint8)
     x[0, 0] = 1
-    assert np.array_equal(TransferSystem(matrix).run(x), y)
+    assert np.array_equal(system_of(matrix).run(x), y)
     return y
 
 
@@ -343,21 +365,21 @@ class TestRealization:
         # closed form give the same stream
         rng = np.random.default_rng(0)
         matrices = [
-            hb_rate_half().transpose(),
+            transpose(hb_rate_half()),
             RatMatrix([[ratio(p("1"), p("1+D")), RationalFn(p("1+D^2"))]]),
-            derive_inverse_syndrome_former(hb_311()).matrix,
+            derive_inverse_syndrome_former(tensor(hb_311()), GF2).matrix,
         ]
         for M in matrices:
             x = rng.integers(0, 2, size=(17, M.rows)).astype(np.uint8)
             want = reference_transfer.run(M, x, extra=4)
             assert np.array_equal(
                 reference_transfer.run_state_space(M, x, extra=4), want)
-            assert np.array_equal(TransferSystem(M).run(x, extra=4), want)
+            assert np.array_equal(system_of(M).run(x, extra=4), want)
 
     def test_streaming_equals_polynomial_product(self):
         # FIR system: streamed output must equal the coefficient sequence
         rng = np.random.default_rng(1)
-        gen = derive_generator(hb_311())
+        gen = derive_generator(tensor(hb_311()), GF2)
         u = rng.integers(0, 2, size=(9, 1)).astype(np.uint8)
         y = gen.run(u, extra=2)
         upoly = Poly(u[:, 0].tolist(), GF2)
@@ -369,9 +391,10 @@ class TestRealization:
     def test_anticausal_matches_causal_for_fir(self):
         rng = np.random.default_rng(2)
         isf = RatMatrix.from_polys([[p("1+D"), p("D")]])
-        sys = TransferSystem(isf)
+        sys = system_of(isf)
         # [1, 1] is the parity map this ISF inverts: (1+D) + D = 1
-        cb = CandidateBuilder(RatMatrix.from_polys([[p("1"), p("1")]]), isf)
+        cb = CandidateBuilder(tensor(RatMatrix.from_polys([[p("1"), p("1")]])),
+                              sys)
         for _ in range(10):
             x = rng.integers(0, 2, size=(12, 1)).astype(np.uint8)
             # output support fits inside 14 ticks, so both expansions agree
@@ -382,7 +405,7 @@ class TestRealization:
     def test_gf4_streaming(self):
         hq = RatMatrix.from_polys(
             [[p("1+D", GF4), p("1+w*D", GF4), p("1+w2*D", GF4)]])
-        sf = TransferSystem(hq.transpose())
+        sf = system_of(transpose(hq))
         x = np.zeros((4, 3), dtype=np.uint8)
         x[0, 1] = W
         y = sf.run(x)
@@ -399,18 +422,19 @@ def closed_form_matrices():
     for name, path in PATHS:
         spec = CODES[name]
         if path == "f4":
-            hb = quaternary_transfer(spec).hq
-            coset = polynomial_kernel_basis(hb, hb.cols - hb.rows)
+            hb, field = quaternary_transfer(spec).hq, GF4
+            coset = polynomial_kernel_basis(hb, field,
+                                            hb.shape[2] - hb.shape[1])
         else:
-            hb = binary_transfer(spec)
+            hb, field = binary_transfer(spec), GF2
             coset = coset_code_rows(hb)
-        bundle = derive_bundle(hb)
-        for system in (derive_syndrome_former(hb), bundle.isf,
-                       derive_generator(hb)):
+        bundle = derive_bundle(hb, field)
+        for system in (derive_syndrome_former(hb, field), bundle.isf,
+                       derive_generator(hb, field)):
             out[f"{name}-{path}-{system.role}"] = system.matrix
-        out[f"{name}-{path}-COSET"] = RatMatrix.from_polys(coset)
+        out[f"{name}-{path}-COSET"] = RatMatrix.from_coeff_tensor(coset, field)
         if path == "bin":
-            out[f"{name}-bin-BLOCK-ISF"] = block_isf_matrix(bundle.isf.matrix)
+            out[f"{name}-bin-BLOCK-ISF"] = block_isf_matrix(bundle.isf).matrix
     out["1/(1+D)"] = RatMatrix([[ratio(p("1"), p("1+D"))]])
     out["mixed"] = RatMatrix([
         [ratio(p("1"), p("1+D")), RationalFn(p("1+D^2")), ratio(p("1"), p("D"))],
@@ -426,7 +450,7 @@ def closed_form_cases(name):
     """The system and random (T, inputs) frames with T in 1, P-1, P+1, 200,
     each with extra 0 and 7."""
     M = closed_form_matrices()[name]
-    system = TransferSystem(M)
+    system = system_of(M)
     P = system.period
     rng = np.random.default_rng(13)
     for T in sorted({1, P - 1, P + 1, 200}):
@@ -440,7 +464,7 @@ class TestClosedForm:
     anticausal, on every map the decoder evaluates."""
 
     def test_periods_cover_the_strides(self):
-        periods = {TransferSystem(M).period
+        periods = {system_of(M).period
                    for M in closed_form_matrices().values()}
         assert {1, 3, 21} <= periods
 
@@ -477,18 +501,59 @@ class TestClosedForm:
         pole = p("1+D^3+D^20")
         isf = RatMatrix([[ratio(p("1"), pole)]])
         t0 = time.perf_counter()
-        with pytest.raises(DegreeCapError, match="pole period"):
-            TransferSystem(isf).run(np.zeros((4, 1), dtype=np.uint8))
-        with pytest.raises(DegreeCapError, match="pole period"):
-            CandidateBuilder(RatMatrix.from_polys([[pole]]), isf)
+        with pytest.raises(PolePeriodError, match="pole period"):
+            system_of(isf).run(np.zeros((4, 1), dtype=np.uint8))
+        with pytest.raises(PolePeriodError, match="pole period"):
+            CandidateBuilder(tensor(RatMatrix.from_polys([[pole]])),
+                             system_of(isf))
         assert time.perf_counter() - t0 < 1.0
+
+
+class TestLimits:
+    """Structural limits of construction are budgets, checked before the
+    work they bound, each refused with a message that names its size."""
+
+    def test_pole_period_inside_the_tap_budget_builds(self):
+        # 1+D^3+D^10 is primitive, so its period is 2^10 - 1; times D it
+        # needs a = 1, and a + P is the budget itself
+        pole = p("D+D^4+D^11")
+        isf = system_of(RatMatrix([[ratio(p("1"), pole)]]))
+        parity = tensor(RatMatrix.from_polys([[pole]]))
+        CandidateBuilder(parity, isf)
+        assert (isf.input_advance, isf.period) == (1, 1023)
+        assert isf.input_advance + isf.period == \
+            qconvdec.circuits._TAP_BUDGET
+        assert is_left_inverse(isf, parity)
+
+    def test_primitive_pole_builds_or_names_the_budget(self, monkeypatch):
+        # the degree-10 primitive pole fits the budget; below its period,
+        # the error gives P's bound, a and the budget
+        pole = p("1+D^3+D^10")
+        isf = RatMatrix([[ratio(p("1"), pole)]])
+        parity = tensor(RatMatrix.from_polys([[pole]]))
+        assert CandidateBuilder(parity, system_of(isf)).isf.period == 1023
+        monkeypatch.setattr(qconvdec.circuits, "_TAP_BUDGET", 1022)
+        with pytest.raises(PolePeriodError, match=(
+                r"pole period P of 1\+D\^3\+D\^10 exceeds 1022 at input "
+                r"advance a = 0: a \+ P passes the tap budget 1022")):
+            CandidateBuilder(parity, system_of(isf))
+
+    def test_kernel_sweep_refused_above_its_work_budget(self, monkeypatch):
+        # [3,1,1]'s block parity map, 2 x 6 of degree 1, sweeps to degree
+        # 16: a 36 x 102 unrolled matrix at the last degree
+        work = 36 * 102 * 36
+        monkeypatch.setattr(qconvdec.circuits, "_KERNEL_SWEEP_WORK", work - 1)
+        with pytest.raises(DerivationError, match="36x102 unrolled matrix"):
+            SyndromeDecoder(example_311())
+        monkeypatch.setattr(qconvdec.circuits, "_KERNEL_SWEEP_WORK", work)
+        SyndromeDecoder(example_311())
 
 
 class TestRoundTrips:
     def test_sf_isf_identity_example1(self):
-        hb = hb_rate_half()
-        bundle = derive_bundle(hb)
-        sf = derive_syndrome_former(hb)
+        hb = tensor(hb_rate_half())
+        bundle = derive_bundle(hb, GF2)
+        sf = derive_syndrome_former(hb, GF2)
         rng = np.random.default_rng(3)
         for _ in range(50):
             s = rng.integers(0, 2, size=(24, 1)).astype(np.uint8)
@@ -498,8 +563,9 @@ class TestRoundTrips:
             assert np.array_equal(z[a:], s[: s.shape[0] - a])
 
     def test_sf_gen_zero(self):
-        for hb in (hb_rate_half(), hb_311()):
-            sf, gen = derive_syndrome_former(hb), derive_generator(hb)
+        for hb in (tensor(hb_rate_half()), tensor(hb_311())):
+            sf, gen = (derive_syndrome_former(hb, GF2),
+                       derive_generator(hb, GF2))
             rng = np.random.default_rng(4)
             for _ in range(20):
                 u = rng.integers(0, 2, size=(30, gen.inputs)).astype(np.uint8)
@@ -507,16 +573,17 @@ class TestRoundTrips:
                 assert not sf.run(c, extra=4).any()
 
     def test_shifted_isf_is_valid_and_different(self):
-        bundle = derive_bundle(hb_311())
+        bundle = derive_bundle(tensor(hb_311()), GF2)
         alt = shifted_isf_matrix(bundle, [p("1"), p("D")])
         assert alt != bundle.isf.matrix
-        assert (alt @ bundle.hb.transpose()).is_identity()
+        assert is_identity(matmul(alt, transpose(hb_311())))
 
 
 class TestBlockView:
     def test_block_parity_matches_spec(self):
         spec = example_311()
-        S = block_parity_matrix(binary_transfer(spec))
+        S = RatMatrix.from_coeff_tensor(block_parity_matrix(
+            binary_transfer(spec)))
         Q = RatMatrix.from_coeff_tensor(spec.q_coeffs).poly_entries()
         P = RatMatrix.from_coeff_tensor(spec.p_coeffs).poly_entries()
         expect = RatMatrix.from_polys([
@@ -532,14 +599,14 @@ class TestBlockView:
         rng = np.random.default_rng(5)
         for _ in range(25):
             f = ErrorFrame(rng.integers(0, 2, 60).astype(np.uint8))
-            assert np.array_equal(block_syndrome(S, f.blocks(3)),
+            assert np.array_equal(gf_convolve(S, f.blocks(3), GF2),
                                   syndrome_of(spec, f))
 
     def test_block_syndrome_is_odd_phase_of_sf(self):
         spec = example_311()
         hb = binary_transfer(spec)
         S = block_parity_matrix(hb)
-        sf = derive_syndrome_former(hb)
+        sf = derive_syndrome_former(hb, GF2)
         rng = np.random.default_rng(6)
         for _ in range(10):
             f = ErrorFrame(rng.integers(0, 2, 48).astype(np.uint8))
@@ -548,40 +615,39 @@ class TestBlockView:
             ticks[0::2] = blocks[:, :3]
             ticks[1::2] = blocks[:, 3:]
             full = sf.run(ticks)
-            assert np.array_equal(full[1::2], block_syndrome(S, blocks))
+            assert np.array_equal(full[1::2], gf_convolve(S, blocks, GF2))
 
 
 class TestCosetCode:
     def test_structure_311(self):
-        rows = coset_code_rows(hb_311())
-        assert len(rows) == 4
-        degs = sorted(max(p.degree for p in r) for r in rows)
+        rows = coset_code_rows(tensor(hb_311()))
+        assert rows.shape[1] == 4
+        degs = sorted(row_degrees(rows))
         assert degs == [0, 0, 1, 1]
-        assert minors_gcd(RatMatrix.from_polys(rows)).is_one()
+        assert minors_gcd(rows, GF2).is_one()
 
     def test_rows_have_zero_syndrome(self):
-        hb = hb_311()
+        hb = tensor(hb_311())
         S = block_parity_matrix(hb)
-        for row in coset_code_rows(hb):
+        rows = coset_code_rows(hb)
+        for i in range(rows.shape[1]):
             blocks = np.zeros((8, 6), dtype=np.uint8)
-            for c, poly in enumerate(row):
-                for d, cf in enumerate(poly.coeffs):
-                    blocks[2 + d, c] = cf
-            assert not block_syndrome(S, blocks, 10).any()
+            blocks[2:2 + len(rows)] = rows[:, i]
+            assert not gf_convolve(S, blocks, GF2, 10).any()
 
     def test_paths_span_window_kernel(self):
         # zero-terminated trellis paths must span the whole window kernel:
         # sum(TB - deg_i) == dim ker(unrolled syndrome map)
-        hb = hb_311()
+        hb = tensor(hb_311())
         S = block_parity_matrix(hb)
         rows = coset_code_rows(hb)
         TB = 7
-        path_dim = sum(TB - max(p.degree for p in r) for r in rows)
+        path_dim = sum(TB - d for d in row_degrees(rows))
         cols = []
         for idx in range(TB * 6):
             e = np.zeros((TB, 6), dtype=np.uint8)
             e[idx // 6, idx % 6] = 1
-            cols.append(block_syndrome(S, e, TB + 1).reshape(-1))
+            cols.append(gf_convolve(S, e, GF2, TB + 1).reshape(-1))
         A = np.stack(cols, axis=1) % 2
         kdim = TB * 6 - _gf2_rank(A)
         assert path_dim == kdim
@@ -596,29 +662,31 @@ class TestCosetCode:
             for b in range(m + 1):
                 blocks[m - b, :3] = spec.p_coeffs[b, i]
                 blocks[m - b, 3:] = spec.q_coeffs[b, i]
-            assert not block_syndrome(S, blocks, 7).any()
+            assert not gf_convolve(S, blocks, GF2, 7).any()
 
 
 def _assert_row_reduced_kernel(S, rows):
-    """rows is a row-reduced basis of the polynomial kernel of S: full-rank
-    leading coefficient matrix, nondecreasing degrees, and rows @ S^T = 0."""
-    degs = [max(p.degree for p in r) for r in rows]
-    assert len(rows) == S.cols - rank(S)
+    """rows, a tensor, is a row-reduced basis of the polynomial kernel of
+    the RatMatrix S: full-rank leading coefficient matrix, nondecreasing
+    degrees, and rows @ S^T = 0."""
+    degs = list(row_degrees(rows))
+    assert rows.shape[1] == S.cols - rank(S)
     assert degs == sorted(degs)
-    lead = np.array([[poly[d] for poly in r] for r, d in zip(rows, degs)],
-                    dtype=np.uint8)
-    assert gf_rank(lead, S.field) == len(rows)
-    assert (RatMatrix.from_polys(rows) @ S.transpose()).is_zero()
+    lead = rows[degs, np.arange(len(degs))]
+    assert gf_rank(lead, S.field) == rows.shape[1]
+    assert is_zero(matmul(RatMatrix.from_coeff_tensor(rows, S.field),
+                          transpose(S)))
 
 
 class TestKernelBasis:
     @pytest.mark.parametrize("name,path", PATHS, ids=PATH_IDS)
     def test_code_bases_are_row_reduced(self, name, path):
         spec = CODES[name]
-        S = (quaternary_transfer(spec).hq if path == "f4"
-             else block_parity_matrix(binary_transfer(spec)))
-        _assert_row_reduced_kernel(
-            S, polynomial_kernel_basis(S, S.cols - S.rows))
+        S = (RatMatrix.from_coeff_tensor(quaternary_transfer(spec).hq, GF4)
+             if path == "f4" else RatMatrix.from_coeff_tensor(
+                 block_parity_matrix(binary_transfer(spec))))
+        _assert_row_reduced_kernel(S, polynomial_kernel_basis(
+            tensor(S), S.field, S.cols - S.rows))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -632,8 +700,8 @@ class TestKernelBasis:
             max_size=(m + 1) * r * lanes), label="taps"),
             dtype=np.uint8).reshape(m + 1, r, lanes)
         S = RatMatrix.from_coeff_tensor(taps, field)
-        _assert_row_reduced_kernel(
-            S, polynomial_kernel_basis(S, S.cols - rank(S)))
+        _assert_row_reduced_kernel(S, polynomial_kernel_basis(
+            tensor(S), field, S.cols - rank(S)))
 
 
 class TestCertificate:
@@ -660,24 +728,29 @@ class TestCertificate:
             rows[-1] = [sum((a * row[c] for a, row in zip(mix, rows)),
                             Poly.zero(field)) for c in range(cols)]
         S = RatMatrix.from_polys(rows)
-        assert full_row_rank(S) == (rank(S) == S.rows)
+        assert full_row_rank(tensor(S), field) == (rank(S) == S.rows)
 
     def test_construction_runs_no_rational_rank_or_minors(self, monkeypatch,
                                                           tmp_path):
-        # no decoder build, derive or verify does rational-function
-        # arithmetic or works out a minors gcd: each runs over GF(q)
+        # no decoder build, derive or verify works out a minors gcd, and a
+        # default decoder build makes no Poly, RationalFn or RatMatrix: it
+        # runs on GF(q) tensors; derive and verify build them to print
         def refuse(*args):
             raise AssertionError("construction left the GF(q) certificate")
 
         monkeypatch.setattr(qconvdec.algebra, "minors_gcd", refuse)
         monkeypatch.setattr(qconvdec.circuits, "minors_gcd", refuse)
-        for name in ("__add__", "__sub__", "__mul__", "inverse"):
-            monkeypatch.setattr(RationalFn, name, refuse)
-        monkeypatch.setattr(RatMatrix, "__matmul__", refuse)
+        made = Counter()
+        for cls in (Poly, RationalFn, RatMatrix):
+            def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+                made[_name] += 1
+                _init(self, *args)
+            monkeypatch.setattr(cls, "__init__", counted)
         for name, path in PATHS:
             (SyndromeDecoderF4 if path == "f4" else SyndromeDecoder)(
                 CODES[name])
         SyndromeDecoder(parse_stabilizer(LONG_REACH_TEXT))
+        assert made == Counter()
         texts = [spec_text(spec) for spec in CODES.values()]
         for i, text in enumerate(texts + [LONG_REACH_TEXT]):
             path = tmp_path / f"code{i}.qcc"
@@ -688,8 +761,8 @@ class TestCertificate:
     def test_construction_derives_isf_and_one_coset_basis(self, monkeypatch):
         # a decoder runs the ISF and the coset trellis only: it derives no
         # generator or syndrome former and one kernel basis, tests H_b's
-        # rank once, plus once in coset_code_rows on the binary path, and
-        # multiplies no rational matrices
+        # rank once, with its coset basis (the ISF's pivot search refuses a
+        # rank-deficient H_b itself), and builds no rational matrix
         calls = Counter()
 
         def count(module, name):
@@ -704,14 +777,13 @@ class TestCertificate:
                      "full_row_rank", "polynomial_kernel_basis"):
             count(qconvdec.circuits, name)
         count(qconvdec.decoder, "polynomial_kernel_basis")
-        count(RatMatrix, "__matmul__")
+        count(RatMatrix, "__init__")
         for name, path in PATHS:
             calls.clear()
             (SyndromeDecoderF4 if path == "f4" else SyndromeDecoder)(
                 CODES[name])
             assert dict(calls) == {"polynomial_kernel_basis": 1,
-                                   "full_row_rank": 2 if path == "bin" else 1
-                                   }, (name, path)
+                                   "full_row_rank": 1}, (name, path)
 
     @pytest.mark.parametrize("path", ["bin", "f4"])
     def test_decoder_refuses_catastrophic_coset_basis(self, monkeypatch,
@@ -745,12 +817,12 @@ def _gf2_rank(M):
 def binary_candidates(hb):
     """The binary path's candidate builder: block-domain S and ISF."""
     return CandidateBuilder(block_parity_matrix(hb), block_isf_matrix(
-        derive_inverse_syndrome_former(hb).matrix))
+        derive_inverse_syndrome_former(hb, GF2)))
 
 
 class TestCandidate:
     def test_candidate_matches_any_syndrome(self):
-        hb = hb_311()
+        hb = tensor(hb_311())
         cb = binary_candidates(hb)
         S = block_parity_matrix(hb)
         rng = np.random.default_rng(7)
@@ -758,7 +830,7 @@ class TestCandidate:
             sigma = rng.integers(0, 2, size=(10, 2)).astype(np.uint8)
             sigma[-1:] = 0  # measured span ends quiet
             W = cb.build(sigma, 12)
-            got = block_syndrome(S, W, 13)
+            got = gf_convolve(S, W, GF2, 13)
             want = np.zeros((13, 2), dtype=np.uint8)
             want[:10] = sigma
             assert np.array_equal(got, want)
@@ -772,9 +844,9 @@ class TestCandidate:
         for _ in range(20):
             e = np.zeros((9, 6), dtype=np.uint8)
             e[:7] = rng.integers(0, 2, size=(7, 6))
-            sigma = block_syndrome(S, e, 10)
+            sigma = gf_convolve(S, e, GF2, 10)
             W = cb.build(sigma, 9)
-            assert np.array_equal(block_syndrome(S, W, 10), sigma)
+            assert np.array_equal(gf_convolve(S, W, GF2, 10), sigma)
 
     def test_candidate_is_error_plus_codeword(self):
         # for any error e, the candidate for its syndrome differs from e by a
@@ -787,55 +859,57 @@ class TestCandidate:
         for _ in range(25):
             e = np.zeros((10, 6), dtype=np.uint8)
             e[:8] = rng.integers(0, 2, size=(8, 6))
-            sigma = block_syndrome(S, e, 11)
+            sigma = gf_convolve(S, e, GF2, 11)
             W = cb.build(sigma, 10)
-            assert not block_syndrome(S, W ^ e, 11).any()
+            assert not gf_convolve(S, W ^ e, GF2, 11).any()
 
     def test_second_isf_also_builds_candidates(self):
-        hb = hb_311()
-        bundle = derive_bundle(hb)
+        hb = tensor(hb_311())
+        bundle = derive_bundle(hb, GF2)
         S = block_parity_matrix(hb)
-        cb = CandidateBuilder(S, block_isf_matrix(
-            shifted_isf_matrix(bundle, [p("1"), p("D")])))
+        cb = CandidateBuilder(S, block_isf_matrix(system_of(
+            shifted_isf_matrix(bundle, [p("1"), p("D")]))))
         sigma = np.zeros((5, 2), dtype=np.uint8)
         sigma[0, 1] = 1
         W = cb.build(sigma, 7)
         want = np.zeros((8, 2), dtype=np.uint8)
         want[0, 1] = 1
-        assert np.array_equal(block_syndrome(S, W, 8), want)
+        assert np.array_equal(gf_convolve(S, W, GF2, 8), want)
 
     def test_rejects_syndrome_beyond_frame(self):
-        cb = binary_candidates(hb_311())
+        cb = binary_candidates(tensor(hb_311()))
         sigma = np.zeros((8, 2), dtype=np.uint8)
         sigma[6, 0] = 1
         with pytest.raises(ValueError, match="beyond the 6-block frame"):
             cb.build(sigma, 6)
 
     def test_rejects_isf_that_does_not_invert(self):
-        hb = hb_311()
+        hb = tensor(hb_311())
         # the tick-rate ISF is not a left inverse of the block-domain S
         L = RatMatrix([list(row) * 2 for row in
-                       derive_inverse_syndrome_former(hb).matrix.entries])
+                       derive_inverse_syndrome_former(hb, GF2).matrix.entries])
         with pytest.raises(DerivationError, match="not a left inverse"):
-            CandidateBuilder(block_parity_matrix(hb), L)
+            CandidateBuilder(block_parity_matrix(hb), system_of(L))
 
 
 def isf_variants(decoder):
-    """(id, block ISF) pairs around the decoder's own block maps: the ISF, a
-    shifted one on the binary path, its rows swapped where r > 1, and two
-    entries perturbed by 1 and by D^3."""
-    S, L = decoder._block_maps(decoder.bundle)
+    """(id, block ISF) pairs around the decoder's own block maps, S and the
+    variants as RatMatrix: the ISF, a shifted one on the binary path, its
+    rows swapped where r > 1, and two entries perturbed by 1 and by D^3."""
+    S, isf = decoder._block_maps(decoder.bundle)
+    L = isf.matrix
     out = [("own", L)]
     if L.field is GF2:
-        out.append(("shifted", block_isf_matrix(shifted_isf_matrix(
-            decoder.bundle, [p("1"), p("D")]))))
+        out.append(("shifted", block_isf_matrix(system_of(shifted_isf_matrix(
+            decoder.bundle, [p("1"), p("D")]))).matrix))
     if L.rows > 1:
         out.append(("swapped", RatMatrix(L.entries[::-1], L.field)))
     rows = [list(row) for row in L.entries]
-    rows[0][0] = rows[0][0] + RationalFn(Poly.one(L.field))
-    rows[-1][-1] = rows[-1][-1] + RationalFn(Poly.monomial(3, field=L.field))
+    rows[0][0] = add(rows[0][0], RationalFn(Poly.one(L.field)))
+    rows[-1][-1] = add(rows[-1][-1],
+                       RationalFn(Poly.monomial(3, field=L.field)))
     out.append(("perturbed", RatMatrix(rows, L.field)))
-    return S, out
+    return RatMatrix.from_coeff_tensor(S, L.field), out
 
 
 class TestISFCheck:
@@ -850,12 +924,12 @@ class TestISFCheck:
         verdicts = {}
         for label, L in variants:
             try:
-                CandidateBuilder(S, L)
+                CandidateBuilder(tensor(S), system_of(L))
                 accepted = True
             except DerivationError as exc:
                 assert "not a left inverse" in str(exc)
                 accepted = False
-            assert accepted == (L @ S.transpose()).is_identity(), label
+            assert accepted == is_identity(matmul(L, transpose(S))), label
             verdicts[label] = accepted
         assert verdicts["own"] and not verdicts["perturbed"]
 
@@ -863,40 +937,42 @@ class TestISFCheck:
     def test_shape_mismatch_is_a_value_error(self, name, path):
         decoder = (SyndromeDecoderF4 if path == "f4" else SyndromeDecoder)(
             CODES[name])
-        S, L = decoder._block_maps(decoder.bundle)
+        S, isf = decoder._block_maps(decoder.bundle)
+        L = isf.matrix
         zero = RationalFn.zero(L.field)
         wide = RatMatrix([list(row) + [zero] for row in L.entries], L.field)
         tall = RatMatrix([list(row) for row in L.entries]
                          + [[zero] * L.cols], L.field)
         for bad in (wide, tall, RatMatrix(L.entries[:1], L.field),
-                    L.transpose()):
-            if (bad.rows, bad.cols) == (S.rows, S.cols):
+                    transpose(L)):
+            if (bad.rows, bad.cols) == S.shape[1:]:
                 continue
             with pytest.raises(ValueError, match="does not fit"):
-                CandidateBuilder(S, bad)
+                CandidateBuilder(S, system_of(bad))
 
 
 class TestBlockISF:
     @pytest.mark.parametrize("name", CODES)
     def test_block_isf_inverts_block_parity(self, name):
         hb = binary_transfer(CODES[name])
-        L = derive_inverse_syndrome_former(hb).matrix
-        S = block_parity_matrix(hb)
-        assert (block_isf_matrix(L) @ S.transpose()).is_identity()
+        L = derive_inverse_syndrome_former(hb, GF2)
+        S = RatMatrix.from_coeff_tensor(block_parity_matrix(hb))
+        assert is_identity(matmul(block_isf_matrix(L).matrix, transpose(S)))
 
     def test_shifted_isf_inverts_block_parity(self):
-        hb = hb_311()
-        alt = shifted_isf_matrix(derive_bundle(hb), [p("1"), p("D")])
-        S = block_parity_matrix(hb)
-        assert (block_isf_matrix(alt) @ S.transpose()).is_identity()
+        hb = tensor(hb_311())
+        alt = shifted_isf_matrix(derive_bundle(hb, GF2), [p("1"), p("D")])
+        S = RatMatrix.from_coeff_tensor(block_parity_matrix(hb))
+        assert is_identity(matmul(block_isf_matrix(system_of(alt)).matrix,
+                                  transpose(S)))
 
     def test_block_isf_is_tick_stream_folded(self):
         # sigma @ block ISF == the zero-stuffed syndrome streamed through L,
         # folded into (a | b) lanes (causal, delayed by the input advance)
-        hb = hb_311()
-        isf = derive_inverse_syndrome_former(hb)
+        hb = tensor(hb_311())
+        isf = derive_inverse_syndrome_former(hb, GF2)
         a = isf.input_advance
-        M = TransferSystem(block_isf_matrix(isf.matrix))
+        M = block_isf_matrix(isf)
         rng = np.random.default_rng(10)
         sigma = rng.integers(0, 2, size=(12, 2)).astype(np.uint8)
         ticks = np.zeros((24 + 2 * a, 2), dtype=np.uint8)

@@ -2,13 +2,13 @@ import contextlib
 import io
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qconvdec.circuits
 import qconvdec.cli
 import qconvdec.simulate
-from qconvdec.algebra import RatMatrix
 from qconvdec.circuits import TransferSystem
 from qconvdec.cli import main
 from qconvdec.decoder import SyndromeDecoder
@@ -95,8 +95,8 @@ class TestVerify:
         # the generator is derived for the check alone, so a G with
         # G @ H_b^T != 0 fails it
         monkeypatch.setattr(qconvdec.cli, "derive_generator",
-                            lambda hb: TransferSystem(RatMatrix.identity(
-                                hb.cols)))
+                            lambda hb, field: TransferSystem(np.eye(
+                                hb.shape[2], dtype=np.uint8)[None], field))
         assert main(["verify", spec_file]) == 1
         assert "FAIL  generator kernel identity" in capsys.readouterr().out
 
@@ -105,9 +105,9 @@ class TestVerify:
         # itself, and stops before the decoder would refuse it
         derive = qconvdec.circuits.derive_inverse_syndrome_former
 
-        def swapped(hb):
-            isf = derive(hb).matrix
-            return TransferSystem(RatMatrix(isf.entries[::-1]), role="ISF")
+        def swapped(hb, field):
+            isf = derive(hb, field)
+            return TransferSystem(isf.num[:, ::-1], field, isf.den, role="ISF")
 
         monkeypatch.setattr(qconvdec.circuits,
                             "derive_inverse_syndrome_former", swapped)

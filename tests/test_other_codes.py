@@ -94,7 +94,7 @@ def test_two_row_gf4_code():
         "IIIIIYXIYZ", "IIIIIXZIXY", "YYZYXYIXIZ", "XXYXZXIZIY"))
     assert check_symplectic(spec).ok
     qt = quaternary_transfer(spec)
-    assert qt.hq.rows == 2
+    assert qt.hq.shape[1] == 2
 
     binary = SyndromeDecoder(spec)
     quaternary = SyndromeDecoderF4(spec)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qconvdec.algebra import GF2, GF4, Poly, RatMatrix, parse_poly
-from qconvdec.circuits import TransferSystem, block_parity_matrix, \
-    block_syndrome, coset_code_rows, derive_generator, polynomial_kernel_basis
+from qconvdec.algebra import GF2, GF4, Poly, RatMatrix, gf_convolve, parse_poly
+from qconvdec.circuits import block_parity_matrix, coset_code_rows, \
+    derive_generator, polynomial_kernel_basis
 from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
 from qconvdec.stabilizer import (
     GF4_DECODE_TO_PAULI, PAULI_TO_BITS, binary_transfer, example_311,
@@ -29,6 +29,7 @@ from qconvdec.trellis import (
 
 from reference_data import CODES, PATH_IDS, PATHS, REF_GENERATOR_F4
 from reference_symbols import syndrome_symbols
+from reference_rational import system_of, tensor
 import reference_trellis
 import reference_viterbi
 
@@ -42,7 +43,12 @@ def hb_311():
 
 
 def tick_gen_311():
-    return derive_generator(hb_311()).matrix
+    return derive_generator(hb_311(), GF2).matrix
+
+
+def build_trellis_of(gen, kind="bits"):
+    """``build_trellis`` of a polynomial RatMatrix."""
+    return build_trellis(tensor(gen), gen.field, kind)
 
 
 def _branches(t):
@@ -59,7 +65,7 @@ def _branches(t):
 
 class TestBuildTrellis:
     def test_rate_third_four_states(self):
-        t = build_trellis(tick_gen_311())
+        t = build_trellis_of(tick_gen_311())
         assert t.num_states == 4
         assert t.num_inputs == 2
         # zero input from zero state loops with all-zero output
@@ -67,25 +73,25 @@ class TestBuildTrellis:
         assert froms[0, 0] == 0 and labels[0, 0] == 0
 
     def test_identity_generator(self):
-        t = build_trellis(RatMatrix.from_polys([[p("1")]]))
+        t = build_trellis_of(RatMatrix.from_polys([[p("1")]]))
         assert t.num_states == 1
         # input 1 is the second branch into the only state
         assert _branches(t)[1][0, 1] == 1
 
     def test_gf4_sixteen_branches(self):
-        t = build_trellis(REF_GENERATOR_F4, kind="gf4")
+        t = build_trellis_of(REF_GENERATOR_F4, kind="gf4")
         assert t.num_inputs == 16
         assert t.num_states == 16
 
     def test_coset_trellis_shape(self):
         rows = coset_code_rows(hb_311())
-        t = build_trellis(RatMatrix.from_polys(rows), kind="bit-paired")
+        t = build_trellis(rows, GF2, kind="bit-paired")
         assert t.num_states == 4
         assert t.num_inputs == 16
         assert t.out_symbols == 6
 
     def test_all_states_reachable(self):
-        t = build_trellis(tick_gen_311())
+        t = build_trellis_of(tick_gen_311())
         froms, _ = _branches(t)
         seen = {0}
         frontier = [0]
@@ -96,11 +102,11 @@ class TestBuildTrellis:
 
     def test_labels_match_streaming(self):
         gen = tick_gen_311()
-        t = build_trellis(gen)
+        t = build_trellis_of(gen)
         froms, labels = _branches(t)
         rng = np.random.default_rng(0)
         u = rng.integers(0, 2, size=(12, 1)).astype(np.uint8)
-        streamed = TransferSystem(gen).run(u)
+        streamed = system_of(gen).run(u)
         s = 0
         for j in range(12):
             # the one row's input is the newest symbol, bit 0, of the state
@@ -116,18 +122,13 @@ class TestBuildTrellis:
     def test_state_cap(self):
         # one row 1+D^21 needs 2^21 states, above the 2^20 budget
         gen = RatMatrix.from_polys([[p("1+D^21")]])
-        assert _raises_before_allocating(TrellisError, build_trellis, gen)
-
-    def test_rational_rejected(self):
-        from qconvdec.algebra import ratio
-        with pytest.raises(TrellisError):
-            build_trellis(RatMatrix([[ratio(p("1"), p("1+D"))]]))
+        assert _raises_before_allocating(TrellisError, build_trellis_of, gen)
 
 
 def _assert_matches_reference_build(gen, kind="bits"):
     # into every state, the reference's branches in (input, state) order
     # are the layout's offsets 0 .. P M - 1
-    got = build_trellis(gen, kind)
+    got = build_trellis_of(gen, kind)
     want = reference_trellis.build_trellis(gen, kind)
     assert (got.num_states, got.num_inputs, got.row_degrees) == (
         want.num_states, want.num_inputs, want.row_degrees)
@@ -145,10 +146,10 @@ def _coset_generator(name, path):
     spec = CODES[name]
     if path == "f4":
         hq = quaternary_transfer(spec).hq
-        rows = polynomial_kernel_basis(hq, hq.cols - hq.rows)
-        return RatMatrix.from_polys(rows), "gf4"
-    return (RatMatrix.from_polys(coset_code_rows(binary_transfer(spec))),
-            "bit-paired")
+        rows = polynomial_kernel_basis(hq, GF4, hq.shape[2] - hq.shape[1])
+        return RatMatrix.from_coeff_tensor(rows, GF4), "gf4"
+    rows = coset_code_rows(binary_transfer(spec))
+    return RatMatrix.from_coeff_tensor(rows), "bit-paired"
 
 
 class TestBuildMatchesReference:
@@ -181,7 +182,7 @@ class TestBuildMatchesReference:
 
 def _coset_trellis():
     rows = coset_code_rows(hb_311())
-    return build_trellis(RatMatrix.from_polys(rows), kind="bit-paired")
+    return build_trellis(rows, GF2, kind="bit-paired")
 
 
 @lru_cache(maxsize=None)
@@ -297,7 +298,7 @@ class TestViterbi:
         w[0, 1] = 1
         tracemalloc.start()
         try:
-            t = build_trellis(gen)
+            t = build_trellis_of(gen)
             assert (t.num_states, t.num_inputs) == (1 << 16, 16)
             assert viterbi_decode(t, w).path_metric == 1
             peak = tracemalloc.get_traced_memory()[1]
@@ -472,7 +473,7 @@ class TestViterbiReference:
     def test_matches_reference_with_unreached_states(self):
         # the tick-rate generator trellis reaches all 4 states only from the
         # second section on: ties between unreached branches are not counted
-        t = build_trellis(tick_gen_311())
+        t = build_trellis_of(tick_gen_311())
         ref = reference_trellis.build_trellis(tick_gen_311())
         rng = np.random.default_rng(15)
         for sections in _chunk_boundaries(t):
@@ -494,7 +495,7 @@ class TestViterbiReference:
             row[0] |= 1 << d  # the row has degree d
         gen = RatMatrix.from_polys(
             [[_bits_poly(v) for v in row] for row in rows])
-        t = build_trellis(gen)
+        t = build_trellis_of(gen)
         sections = data.draw(st.integers(1, 40), label="sections")
         flips = data.draw(st.floats(0, 1), label="flip rate")
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
@@ -507,7 +508,7 @@ class TestViterbiReference:
         # 2^10 states entered from 2 each: the automaton would pass its
         # budget, so every chunk runs section by section
         gen = RatMatrix.from_polys([[p("1+D^10"), p("1+D+D^10")]])
-        t = build_trellis(gen)
+        t = build_trellis_of(gen)
         assert len(t.pred_state) == 2
         assert _metric_tables(t, BranchMetric())[3] is None
         chunk = _CHUNK_BRANCHES // (t.num_states * t.num_inputs)
@@ -816,7 +817,7 @@ class TestAutomaton:
         # under Hamming: the build stops at the budget, and with a smaller
         # budget its traced peak shrinks to match (an unbounded build peaks
         # near 133 MB)
-        t = build_trellis(RatMatrix.from_polys([[p("1+D+D^4"),
+        t = build_trellis_of(RatMatrix.from_polys([[p("1+D+D^4"),
                                                  p("1+D^2+D^3+D^4")]]))
         assert (t.num_states, len(t.pred_state)) == (16, 2)
         assert _metric_tables(t, BranchMetric())[3] is None
@@ -836,7 +837,7 @@ class TestAutomaton:
         # alone: the build returns at once, allocating no costs per
         # (label, predecessor, state), which would take 32 MB here
         polys = ["1+D^13"] + [f"1+D^{i}" for i in range(1, 8)]
-        t = build_trellis(RatMatrix.from_polys([[p(x) for x in polys]]))
+        t = build_trellis_of(RatMatrix.from_polys([[p(x) for x in polys]]))
         assert (t.num_states, 1 << t.label_bits, len(t.pred_state)) == (
             8192, 256, 2)
         tracemalloc.start()
@@ -986,19 +987,19 @@ class TestMetrics:
                                                   (v >> (nq + c)) & 1))
         assert metric.xor_table(_coset_trellis()).tolist() == paired
         assert metric.paired_table(nq).tolist() == paired
-        gf4 = build_trellis(REF_GENERATOR_F4, kind="gf4")
+        gf4 = build_trellis_of(REF_GENERATOR_F4, kind="gf4")
         assert metric.xor_table(gf4).tolist() == loop_table(
             1 << 6, lambda v, c: PAULI_TO_BITS[
                 GF4_DECODE_TO_PAULI[(v >> (2 * c)) & 3]])
         if metric.mode == "hamming":
-            bits = build_trellis(tick_gen_311())
+            bits = build_trellis_of(tick_gen_311())
             assert metric.xor_table(bits).tolist() == [bin(v).count("1")
                                                        for v in range(8)]
 
     @pytest.mark.parametrize("kind", ["bit-paired", "gf4"])
     def test_pack_unpack_match_per_symbol_loop(self, kind):
         t = (_coset_trellis() if kind == "bit-paired" else
-             build_trellis(REF_GENERATOR_F4, kind="gf4"))
+             build_trellis_of(REF_GENERATOR_F4, kind="gf4"))
         bps = t.bits_per_symbol
         rng = np.random.default_rng(12)
         frame = rng.integers(0, 1 << bps, size=(9, t.out_symbols)).astype(
@@ -1046,7 +1047,7 @@ class TestMetrics:
         assert metric_for("pauli", 0.4999999).pauli_costs == (0, 0, 0, 0)
 
     def test_pauli_table_on_bits_trellis_rejected(self):
-        t = build_trellis(tick_gen_311())
+        t = build_trellis_of(tick_gen_311())
         metric = metric_for("pauli", 0.05)
         with pytest.raises(TrellisError):
             metric.xor_table(t)
@@ -1064,7 +1065,7 @@ class TestOracle:
         S = block_parity_matrix(hb)
         e = np.zeros((5, 6), dtype=np.uint8)
         e[0, 0] = 1  # X on qubit 0
-        sigma = block_syndrome(S, e, 6)
+        sigma = gf_convolve(S, e, GF2, 6)
         res = coset_leader_oracle(hb, sigma, 5)
         assert res.weight == 1
         assert res.unique
@@ -1076,11 +1077,11 @@ class TestOracle:
         for name in ("311", "211", "312", "421"):
             hb = binary_transfer(CODES[name])
             S = block_parity_matrix(hb)
-            window = 2 + S.coeff_tensor().shape[0] - 1
+            window = 2 + len(S) - 1
             rng = np.random.default_rng(4)
             for _ in range(25):
-                e = rng.integers(0, 2, size=(2, S.cols)).astype(np.uint8)
-                sigma = block_syndrome(S, e, window)
+                e = rng.integers(0, 2, size=(2, S.shape[2])).astype(np.uint8)
+                sigma = gf_convolve(S, e, GF2, window)
                 for metric in (BranchMetric(), metric_for("pauli", 0.05)):
                     a = coset_leader_oracle(hb, sigma, 2, metric, mode="dp")
                     b = coset_leader_oracle(hb, sigma, 2, metric,
@@ -1090,7 +1091,7 @@ class TestOracle:
                     if a.unique:
                         assert np.array_equal(a.leader, b.leader)
                     assert np.array_equal(
-                        block_syndrome(S, b.leader, window), sigma)
+                        gf_convolve(S, b.leader, GF2, window), sigma)
 
     @pytest.mark.parametrize("name,blocks", [("211", 2), ("311", 1)])
     def test_exhaustive_matches_enumeration(self, name, blocks):
@@ -1098,19 +1099,19 @@ class TestOracle:
         # of block i // lanes): ties keep the first minimum
         hb = binary_transfer(CODES[name])
         S = block_parity_matrix(hb)
-        lanes = S.cols
-        window = blocks + S.coeff_tensor().shape[0] - 1
+        lanes = S.shape[2]
+        window = blocks + len(S) - 1
         metric = metric_for("pauli", 0.05)
-        wtab = metric.paired_table(hb.cols)
+        wtab = metric.paired_table(hb.shape[2])
         rng = np.random.default_rng(5)
         for _ in range(10):
             e = rng.integers(0, 2, size=(blocks, lanes)).astype(np.uint8)
-            sigma = block_syndrome(S, e, window)
+            sigma = gf_convolve(S, e, GF2, window)
             best = None
             for v in range(1 << (lanes * blocks)):
                 f = np.array([(v >> i) & 1 for i in range(lanes * blocks)],
                              dtype=np.uint8).reshape(blocks, lanes)
-                if not np.array_equal(block_syndrome(S, f, window), sigma):
+                if not np.array_equal(gf_convolve(S, f, GF2, window), sigma):
                     continue
                 w = sum(int(wtab[(v >> (lanes * j)) & ((1 << lanes) - 1)])
                         for j in range(blocks))
@@ -1132,7 +1133,7 @@ class TestOracle:
 
     def test_dp_cap(self):
         # 8 qubits per block are 16 lanes: 2^16 block values per table
-        hb = RatMatrix.from_polys([[p("1+D^2")] * 8])
+        hb = tensor(RatMatrix.from_polys([[p("1+D^2")] * 8]))
         sigma = np.zeros((3, 1), dtype=np.uint8)
         assert _raises_before_allocating(
             OracleCapError, coset_leader_oracle, hb, sigma, 2, mode="dp")
@@ -1143,7 +1144,7 @@ class TestOracle:
         e = np.zeros((4, 6), dtype=np.uint8)
         e[1, 2] = 1
         e[1, 5] = 1  # Y on qubit 5
-        sigma = block_syndrome(S, e, 5)
+        sigma = gf_convolve(S, e, GF2, 5)
         metric = metric_for("pauli", 0.05)
         res = coset_leader_oracle(hb, sigma, 4, metric=metric)
         assert res.weight <= metric.pauli_costs[2]  # cost of the Y itself
