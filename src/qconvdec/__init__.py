@@ -10,7 +10,7 @@ from .algebra import (
     GF2, GF4, W, WBAR,
     AlgebraError, DegreeCapError, FieldMismatchError, Poly, RatMatrix,
     RationalFn, ZeroDenominatorError,
-    format_poly, minors_gcd, parse_poly, poly_gcd, ratio,
+    format_poly, parse_poly, ratio,
 )
 from .stabilizer import (
     ErrorFrame, F4LinearityError, QuaternaryTransfer, SpecError,
@@ -21,7 +21,7 @@ from .circuits import (
     CandidateBuilder, CatastrophicGeneratorError, CodeBundle, DerivationError,
     PolePeriodError, TransferSystem, block_isf_matrix, block_parity_matrix,
     coset_code_rows, derive_bundle, derive_generator,
-    derive_inverse_syndrome_former, derive_syndrome_former,
+    derive_inverse_syndrome_former, derive_syndrome_former, minors_gcd,
     polynomial_kernel_basis,
 )
 from .trellis import (

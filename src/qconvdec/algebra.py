@@ -11,7 +11,6 @@ primitive element), 3 = w^2 = 1 + w; addition is XOR in both fields.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -132,50 +131,8 @@ class Poly:
         return self.coeffs[-1] if self.coeffs else 0
 
     def _array(self) -> np.ndarray:
+        """The coefficients as a polynomial tensor (1-D)."""
         return np.array(self.coeffs or (0,), dtype=np.uint8)
-
-    # the arithmetic is the polynomial-tensor core's, on 1-D arrays
-
-    def __add__(self, other: "Poly") -> "Poly":
-        _check_same_field(self, other)
-        return Poly(gf_poly_add(self._array(), other._array()).tolist(),
-                    self.field)
-
-    __sub__ = __add__  # characteristic 2
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        _check_same_field(self, other)
-        deg = self.degree + other.degree
-        if deg > _DEGREE_CAP and not (self.is_zero() or other.is_zero()):
-            raise DegreeCapError(f"product degree {deg} exceeds cap {_DEGREE_CAP}")
-        return Poly(gf_poly_mul(self._array(), other._array(),
-                                self.field).tolist(), self.field)
-
-    def scale(self, c: int) -> "Poly":
-        return Poly(self.field.mul_table[c, self._array()].tolist(),
-                    self.field)
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        _check_same_field(self, other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        quo, rem = gf_poly_divmod(self._array(), other._array(), self.field)
-        return Poly(quo.tolist(), self.field), Poly(rem.tolist(), self.field)
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self.scale(self.field.inv(self.leading_coeff()))
-
-    def valuation(self) -> int:
-        """Largest a with D^a dividing self; 0 for the zero polynomial."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return 0
 
     def __eq__(self, other) -> bool:
         return (
@@ -244,14 +201,6 @@ def parse_poly(text: str, field: Field = GF2) -> Poly:
     return Poly(out, field)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd; gcd(a, 0) = monic(a)."""
-    _check_same_field(a, b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
 class RationalFn:
     """Quotient of polynomials, kept coprime with a monic denominator: the
     printed and parsed form of a rational entry; builds work on polynomial
@@ -267,17 +216,12 @@ class RationalFn:
             raise ZeroDenominatorError("zero denominator")
         if num.is_zero():
             den = Poly.one(num.field)
-        elif den.degree > 0:
-            # a constant denominator is coprime with every numerator
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-        lead = den.leading_coeff()
-        if lead != 1:
-            inv = num.field.inv(lead)
-            num = num.scale(inv)
-            den = den.scale(inv)
+        else:
+            # both over their gcd times lead(den): coprime, den monic
+            f, n, d = num.field, num._array(), den._array()
+            g = f.mul_table[d[-1], gf_poly_gcd(d, n, f)]
+            num = Poly(gf_poly_divmod(n, g, f)[0].tolist(), f)
+            den = Poly(gf_poly_divmod(d, g, f)[0].tolist(), f)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -367,14 +311,6 @@ class RatMatrix:
     def __getitem__(self, rc: tuple[int, int]) -> RationalFn:
         return self.entries[rc[0]][rc[1]]
 
-    def is_polynomial(self) -> bool:
-        return all(e.is_polynomial() for r in self.entries for e in r)
-
-    def poly_entries(self) -> list[list[Poly]]:
-        if not self.is_polynomial():
-            raise ValueError("matrix has non-polynomial entries")
-        return [[e.num for e in r] for r in self.entries]
-
     @classmethod
     def from_coeff_tensor(cls, taps: np.ndarray, field: Field = GF2,
                           den: np.ndarray | None = None) -> "RatMatrix":
@@ -390,18 +326,15 @@ class RatMatrix:
         """(num, den): the entries over the lcm den of their denominators,
         num as a (max degree + 1, rows, cols) tensor whose slice d holds the
         D^d coefficients, and den as a monic polynomial (1-D)."""
-        den = Poly.one(self.field)
+        f, den = self.field, np.ones(1, dtype=np.uint8)
         for row in self.entries:
             for e in row:
-                den = (den * e.den).divmod(poly_gcd(den, e.den))[0]
-        return gf_stack([[(e.num * den.divmod(e.den)[0])._array()
-                          for e in row] for row in self.entries]), den._array()
-
-    def coeff_tensor(self) -> np.ndarray:
-        """Polynomial entries as a (max degree + 1, rows, cols) array whose
-        slice d holds the D^d coefficients."""
-        return gf_stack([[p._array() for p in row]
-                         for row in self.poly_entries()])
+                d = e.den._array()
+                den = gf_poly_divmod(gf_poly_mul(den, d, f),
+                                     gf_poly_gcd(d, den, f), f)[0]
+        return gf_stack([[gf_poly_mul(e.num._array(), gf_poly_divmod(
+            den, e.den._array(), f)[0], f) for e in row]
+            for row in self.entries]), den
 
     def __eq__(self, other) -> bool:
         return (
@@ -419,30 +352,11 @@ class RatMatrix:
         return f"RatMatrix {self.rows}x{self.cols} over {self.field}:\n{self}"
 
 
-def minors_gcd(g: np.ndarray, field: Field) -> Poly:
-    """Gcd of all k x k minors of a k x n polynomial tensor (deg + 1, k, n).
-
-    A convolutional generator is non-catastrophic iff this gcd is a power of
-    D (including 1)."""
-    _, k, n = g.shape
-    if k > n:
-        raise ValueError("wide matrix expected (k <= n)")
-    minors = []
-    for cols in itertools.combinations(range(n), k):
-        # the last pivot of an elimination is the determinant (no signs in
-        # characteristic 2), zero where a column has no pivot
-        done = gf_eliminate(g[:, :, cols], k, field)
-        minors.append(np.zeros(1, dtype=np.uint8) if done is None else done[1])
-    first = next((m for m in minors if m.any()), minors[0])
-    return Poly(gf_poly_gcd(first, gf_stack([minors]), field).tolist()
-                if first.any() else [], field)
-
-
 # ---------------------------------------------------------------------------
-# polynomial tensors: a (deg + 1, ...) uint8 array of GF(q) elements whose
-# slice d holds the D^d coefficient of a polynomial (1-D), or of each entry
-# of a polynomial matrix ((deg + 1, rows, cols)); never empty, and trimmed
-# (a nonzero top slice, or the one slice of zero) where a function says so
+# polynomial tensors: (deg + 1, ...) uint8 arrays over GF(q), slice d the D^d
+# coefficient of a polynomial (1-D) or of each entry of a polynomial matrix
+# ((deg + 1, rows, cols)); trimmed, where a function says so, to a nonzero
+# top slice or the one slice of zero
 # ---------------------------------------------------------------------------
 
 def gf_trim(a: np.ndarray) -> np.ndarray:
@@ -554,22 +468,20 @@ def gf_poly_xgcd(a: np.ndarray, b: np.ndarray, field: Field,
 def gf_eliminate(a: np.ndarray, cols: int, field: Field,
                  ) -> tuple[np.ndarray, np.ndarray] | None:
     """Fraction-free Gauss-Jordan elimination (Bareiss) of the polynomial
-    tensor a (deg + 1, rows, width) on its first ``cols`` columns, or None
-    when one of them has no pivot.
+    tensor a (deg + 1, rows, width) on its first ``cols`` columns: (the
+    trimmed tensor, the last pivot p), whose first ``cols`` rows are then p
+    times the identity there; or None when a column has no pivot.
 
-    Per column c, the first row from c on with a nonzero entry in column c
-    is swapped into row c, its entry p is the pivot, and every other row i
-    becomes (p a_i - a_ic a_c) / p', p' the last pivot (1 at first), an
-    exact division. By Sylvester's identity the entry a_ic of a row i >= c
-    is then the minor on rows (the pivot rows, i) and columns 0..c, so the
-    pivot row of column c is the first whose such minor is nonzero, and the
-    last pivot is the leading minor on the pivot rows. Returns the trimmed
-    tensor, whose first ``cols`` rows hold that minor times the identity on
-    the first ``cols`` columns, and the last pivot."""
+    Per column c, the first row from c on that is nonzero there is swapped
+    into row c, and every other row i becomes (p a_i - a_ic a_c) / p', p
+    the pivot a_cc and p' the last one (1 at first), an exact division. By
+    Sylvester's identity a_ic is then the minor on the pivot rows and row i
+    and on columns 0..c, so the pivot rows are the first with nonzero
+    leading minors, and p is the leading minor on them."""
     mul = field.mul_table
     prev = np.ones(1, dtype=np.uint8)
     for c in range(cols):
-        nz = np.flatnonzero(a[:, c:, c].any(axis=0))
+        nz = a[:, c:, c].any(axis=0).nonzero()[0]
         if not nz.size:
             return None
         if nz[0]:

@@ -21,6 +21,7 @@ frame head.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +31,7 @@ from .algebra import (
     GF2, ConvolutionKernel, Field, Poly, RatMatrix, convolution_matrix,
     gf_convolve, gf_eliminate, gf_kernel, gf_poly_divmod, gf_poly_gcd,
     gf_poly_mul, gf_poly_xgcd, gf_rank, gf_rref, gf_stack, gf_trim,
-    minors_gcd, pack_slices, pack_symbols, row_degrees, symbol_bits,
+    pack_slices, pack_symbols, row_degrees, symbol_bits,
     unpack_symbols, word_slices,
 )
 
@@ -106,9 +107,12 @@ class TransferSystem:
         every entry of num, so that D^a e is the lcm of the reduced entry
         denominators."""
         num, den, f = self.num, self.den, self.field
+        nz = num.reshape(len(num), -1).any(axis=1).nonzero()[0]
+        if not nz.size:
+            return num[:1], 0, np.ones(1, dtype=np.uint8)
         # the common power of D first, then the gcd of the rest of den
         v = int(np.flatnonzero(den)[0])
-        low = min(v, int(np.argmax(num.reshape(len(num), -1).any(axis=1))))
+        low = min(v, int(nz[0]))
         num, den = num[low:], den[low:]
         g = gf_poly_gcd(den[v - low:], num, f)
         if len(g) > 1:
@@ -126,7 +130,8 @@ class TransferSystem:
         _, a, e = self._reduced
         period = _pole_period(e, self.field, _TAP_BUDGET - a)
         if period is None:
-            poles = Poly(e.tolist(), self.field).monic()
+            f = self.field
+            poles = Poly(f.mul_table[f.inv_table[e[-1]], e].tolist(), f)
             raise PolePeriodError(
                 f"pole period P of {poles} exceeds {_TAP_BUDGET - a} at "
                 f"input advance a = {a}: a + P passes the tap budget "
@@ -467,6 +472,25 @@ def _basic_kernel_rows(S: np.ndarray, field: Field,
             "kernel basis is not basic "
             f"(minors gcd {minors_gcd(rows, field)})")
     return rows
+
+
+def minors_gcd(g: np.ndarray, field: Field) -> Poly:
+    """Gcd of all k x k minors of a k x n polynomial tensor (deg + 1, k, n).
+
+    A convolutional generator is non-catastrophic iff this gcd is a power of
+    D (including 1)."""
+    _, k, n = g.shape
+    if k > n:
+        raise ValueError("wide matrix expected (k <= n)")
+    # a determinant is the last pivot of an elimination (no signs in
+    # characteristic 2), zero where a column has none
+    minors = [gf_eliminate(g[:, :, cols], k, field)
+              for cols in itertools.combinations(range(n), k)]
+    dets = [np.zeros(1, dtype=np.uint8) if m is None else m[1]
+            for m in minors]
+    first = next((d for d in dets if d.any()), None)
+    return Poly([] if first is None else gf_poly_gcd(
+        first, gf_stack([dets]), field).tolist(), field)
 
 
 def is_left_inverse(isf: TransferSystem, parity: np.ndarray) -> bool:

@@ -15,6 +15,8 @@ import numpy as np
 from qconvdec.algebra import RatMatrix, convolution_matrix, gf_convolve, gf_solve
 from qconvdec.circuits import CodeBundle, DerivationError, block_parity_matrix
 
+from reference_rational import pdivmod
+
 
 def run_anticausal(matrix: RatMatrix, x: np.ndarray, out_len: int) -> np.ndarray:
     """Expand out = x @ matrix anticausally (from the frame tail down).
@@ -37,7 +39,7 @@ def run_anticausal(matrix: RatMatrix, x: np.ndarray, out_len: int) -> np.ndarray
             if e.is_zero():
                 continue
             col = out[:, j]
-            fir, rem = e.num.divmod(e.den)
+            fir, rem = pdivmod(e.num, e.den)
             for d, cf in enumerate(fir.coeffs):
                 if not cf:
                     continue

@@ -11,7 +11,7 @@ import numpy as np
 from qconvdec.algebra import AlgebraError, Poly, RatMatrix, RationalFn
 from qconvdec.circuits import TransferSystem
 
-from reference_rational import add, inverse, mul
+from reference_rational import add, inverse, mul, padd, tensor
 
 
 class RankDeficientError(AlgebraError):
@@ -74,8 +74,8 @@ def rational_taps(system: TransferSystem) -> np.ndarray:
     entry by entry, the reference for the exact polynomial division that
     ``TransferSystem.taps`` does."""
     f, a = system.field, system.input_advance
-    scale = RationalFn(Poly.monomial(a, field=f)
-                       + Poly.monomial(a + system.period, field=f))
+    scale = RationalFn(padd(Poly.monomial(a, field=f),
+                            Poly.monomial(a + system.period, field=f)))
     N = RatMatrix([[mul(e, scale) for e in row]
                    for row in system.matrix.entries], f)
-    return N.coeff_tensor().transpose(0, 2, 1)
+    return tensor(N).transpose(0, 2, 1)

@@ -16,7 +16,9 @@ import numpy as np
 from qconvdec.algebra import Poly, RatMatrix, RationalFn
 from qconvdec.circuits import CodeBundle, DerivationError, derive_generator
 
-from reference_rational import add, mul, pole_order_at_zero, poly_lcm
+from reference_rational import (
+    add, mul, pdivmod, pmul, pole_order_at_zero, poly_lcm,
+)
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,7 @@ def realize(matrix: RatMatrix) -> list[RowRealization]:
     d_a = Poly.monomial(advance, field=f) if advance else Poly.one(f)
     rows = []
     for row in matrix.entries:
-        scaled = [RationalFn(e.num * d_a, e.den) for e in row]
+        scaled = [RationalFn(pmul(e.num, d_a), e.den) for e in row]
         den = Poly.one(f)
         for e in scaled:
             if not e.is_zero():
@@ -52,15 +54,15 @@ def realize(matrix: RatMatrix) -> list[RowRealization]:
             raise DerivationError("entry remained non-causal after advance "
                                   "extraction")
         # normalize the recursion to den[0] = 1
-        c0inv = f.inv(den[0])
+        c0inv = Poly((f.inv(den[0]),), f)
         nums = []
         for e in scaled:
             if e.is_zero():
                 nums.append((0,))
                 continue
-            p = e.num * den.divmod(e.den)[0]
-            nums.append(p.scale(c0inv).coeffs or (0,))
-        rows.append(RowRealization(den=den.scale(c0inv).coeffs,
+            p = pmul(e.num, pdivmod(den, e.den)[0])
+            nums.append(pmul(p, c0inv).coeffs or (0,))
+        rows.append(RowRealization(den=pmul(den, c0inv).coeffs,
                                    nums=tuple(nums)))
     return rows
 

@@ -18,6 +18,8 @@ import numpy as np
 from qconvdec.algebra import RatMatrix
 from qconvdec.trellis import _MAX_STATES, Trellis, TrellisError
 
+from reference_rational import is_polynomial, poly_entries
+
 
 @dataclass(frozen=True)
 class ReferenceTrellis:
@@ -42,12 +44,12 @@ class ReferenceTrellis:
 def build_trellis(gen: RatMatrix, kind: str = "bits") -> ReferenceTrellis:
     """Controller-form trellis of a polynomial generator matrix: the state
     holds the last deg_i input symbols of each generator row."""
-    if not gen.is_polynomial():
+    if not is_polynomial(gen):
         raise TrellisError("trellis generator must be polynomial (feed-forward)")
     field = gen.field
     q = field.order
     bps = 1 if q == 2 else 2
-    rows = gen.poly_entries()
+    rows = poly_entries(gen)
     nrows = gen.rows
     ncols = gen.cols
     degs = tuple(max((p.degree for p in row), default=0) if

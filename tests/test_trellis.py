@@ -818,7 +818,7 @@ class TestAutomaton:
         # budget its traced peak shrinks to match (an unbounded build peaks
         # near 133 MB)
         t = build_trellis_of(RatMatrix.from_polys([[p("1+D+D^4"),
-                                                 p("1+D^2+D^3+D^4")]]))
+                                                    p("1+D^2+D^3+D^4")]]))
         assert (t.num_states, len(t.pred_state)) == (16, 2)
         assert _metric_tables(t, BranchMetric())[3] is None
         budget = _AUTOMATON_WORK >> 4
